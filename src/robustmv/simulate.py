@@ -26,6 +26,7 @@ import math
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
@@ -274,8 +275,9 @@ class ObjectiveEstimate:
 def estimate_objective(paths_or_xt, params: MarketParams) -> ObjectiveEstimate:
     """Unbiased mean/variance of terminal wealth and the delta-method SE of J.
 
-    The SE combines the errors of the mean and variance estimators with
-    J's gradient (1, -lam).
+    The SE combines the errors of the mean and variance estimators, and
+    their covariance m3/n, with J's gradient (1, -lam):
+    Var(J) = var/n + lam^2 Var(var) - 2 lam m3/n.
     """
     arr = np.asarray(paths_or_xt, dtype=float)
     xt = arr[:, -1] if arr.ndim == 2 else arr
@@ -285,9 +287,10 @@ def estimate_objective(paths_or_xt, params: MarketParams) -> ObjectiveEstimate:
     mean = float(np.mean(xt))
     centered = xt - mean
     var = float(centered @ centered) / (n - 1)
+    m3 = float(np.mean(centered**3))
     m4 = float(np.mean(centered**4))
     var_of_var = max(m4 - (n - 3) / (n - 1) * var**2, 0.0) / n
-    se = math.sqrt(var / n + params.lam**2 * var_of_var)
+    se = math.sqrt(max(var / n + params.lam**2 * var_of_var - 2.0 * params.lam * m3 / n, 0.0))
     return ObjectiveEstimate(
         mean_XT=mean,
         var_XT=var,
@@ -411,7 +414,9 @@ def _monotonicity_check(paths, t_grid, coeffs, n_sigma=3.0):
     """Largest noise-adjusted increase of E[V_t] along the grid.
 
     Uses per-path linearization of consecutive value differences, so the
-    standard error accounts for the coupling between grid nodes.
+    standard error accounts for the coupling between grid nodes.  The
+    Bonferroni threshold z = Phi^{-1}(1 - Phi(-n_sigma) / n_increments)
+    makes n_sigma a family-wise level over all increments.
     """
     quad = coeffs.quad_coeff(t_grid)
     offset = coeffs.offset(t_grid)
@@ -421,10 +426,10 @@ def _monotonicity_check(paths, t_grid, coeffs, n_sigma=3.0):
     per_path = per_path + np.diff(paths, axis=1)
     diffs = per_path.mean(axis=0) + np.diff(offset)
     n = paths.shape[0]
-    se = per_path.std(axis=0, ddof=1) / math.sqrt(n)
-    excess = diffs - n_sigma * se
-    worst = int(np.argmax(excess))
-    return float(diffs[worst]), float(n_sigma * se[worst])
+    z = NormalDist().inv_cdf(1.0 - NormalDist().cdf(-n_sigma) / diffs.size)
+    allowance = z * per_path.std(axis=0, ddof=1) / math.sqrt(n)
+    worst = int(np.argmax(diffs - allowance))
+    return float(diffs[worst]), float(allowance[worst])
 
 
 def verify_weak_principle(
@@ -440,9 +445,11 @@ def verify_weak_principle(
 
     Condition (monotone): under the worst-case scenario, t -> E[V_t] is
     nonincreasing for every probe strategy.  Condition (terminal): under
-    every probe scenario, the optimal rule satisfies E[V_T] >= V0.  Both
-    are tested up to n_sigma standard errors.  Raises PrincipleViolated on
-    the first failure.
+    every probe scenario, the optimal rule satisfies E[V_T] >= V0.  Each
+    test has the false-alarm rate of a one-sided n_sigma normal event: the
+    J margins get n_sigma standard errors, and the monotone check holds
+    that level family-wise over all grid increments.  Raises
+    PrincipleViolated on the first failure.
     """
     strategy = robust_strategy(solution, params)
     coeffs = value_coefficients(solution, params)

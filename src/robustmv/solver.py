@@ -30,6 +30,7 @@ from .errors import (
     BoxNotPositiveDefinite,
     GridTooLarge,
     NoMinimum,
+    NotPositiveDefinite,
     SaddleViolated,
     ZeroDrift,
 )
@@ -478,49 +479,37 @@ def _box_residual(grad, x, lower, upper) -> float:
     return float(-np.minimum(drop, 0.0).sum())
 
 
-def _ellipsoidal_objective(spec: EllipsoidalSet, params: MarketParams):
-    b_hat = spec.b_hat
-    delta = spec.delta
+def _projected_descent(value_grad, start, lower, upper, max_iters, tol):
+    """Projected gradient descent of a convex f over a box.
 
-    def value(rho):
-        s = math.sqrt(risk_premium(ThetaPoint(b=b_hat, rho=rho), params))
-        return (s - delta) ** 2 if s > delta else 0.0
-
-    def gradient(rho):
-        theta = ThetaPoint(b=b_hat, rho=rho)
-        s = math.sqrt(risk_premium(theta, params))
-        if s <= delta:
-            return np.zeros_like(rho)
-        _, grad_rho = risk_premium_gradients(theta, params)
-        return (1.0 - delta / s) * grad_rho
-
-    return value, gradient
-
-
-def _projected_descent(value, gradient, project, start, lower, upper, max_iters, tol):
-    """Armijo-backtracked projected gradient descent over a box."""
-    x = project(start)
-    fx = value(x)
+    value_grad gives (inf, None) outside f's domain.  Barzilai-Borwein steps
+    halve until Armijo's test holds or the slope at the candidate is <= 0,
+    which for convex f proves a decrease that rounding can hide in f.
+    """
+    x = start
+    fx, g = value_grad(x)
     eta = 1.0
     iterations = 0
-    residual = np.inf
     for iterations in range(1, max_iters + 1):
-        g = gradient(x)
         residual = _box_residual(g, x, lower, upper)
         if residual < tol:
             return x, fx, iterations, residual, True
         while True:
-            candidate = project(x - eta * g)
+            candidate = np.clip(x - eta * g, lower, upper)
             step = candidate - x
-            f_candidate = value(candidate)
-            if f_candidate <= fx + 1e-4 * float(g @ step) or eta < 1e-14:
+            f_candidate, g_candidate = value_grad(candidate)
+            if g_candidate is not None and (
+                f_candidate <= fx + 1e-4 * float(g @ step) or float(g_candidate @ step) <= 0.0
+            ):
                 break
+            if eta < 1e-14:
+                return x, fx, iterations, residual, False
             eta *= 0.5
-        if float(np.linalg.norm(step)) < 1e-12:
+        if not np.any(step):
             break
-        x, fx = candidate, f_candidate
-        eta = min(eta * 1.5, 1.0)
-    g = gradient(x)
+        curvature = float(step @ (g_candidate - g))
+        eta = float(step @ step) / curvature if curvature > 0.0 else 1.0
+        x, fx, g = candidate, f_candidate, g_candidate
     residual = _box_residual(g, x, lower, upper)
     return x, fx, iterations, residual, residual < tol
 
@@ -528,75 +517,69 @@ def _projected_descent(value, gradient, project, start, lower, upper, max_iters,
 def numeric_minimize(
     spec: AmbiguitySpec,
     params: MarketParams,
-    starts: int = 8,
     max_iters: int = 5000,
     tol: float = 1e-8,
 ) -> WorstCaseSolution:
     """Projected-gradient minimization of the risk premium over the set.
 
-    Multi-start with deterministic seeds; stops on the exact first-order
-    optimality residual for box constraints.  Returns the best point found
-    with a convergence flag in the diagnostics rather than raising.
-    """
-    g_lower, g_upper = spec.gamma.bounds()
+    One descent from the box centre reaches the global minimum: R(b, rho)
+    is a matrix-fractional function of an affine map, hence jointly convex
+    on the PD region (Boyd & Vandenberghe 3.1.7), and box & {C(rho) > 0} is
+    convex.  For ellipsoidal sets the inner minimum over b is closed form,
+    (sqrt(R(b_hat, rho)) - delta)_+^2, nondecreasing in R: one minimizer of
+    R(b_hat, rho) serves every delta, no-trade answers included.
 
+    Steps clip to the box (its exact projection); points failing the PD
+    test lie outside R's domain.  R blows up toward a singular C(rho) unless
+    b is orthogonal to its null vector, so a minimum on the PD boundary is
+    rare; there the box residual stays positive and converged is False.
+    """
+    d = spec.d
+    g_lower, g_upper = spec.gamma.bounds()
+    centre_rho = amb.project_rho(spec, 0.5 * (g_lower + g_upper))
     if isinstance(spec, EllipsoidalSet):
-        value, gradient = _ellipsoidal_objective(spec, params)
-        project = lambda rho: amb.project_rho(spec, rho)
-        lower, upper = g_lower, g_upper
-        start_points = [0.5 * (g_lower + g_upper)]
-        for k in range(max(starts - 1, 0)):
-            theta = amb.sample(spec, 1, seed=1000 + k, params=params)[0]
-            start_points.append(theta.rho)
+        lower, upper, start = g_lower, g_upper, centre_rho
+
+        def theta(rho):
+            return ThetaPoint(b=spec.b_hat, rho=rho)
+
+        def gradient(point):
+            return risk_premium_gradients(point, params)[1]
+
     else:
-        d = spec.d
         lower = np.concatenate([spec.delta_lower, g_lower])
         upper = np.concatenate([spec.delta_upper, g_upper])
+        start = np.concatenate([0.5 * (spec.delta_lower + spec.delta_upper), centre_rho])
 
-        def value(z):
-            return risk_premium(ThetaPoint(b=z[:d], rho=z[d:]), params)
+        def theta(z):
+            return ThetaPoint(b=z[:d], rho=z[d:])
 
-        def gradient(z):
-            gb, gr = risk_premium_gradients(ThetaPoint(b=z[:d], rho=z[d:]), params)
-            return np.concatenate([gb, gr])
+        def gradient(point):
+            return np.concatenate(risk_premium_gradients(point, params))
 
-        def project(z):
-            b = np.clip(z[:d], spec.delta_lower, spec.delta_upper)
-            rho = amb.project_rho(spec, z[d:])
-            return np.concatenate([b, rho])
+    def value_grad(x):
+        point = theta(x)
+        try:
+            return risk_premium(point, params), gradient(point)
+        except NotPositiveDefinite:
+            return np.inf, None
 
-        start_points = [0.5 * (lower + upper)]
-        for k in range(max(starts - 1, 0)):
-            theta = amb.sample(spec, 1, seed=1000 + k, params=params)[0]
-            start_points.append(np.concatenate([theta.b, theta.rho]))
-
-    best = None
-    total_iterations = 0
-    for idx, start in enumerate(start_points):
-        x, fx, iters, residual, converged = _projected_descent(
-            value, gradient, project, start, lower, upper, max_iters, tol
-        )
-        total_iterations += iters
-        if best is None or fx < best[1]:
-            best = (x, fx, residual, converged, idx)
-    x, fx, residual, converged, best_start = best
-
+    x, r_min, iterations, residual, converged = _projected_descent(
+        value_grad, start, lower, upper, max_iters, tol
+    )
     if isinstance(spec, EllipsoidalSet):
-        rho_star = x
-        b_star, r_star = solve_ellipsoidal_given_rho(rho_star, spec.b_hat, spec.delta, params)
+        b_star, r_star = solve_ellipsoidal_given_rho(x, spec.b_hat, spec.delta, params)
+        theta_star = ThetaPoint(b=b_star, rho=x)
     else:
-        b_star, rho_star = x[: spec.d], x[spec.d:]
-        r_star = fx
-    theta = ThetaPoint(b=b_star, rho=rho_star)
+        theta_star, r_star = theta(x), r_min
     return WorstCaseSolution(
-        theta_star=theta,
+        theta_star=theta_star,
         r_star=r_star,
         case_label=NUMERIC,
-        no_trade=bool(np.all(np.abs(b_star) == 0.0)),
+        no_trade=bool(np.all(theta_star.b == 0.0)),
         diagnostics={
-            "starts": len(start_points),
-            "best_start": best_start,
-            "iterations": total_iterations,
+            "starts": 1,
+            "iterations": iterations,
             "residual": residual,
             "converged": bool(converged),
         },

@@ -4,6 +4,7 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from robustmv import (
     EllipsoidalSet,
@@ -13,6 +14,11 @@ from robustmv import (
     is_positive_definite,
     risk_premium,
 )
+
+# Property tests replay the same examples on every run and write no example
+# database, so the suite stays deterministic.
+settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
+settings.load_profile("deterministic")
 
 
 def fd_gradient(theta, params, step=1e-6):

@@ -231,7 +231,7 @@ def test_criterion_4_full_ambiguity_vs_numeric(full_ambiguity_batch):
                 np.full(n_pairs(params.d), -0.95), np.full(n_pairs(params.d), 0.95)
             ),
         )
-        numeric = numeric_minimize(wide, params, starts=6)
+        numeric = numeric_minimize(wide, params)
         gap = abs(sol.r_star - numeric.r_star)
         worst = max(worst, gap)
         assert gap <= 1e-4, gap

@@ -25,7 +25,11 @@ from robustmv import (
     verify_weak_principle,
 )
 from robustmv.ambiguity import ThetaProcessSchedule
-from robustmv.simulate import default_probe_schedules, default_probe_strategies
+from robustmv.simulate import (
+    _monotonicity_check,
+    default_probe_schedules,
+    default_probe_strategies,
+)
 
 
 @pytest.fixture
@@ -164,6 +168,24 @@ def test_objective_only_needs_terminal_column(params2):
     assert np.isclose(est.var_XT, np.var(xt, ddof=1))
 
 
+def test_estimate_objective_se_skewed_sample():
+    """Delta-method SE of J, covariance term included, on lognormal samples."""
+    params = MarketParams(sigmas=[1.0], horizon_T=1.0, lam=0.5, x0=1.0)
+    rng = np.random.default_rng(11)
+    batches = [rng.lognormal(0.0, 0.5, 4096) for _ in range(64)]
+    estimates = [estimate_objective(x, params) for x in batches]
+    # Independent form: Var(J) ~ Var(psi)/n with the influence function
+    # psi = (x - mean) - lam ((x - mean)^2 - var) of J = mean - lam var.
+    for x, est in zip(batches, estimates):
+        c = x - x.mean()
+        psi = c - params.lam * (c**2 - c.var())
+        assert est.std_error_J == pytest.approx(psi.std() / math.sqrt(x.size), rel=2e-3)
+    # The reported SE matches the spread of J across independent batches;
+    # without the -2 lam m3/n term it is about 1.6 times too large here.
+    spread = np.std([e.J for e in estimates], ddof=1)
+    assert 0.8 <= spread / np.mean([e.std_error_J for e in estimates]) <= 1.25
+
+
 def test_objective_near_v0(params2, reference):
     sol, strat, sched = reference
     cfg = SimConfig(n_paths=50000, n_steps=256, seed=42)
@@ -197,6 +219,40 @@ def test_weak_principle_reference(params2, reference_spec):
     names = [c.name for c in report.terminal_gain]
     worst = report.terminal_gain[names.index("worst_case")]
     assert abs(worst.margin) <= worst.allowance
+
+
+def test_weak_principle_reference_fine_grid(params2, reference_spec):
+    # 256 increments of a flat E[V_t]: with a 3-SE allowance per increment and
+    # no correction for testing all of them, this seed raised PrincipleViolated.
+    sol = solve(reference_spec, params2)
+    cfg = SimConfig(n_paths=20000, n_steps=256, seed=13)
+    assert verify_weak_principle(sol, reference_spec, params2, cfg).ok
+
+
+class _WealthValue:
+    """Value coefficients of v_t(x) = x, so E[V_t] is the mean path."""
+
+    def quad_coeff(self, t):
+        return np.zeros_like(t)
+
+    def offset(self, t):
+        return np.zeros_like(t)
+
+
+@pytest.mark.parametrize("rise, flagged", [(6.0, True), (4.0, False)])
+def test_monotonicity_check_familywise(rise, flagged):
+    # Increments with sample mean exactly 0, except one node rising by
+    # exactly `rise` standard errors.  Over 256 increments the family-wise
+    # 3-sigma threshold is about 4.4 SE.
+    n, steps, node = 4000, 256, 97
+    inc = np.random.default_rng(3).standard_normal((n, steps))
+    inc -= inc.mean(axis=0)
+    se = inc[:, node].std(ddof=1) / math.sqrt(n)
+    inc[:, node] += rise * se
+    paths = np.concatenate([np.zeros((n, 1)), np.cumsum(inc, axis=1)], axis=1)
+    increase, allowance = _monotonicity_check(paths, np.linspace(0.0, 1.0, steps + 1), _WealthValue())
+    assert increase == pytest.approx(rise * se)
+    assert (increase > allowance) == flagged
 
 
 def test_weak_principle_negative_control(params2, reference_spec):

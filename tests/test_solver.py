@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from robustmv import (
     EllipsoidalSet,
@@ -12,6 +14,7 @@ from robustmv import (
     SaddleViolated,
     ThetaPoint,
     ZeroDrift,
+    classify,
     contains,
     grid_oracle,
     is_positive_definite,
@@ -297,14 +300,131 @@ def test_numeric_matches_closed_forms():
     for _ in range(10):
         spec, params = random_two_asset_instance(rng)
         closed = solve_two_asset(spec, params)
-        numeric = numeric_minimize(spec, params, starts=4)
+        numeric = numeric_minimize(spec, params)
         assert abs(closed.r_star - numeric.r_star) < 1e-6
 
 
 def test_numeric_singleton_exact(params2):
     spec = EllipsoidalSet(b_hat=np.array([0.4, 0.2]), delta=0.0, gamma=GammaBox.singleton([0.3]))
-    numeric = numeric_minimize(spec, params2, starts=2)
+    numeric = numeric_minimize(spec, params2)
     assert np.isclose(numeric.r_star, risk_premium(ThetaPoint(b=[0.4, 0.2], rho=[0.3]), params2))
+
+
+# A d = 4 box on which descending the kinked score (s - delta)_+^2 stalled just
+# short of the level set s = delta and reported a trade.  The certified
+# minimum of s = sqrt(R(b_hat, rho)) over the box is 0.49084; at the box
+# centre s = 0.5504.
+FAULT_D4 = dict(
+    sigmas=[0.70834659, 1.49966245, 1.95935927, 1.69161879],
+    b_hat=[0.29641918, -0.243677, -0.1934055, -0.39573435],
+    lower=[0.14971931, 0.15503296, -0.09224831, 0.01404342, -0.12231019, -0.12334398],
+    upper=[0.34023451, 0.33030946, 0.07527979, 0.56504943, 0.36582844, 0.42024193],
+)
+
+
+@pytest.mark.parametrize("delta", [0.51, 0.49364341])
+def test_numeric_no_trade_below_threshold(delta):
+    params = MarketParams(sigmas=FAULT_D4["sigmas"], horizon_T=1.0, lam=0.5, x0=1.0)
+    spec = EllipsoidalSet(
+        b_hat=np.array(FAULT_D4["b_hat"]),
+        delta=delta,
+        gamma=GammaBox.box(FAULT_D4["lower"], FAULT_D4["upper"]),
+    )
+    sol = solve(spec, params)
+    assert sol.case_label == "Numeric"
+    assert sol.no_trade and sol.r_star == 0.0
+    assert classify(sol, params).kind == "no_trade"
+    assert sol.diagnostics["converged"]
+    assert sol.diagnostics["iterations"] <= 100
+
+
+def _certified_min_premium(beta, lower, upper, start, iters=5000):
+    """Bracket [lo, hi] of min over box & PD of beta' C(rho)^{-1} beta, numpy only.
+
+    Projected gradient with Barzilai-Borwein steps, counting points that are
+    not positive definite as +inf.  R is convex on box & PD, a subset of the
+    box, so at any feasible x, R(x) minus the Frank-Wolfe gap over the box is
+    a lower bound on the minimum.
+    """
+    d = beta.size
+    iu = np.triu_indices(d, 1)
+
+    def value_grad(rho):
+        c = np.eye(d)
+        c[iu] = rho
+        c[iu[1], iu[0]] = rho
+        if np.linalg.eigvalsh(c)[0] <= 1e-9:
+            return np.inf, None
+        x = np.linalg.solve(c, beta)
+        return float(beta @ x), -2.0 * x[iu[0]] * x[iu[1]]
+
+    def fw_gap(g, x):
+        return float(g @ x - np.minimum(g * lower, g * upper).sum())
+
+    x = start
+    f, g = value_grad(x)
+    lo, hi = f - fw_gap(g, x), f
+    step = 1.0
+    for _ in range(iters):
+        if hi - lo <= 1e-12 * max(1.0, hi):
+            break
+        t = step
+        while True:
+            cand = np.clip(x - t * g, lower, upper)
+            fc, gc = value_grad(cand)
+            if fc <= f + 1e-4 * float(g @ (cand - x)) or t < 1e-16:
+                break
+            t *= 0.5
+        if gc is None or not np.any(cand - x):
+            break
+        s, y = cand - x, gc - g
+        step = float(s @ s) / float(s @ y) if float(s @ y) > 0.0 else 1.0
+        x, f, g = cand, fc, gc
+        lo, hi = max(lo, f - fw_gap(g, x)), min(hi, f)
+    return lo, hi
+
+
+@st.composite
+def numeric_instances(draw):
+    """Random d = 3-5 ellipsoidal boxes; the wide ones have non-PD corners."""
+    d = draw(st.integers(3, 5))
+    m = d * (d - 1) // 2
+
+    def vector(lo, hi, size):
+        return np.array(draw(st.lists(st.floats(lo, hi), min_size=size, max_size=size)))
+
+    sigmas = vector(0.5, 2.0, d)
+    b_hat = vector(-1.0, 1.0, d)
+    lower = vector(-0.9, 0.6, m)
+    upper = np.minimum(lower + vector(0.0, 0.9, m), 0.95)
+    assume(np.max(np.abs(b_hat / sigmas)) > 0.05)
+    # project_rho repairs non-PD points toward this anchor, which must be PD.
+    inside = np.all(lower <= 0.0) and np.all(upper >= 0.0)
+    anchor = np.zeros(m) if inside else 0.5 * (lower + upper)
+    assume(is_positive_definite(anchor, d))
+    return sigmas, b_hat, lower, upper, anchor
+
+
+@settings(max_examples=50)
+@given(numeric_instances())
+def test_numeric_matches_certified_minimum(instance):
+    """r* = (s_min - delta)_+^2 over a delta grid around the no-trade threshold."""
+    sigmas, b_hat, lower, upper, anchor = instance
+    lo, hi = _certified_min_premium(b_hat / sigmas, lower, upper, anchor)
+    # A minimum on the PD boundary (b_hat orthogonal to a null vector of C)
+    # is certified by neither descent; the bracket still holds there.
+    certified = hi - lo <= 1e-9 * max(1.0, hi)
+    s_lo, s_hi = np.sqrt(max(lo, 0.0)), np.sqrt(hi)
+    params = MarketParams(sigmas=sigmas, horizon_T=1.0, lam=0.5, x0=1.0)
+    for share in (0.0, 0.5, 0.99, 1.01, 2.0):
+        delta = share * s_hi
+        spec = EllipsoidalSet(b_hat=b_hat, delta=delta, gamma=GammaBox.box(lower, upper))
+        sol = numeric_minimize(spec, params)
+        r_lo, r_hi = max(s_lo - delta, 0.0) ** 2, max(s_hi - delta, 0.0) ** 2
+        assert r_lo - 1e-7 <= sol.r_star <= r_hi + 1e-7
+        if certified:
+            assert sol.diagnostics["converged"]
+            assert sol.no_trade == (share > 1.0)
 
 
 def test_grid_oracle_semantics(params2):
