@@ -24,6 +24,7 @@ from .market import (
     MarketParams,
     ThetaPoint,
     _frozen,
+    _require_finite,
     covariance_from,
     is_positive_definite,
     n_pairs,
@@ -51,6 +52,7 @@ class GammaBox:
         if self.lower.shape != self.upper.shape:
             raise ValueError("lower/upper bounds must have equal length")
         if not self.full_ambiguity:
+            _require_finite(lower=self.lower, upper=self.upper)
             if np.any(self.lower > self.upper):
                 raise ValueError("lower bounds must not exceed upper bounds")
             if self.lower.size and (np.any(np.abs(self.lower) >= 1) or np.any(np.abs(self.upper) >= 1)):
@@ -74,10 +76,6 @@ class GammaBox:
     def n_pairs(self) -> int:
         return self.lower.size
 
-    def bounds(self):
-        """Effective (lower, upper) arrays; full ambiguity maps to wide clips."""
-        return self.lower, self.upper
-
     def rho_in_box(self, rho: np.ndarray) -> bool:
         if self.full_ambiguity:
             return bool(np.all(np.abs(rho) <= 1.0))
@@ -98,6 +96,7 @@ class ProductSet:
     def __post_init__(self):
         object.__setattr__(self, "delta_lower", _frozen(self.delta_lower))
         object.__setattr__(self, "delta_upper", _frozen(self.delta_upper))
+        _require_finite(delta_lower=self.delta_lower, delta_upper=self.delta_upper)
         if self.delta_lower.shape != self.delta_upper.shape:
             raise ValueError("drift bounds must have equal length")
         if np.any(self.delta_lower > self.delta_upper):
@@ -123,6 +122,7 @@ class EllipsoidalSet:
 
     def __post_init__(self):
         object.__setattr__(self, "b_hat", _frozen(self.b_hat))
+        _require_finite(b_hat=self.b_hat, delta=self.delta)
         if self.delta < 0:
             raise ValueError("delta must be nonnegative")
         if self.gamma.n_pairs != n_pairs(self.d):
@@ -164,7 +164,7 @@ def project_rho(spec: AmbiguitySpec, rho) -> np.ndarray:
     when it is inside the box, the box midpoint otherwise) by bisection.
     Idempotent on feasible points, bitwise.
     """
-    lower, upper = spec.gamma.bounds()
+    lower, upper = spec.gamma.lower, spec.gamma.upper
     d = spec.d
     clamped = np.clip(np.asarray(rho, dtype=float), lower, upper)
     if is_positive_definite(clamped, d):
@@ -206,7 +206,7 @@ def sample(spec: AmbiguitySpec, count: int, seed: int, params: MarketParams) -> 
     if count < 0:
         raise ValueError("count must be nonnegative")
     rng = np.random.default_rng(seed)
-    lower, upper = spec.gamma.bounds()
+    lower, upper = spec.gamma.lower, spec.gamma.upper
     if spec.gamma.full_ambiguity:
         lower, upper = np.full_like(lower, -1.0), np.full_like(upper, 1.0)
     d = spec.d

@@ -7,6 +7,9 @@ triangle of the d x d correlation matrix, in row-major order:
 
     rho = (rho_12, rho_13, ..., rho_1d, rho_23, ..., rho_(d-1)d)
 
+This layout is stated once, as pair_index(d); every map between rho vectors
+and d x d matrices is an index operation on it.
+
 Core quantities:
 
     C(rho)        correlation matrix with unit diagonal
@@ -14,19 +17,19 @@ Core quantities:
     R(theta)      = b' Sigma(rho)^{-1} b, the squared market price of risk
     kappa(theta)  = Sigma(rho)^{-1} b, the per-asset allocation direction
 
-All functions are pure; values are immutable after construction.  No
-explicit matrix inverse is formed anywhere: R and kappa go through
-triangular solves against a cached lower-triangular factor L, L L' =
-Sigma(rho).
+All functions are pure; values are immutable after construction, and every
+input must be finite.  No explicit matrix inverse is formed anywhere: R and
+kappa go through numpy solves against a cached lower-triangular factor L,
+L L' = Sigma(rho).  numpy is the only dependency.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
 
 from .errors import NotPositiveDefinite
 
@@ -41,16 +44,23 @@ def n_pairs(d: int) -> int:
     return d * (d - 1) // 2
 
 
-def pair_indices(d: int) -> list[tuple[int, int]]:
-    """Pairs (i, j), i < j, in the row-major order used by rho vectors."""
-    return [(i, j) for i in range(d) for j in range(i + 1, d)]
+@functools.lru_cache(maxsize=None)
+def pair_index(d: int) -> tuple[np.ndarray, np.ndarray]:
+    """Read-only (rows, cols) of the pairs i < j, in the row-major rho order.
+
+    Cached because np.triu_indices costs more than the whole correlation
+    matrix build it serves.
+    """
+    rows, cols = np.triu_indices(d, 1)
+    rows.flags.writeable = False
+    cols.flags.writeable = False
+    return rows, cols
 
 
-def pair_position(i: int, j: int, d: int) -> int:
-    """Position of pair (i, j), i < j, inside a rho vector of dimension d."""
-    if not 0 <= i < j < d:
-        raise ValueError(f"invalid pair ({i}, {j}) for d={d}")
-    return i * (2 * d - i - 3) // 2 + j - 1
+def upper_pairs(matrix) -> np.ndarray:
+    """Strict upper triangle of a square matrix as a rho-ordered vector."""
+    matrix = np.asarray(matrix)
+    return matrix[pair_index(matrix.shape[0])]
 
 
 def as_rho(entries, d: int) -> np.ndarray:
@@ -70,6 +80,13 @@ def _frozen(values) -> np.ndarray:
     return arr
 
 
+def _require_finite(**values) -> None:
+    """Raise ValueError naming the first argument with a NaN or infinite entry."""
+    for name, value in values.items():
+        if not np.all(np.isfinite(value)):
+            raise ValueError(f"{name} must be finite")
+
+
 @dataclass(frozen=True)
 class MarketParams:
     """Fixed, known market inputs.
@@ -87,6 +104,7 @@ class MarketParams:
 
     def __post_init__(self):
         object.__setattr__(self, "sigmas", _frozen(self.sigmas))
+        _require_finite(sigmas=self.sigmas, horizon_T=self.horizon_T, lam=self.lam, x0=self.x0)
         if self.sigmas.ndim != 1 or self.sigmas.size < 1:
             raise ValueError("sigmas must be a non-empty vector")
         if not np.all(self.sigmas > 0):
@@ -110,6 +128,7 @@ class ThetaPoint:
 
     def __post_init__(self):
         object.__setattr__(self, "b", _frozen(self.b))
+        _require_finite(b=self.b)
         d = self.b.size
         object.__setattr__(self, "rho", as_rho(self.rho, d))
 
@@ -121,10 +140,10 @@ class ThetaPoint:
 def correlation_matrix(rho, d: int) -> np.ndarray:
     """Dense symmetric C(rho) with unit diagonal; exactly symmetric bitwise."""
     rho = as_rho(rho, d)
+    rows, cols = pair_index(d)
     c = np.eye(d)
-    for k, (i, j) in enumerate(pair_indices(d)):
-        c[i, j] = rho[k]
-        c[j, i] = rho[k]
+    c[rows, cols] = rho
+    c[cols, rows] = rho
     return c
 
 
@@ -162,13 +181,12 @@ class CovMatrix:
     chol: np.ndarray = field(repr=False)
 
     def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """Sigma^{-1} rhs via forward + backward triangular solves."""
-        y = solve_triangular(self.chol, rhs, lower=True)
-        return solve_triangular(self.chol.T, y, lower=False)
+        """Sigma^{-1} rhs = L'^{-1} L^{-1} rhs."""
+        return np.linalg.solve(self.chol.T, self.half_solve(rhs))
 
     def half_solve(self, rhs: np.ndarray) -> np.ndarray:
         """L^{-1} rhs, so that ||half_solve(b)||^2 = b' Sigma^{-1} b."""
-        return solve_triangular(self.chol, rhs, lower=True)
+        return np.linalg.solve(self.chol, rhs)
 
 
 def covariance_from(rho, params: MarketParams) -> CovMatrix:
@@ -218,8 +236,8 @@ def risk_premium_gradients(theta: ThetaPoint, params: MarketParams):
     kappa = variance_risk_ratio(theta, params)
     grad_b = 2.0 * kappa
     scaled = params.sigmas * kappa
-    d = params.d
-    grad_rho = np.array([-2.0 * scaled[i] * scaled[j] for i, j in pair_indices(d)])
+    rows, cols = pair_index(params.d)
+    grad_rho = -2.0 * scaled[rows] * scaled[cols]
     return grad_b, grad_rho
 
 
@@ -265,10 +283,9 @@ def sharpe_profile(b_hat, params: MarketParams) -> SharpeProfile:
     betas = b_hat / params.sigmas
     order = np.argsort(-np.abs(betas), kind="stable")
     sorted_betas = betas[order]
-    d = params.d
-    prox = np.zeros(n_pairs(d))
-    for k, (i, j) in enumerate(pair_indices(d)):
-        prox[k] = sorted_betas[j] / sorted_betas[i] if sorted_betas[i] != 0.0 else 0.0
+    rows, cols = pair_index(params.d)
+    leading = sorted_betas[rows]
+    prox = np.divide(sorted_betas[cols], leading, out=np.zeros(rows.size), where=leading != 0.0)
     betas.flags.writeable = False
     order.flags.writeable = False
     prox.flags.writeable = False

@@ -209,16 +209,17 @@ def simulate_optimal_exact(
     factor = math.exp(solution.r_star * params.horizon_T) / (2.0 * params.lam)
     t_grid = np.linspace(0.0, params.horizon_T, cfg.n_steps + 1)
     paths = np.empty((cfg.n_paths, cfg.n_steps + 1))
-    ratio_sum = np.zeros(cfg.n_steps)
-    ratio_sq = np.zeros(cfg.n_steps)
+    # One row of ratio sums per block, added up after all blocks ran, so
+    # the statistics do not depend on the order the workers finish in.
+    n_blocks = len(_block_ranges(cfg.n_paths))
+    ratio_sum = np.zeros((n_blocks, cfg.n_steps))
+    ratio_sq = np.zeros((n_blocks, cfg.n_steps))
 
     def worker(block, start, stop):
         rng = _block_rng(cfg.seed, block)
         lanes = stop - start
         log_n = np.zeros(lanes)
         paths[start:stop, 0] = params.x0
-        local_sum = np.zeros(cfg.n_steps)
-        local_sq = np.zeros(cfg.n_steps)
         for n in range(cfg.n_steps):
             xi = _normals(rng, lanes, 1, cfg.antithetic)[:, 0]
             gaussian = vol_int[n] * xi
@@ -226,25 +227,15 @@ def simulate_optimal_exact(
             paths[start:stop, n + 1] = params.x0 + factor * (1.0 - np.exp(log_n))
             if martingale_stats:
                 ratios = np.exp(-2.0 * var_int[n] - 2.0 * gaussian)
-                local_sum[n] = ratios.sum()
-                local_sq[n] = (ratios**2).sum()
-        if martingale_stats:
-            ratio_sum[:] += local_sum
-            ratio_sq[:] += local_sq
+                ratio_sum[block, n] = ratios.sum()
+                ratio_sq[block, n] = (ratios**2).sum()
 
-    # Accumulation into shared vectors is order-independent only if blocks
-    # do not interleave; keep the stats path single-threaded.
-    if martingale_stats:
-        for k, (start, stop) in enumerate(_block_ranges(cfg.n_paths)):
-            worker(k, start, stop)
-    else:
-        _run_blocks(cfg.n_paths, worker)
-
+    _run_blocks(cfg.n_paths, worker)
     if not martingale_stats:
         return t_grid, paths
     n = cfg.n_paths
-    mean = ratio_sum / n
-    var = np.maximum(ratio_sq / n - mean**2, 0.0) * n / (n - 1)
+    mean = ratio_sum.sum(axis=0) / n
+    var = np.maximum(ratio_sq.sum(axis=0) / n - mean**2, 0.0) * n / (n - 1)
     stats = MartingaleStats(mean_ratio=mean, se_ratio=np.sqrt(var / n))
     return t_grid, paths, stats
 
@@ -333,7 +324,7 @@ def default_probe_schedules(
     solution: WorstCaseSolution,
 ):
     """Eight named scenario probes: worst case, center, extreme corners, a switch."""
-    lower, upper = spec.gamma.bounds()
+    lower, upper = spec.gamma.lower, spec.gamma.upper
     mid_rho = project_rho(spec, 0.5 * (lower + upper))
     corner_rhos = [("low_corr", project_rho(spec, lower)), ("high_corr", project_rho(spec, upper))]
 
@@ -398,14 +389,15 @@ class WeakPrincipleReport:
     monotone_under_worst_case: for each probe strategy, the largest upward
     step of t -> E[V_t] under the worst-case scenario (must not exceed its
     noise allowance).  terminal_gain: for each probe scenario, E[V_T] - V0
-    (must not fall below minus its allowance).  The J rows restate the
-    saddle property at the objective level.
+    = J - V0 (must not fall below minus its allowance), the lower side of
+    the saddle property at the objective level.  objective_upper: for each
+    probe strategy under the worst case, J - V0 (must not exceed its
+    allowance), the upper side.
     """
 
     monotone_under_worst_case: tuple
     terminal_gain: tuple
     objective_upper: tuple
-    objective_lower: tuple
     value_v0: float
     ok: bool
 
@@ -484,7 +476,7 @@ def verify_weak_principle(
                 margin=margin,
             )
 
-    terminal, j_lower = [], []
+    terminal = []
     for name, sched in probe_schedules:
         _, paths = simulate_wealth(strategy, sched, params, cfg)
         est = estimate_objective(paths, params)
@@ -492,7 +484,6 @@ def verify_weak_principle(
         allowance = n_sigma * est.std_error_J
         check = ProbeCheck(name=name, margin=margin, allowance=allowance, ok=margin >= -allowance)
         terminal.append(check)
-        j_lower.append(check)
         if not check.ok:
             raise PrincipleViolated(
                 f"E[V_T] - V0 = {margin:.3e} < -{allowance:.3e} under probe scenario {name!r}",
@@ -504,7 +495,6 @@ def verify_weak_principle(
         monotone_under_worst_case=tuple(monotone),
         terminal_gain=tuple(terminal),
         objective_upper=tuple(j_upper),
-        objective_lower=tuple(j_lower),
         value_v0=v0,
         ok=True,
     )

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import ambiguity as amb
-from .ambiguity import AmbiguitySpec, EllipsoidalSet, GammaBox, ProductSet
+from .ambiguity import AmbiguitySpec, EllipsoidalSet, ProductSet
 from .errors import (
     BoxNotPositiveDefinite,
     GridTooLarge,
@@ -39,12 +39,10 @@ from .market import (
     ThetaPoint,
     correlation_matrix,
     is_positive_definite,
-    n_pairs,
-    pair_indices,
-    pair_position,
     risk_premium,
     risk_premium_gradients,
     sharpe_profile,
+    upper_pairs,
     variance_risk_ratio,
 )
 
@@ -112,39 +110,22 @@ def solve_ellipsoidal_given_rho(rho_star, b_hat, delta, params: MarketParams):
 def _full_ambiguity_rho(profile, d: int) -> np.ndarray:
     """Worst-case correlation coordinates in the sorted frame.
 
-    First row takes the Sharpe proximities; the remaining pairs use the
-    rank-one completion rho_ij = rho_1i * rho_1j, which is positive
-    definite whenever |rho_1i| < 1 for every i.
+    First row takes the Sharpe proximities q_1j; the remaining pairs use the
+    rank-one completion rho_ij = q_1i * q_1j, the upper triangle of v v'
+    with v = (1, q_12, ..., q_1d), which is positive definite whenever
+    |q_1j| < 1 for every j.
     """
-    rho = np.zeros(n_pairs(d))
-    first_row = {j: profile.proximities[pair_position(0, j, d)] for j in range(1, d)}
-    for i, j in pair_indices(d):
-        k = pair_position(i, j, d)
-        rho[k] = first_row[j] if i == 0 else first_row[i] * first_row[j]
-    return rho
+    v = np.concatenate(([1.0], profile.proximities[: d - 1]))
+    return upper_pairs(np.outer(v, v))
 
 
-def _unpermute_rho(rho_sorted: np.ndarray, order: np.ndarray, d: int) -> np.ndarray:
-    """Map a rho vector from the sorted-asset frame back to input order."""
-    inv = np.argsort(order)
-    out = np.zeros_like(rho_sorted)
-    for i, j in pair_indices(d):
-        a, c = sorted((int(inv[i]), int(inv[j])))
-        out[pair_position(i, j, d)] = rho_sorted[pair_position(a, c, d)]
-    return out
+def _permute_pairs(rho, perm, d: int) -> np.ndarray:
+    """rho of the assets reordered by perm: pair (i, j) takes (perm[i], perm[j]).
 
-
-def _permute_box(gamma: GammaBox, order: np.ndarray, d: int):
-    """Correlation box bounds expressed in the sorted-asset frame."""
-    lower = np.zeros(n_pairs(d))
-    upper = np.zeros(n_pairs(d))
-    for i, j in pair_indices(d):
-        a, c = sorted((int(order[i]), int(order[j])))
-        k_orig = pair_position(a, c, d)
-        k_sorted = pair_position(i, j, d)
-        lower[k_sorted] = gamma.lower[k_orig]
-        upper[k_sorted] = gamma.upper[k_orig]
-    return lower, upper
+    perm = order maps input order to the sorted frame; argsort(order) maps
+    back.
+    """
+    return upper_pairs(correlation_matrix(rho, d)[np.ix_(perm, perm)])
 
 
 def solve_full_ambiguity(b_hat, delta, params: MarketParams) -> WorstCaseSolution:
@@ -167,7 +148,7 @@ def solve_full_ambiguity(b_hat, delta, params: MarketParams) -> WorstCaseSolutio
             "more than one asset attains the largest |Sharpe ratio|"
         )
     rho_sorted = _full_ambiguity_rho(profile, d)
-    rho_star = _unpermute_rho(rho_sorted, profile.order, d)
+    rho_star = _permute_pairs(rho_sorted, np.argsort(profile.order), d)
     if not is_positive_definite(rho_star, d):
         raise NoMinimum(
             "worst-case correlation is numerically singular: the two largest "
@@ -243,13 +224,6 @@ def _reduced_kappa(removed: int, rho_pair: float, sigmas, b_hat):
     kj = (sk**2 * b_hat[j] - sj * sk * rho_pair * b_hat[k]) / det
     kk = (sj**2 * b_hat[k] - sj * sk * rho_pair * b_hat[j]) / det
     return kj, kk
-
-
-def _reduced_premium(removed: int, rho_pair: float, sigmas, b_hat) -> float:
-    """b_{-i}' Sigma_{-i}(rho_jk)^{-1} b_{-i}."""
-    j, k = _reduced_pair(removed)
-    kj, kk = _reduced_kappa(removed, rho_pair, sigmas, b_hat)
-    return b_hat[j] * kj + b_hat[k] * kk
 
 
 def _line_box_segment(coef_x, coef_y, const, box_x, box_y):
@@ -404,7 +378,8 @@ def solve_three_asset(spec: EllipsoidalSet, params: MarketParams) -> WorstCaseSo
     order = profile.order
     sigmas_sorted = params.sigmas[order]
     b_sorted = np.asarray(spec.b_hat)[order]
-    lower, upper = _permute_box(spec.gamma, order, 3)
+    lower = _permute_pairs(spec.gamma.lower, order, 3)
+    upper = _permute_pairs(spec.gamma.upper, order, 3)
     params_sorted = MarketParams(
         sigmas=sigmas_sorted, horizon_T=params.horizon_T, lam=params.lam, x0=params.x0
     )
@@ -420,7 +395,7 @@ def solve_three_asset(spec: EllipsoidalSet, params: MarketParams) -> WorstCaseSo
         fallback.diagnostics["case_fallthrough"] = True
         return fallback
     label, rho_sorted, extras = matches[0]
-    rho_star = _unpermute_rho(rho_sorted, order, 3)
+    rho_star = _permute_pairs(rho_sorted, np.argsort(order), 3)
     b_star, r_star = solve_ellipsoidal_given_rho(rho_star, spec.b_hat, spec.delta, params)
     diagnostics = {
         "order": order.tolist(),
@@ -460,8 +435,7 @@ def solve_product(spec: ProductSet, params: MarketParams) -> WorstCaseSolution:
             diagnostics={},
         )
     if np.all(spec.delta_lower <= 0.0) and np.all(spec.delta_upper >= 0.0):
-        lower, upper = spec.gamma.bounds()
-        rho = amb.project_rho(spec, 0.5 * (lower + upper))
+        rho = amb.project_rho(spec, 0.5 * (spec.gamma.lower + spec.gamma.upper))
         theta = ThetaPoint(b=np.zeros(spec.d), rho=rho)
         return WorstCaseSolution(
             theta_star=theta,
@@ -535,7 +509,7 @@ def numeric_minimize(
     rare; there the box residual stays positive and converged is False.
     """
     d = spec.d
-    g_lower, g_upper = spec.gamma.bounds()
+    g_lower, g_upper = spec.gamma.lower, spec.gamma.upper
     centre_rho = amb.project_rho(spec, 0.5 * (g_lower + g_upper))
     if isinstance(spec, EllipsoidalSet):
         lower, upper, start = g_lower, g_upper, centre_rho
@@ -626,7 +600,7 @@ def _premium_batch(b, rho, sigmas):
         return quad / safe, mask
     n = rho.shape[0]
     mats = np.broadcast_to(np.eye(d), (n, d, d)).copy()
-    for k, (i, j) in enumerate(pair_indices(d)):
+    for k, (i, j) in enumerate(zip(*np.triu_indices(d, 1))):
         mats[:, i, j] = rho[:, k]
         mats[:, j, i] = rho[:, k]
     eigs = np.linalg.eigvalsh(mats)
@@ -656,7 +630,7 @@ def grid_oracle(spec: AmbiguitySpec, params: MarketParams, resolution: int) -> W
         g_lower = np.full(spec.gamma.n_pairs, -0.95)
         g_upper = np.full(spec.gamma.n_pairs, 0.95)
     else:
-        g_lower, g_upper = spec.gamma.bounds()
+        g_lower, g_upper = spec.gamma.lower, spec.gamma.upper
 
     def axis(lo, hi):
         return np.array([lo]) if lo == hi or resolution == 1 else np.linspace(lo, hi, resolution)

@@ -178,3 +178,24 @@ def test_schedule_pieces_and_lookup(params2):
     assert schedule.value_at(0.5) is t2
     pieces = schedule.pieces(1.0)
     assert pieces == [(0.0, 0.5, t1), (0.5, 1.0, t2)]
+
+
+BOX = GammaBox.box([-0.5], [0.8])
+
+
+@pytest.mark.parametrize(
+    "field, build",
+    [
+        ("b_hat", lambda: EllipsoidalSet(b_hat=np.array([0.4, np.nan]), delta=0.1, gamma=BOX)),
+        ("delta", lambda: EllipsoidalSet(b_hat=np.array([0.4, 0.2]), delta=np.nan, gamma=BOX)),
+        ("delta", lambda: EllipsoidalSet(b_hat=np.array([0.4, 0.2]), delta=np.inf, gamma=BOX)),
+        ("lower", lambda: GammaBox.box([np.nan], [0.8])),
+        ("upper", lambda: GammaBox.box([-0.5], [np.nan])),
+        ("delta_lower", lambda: ProductSet(np.array([np.nan, 0.1]), np.array([0.3, 0.3]), BOX)),
+        ("delta_upper", lambda: ProductSet(np.array([0.1, 0.1]), np.array([0.3, np.inf]), BOX)),
+    ],
+    ids=["b_hat_nan", "delta_nan", "delta_inf", "lower_nan", "upper_nan", "drift_lower_nan", "drift_upper_inf"],
+)
+def test_sets_reject_non_finite(field, build):
+    with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+        build()

@@ -4,6 +4,7 @@ import csv
 import json
 
 import numpy as np
+import pytest
 
 from robustmv.cli import main
 
@@ -95,6 +96,18 @@ def test_inconsistent_dimensions_exit_1(tmp_path):
     payload["ambiguity"]["b_hat"] = [0.4, 0.2, 0.1]
     cfg = write_config(tmp_path, payload)
     assert main(["solve", "--config", cfg]) == 1
+
+
+@pytest.mark.parametrize("key, value", [("b_hat", [0.4, float("nan")]), ("delta", float("nan"))])
+def test_non_finite_ambiguity_exit_1(tmp_path, capsys, key, value):
+    payload = json.loads(json.dumps(REFERENCE))
+    payload["ambiguity"][key] = value
+    cfg = write_config(tmp_path, payload)  # json writes the NaN literal, which json.load accepts
+    assert main(["solve", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error:")
+    assert "Traceback" not in captured.err
 
 
 def test_no_minimum_exit_3(tmp_path):

@@ -1,8 +1,15 @@
 """Correlation algebra, premium, gradients, Sharpe profiles."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
+import robustmv
 from robustmv import (
     MarketParams,
     NotPositiveDefinite,
@@ -18,6 +25,8 @@ from robustmv import (
     variance_risk_ratio,
 )
 from robustmv import sample
+from robustmv.market import upper_pairs
+from robustmv.solver import _permute_pairs
 
 from conftest import fd_gradient, premium_2x2
 
@@ -239,3 +248,55 @@ def test_sharpe_profile_stable_ties():
     p = MarketParams(sigmas=[1.0, 1.0, 1.0], horizon_T=1.0, lam=0.5, x0=1.0)
     prof = sharpe_profile([0.3, 0.3, 0.1], p)
     assert prof.order.tolist() == [0, 1, 2]
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("sigmas", [1.0, np.inf]), ("horizon_T", np.inf), ("lam", np.inf), ("x0", np.nan), ("x0", -np.inf)],
+)
+def test_market_params_reject_non_finite(field, value):
+    kwargs = dict(sigmas=[1.0, 1.0], horizon_T=1.0, lam=0.5, x0=1.0)
+    kwargs[field] = value
+    with pytest.raises(ValueError, match=f"^{field} must be finite$"):
+        MarketParams(**kwargs)
+
+
+def test_theta_point_rejects_non_finite_drift():
+    with pytest.raises(ValueError, match="^b must be finite$"):
+        ThetaPoint(b=[0.4, np.nan], rho=[0.2])
+
+
+def test_import_loads_no_scipy():
+    code = "import sys, robustmv; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(robustmv.__file__)))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert run.stdout.strip() == "[]"
+
+
+@st.composite
+def pair_layouts(draw):
+    d = draw(st.integers(1, 6))
+    m = d * (d - 1) // 2
+    rho = np.array(draw(st.lists(st.floats(-1.0, 1.0), min_size=m, max_size=m)))
+    perm = np.array(draw(st.permutations(range(d))), dtype=int)
+    return d, rho, perm
+
+
+@given(pair_layouts())
+def test_pair_layout_round_trip_and_permutation(layout):
+    d, rho, perm = layout
+    c = correlation_matrix(rho, d)
+    assert upper_pairs(c).tobytes() == rho.tobytes()  # bitwise, signed zeros included
+    assert correlation_matrix(upper_pairs(c), d).tobytes() == c.tobytes()
+
+    def position(i, j):
+        return i * (2 * d - i - 3) // 2 + j - 1
+
+    expected = np.zeros_like(rho)
+    for i in range(d):
+        for j in range(i + 1, d):
+            a, b = sorted((perm[i], perm[j]))
+            expected[position(i, j)] = rho[position(a, b)]
+    permuted = _permute_pairs(rho, perm, d)
+    assert permuted.tobytes() == expected.tobytes()
+    assert _permute_pairs(permuted, np.argsort(perm), d).tobytes() == rho.tobytes()

@@ -124,20 +124,23 @@ def test_determinism_bitwise(params2, reference):
 
 
 def test_determinism_across_worker_counts(params2, reference):
-    _, strat, sched = reference
+    sol, strat, sched = reference
     cfg = SimConfig(n_paths=10000, n_steps=16, seed=7)
+    runs = {}
     old = os.environ.get("ROBUSTMV_THREADS")
     try:
-        os.environ["ROBUSTMV_THREADS"] = "1"
-        _, serial = simulate_wealth(strat, sched, params2, cfg)
-        os.environ["ROBUSTMV_THREADS"] = "4"
-        _, threaded = simulate_wealth(strat, sched, params2, cfg)
+        for threads in ("1", "4"):
+            os.environ["ROBUSTMV_THREADS"] = threads
+            _, euler = simulate_wealth(strat, sched, params2, cfg)
+            _, exact, stats = simulate_optimal_exact(sol, sched, params2, cfg, martingale_stats=True)
+            runs[threads] = (euler, exact, stats.mean_ratio, stats.se_ratio)
     finally:
         if old is None:
             os.environ.pop("ROBUSTMV_THREADS", None)
         else:
             os.environ["ROBUSTMV_THREADS"] = old
-    assert np.array_equal(serial, threaded)
+    for serial, threaded in zip(runs["1"], runs["4"]):
+        assert np.array_equal(serial, threaded)
 
 
 def test_antithetic_means_agree(params2, reference):

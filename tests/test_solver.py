@@ -232,7 +232,9 @@ def test_three_asset_permutation_equivariance():
     perm = [2, 0, 1]
     sig_p = params.sigmas[perm]
     b_p = spec.b_hat[perm]
-    from robustmv.market import pair_position
+
+    def pair_position(i, j, d):
+        return i * (2 * d - i - 3) // 2 + j - 1
 
     lo, hi = np.zeros(3), np.zeros(3)
     for i in range(3):
