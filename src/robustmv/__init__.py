@@ -16,6 +16,7 @@ from .errors import (
     BoxNotPositiveDefinite,
     ConfigError,
     GridTooLarge,
+    GrowthOverflow,
     NoFeasiblePoint,
     NoMinimum,
     NotPositiveDefinite,
@@ -54,10 +55,7 @@ from .solver import (
     numeric_minimize,
     solve,
     solve_ellipsoidal_given_rho,
-    solve_full_ambiguity,
     solve_product,
-    solve_three_asset,
-    solve_two_asset,
     verify_saddle,
 )
 from .strategy import (

@@ -65,12 +65,11 @@ class GammaBox:
 
     @classmethod
     def box(cls, lower, upper) -> "GammaBox":
-        return cls(lower=np.asarray(lower, dtype=float), upper=np.asarray(upper, dtype=float))
+        return cls(lower=lower, upper=upper)
 
     @classmethod
     def singleton(cls, rho) -> "GammaBox":
-        rho = np.asarray(rho, dtype=float)
-        return cls(lower=rho.copy(), upper=rho.copy())
+        return cls(lower=rho, upper=rho)
 
     @property
     def n_pairs(self) -> int:

@@ -214,8 +214,12 @@ def _oracle_tolerance(d: int) -> float:
     return 1e-2
 
 
-def cmd_solve(args) -> int:
-    raw = load_config(args.config)
+def _resolution(args, params: MarketParams) -> int:
+    """Grid oracle resolution: --resolution, else 2001 for d <= 2 and 51 above."""
+    return args.resolution or (2001 if n_pairs(params.d) <= 1 else 51)
+
+
+def cmd_solve(args, raw: dict) -> int:
     params = parse_market(raw)
     spec = parse_ambiguity(raw, params)
     solution = solve(spec, params)
@@ -225,7 +229,7 @@ def cmd_solve(args) -> int:
     }
     exit_code = EXIT_OK
     if args.oracle_check:
-        resolution = args.resolution or (2001 if n_pairs(params.d) <= 1 else 51)
+        resolution = _resolution(args, params)
         oracle = grid_oracle(spec, params, resolution)
         gap = abs(solution.r_star - oracle.r_star)
         tolerance = _oracle_tolerance(params.d)
@@ -242,8 +246,7 @@ def cmd_solve(args) -> int:
     return exit_code
 
 
-def cmd_classify(args) -> int:
-    raw = load_config(args.config)
+def cmd_classify(args, raw: dict) -> int:
     params = parse_market(raw)
     spec = parse_ambiguity(raw, params)
     solution = solve(spec, params)
@@ -253,8 +256,7 @@ def cmd_classify(args) -> int:
     return EXIT_OK
 
 
-def cmd_simulate(args) -> int:
-    raw = load_config(args.config)
+def cmd_simulate(args, raw: dict) -> int:
     params = parse_market(raw)
     spec = parse_ambiguity(raw, params)
     solution = solve(spec, params)
@@ -315,18 +317,15 @@ def cmd_simulate(args) -> int:
     return exit_code
 
 
-def cmd_oracle(args) -> int:
-    raw = load_config(args.config)
+def cmd_oracle(args, raw: dict) -> int:
     params = parse_market(raw)
     spec = parse_ambiguity(raw, params)
-    resolution = args.resolution or (2001 if n_pairs(params.d) <= 1 else 51)
-    oracle = grid_oracle(spec, params, resolution)
+    oracle = grid_oracle(spec, params, _resolution(args, params))
     _emit({"oracle": solution_to_dict(oracle)}, raw)
     return EXIT_OK
 
 
-def cmd_gradcheck(args) -> int:
-    raw = load_config(args.config)
+def cmd_gradcheck(args, raw: dict) -> int:
     params = parse_market(raw)
     rng = np.random.default_rng(args.seed)
     d = params.d
@@ -392,13 +391,13 @@ def cmd_sweep(raw: dict) -> int:
         solution = solve(spec, params)
         summary = strategy_report(solution, params)
         row = {k: entry.get(k, "") for k in keys}
-        row.update(
-            r_star=solution.r_star,
-            case_label=solution.case_label,
-            no_trade=solution.no_trade,
-            V0=summary["V0"],
-            diversification=summary["class"],
-        )
+        row.update({
+            "r_star": solution.r_star,
+            "case_label": solution.case_label,
+            "no_trade": solution.no_trade,
+            "V0": summary["V0"],
+            "diversification": summary["class"],
+        })
         rows.append(row)
     buffer = io.StringIO()
     writer = csv.DictWriter(buffer, fieldnames=list(rows[0].keys()))
@@ -457,7 +456,7 @@ def main(argv=None) -> int:
         raw = load_config(args.config)
         if "sweep" in raw and args.command in ("solve", "classify"):
             return cmd_sweep(raw)
-        return args.handler(args)
+        return args.handler(args, raw)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_INPUT

@@ -65,5 +65,9 @@ class PrincipleViolated(RobustMVError):
         self.report = report
 
 
+class GrowthOverflow(RobustMVError):
+    """e^{r* T}, the wealth growth factor of the optimal rule, exceeds the float range."""
+
+
 class ConfigError(RobustMVError):
     """The model configuration file is missing, malformed, or inconsistent."""

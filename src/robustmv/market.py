@@ -64,8 +64,8 @@ def upper_pairs(matrix) -> np.ndarray:
 
 
 def as_rho(entries, d: int) -> np.ndarray:
-    """Validate and freeze a rho vector of length d(d-1)/2."""
-    rho = np.atleast_1d(np.asarray(entries, dtype=float))
+    """Validate and freeze a copy of a rho vector of length d(d-1)/2."""
+    rho = np.atleast_1d(np.array(entries, dtype=float))
     if rho.shape != (n_pairs(d),):
         raise ValueError(f"rho must have length {n_pairs(d)} for d={d}, got shape {rho.shape}")
     if np.any(np.abs(rho) > 1.0) or not np.all(np.isfinite(rho)):
@@ -75,7 +75,8 @@ def as_rho(entries, d: int) -> np.ndarray:
 
 
 def _frozen(values) -> np.ndarray:
-    arr = np.atleast_1d(np.asarray(values, dtype=float))
+    """Read-only float copy; the caller's own array stays writeable."""
+    arr = np.atleast_1d(np.array(values, dtype=float))
     arr.flags.writeable = False
     return arr
 

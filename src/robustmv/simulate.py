@@ -35,7 +35,8 @@ from .ambiguity import contains, project_b, project_rho
 from .errors import PrincipleViolated
 from .market import MarketParams, ThetaPoint, covariance_from, risk_premium, variance_risk_ratio
 from .solver import WorstCaseSolution
-from .strategy import FeedbackStrategy, evaluate_alpha, robust_strategy, value_coefficients, value_v0
+from .strategy import FeedbackStrategy, evaluate_alpha, growth_factor, robust_strategy
+from .strategy import value_coefficients, value_v0
 
 BLOCK = 4096
 
@@ -206,7 +207,7 @@ def simulate_optimal_exact(
     """
     drift_int, var_int = _exact_step_integrals(solution, schedule, params, cfg.n_steps)
     vol_int = np.sqrt(var_int)
-    factor = math.exp(solution.r_star * params.horizon_T) / (2.0 * params.lam)
+    factor = growth_factor(solution.r_star, params.horizon_T) / (2.0 * params.lam)
     t_grid = np.linspace(0.0, params.horizon_T, cfg.n_steps + 1)
     paths = np.empty((cfg.n_paths, cfg.n_steps + 1))
     # One row of ratio sums per block, added up after all blocks ran, so
@@ -555,7 +556,7 @@ def monotonicity_counterexample(
         bracket = c * decay**2 - np.exp(-r_star * tt) * (1.0 - decay) * (
             r_star / 2.0 - (r_star / 2.0 + c) * decay
         )
-        return math.exp(r_star * horizon) / (2.0 * lam) * bracket
+        return growth_factor(r_star, horizon) / (2.0 * lam) * bracket
 
     f_values = np.vstack([f(t, c) for c in c_values])
     limit_target = -(r_star / (4.0 * lam)) * np.exp(r_star * (horizon - t))

@@ -4,16 +4,15 @@ The robust problem separates: first minimize the risk premium R over the
 ambiguity set, then trade as if the minimizer were the true model.  This
 module owns the first step.
 
-Closed forms cover the ellipsoidal family:
-
-* any fixed correlation (drift shrinkage toward zero),
-* full correlation ambiguity (single surviving asset),
-* two assets with a correlation interval (three cases),
-* three assets with a correlation box (five exclusive cases).
-
-Product (rectangular) sets and anything without a closed form go through a
-projected-gradient fallback, and an exhaustive grid oracle provides
-independent ground truth for tests.
+For ellipsoidal sets the worst correlation rho* minimizes R(b_hat, rho)
+and never depends on delta; delta only shrinks the drift, b* =
+(1 - delta/s)_+ b_hat with s = sqrt(R(b_hat, rho*)), so r* = (s - delta)_+^2
+and delta >= s means no trade.  `solve` finds rho* by a delta-free closed
+form (one asset; full correlation ambiguity; two assets with a correlation
+interval, three cases; three assets with a correlation box, five exclusive
+cases) or by the projected-gradient fallback, then shrinks once.  Product
+(rectangular) sets go through the same fallback on (b, rho) jointly, and an
+exhaustive grid oracle provides independent ground truth for tests.
 """
 
 from __future__ import annotations
@@ -69,8 +68,6 @@ NUMERIC = "Numeric"
 ORACLE = "Oracle"
 
 GRID_BUDGET = 10**8
-# Points scanned along the zero line of a vanishing allocation component.
-ROOT_SCAN_POINTS = 101
 
 
 @dataclass
@@ -80,43 +77,36 @@ class WorstCaseSolution:
     theta_star   worst-case (drift, correlation) pair
     r_star       minimal risk premium
     case_label   which closed-form case (or fallback) produced the result
-    no_trade     True iff the worst-case drift is identically zero
     diagnostics  solver-specific details (iterations, residuals, grid size)
     """
 
     theta_star: ThetaPoint
     r_star: float
     case_label: str
-    no_trade: bool
     diagnostics: dict = field(default_factory=dict)
+
+    @property
+    def no_trade(self) -> bool:
+        """True iff the worst-case drift is identically zero."""
+        return bool(np.all(self.theta_star.b == 0.0))
+
+
+def _shrink(b_hat, s, delta):
+    """(b*, r*) = ((1 - delta/s) b_hat, (s - delta)^2) if s > delta, else (0, 0)."""
+    if s > delta:
+        return (1.0 - delta / s) * b_hat, (s - delta) ** 2
+    return np.zeros_like(b_hat), 0.0
 
 
 def solve_ellipsoidal_given_rho(rho_star, b_hat, delta, params: MarketParams):
     """Worst drift inside the ellipsoid once the correlation is fixed.
 
-    Shrinks the anchor toward zero: b* = (1 - delta/s) b_hat when the
-    anchored premium root s = ||sigma(rho*)^{-1} b_hat||_2 exceeds delta,
-    else b* = 0; r* = (s - delta)^2 on the same event.
+    Shrinks the anchor toward zero by the anchored premium root
+    s = ||sigma(rho*)^{-1} b_hat||_2: see _shrink.
     """
     b_hat = np.atleast_1d(np.asarray(b_hat, dtype=float))
-    anchored = risk_premium(ThetaPoint(b=b_hat, rho=rho_star), params)
-    s = math.sqrt(anchored)
-    if s > delta:
-        scale = 1.0 - delta / s
-        return scale * b_hat, (s - delta) ** 2
-    return np.zeros_like(b_hat), 0.0
-
-
-def _full_ambiguity_rho(profile, d: int) -> np.ndarray:
-    """Worst-case correlation coordinates in the sorted frame.
-
-    First row takes the Sharpe proximities q_1j; the remaining pairs use the
-    rank-one completion rho_ij = q_1i * q_1j, the upper triangle of v v'
-    with v = (1, q_12, ..., q_1d), which is positive definite whenever
-    |q_1j| < 1 for every j.
-    """
-    v = np.concatenate(([1.0], profile.proximities[: d - 1]))
-    return upper_pairs(np.outer(v, v))
+    s = math.sqrt(risk_premium(ThetaPoint(b=b_hat, rho=rho_star), params))
+    return _shrink(b_hat, s, delta)
 
 
 def _permute_pairs(rho, perm, d: int) -> np.ndarray:
@@ -128,87 +118,50 @@ def _permute_pairs(rho, perm, d: int) -> np.ndarray:
     return upper_pairs(correlation_matrix(rho, d)[np.ix_(perm, perm)])
 
 
-def solve_full_ambiguity(b_hat, delta, params: MarketParams) -> WorstCaseSolution:
+def _full_ambiguity(profile, d: int):
     """Worst case when the correlation is completely unknown.
 
     Requires a strictly largest |Sharpe ratio|; otherwise the infimum of
     the premium is not attained and NoMinimum is raised.  The worst-case
     correlation aligns every other asset with the dominant one, so only
-    that asset survives in the allocation.
+    that asset survives and the premium root s is its |Sharpe ratio|.
+    Returns (rho*, label, diagnostics, s).
+
+    In the sorted frame the first row of rho* takes the Sharpe proximities
+    q_1j and the other pairs the rank-one completion rho_ij = q_1i q_1j:
+    the upper triangle of v v' with v = (1, q_12, ..., q_1d), positive
+    definite whenever every |q_1j| < 1.
     """
-    b_hat = np.atleast_1d(np.asarray(b_hat, dtype=float))
-    d = params.d
-    profile = sharpe_profile(b_hat, params)
-    if profile.zero_drift:
-        raise ZeroDrift("all prior expected returns are zero")
     sorted_abs = np.abs(profile.sorted_betas)
     if d > 1 and not sorted_abs[0] > sorted_abs[1]:
         raise NoMinimum(
             "the premium has no minimizer under full correlation ambiguity: "
             "more than one asset attains the largest |Sharpe ratio|"
         )
-    rho_sorted = _full_ambiguity_rho(profile, d)
-    rho_star = _permute_pairs(rho_sorted, np.argsort(profile.order), d)
+    v = np.concatenate(([1.0], profile.proximities[: d - 1]))
+    rho_star = _permute_pairs(upper_pairs(np.outer(v, v)), np.argsort(profile.order), d)
     if not is_positive_definite(rho_star, d):
         raise NoMinimum(
             "worst-case correlation is numerically singular: the two largest "
             "|Sharpe ratios| are too close to distinguish"
         )
     top = float(sorted_abs[0])
-    if top > delta:
-        b_star = (1.0 - delta / top) * b_hat
-        r_star = (top - delta) ** 2
-    else:
-        b_star = np.zeros_like(b_hat)
-        r_star = 0.0
-    theta = ThetaPoint(b=b_star, rho=rho_star)
-    return WorstCaseSolution(
-        theta_star=theta,
-        r_star=r_star,
-        case_label=FULL_AMBIGUITY,
-        no_trade=bool(np.all(b_star == 0.0)),
-        diagnostics={"top_sharpe": top, "order": profile.order.tolist()},
-    )
+    return rho_star, FULL_AMBIGUITY, {"top_sharpe": top, "order": profile.order.tolist()}, top
 
 
-def _require_box_ellipsoid(spec, d_expected: int):
-    if not isinstance(spec, EllipsoidalSet):
-        raise ValueError("this solver handles ellipsoidal ambiguity sets only")
-    if spec.gamma.full_ambiguity:
-        raise ValueError("use solve_full_ambiguity for full correlation ambiguity")
-    if spec.d != d_expected:
-        raise ValueError(f"expected d={d_expected}, got d={spec.d}")
-
-
-def solve_two_asset(spec: EllipsoidalSet, params: MarketParams) -> WorstCaseSolution:
+def _two_asset(spec: EllipsoidalSet, profile):
     """Two assets, correlation interval [lo, hi].
 
     With the Sharpe proximity q = beta_small / beta_large, the worst-case
     correlation is q itself when it lies in the interval (only the dominant
     asset survives), else the nearer interval endpoint.
     """
-    _require_box_ellipsoid(spec, 2)
-    profile = sharpe_profile(spec.b_hat, params)
-    if profile.zero_drift:
-        raise ZeroDrift("all prior expected returns are zero")
     lo = float(spec.gamma.lower[0])
     hi = float(spec.gamma.upper[0])
     q = float(profile.proximities[0])
-    if lo <= q <= hi:
-        rho_star_val, label = q, TWO_INTERIOR
-    elif hi < q:
-        rho_star_val, label = hi, TWO_UPPER
-    else:
-        rho_star_val, label = lo, TWO_LOWER
-    rho_star = np.array([rho_star_val])
-    b_star, r_star = solve_ellipsoidal_given_rho(rho_star, spec.b_hat, spec.delta, params)
-    return WorstCaseSolution(
-        theta_star=ThetaPoint(b=b_star, rho=rho_star),
-        r_star=r_star,
-        case_label=label,
-        no_trade=bool(np.all(b_star == 0.0)),
-        diagnostics={"proximity": q, "order": profile.order.tolist()},
-    )
+    label = TWO_INTERIOR if lo <= q <= hi else (TWO_UPPER if hi < q else TWO_LOWER)
+    rho_star = np.array([min(max(q, lo), hi)])
+    return rho_star, label, {"proximity": q, "order": profile.order.tolist()}
 
 
 def _reduced_pair(removed: int):
@@ -253,27 +206,18 @@ def _line_box_segment(coef_x, coef_y, const, box_x, box_y):
     return points[0], points[-1]
 
 
-def _pick_on_segment(segment, build_rho, d):
-    """Scan the segment, keep PD candidates, return the one nearest its middle."""
-    (x0, y0), (x1, y1) = segment
-    ts = np.linspace(0.0, 1.0, ROOT_SCAN_POINTS)
-    best = None
-    best_dist = np.inf
-    for t in ts:
-        rho = build_rho(x0 + t * (x1 - x0), y0 + t * (y1 - y0))
-        if is_positive_definite(rho, d):
-            dist = abs(t - 0.5)
-            if dist < best_dist:
-                best, best_dist = rho, dist
-    return best
-
-
 def _three_asset_case_matches(b_hat, sigmas, lower, upper, params_sorted):
     """All fired closed-form cases for a sorted-frame three-asset instance.
 
-    Returns a list of (label, rho_star, extras); the cases are mutually
-    exclusive away from boundaries, so the list normally has one entry.
-    Entries whose root segment contains no PD point are skipped.
+    Returns a list of (label, rho_star, zero_components); the cases are
+    mutually exclusive away from boundaries, so the list normally has one
+    entry.  Cases 1-4 leave a set of minimizers (an interval or a segment)
+    and take its midpoint.  One PD test on that point is enough: every
+    pivot of the triangular factorization is a Schur complement of C(rho),
+    concave in rho, so the region where all pivots clear the tolerance is
+    convex.  The caller has checked all 8 box corners, so the whole box
+    lies in it and the midpoint, the PD point nearest the middle, fails
+    only by rounding; the case is then skipped.
     """
     l12, l13, l23 = lower
     u12, u13, u23 = upper
@@ -290,16 +234,9 @@ def _three_asset_case_matches(b_hat, sigmas, lower, upper, params_sorted):
 
     # Case 1: both proximities to the top asset inside their intervals.
     if l12 <= q12 <= u12 and l13 <= q13 <= u13:
-        free = np.linspace(l23, u23, ROOT_SCAN_POINTS)
-        free = free[np.argsort(np.abs(free - 0.5 * (l23 + u23)), kind="stable")]
-        rho_star = None
-        for r23 in free:
-            cand = np.array([q12, q13, r23])
-            if is_positive_definite(cand, 3):
-                rho_star = cand
-                break
-        if rho_star is not None:
-            matches.append((THREE_CASE1, rho_star, {"zero_components": [1, 2]}))
+        rho_star = np.array([q12, q13, l23 + 0.5 * (u23 - l23)])
+        if is_positive_definite(rho_star, 3):
+            matches.append((THREE_CASE1, rho_star, [1, 2]))
 
     # Cases 2-4: one allocation component vanishes on a line inside the box.
     # (fixed pair, fixed value, removed asset, sign corners, free boxes)
@@ -317,20 +254,15 @@ def _three_asset_case_matches(b_hat, sigmas, lower, upper, params_sorted):
         segment = _line_box_segment(coef_x, coef_y, const, free_x, free_y)
         if segment is None:
             return
-
-        def build(x, y):
-            rho = np.empty(3)
-            rho[fixed_pair_pos] = fixed_value
-            free_positions = [p for p in range(3) if p != fixed_pair_pos]
-            rho[free_positions[0]] = x
-            rho[free_positions[1]] = y
-            return rho
-
-        rho_star = _pick_on_segment(segment, build, 3)
-        if rho_star is not None:
-            matches.append(
-                (label, rho_star, {"zero_components": [removed], "segment": segment})
-            )
+        (x0, y0), (x1, y1) = segment
+        rho_star = np.empty(3)
+        rho_star[fixed_pair_pos] = fixed_value
+        rho_star[[p for p in range(3) if p != fixed_pair_pos]] = (
+            x0 + 0.5 * (x1 - x0),
+            y0 + 0.5 * (y1 - y0),
+        )
+        if is_positive_definite(rho_star, 3):
+            matches.append((label, rho_star, [removed]))
 
     # Case 2: third asset drops out; rho_12 pinned by the two-asset rule.
     if u12 < q12:
@@ -359,22 +291,18 @@ def _three_asset_case_matches(b_hat, sigmas, lower, upper, params_sorted):
         p12 = k[0] * k[1]
         p13 = k[0] * k[2]
         if (p12 > 0.0 if want12 > 0 else p12 < 0.0) and (p13 > 0.0 if want13 > 0 else p13 < 0.0):
-            matches.append((label, np.array(corner), {"zero_components": []}))
+            matches.append((label, np.array(corner), []))
 
     return matches
 
 
-def solve_three_asset(spec: EllipsoidalSet, params: MarketParams) -> WorstCaseSolution:
+def _three_asset(spec: EllipsoidalSet, params: MarketParams, profile):
     """Three assets, per-pair correlation box, five exclusive cases.
 
-    Cases are tested in order and the first match wins; exclusivity only
-    breaks down at numerical boundaries, where the numeric fallback takes
-    over with a Numeric label.
+    Cases are tested in order and the first match wins.  Exclusivity only
+    breaks down at numerical boundaries; when no case fires, None is
+    returned and the numeric fallback takes over.
     """
-    _require_box_ellipsoid(spec, 3)
-    profile = sharpe_profile(spec.b_hat, params)
-    if profile.zero_drift:
-        raise ZeroDrift("all prior expected returns are zero")
     order = profile.order
     sigmas_sorted = params.sigmas[order]
     b_sorted = np.asarray(spec.b_hat)[order]
@@ -391,30 +319,20 @@ def solve_three_asset(spec: EllipsoidalSet, params: MarketParams) -> WorstCaseSo
             )
     matches = _three_asset_case_matches(b_sorted, sigmas_sorted, lower, upper, params_sorted)
     if not matches:
-        fallback = numeric_minimize(spec, params)
-        fallback.diagnostics["case_fallthrough"] = True
-        return fallback
-    label, rho_sorted, extras = matches[0]
-    rho_star = _permute_pairs(rho_sorted, np.argsort(order), 3)
-    b_star, r_star = solve_ellipsoidal_given_rho(rho_star, spec.b_hat, spec.delta, params)
+        return None
+    label, rho_sorted, zero_components = matches[0]
     diagnostics = {
         "order": order.tolist(),
         "all_matches": [m[0] for m in matches],
     }
-    if extras.get("zero_components"):
+    if zero_components:
         kappa_sorted = variance_risk_ratio(
             ThetaPoint(b=b_sorted, rho=rho_sorted), params_sorted
         )
         diagnostics["zero_component_residual"] = max(
-            abs(float(kappa_sorted[i])) for i in extras["zero_components"]
+            abs(float(kappa_sorted[i])) for i in zero_components
         )
-    return WorstCaseSolution(
-        theta_star=ThetaPoint(b=b_star, rho=rho_star),
-        r_star=r_star,
-        case_label=label,
-        no_trade=bool(np.all(b_star == 0.0)),
-        diagnostics=diagnostics,
-    )
+    return _permute_pairs(rho_sorted, np.argsort(order), 3), label, diagnostics
 
 
 def solve_product(spec: ProductSet, params: MarketParams) -> WorstCaseSolution:
@@ -424,26 +342,13 @@ def solve_product(spec: ProductSet, params: MarketParams) -> WorstCaseSolution:
     makes the premium vanish; everything else is minimized numerically.
     """
     if spec.is_singleton():
-        rho = spec.gamma.lower.copy()
-        theta = ThetaPoint(b=spec.delta_lower.copy(), rho=rho)
+        theta = ThetaPoint(b=spec.delta_lower, rho=spec.gamma.lower)
         r_star = risk_premium(theta, params)
-        return WorstCaseSolution(
-            theta_star=theta,
-            r_star=r_star,
-            case_label=SINGLETON,
-            no_trade=bool(np.all(theta.b == 0.0)),
-            diagnostics={},
-        )
+        return WorstCaseSolution(theta_star=theta, r_star=r_star, case_label=SINGLETON)
     if np.all(spec.delta_lower <= 0.0) and np.all(spec.delta_upper >= 0.0):
         rho = amb.project_rho(spec, 0.5 * (spec.gamma.lower + spec.gamma.upper))
         theta = ThetaPoint(b=np.zeros(spec.d), rho=rho)
-        return WorstCaseSolution(
-            theta_star=theta,
-            r_star=0.0,
-            case_label=PRODUCT_NO_TRADE,
-            no_trade=True,
-            diagnostics={},
-        )
+        return WorstCaseSolution(theta_star=theta, r_star=0.0, case_label=PRODUCT_NO_TRADE)
     return numeric_minimize(spec, params)
 
 
@@ -542,7 +447,7 @@ def numeric_minimize(
         value_grad, start, lower, upper, max_iters, tol
     )
     if isinstance(spec, EllipsoidalSet):
-        b_star, r_star = solve_ellipsoidal_given_rho(x, spec.b_hat, spec.delta, params)
+        b_star, r_star = _shrink(spec.b_hat, math.sqrt(r_min), spec.delta)
         theta_star = ThetaPoint(b=b_star, rho=x)
     else:
         theta_star, r_star = theta(x), r_min
@@ -550,7 +455,6 @@ def numeric_minimize(
         theta_star=theta_star,
         r_star=r_star,
         case_label=NUMERIC,
-        no_trade=bool(np.all(theta_star.b == 0.0)),
         diagnostics={
             "starts": 1,
             "iterations": iterations,
@@ -677,7 +581,6 @@ def grid_oracle(spec: AmbiguitySpec, params: MarketParams, resolution: int) -> W
         theta_star=theta,
         r_star=r_star,
         case_label=ORACLE,
-        no_trade=bool(np.all(b_star == 0.0)),
         diagnostics={
             "resolution": resolution,
             "nodes": int(total),
@@ -749,27 +652,38 @@ def verify_saddle(
 
 
 def solve(spec: AmbiguitySpec, params: MarketParams) -> WorstCaseSolution:
-    """Route an ambiguity set to its closed form or the numeric fallback."""
+    """Route an ambiguity set to its closed form or the numeric fallback.
+
+    d >= 4 and three-asset boxes where no case fires (marked
+    diagnostics["case_fallthrough"]) go to numeric_minimize.
+    """
     if isinstance(spec, ProductSet):
         return solve_product(spec, params)
+    d = params.d
     profile = sharpe_profile(spec.b_hat, params)
     if profile.zero_drift:
         raise ZeroDrift("all prior expected returns are zero: never trade")
     if spec.gamma.full_ambiguity:
-        return solve_full_ambiguity(spec.b_hat, spec.delta, params)
-    d = params.d
-    if d == 1:
-        rho = np.zeros(0)
-        b_star, r_star = solve_ellipsoidal_given_rho(rho, spec.b_hat, spec.delta, params)
-        return WorstCaseSolution(
-            theta_star=ThetaPoint(b=b_star, rho=rho),
-            r_star=r_star,
-            case_label=ONE_ASSET,
-            no_trade=bool(np.all(b_star == 0.0)),
-            diagnostics={},
-        )
-    if d == 2:
-        return solve_two_asset(spec, params)
-    if d == 3:
-        return solve_three_asset(spec, params)
-    return numeric_minimize(spec, params)
+        rho_star, label, diagnostics, s = _full_ambiguity(profile, d)
+    else:
+        if d == 1:
+            found = np.zeros(0), ONE_ASSET, {}
+        elif d == 2:
+            found = _two_asset(spec, profile)
+        elif d == 3:
+            found = _three_asset(spec, params, profile)
+        else:
+            return numeric_minimize(spec, params)
+        if found is None:
+            fallback = numeric_minimize(spec, params)
+            fallback.diagnostics["case_fallthrough"] = True
+            return fallback
+        rho_star, label, diagnostics = found
+        s = math.sqrt(risk_premium(ThetaPoint(b=spec.b_hat, rho=rho_star), params))
+    b_star, r_star = _shrink(spec.b_hat, s, spec.delta)
+    return WorstCaseSolution(
+        theta_star=ThetaPoint(b=b_star, rho=rho_star),
+        r_star=r_star,
+        case_label=label,
+        diagnostics=diagnostics,
+    )

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import GrowthOverflow
 from .market import MarketParams, ThetaPoint, _frozen, risk_premium, variance_risk_ratio
 from .solver import WorstCaseSolution
 
@@ -30,6 +31,15 @@ UNDER_DIVERSIFIED = "under_diversification"
 WELL_DIVERSIFIED = "well_diversified"
 DIRECTIONAL = "directional"
 SPREAD = "spread"
+
+
+def growth_factor(r_star: float, horizon: float) -> float:
+    """e^{r* T}; raises GrowthOverflow, naming r* T, beyond the float range."""
+    exponent = r_star * horizon
+    try:
+        return math.exp(exponent)
+    except OverflowError:
+        raise GrowthOverflow(f"e^(r* T) exceeds the float range: r* T = {exponent:.6g}") from None
 
 
 @dataclass(frozen=True)
@@ -48,7 +58,7 @@ class FeedbackStrategy:
 
     def wealth_multiplier(self, x):
         """Scalar weight x0 + e^{r* T} / (2 lam) - x; positive along the optimal flow."""
-        return self.x0 + math.exp(self.r_star * self.horizon_T) / (2.0 * self.lam) - np.asarray(x)
+        return self.x0 + growth_factor(self.r_star, self.horizon_T) / (2.0 * self.lam) - np.asarray(x)
 
 
 def robust_strategy(solution: WorstCaseSolution, params: MarketParams) -> FeedbackStrategy:
@@ -96,14 +106,14 @@ def evaluate_alpha(strategy: FeedbackStrategy, t: float, x):
 
 def value_v0(solution: WorstCaseSolution, params: MarketParams) -> float:
     """Initial value of the robust mean-variance objective."""
-    return params.x0 + (math.exp(solution.r_star * params.horizon_T) - 1.0) / (4.0 * params.lam)
+    return params.x0 + (growth_factor(solution.r_star, params.horizon_T) - 1.0) / (4.0 * params.lam)
 
 
 def mean_wealth_path(strategy: FeedbackStrategy, t_grid) -> np.ndarray:
     """Expected optimal wealth under the worst-case model at each grid time."""
     t = np.asarray(t_grid, dtype=float)
     r, lam, horizon = strategy.r_star, strategy.lam, strategy.horizon_T
-    return strategy.x0 + math.exp(r * horizon) / (2.0 * lam) * (1.0 - np.exp(-r * t))
+    return strategy.x0 + growth_factor(r, horizon) / (2.0 * lam) * (1.0 - np.exp(-r * t))
 
 
 @dataclass(frozen=True)

@@ -67,6 +67,12 @@ def reference_spec():
     )
 
 
+def full_ambiguity_spec(b_hat, delta):
+    """Ellipsoidal set around b_hat with no information on the correlation."""
+    b_hat = np.asarray(b_hat, dtype=float)
+    return EllipsoidalSet(b_hat=b_hat, delta=delta, gamma=GammaBox.full(b_hat.size))
+
+
 def premium_2x2(b1, b2, s1, s2, rho):
     """Independent closed-form premium for d=2 via the explicit inverse."""
     be1, be2 = b1 / s1, b2 / s2

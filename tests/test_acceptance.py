@@ -30,7 +30,6 @@ from robustmv import (
     simulate_optimal_exact,
     simulate_wealth,
     solve,
-    solve_full_ambiguity,
     value_v0,
     variance_risk_ratio,
     verify_saddle,
@@ -129,8 +128,8 @@ def full_ambiguity_batch():
         b_hat = np.array(betas) * sig
         delta = rng.uniform(0.0, 1.2 * abs(top))
         params = MarketParams(sigmas=sig, horizon_T=1.0, lam=0.5, x0=1.0)
-        solution = solve_full_ambiguity(b_hat, delta, params)
         spec = EllipsoidalSet(b_hat=b_hat, delta=delta, gamma=GammaBox.full(d))
+        solution = solve(spec, params)
         batch.append(
             {"spec": spec, "params": params, "solution": solution, "top": abs(top)}
         )

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+from robustmv import cli
 from robustmv.cli import main
 
 REFERENCE = {
@@ -123,6 +124,39 @@ def test_zero_drift_exit_3(tmp_path):
     payload["ambiguity"]["b_hat"] = [0.0, 0.0]
     cfg = write_config(tmp_path, payload)
     assert main(["solve", "--config", cfg]) == 3
+
+
+@pytest.mark.parametrize(
+    "argv", [["solve"], ["classify"], ["simulate", "--paths", "10", "--steps", "4", "--probes", "0"]]
+)
+def test_growth_overflow_exit_1(tmp_path, capsys, argv):
+    # r* = 0.09 on the reference instance, so e^{r* T} overflows a float at T = 1e4.
+    payload = json.loads(json.dumps(REFERENCE))
+    payload["market"]["horizon_T"] = 1e4
+    cfg = write_config(tmp_path, payload)
+    assert main([argv[0], "--config", cfg, *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: e^(r* T) exceeds the float range: r* T = 900\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["solve", "--oracle-check", "--resolution", "14"],
+        ["classify"],
+        ["simulate", "--paths", "10", "--steps", "4", "--probes", "0"],
+        ["oracle", "--resolution", "11"],
+        ["gradcheck", "--samples", "1"],
+    ],
+)
+def test_config_read_once(tmp_path, capsys, monkeypatch, argv):
+    calls = []
+    load = cli.load_config
+    monkeypatch.setattr(cli, "load_config", lambda path: calls.append(path) or load(path))
+    cfg = write_config(tmp_path, REFERENCE)
+    assert main([argv[0], "--config", cfg, *argv[1:]]) == 0
+    assert calls == [cfg]
 
 
 def test_classify_narrative(tmp_path, capsys):

@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 
 import robustmv
 from robustmv import (
+    EllipsoidalSet,
+    GammaBox,
     MarketParams,
     NotPositiveDefinite,
     ThetaPoint,
@@ -264,6 +266,26 @@ def test_market_params_reject_non_finite(field, value):
 def test_theta_point_rejects_non_finite_drift():
     with pytest.raises(ValueError, match="^b must be finite$"):
         ThetaPoint(b=[0.4, np.nan], rho=[0.2])
+
+
+def test_constructors_copy_caller_arrays():
+    # Stored arrays are read-only copies; the caller's arrays stay writeable and unaliased.
+    r, s, b = np.array([0.1, 0.2, 0.3]), np.array([1.0, 2.0, 0.5]), np.array([0.4, 0.2, 0.1])
+    lo, hi = np.array([-0.1, 0.0, 0.1]), np.array([0.2, 0.3, 0.4])
+    correlation_matrix(r, 3)
+    params = MarketParams(sigmas=s, horizon_T=1.0, lam=0.5, x0=1.0)
+    theta = ThetaPoint(b=b, rho=r)
+    box = GammaBox.box(lo, hi)
+    spec = EllipsoidalSet(b_hat=b, delta=0.1, gamma=box)
+    singleton = GammaBox.singleton(r)
+    callers = (r, s, b, lo, hi)
+    stored = (params.sigmas, theta.b, theta.rho, box.lower, box.upper, spec.b_hat, singleton.lower)
+    assert all(arr.flags.writeable for arr in callers)
+    assert not any(arr.flags.writeable for arr in stored)
+    before = [arr.copy() for arr in stored]
+    for arr in callers:
+        arr[0] = 0.05
+    assert all(np.array_equal(arr, old) for arr, old in zip(stored, before))
 
 
 def test_import_loads_no_scipy():

@@ -267,7 +267,6 @@ def test_weak_principle_negative_control(params2, reference_spec):
         theta_star=sol.theta_star,
         r_star=1.5,
         case_label="Numeric",
-        no_trade=False,
     )
     cfg = SimConfig(n_paths=8000, n_steps=32, seed=13)
     with pytest.raises(PrincipleViolated):

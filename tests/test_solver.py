@@ -1,5 +1,7 @@
 """Closed-form worst cases vs the brute-force oracle, numerics, saddle checks."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -22,9 +24,6 @@ from robustmv import (
     risk_premium,
     solve,
     solve_ellipsoidal_given_rho,
-    solve_full_ambiguity,
-    solve_three_asset,
-    solve_two_asset,
     variance_risk_ratio,
     verify_saddle,
 )
@@ -33,7 +32,9 @@ from robustmv.errors import BoxNotPositiveDefinite, GridTooLarge
 
 from conftest import (
     CURATED_THREE_ASSET,
+    box_corners_pd,
     curated_three_asset,
+    full_ambiguity_spec,
     random_three_asset_instance,
     random_two_asset_instance,
 )
@@ -61,7 +62,7 @@ def test_shrinkage_given_rho(params2):
 
 
 def test_full_ambiguity_example(params3):
-    sol = solve_full_ambiguity([0.5, 0.3, 0.2], 0.2, params3)
+    sol = solve(full_ambiguity_spec([0.5, 0.3, 0.2], 0.2), params3)
     assert np.allclose(sol.theta_star.rho, [0.6, 0.4, 0.24])
     assert np.allclose(sol.theta_star.b, [0.3, 0.18, 0.12])
     assert np.isclose(sol.r_star, 0.09)
@@ -71,7 +72,7 @@ def test_full_ambiguity_example(params3):
 
 def test_full_ambiguity_matches_wide_box_minimum(params3):
     # independent check: inf over a wide PD box equals beta_1^2 at delta=0
-    sol = solve_full_ambiguity([0.5, 0.3, 0.2], 0.0, params3)
+    sol = solve(full_ambiguity_spec([0.5, 0.3, 0.2], 0.0), params3)
     spec = EllipsoidalSet(b_hat=np.array([0.5, 0.3, 0.2]), delta=0.0, gamma=GammaBox.full(3))
     oracle = grid_oracle(spec, params3, 61)
     assert np.isclose(sol.r_star, 0.25)
@@ -80,11 +81,11 @@ def test_full_ambiguity_matches_wide_box_minimum(params3):
 
 def test_full_ambiguity_no_minimum(params2):
     with pytest.raises(NoMinimum):
-        solve_full_ambiguity([0.4, 0.4], 0.1, params2)
+        solve(full_ambiguity_spec([0.4, 0.4], 0.1), params2)
 
 
 def test_full_ambiguity_no_trade(params3):
-    sol = solve_full_ambiguity([0.5, 0.3, 0.2], 0.6, params3)
+    sol = solve(full_ambiguity_spec([0.5, 0.3, 0.2], 0.6), params3)
     assert sol.no_trade
     assert sol.r_star == 0.0
     assert np.array_equal(sol.theta_star.b, np.zeros(3))
@@ -92,13 +93,13 @@ def test_full_ambiguity_no_trade(params3):
 
 def test_full_ambiguity_zero_drift(params2):
     with pytest.raises(ZeroDrift):
-        solve_full_ambiguity([0.0, 0.0], 0.1, params2)
+        solve(full_ambiguity_spec([0.0, 0.0], 0.1), params2)
 
 
 def test_full_ambiguity_unsorted_inputs():
     # dominant asset listed second; outputs must come back in input order
     p = MarketParams(sigmas=[1.0, 1.0, 1.0], horizon_T=1.0, lam=0.5, x0=1.0)
-    sol = solve_full_ambiguity([0.3, 0.5, 0.2], 0.2, p)
+    sol = solve(full_ambiguity_spec([0.3, 0.5, 0.2], 0.2), p)
     assert np.allclose(sol.theta_star.b, [0.18, 0.3, 0.12])
     k = variance_risk_ratio(ThetaPoint(b=[0.3, 0.5, 0.2], rho=sol.theta_star.rho), p)
     assert np.allclose(k, [0.0, 0.5, 0.0], atol=1e-12)
@@ -106,7 +107,7 @@ def test_full_ambiguity_unsorted_inputs():
 
 def test_two_asset_three_cases(params2):
     b_hat = np.array([0.4, 0.2])
-    case1 = solve_two_asset(
+    case1 = solve(
         EllipsoidalSet(b_hat=b_hat, delta=0.1, gamma=GammaBox.box([-0.5], [0.8])), params2
     )
     assert case1.case_label == "TwoAsset.Interior"
@@ -114,14 +115,14 @@ def test_two_asset_three_cases(params2):
     assert np.isclose(case1.r_star, 0.09)
     assert np.allclose(case1.theta_star.b, [0.3, 0.15])
 
-    case2 = solve_two_asset(
+    case2 = solve(
         EllipsoidalSet(b_hat=b_hat, delta=0.1, gamma=GammaBox.box([-0.5], [0.3])), params2
     )
     assert case2.case_label == "TwoAsset.Upper"
     assert np.isclose(case2.theta_star.rho[0], 0.3)
     assert np.isclose(case2.r_star, TWO_ASSET_CASE2_RSTAR, rtol=1e-12)
 
-    case3 = solve_two_asset(
+    case3 = solve(
         EllipsoidalSet(b_hat=b_hat, delta=0.1, gamma=GammaBox.box([0.6], [0.8])), params2
     )
     assert case3.case_label == "TwoAsset.Lower"
@@ -133,7 +134,7 @@ def test_two_asset_agrees_with_grid_oracle():
     rng = np.random.default_rng(101)
     for _ in range(40):
         spec, params = random_two_asset_instance(rng)
-        sol = solve_two_asset(spec, params)
+        sol = solve(spec, params)
         oracle = grid_oracle(spec, params, 2001)
         assert abs(sol.r_star - oracle.r_star) <= 1e-3
         assert contains(spec, sol.theta_star, params)
@@ -143,7 +144,7 @@ def test_three_asset_case5i_example(params3):
     spec = EllipsoidalSet(
         b_hat=np.array([0.5, 0.3, 0.2]), delta=0.1, gamma=GammaBox.box([0, 0, 0], [0.1, 0.1, 0.1])
     )
-    sol = solve_three_asset(spec, params3)
+    sol = solve(spec, params3)
     assert sol.case_label == "ThreeAsset.Case5i"
     assert np.allclose(sol.theta_star.rho, [0.1, 0.1, 0.1])
     assert np.isclose(sol.r_star, THREE_CASE5I_RSTAR, rtol=1e-12)
@@ -157,7 +158,7 @@ def test_three_asset_case2i_example(params3):
         delta=0.1,
         gamma=GammaBox.box([0, -0.5, -0.5], [0.3, 0.5, 0.5]),
     )
-    sol = solve_three_asset(spec, params3)
+    sol = solve(spec, params3)
     assert sol.case_label == "ThreeAsset.Case2i"
     assert np.isclose(sol.theta_star.rho[0], 0.3)
     assert np.isclose(sol.r_star, THREE_CASE2I_RSTAR, rtol=1e-12)
@@ -174,7 +175,7 @@ def test_three_asset_case1_reduces_to_top_sharpe(params3):
         delta=0.1,
         gamma=GammaBox.box([0.5, 0.3, -0.2], [0.7, 0.5, 0.2]),
     )
-    sol = solve_three_asset(spec, params3)
+    sol = solve(spec, params3)
     assert sol.case_label == "ThreeAsset.Case1"
     assert np.isclose(sol.theta_star.rho[0], 0.6)
     assert np.isclose(sol.theta_star.rho[1], 0.4)
@@ -184,7 +185,7 @@ def test_three_asset_case1_reduces_to_top_sharpe(params3):
 def test_three_asset_curated_cases_match_oracle():
     for label in sorted(CURATED_THREE_ASSET):
         spec, params = curated_three_asset(label)
-        sol = solve_three_asset(spec, params)
+        sol = solve(spec, params)
         assert sol.case_label == label
         oracle = grid_oracle(spec, params, 51)
         assert abs(sol.r_star - oracle.r_star) <= 5e-3, label
@@ -196,7 +197,7 @@ def test_three_asset_zeroed_component_vanishes():
     for label in ("ThreeAsset.Case2i", "ThreeAsset.Case2ii", "ThreeAsset.Case3i",
                   "ThreeAsset.Case3ii", "ThreeAsset.Case4i", "ThreeAsset.Case4ii"):
         spec, params = curated_three_asset(label)
-        sol = solve_three_asset(spec, params)
+        sol = solve(spec, params)
         assert sol.diagnostics["zero_component_residual"] < 1e-8, label
 
 
@@ -208,7 +209,7 @@ def test_three_asset_case_exclusive_away_from_boundaries():
         if spec is None:
             continue
         try:
-            sol = solve_three_asset(spec, params)
+            sol = solve(spec, params)
         except ZeroDrift:
             continue
         matches = sol.diagnostics.get("all_matches")
@@ -218,17 +219,109 @@ def test_three_asset_case_exclusive_away_from_boundaries():
         checked += 1
 
 
+@given(st.integers(0, 2**32 - 1), st.sampled_from(["d2", "d3", "full"]))
+def test_rho_star_is_delta_free_and_delta_only_shrinks(seed, family):
+    rng = np.random.default_rng(seed)
+    if family == "d2":
+        spec, params = random_two_asset_instance(rng)
+    elif family == "d3":
+        spec, params = random_three_asset_instance(rng)
+        assume(spec is not None)
+    else:
+        d = int(rng.integers(1, 6))
+        params = MarketParams(sigmas=rng.uniform(0.5, 2.0, d), horizon_T=1.0, lam=0.5, x0=1.0)
+        spec = full_ambiguity_spec(rng.uniform(-1.0, 1.0, d), rng.uniform(0.0, 1.0))
+    base = solve(spec, params)
+    rho = base.theta_star.rho
+    if family == "full":
+        s = float(np.max(np.abs(spec.b_hat / params.sigmas)))
+    else:
+        s = math.sqrt(risk_premium(ThetaPoint(b=spec.b_hat, rho=rho), params))
+    for delta in (0.0, spec.delta, 0.5 * s, s, 2.0 * s):
+        sol = solve(EllipsoidalSet(b_hat=spec.b_hat, delta=delta, gamma=spec.gamma), params)
+        assert sol.case_label == base.case_label
+        assert sol.theta_star.rho.tobytes() == rho.tobytes()
+        assert sol.r_star == max(s - delta, 0.0) ** 2
+        assert np.array_equal(sol.theta_star.b, max(1.0 - delta / s, 0.0) * spec.b_hat)
+        assert sol.no_trade == (delta >= s)
+
+
+@given(st.integers(0, 2**32 - 1))
+def test_box_with_pd_corners_is_pd(seed):
+    # The three-asset closed forms test PD at one point of the box only.
+    rng = np.random.default_rng(seed)
+    spec, _ = random_three_asset_instance(rng)
+    assume(spec is not None)
+    lo, hi = spec.gamma.lower, spec.gamma.upper
+    assert box_corners_pd(lo, hi, 3)
+    grid = np.array(np.meshgrid(*[[0.0, 0.5, 1.0]] * 3)).reshape(3, -1).T
+    for t in np.concatenate([grid, rng.uniform(0.0, 1.0, (200, 3))]):
+        assert is_positive_definite(lo + t * (hi - lo), 3)
+
+
+# Sorted-frame asset whose allocation vanishes on a line, per three-asset case.
+_REMOVED = {"2": 2, "3": 1, "4": 0}
+_PAIR = {(0, 1): 0, (0, 2): 1, (1, 2): 2}
+
+
+@given(st.sampled_from(sorted(CURATED_THREE_ASSET)) | st.integers(0, 2**32 - 1))
+def test_three_asset_minimizer_is_midpoint(source):
+    """Cases 1-4 return the middle of their interval or segment of minimizers."""
+    if isinstance(source, str):
+        spec, params = curated_three_asset(source)
+    else:
+        spec, params = random_three_asset_instance(np.random.default_rng(source))
+        assume(spec is not None)
+    sol = solve(spec, params)
+    case = sol.case_label.split(".Case")[-1][0]
+    assume(case in "1234")
+    order, rho = sol.diagnostics["order"], sol.theta_star.rho
+    lo, hi = spec.gamma.lower, spec.gamma.upper
+    if case == "1":
+        k = _PAIR[tuple(sorted(order[1:]))]
+        assert abs(rho[k] - 0.5 * (lo[k] + hi[k])) <= 1e-15
+        return
+    i = order[_REMOVED[case]]
+    j, k = (a for a in range(3) if a != i)
+    pinned = _PAIR[(j, k)]
+    assert rho[pinned] in (lo[pinned], hi[pinned])
+    # Off the removed asset, kappa solves the 2x2 system at the pinned rho_jk;
+    # kappa_i = 0 then reads b_i = sigma_i (sigma_j rho_ij kappa_j + sigma_k rho_ik kappa_k).
+    sj, sk = params.sigmas[j], params.sigmas[k]
+    cov = np.array([[sj * sj, rho[pinned] * sj * sk], [rho[pinned] * sj * sk, sk * sk]])
+    kj, kk = np.linalg.solve(cov, spec.b_hat[[j, k]])
+    free = [_PAIR[tuple(sorted((i, j)))], _PAIR[tuple(sorted((i, k)))]]
+    direction = np.array([-sk * kk, sj * kj])
+    point = rho[free]
+
+    def reach(u):
+        steps = [(hi[f] - p) / c if c > 0 else (lo[f] - p) / c for f, p, c in zip(free, point, u) if c]
+        return min(steps)
+
+    forward, backward = reach(direction), reach(-direction)
+    assert abs(forward - backward) <= 1e-9 * max(forward + backward, 1e-12)
+
+
+def test_three_asset_fallthrough_goes_numeric(monkeypatch):
+    spec, params = curated_three_asset("ThreeAsset.Case5i")
+    closed = solve(spec, params)
+    monkeypatch.setattr(solver_mod, "_three_asset_case_matches", lambda *args: [])
+    sol = solve(spec, params)
+    assert sol.case_label == "Numeric" and sol.diagnostics["case_fallthrough"]
+    assert abs(sol.r_star - closed.r_star) <= 1e-9
+
+
 def test_three_asset_rejects_non_pd_box(params3):
     gamma = GammaBox.box([0.85, 0.85, -0.9], [0.9, 0.9, -0.8])  # corners violate PD
     spec = EllipsoidalSet(b_hat=np.array([0.5, 0.3, 0.2]), delta=0.1, gamma=gamma)
     with pytest.raises(BoxNotPositiveDefinite):
-        solve_three_asset(spec, params3)
+        solve(spec, params3)
 
 
 def test_three_asset_permutation_equivariance():
     # permuting the assets must permute the solution accordingly
     spec, params = curated_three_asset("ThreeAsset.Case2i")
-    base = solve_three_asset(spec, params)
+    base = solve(spec, params)
     perm = [2, 0, 1]
     sig_p = params.sigmas[perm]
     b_p = spec.b_hat[perm]
@@ -244,7 +337,7 @@ def test_three_asset_permutation_equivariance():
             hi[pair_position(i, j, 3)] = spec.gamma.upper[pair_position(a, c, 3)]
     params_p = MarketParams(sigmas=sig_p, horizon_T=1.0, lam=0.5, x0=1.0)
     spec_p = EllipsoidalSet(b_hat=b_p, delta=spec.delta, gamma=GammaBox.box(lo, hi))
-    other = solve_three_asset(spec_p, params_p)
+    other = solve(spec_p, params_p)
     assert np.isclose(other.r_star, base.r_star, rtol=1e-10)
     assert np.allclose(other.theta_star.b, base.theta_star.b[perm], atol=1e-12)
 
@@ -301,7 +394,7 @@ def test_numeric_matches_closed_forms():
     rng = np.random.default_rng(303)
     for _ in range(10):
         spec, params = random_two_asset_instance(rng)
-        closed = solve_two_asset(spec, params)
+        closed = solve(spec, params)
         numeric = numeric_minimize(spec, params)
         assert abs(closed.r_star - numeric.r_star) < 1e-6
 
@@ -468,7 +561,7 @@ def test_monotone_in_delta(params2):
     rhos = GammaBox.box([-0.5], [0.3])
     prev = np.inf
     for delta in np.linspace(0.0, 0.6, 25):
-        sol = solve_two_asset(
+        sol = solve(
             EllipsoidalSet(b_hat=np.array([0.4, 0.2]), delta=float(delta), gamma=rhos), params2
         )
         assert sol.r_star <= prev + 1e-15
@@ -478,9 +571,9 @@ def test_monotone_in_delta(params2):
 
 def test_scale_equivariance(params2):
     spec = EllipsoidalSet(b_hat=np.array([0.4, 0.2]), delta=0.1, gamma=GammaBox.box([-0.5], [0.3]))
-    base = solve_two_asset(spec, params2)
+    base = solve(spec, params2)
     for t in (0.5, 2.0, 7.0):
-        scaled = solve_two_asset(
+        scaled = solve(
             EllipsoidalSet(b_hat=t * np.array([0.4, 0.2]), delta=t * 0.1, gamma=spec.gamma),
             params2,
         )
@@ -500,7 +593,6 @@ def test_verify_saddle_pass_and_negative_control(params2, reference_spec):
         theta_star=ThetaPoint(b=sol.theta_star.b, rho=[0.0]),
         r_star=sol.r_star,
         case_label="Numeric",
-        no_trade=False,
     )
     with pytest.raises(SaddleViolated):
         verify_saddle(bad, reference_spec, params2, samples=500, seed=21)
@@ -535,7 +627,7 @@ def test_solve_dispatcher_zero_drift(params2):
 def test_no_trade_threshold_flip(params2, reference_spec):
     # threshold = 0.4 at the interior worst case
     for delta, expect in ((0.4 - 1e-9, False), (0.4 + 1e-9, True)):
-        sol = solve_two_asset(
+        sol = solve(
             EllipsoidalSet(b_hat=reference_spec.b_hat, delta=delta, gamma=reference_spec.gamma),
             params2,
         )

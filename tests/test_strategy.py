@@ -3,25 +3,31 @@
 import math
 
 import numpy as np
+import pytest
 
 from robustmv import (
     EllipsoidalSet,
     GammaBox,
+    GrowthOverflow,
     MarketParams,
     ProductSet,
+    SimConfig,
     ThetaPoint,
+    ThetaProcessSchedule,
     classical_strategy,
     classify,
     evaluate_alpha,
     mean_wealth_path,
+    monotonicity_counterexample,
     robust_strategy,
+    simulate_optimal_exact,
     solve,
-    solve_full_ambiguity,
-    solve_two_asset,
     value_coefficients,
     value_v0,
     variance_risk_ratio,
 )
+
+from conftest import full_ambiguity_spec
 
 
 def _reference_solution(params2, reference_spec):
@@ -38,7 +44,7 @@ def test_direction_matches_variance_risk_ratio(params2, reference_spec):
 
 
 def test_no_trade_direction_zero(params2, reference_spec):
-    sol = solve_two_asset(
+    sol = solve(
         EllipsoidalSet(b_hat=reference_spec.b_hat, delta=0.5, gamma=reference_spec.gamma), params2
     )
     strat = robust_strategy(sol, params2)
@@ -76,7 +82,7 @@ def test_value_v0(params2, reference_spec):
     sol = _reference_solution(params2, reference_spec)
     assert np.isclose(value_v0(sol, params2), 1.0 + 0.5 * (math.exp(0.09) - 1.0), rtol=1e-15)
     # r* = 0 leaves the initial wealth
-    no_trade = solve_two_asset(
+    no_trade = solve(
         EllipsoidalSet(b_hat=reference_spec.b_hat, delta=0.9, gamma=reference_spec.gamma), params2
     )
     assert value_v0(no_trade, params2) == 1.0
@@ -94,13 +100,32 @@ def test_mean_wealth_path(params2, reference_spec):
     assert path[0] == 1.0
     assert np.isclose(path[1], math.exp(0.09), rtol=1e-15)  # x0 + e^r(1 - e^-r) at T=1
     zero = robust_strategy(
-        solve_two_asset(
+        solve(
             EllipsoidalSet(b_hat=reference_spec.b_hat, delta=0.9, gamma=reference_spec.gamma),
             params2,
         ),
         params2,
     )
     assert np.allclose(mean_wealth_path(zero, np.linspace(0, 1, 7)), 1.0)
+
+
+def test_growth_overflow_names_exponent(reference_spec):
+    # r* = 0.09, so e^{r* T} leaves the float range at T = 1e4 wherever it is used.
+    big = MarketParams(sigmas=[1.0, 1.0], horizon_T=1e4, lam=0.5, x0=1.0)
+    sol = solve(reference_spec, big)
+    strat = robust_strategy(sol, big)
+    schedule = ThetaProcessSchedule.constant(sol.theta_star)
+    one_asset = MarketParams(sigmas=[1.0], horizon_T=1e4, lam=0.5, x0=1.0)
+    calls = (
+        lambda: value_v0(sol, big),
+        lambda: strat.wealth_multiplier(1.0),
+        lambda: mean_wealth_path(strat, [0.0, 1.0]),
+        lambda: simulate_optimal_exact(sol, schedule, big, SimConfig(n_paths=4, n_steps=2, seed=0)),
+        lambda: monotonicity_counterexample(0.3, 0.5, one_asset),
+    )
+    for call in calls:
+        with pytest.raises(GrowthOverflow, match=r"r\* T = 900$"):
+            call()
 
 
 def test_value_coefficients_terminal_and_ode(params2, reference_spec):
@@ -123,14 +148,14 @@ def test_value_coefficients_terminal_and_ode(params2, reference_spec):
 
 def test_classify_two_asset_cases(params2):
     b_hat = np.array([0.4, 0.2])
-    interior = solve_two_asset(
+    interior = solve(
         EllipsoidalSet(b_hat=b_hat, delta=0.1, gamma=GammaBox.box([-0.5], [0.8])), params2
     )
     rep = classify(interior, params2)
     assert rep.kind == "anti_diversification"
     assert rep.asset == 0
 
-    upper = solve_two_asset(
+    upper = solve(
         EllipsoidalSet(b_hat=b_hat, delta=0.1, gamma=GammaBox.box([-0.5], [0.3])), params2
     )
     rep = classify(upper, params2)
@@ -138,7 +163,7 @@ def test_classify_two_asset_cases(params2):
     assert rep.mode == "directional"
     assert rep.signs == (1, 1)
 
-    lower = solve_two_asset(
+    lower = solve(
         EllipsoidalSet(b_hat=b_hat, delta=0.1, gamma=GammaBox.box([0.6], [0.8])), params2
     )
     rep = classify(lower, params2)
@@ -147,7 +172,7 @@ def test_classify_two_asset_cases(params2):
 
 
 def test_classify_full_ambiguity_anti(params3):
-    sol = solve_full_ambiguity([0.5, 0.3, 0.2], 0.2, params3)
+    sol = solve(full_ambiguity_spec([0.5, 0.3, 0.2], 0.2), params3)
     rep = classify(sol, params3)
     assert rep.kind == "anti_diversification"
     assert rep.asset == 0
@@ -156,7 +181,7 @@ def test_classify_full_ambiguity_anti(params3):
 
 
 def test_classify_no_trade(params2, reference_spec):
-    sol = solve_two_asset(
+    sol = solve(
         EllipsoidalSet(b_hat=reference_spec.b_hat, delta=0.9, gamma=reference_spec.gamma), params2
     )
     rep = classify(sol, params2)
