@@ -10,7 +10,9 @@ Two families are supported:
   positive-definite region.
 
 Membership tests, projections used by the numeric solvers, and a
-deterministic rejection sampler live here.
+deterministic block rejection sampler live here: proposals are drawn,
+filtered by one stacked PD test and the drift test, and kept a block at a
+time.
 """
 
 from __future__ import annotations
@@ -23,8 +25,10 @@ from .errors import NoFeasiblePoint, SamplingExhausted
 from .market import (
     MarketParams,
     ThetaPoint,
+    _factor_stack,
     _frozen,
     _require_finite,
+    correlation_stack,
     covariance_from,
     is_positive_definite,
     n_pairs,
@@ -34,6 +38,8 @@ from .market import (
 MEMBERSHIP_TOL = 1e-9
 # Rejection sampling gives up after this many consecutive misses.
 MAX_REJECTIONS = 10**6
+# Proposals per block of the rejection sampler, and its growth cap.
+BLOCK_MIN, BLOCK_MAX, BLOCK_GROWTH = 64, 65536, 4
 # Stand-in bounds when the correlation set is the full PD region.
 FULL_CLIP = 1.0 - 1e-9
 
@@ -200,8 +206,18 @@ def project_b(spec: AmbiguitySpec, b, rho, params: MarketParams) -> np.ndarray:
     return spec.b_hat + (spec.delta / dist) * (b - spec.b_hat)
 
 
-def sample(spec: AmbiguitySpec, count: int, seed: int, params: MarketParams) -> list[ThetaPoint]:
-    """Deterministic-for-seed feasible draws, rejection-sampled until contained."""
+def _draws(spec: AmbiguitySpec, count: int, seed: int, params: MarketParams):
+    """Block rejection sampler: (b, rho) arrays of shapes (count, d), (count, m).
+
+    Each block of proposals is filtered with one stacked PD test, then with
+    the drift test of `contains` (the drift box, or ||L^{-1}(b - b_hat)||
+    <= delta + MEMBERSHIP_TOL with L the covariance factor).  Misses are
+    counted in draw order across blocks, so SamplingExhausted fires after
+    exactly MAX_REJECTIONS consecutive rejections.  Blocks are sized from
+    the acceptance rate seen so far, between BLOCK_MIN and BLOCK_MAX, and
+    propose at most BLOCK_GROWTH times the proposals before them, so that
+    a first block with few hits by chance cannot set off an oversized one.
+    """
     if count < 0:
         raise ValueError("count must be nonnegative")
     rng = np.random.default_rng(seed)
@@ -209,36 +225,51 @@ def sample(spec: AmbiguitySpec, count: int, seed: int, params: MarketParams) -> 
     if spec.gamma.full_ambiguity:
         lower, upper = np.full_like(lower, -1.0), np.full_like(upper, 1.0)
     d = spec.d
-    out: list[ThetaPoint] = []
-    misses = 0
-    while len(out) < count:
-        rho = rng.uniform(lower, upper) if lower.size else np.zeros(0)
+    bs, rhos = [np.zeros((0, d))], [np.zeros((0, lower.size))]
+    kept = proposed = misses = 0
+    while kept < count:
+        need = count - kept
+        guess = min(1.25 * need * proposed / max(kept, 1), BLOCK_GROWTH * proposed) if proposed else need
+        size = int(np.clip(guess, BLOCK_MIN, BLOCK_MAX))
+        proposed += size
+        rho = rng.uniform(lower, upper, (size, lower.size))
+        ok = is_positive_definite(rho, d) & np.all((rho >= lower) & (rho <= upper), axis=1)
         if isinstance(spec, ProductSet):
-            b = rng.uniform(spec.delta_lower, spec.delta_upper)
+            b = rng.uniform(spec.delta_lower, spec.delta_upper, (size, d))
+            ok &= np.all((b >= spec.delta_lower) & (b <= spec.delta_upper), axis=1)
         else:
-            if not is_positive_definite(rho, d):
-                misses += 1
-                if misses >= MAX_REJECTIONS:
-                    raise SamplingExhausted(f"{MAX_REJECTIONS} consecutive rejections")
-                continue
-            # Uniform draw in the unit ball, mapped through the covariance factor.
-            z = rng.standard_normal(d)
-            norm = float(np.linalg.norm(z))
-            if norm == 0.0:
-                continue
-            radius = rng.uniform() ** (1.0 / d)
-            ball = (radius / norm) * z
-            chol = covariance_from(rho, params).chol
-            b = spec.b_hat + spec.delta * (chol @ ball)
-        theta = ThetaPoint(b=b, rho=rho)
-        if contains(spec, theta, params):
-            out.append(theta)
-            misses = 0
-        else:
-            misses += 1
-            if misses >= MAX_REJECTIONS:
-                raise SamplingExhausted(f"{MAX_REJECTIONS} consecutive rejections")
-    return out
+            # Uniform draws in the unit ball, mapped through the covariance factor.
+            z = rng.standard_normal((size, d))
+            radius = rng.uniform(size=size) ** (1.0 / d)
+            norm = np.linalg.norm(z, axis=1)
+            ok &= norm > 0.0
+            b = np.empty((size, d))
+            chol = _factor_stack(correlation_stack(rho[ok], d))[0] * params.sigmas[:, None]
+            ball = (radius[ok] / norm[ok])[:, None] * z[ok]
+            b[ok] = spec.b_hat + spec.delta * (chol @ ball[:, :, None])[:, :, 0]
+            # Explicit trailing axis: numpy >= 2 reads an (n, d) right-hand side
+            # as one matrix, numpy < 2 as n vectors; (n, d, 1) means n vectors in both.
+            y = np.linalg.solve(chol, (b[ok] - spec.b_hat)[:, :, None])[:, :, 0]
+            ok[ok] = np.sqrt(np.sum(y * y, axis=1)) <= spec.delta + MEMBERSHIP_TOL
+        hits = np.flatnonzero(ok)[:need]
+        ends = hits if hits.size == need else np.append(hits, size)
+        runs = np.diff(ends, prepend=-1 - misses) - 1
+        if runs.max() >= MAX_REJECTIONS:
+            raise SamplingExhausted(f"{MAX_REJECTIONS} consecutive rejections")
+        misses = int(runs[-1]) if hits.size < need else 0
+        bs.append(b[hits])
+        rhos.append(rho[hits])
+        kept += hits.size
+    return np.concatenate(bs), np.concatenate(rhos)
+
+
+def sample(spec: AmbiguitySpec, count: int, seed: int, params: MarketParams) -> list[ThetaPoint]:
+    """`count` members of the set, deterministic for a seed (block rejection sampling).
+
+    Draws are taken a block at a time (see _draws), so a seed gives other
+    draws than the earlier one-proposal-at-a-time sampler did.
+    """
+    return [ThetaPoint(b=b, rho=rho) for b, rho in zip(*_draws(spec, count, seed, params))]
 
 
 @dataclass(frozen=True)

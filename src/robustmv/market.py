@@ -168,8 +168,49 @@ def _factor(matrix: np.ndarray, rel_tol: float = PD_TOLERANCE):
     return lower, None
 
 
-def is_positive_definite(rho, d: int) -> bool:
-    """True iff C(rho) is positive definite under the pivot tolerance."""
+def correlation_stack(rhos, d: int) -> np.ndarray:
+    """C(rho) for each row of an (n, d(d-1)/2) stack of rho vectors: shape (n, d, d)."""
+    rhos = np.asarray(rhos, dtype=float)
+    rows, cols = pair_index(d)
+    c = np.tile(np.eye(d), (rhos.shape[0], 1, 1))
+    c[:, rows, cols] = rhos
+    c[:, cols, rows] = rhos
+    return c
+
+
+def _factor_stack(a: np.ndarray, rel_tol: float = PD_TOLERANCE):
+    """_factor over a stack of shape (n, d, d), one pivot column at a time.
+
+    Returns (L, bad): bad[i] is the index of the first pivot of a[i] at or
+    below rel_tol * max(diagonal of a[i]), or -1 when every pivot passes; L
+    is zero for the failing matrices.  The row products are matmuls over
+    rows laid out as in _factor, so the same BLAS kernels form the pivots;
+    verdicts on points bisected onto the PD boundary must match _factor's.
+    """
+    n, d = a.shape[0], a.shape[-1]
+    lower = np.zeros_like(a)
+    bad = np.full(n, -1)
+    threshold = rel_tol * np.max(np.diagonal(a, axis1=1, axis2=2), axis=1) if d else 0.0
+    for k in range(d):
+        row = lower[:, k, None, :k]
+        pivot = a[:, k, k] - (row @ row.transpose(0, 2, 1))[:, 0, 0]
+        bad[(bad < 0) & ~(pivot > threshold)] = k
+        root = np.sqrt(np.where(bad < 0, pivot, 1.0))
+        lower[:, k, k] = root
+        if k + 1 < d:
+            below = lower[:, k + 1:, :k] @ row.transpose(0, 2, 1)
+            lower[:, k + 1:, k] = (a[:, k + 1:, k] - below[:, :, 0]) / root[:, None]
+    lower[bad >= 0] = 0.0
+    return lower, bad
+
+
+def is_positive_definite(rho, d: int):
+    """True iff C(rho) is positive definite under the pivot tolerance.
+
+    An (n, d(d-1)/2) stack of rho vectors gives a bool array of n verdicts.
+    """
+    if np.ndim(rho) == 2:
+        return _factor_stack(correlation_stack(rho, d))[1] < 0
     lower, _ = _factor(correlation_matrix(rho, d))
     return lower is not None
 

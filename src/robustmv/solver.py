@@ -38,6 +38,7 @@ from .market import (
     ThetaPoint,
     correlation_matrix,
     is_positive_definite,
+    pair_index,
     risk_premium,
     risk_premium_gradients,
     sharpe_profile,
@@ -610,43 +611,28 @@ def verify_saddle(
 ) -> SaddleReport:
     """Sample the ambiguity set and test both sides of the saddle inequality.
 
-    Raises SaddleViolated with the offending draw when either side breaks
-    beyond the tolerance.
+    Over the draws (b, rho), H(b*, rho) - r* = kappa*' Sigma(rho) kappa* - r*
+    is linear in rho, one matvec, and H(b, rho*) - r* = b' kappa* - r*.
+    Raises SaddleViolated with the first offending draw, upper side first.
     """
-    theta_star = solution.theta_star
-    r_star = solution.r_star
-    kappa_star = variance_risk_ratio(theta_star, params)
-    draws = amb.sample(spec, samples, seed=seed, params=params)
-    worst_upper = -np.inf
-    worst_lower = np.inf
-    sig = params.sigmas
-    for theta in draws:
-        sigma = correlation_matrix(theta.rho, params.d) * np.outer(sig, sig)
-        upper = float(kappa_star @ sigma @ kappa_star) - r_star
-        lower = float(theta.b @ kappa_star) - r_star
-        if upper > worst_upper:
-            worst_upper = upper
-            if upper > tol:
-                raise SaddleViolated(
-                    f"H(b*, rho) exceeds r* by {upper:.3e}",
-                    theta=theta,
-                    margin=upper,
-                )
-        if lower < worst_lower:
-            worst_lower = lower
-            if lower < -tol:
-                raise SaddleViolated(
-                    f"H(b, rho*) undershoots r* by {-lower:.3e}",
-                    theta=theta,
-                    margin=lower,
-                )
-    if samples == 0:
-        worst_upper, worst_lower = 0.0, 0.0
+    kappa_star = variance_risk_ratio(solution.theta_star, params)
+    b, rho = amb._draws(spec, samples, seed, params)
+    scaled = params.sigmas * kappa_star
+    rows, cols = pair_index(params.d)
+    upper = scaled @ scaled + rho @ (2.0 * scaled[rows] * scaled[cols]) - solution.r_star
+    lower = b @ kappa_star - solution.r_star
+    offending = np.flatnonzero((upper > tol) | (lower < -tol))
+    if offending.size:
+        i = offending[0]
+        theta = ThetaPoint(b=b[i], rho=rho[i])
+        if upper[i] > tol:
+            raise SaddleViolated(f"H(b*, rho) exceeds r* by {upper[i]:.3e}", theta=theta, margin=float(upper[i]))
+        raise SaddleViolated(f"H(b, rho*) undershoots r* by {-lower[i]:.3e}", theta=theta, margin=float(lower[i]))
     return SaddleReport(
         samples=samples,
         tol=tol,
-        worst_upper_margin=worst_upper,
-        worst_lower_margin=worst_lower,
+        worst_upper_margin=float(upper.max()) if samples else 0.0,
+        worst_lower_margin=float(lower.min()) if samples else 0.0,
         ok=True,
     )
 

@@ -129,9 +129,11 @@ class ValueCoefficients:
     horizon_T: float
 
     def quad_coeff(self, t):
+        # r* (t - T) <= 0 on [0, T], so this exponential cannot overflow.
         return -self.lam * np.exp(self.r_star * (np.asarray(t, dtype=float) - self.horizon_T))
 
     def offset(self, t):
+        growth_factor(self.r_star, self.horizon_T)  # GrowthOverflow beyond the float range
         return (np.exp(self.r_star * (self.horizon_T - np.asarray(t, dtype=float))) - 1.0) / (
             4.0 * self.lam
         )

@@ -10,6 +10,7 @@ from robustmv import (
     EllipsoidalSet,
     GammaBox,
     MarketParams,
+    ProductSet,
     ThetaPoint,
     is_positive_definite,
     risk_premium,
@@ -117,6 +118,24 @@ def random_three_asset_instance(rng):
             spec = EllipsoidalSet(b_hat=b, delta=delta, gamma=GammaBox.box(lo, hi))
             return spec, params
     return None, None
+
+
+def random_set_instance(family, rng):
+    """Random (spec, params): "d2", "d3" (None, None when no PD box was found),
+    "full" (d = 3-5) or "product" (d = 2-4, boxes around the identity that
+    often have non-PD corners)."""
+    if family == "d2":
+        return random_two_asset_instance(rng)
+    if family == "d3":
+        return random_three_asset_instance(rng)
+    d = int(rng.integers(3, 6)) if family == "full" else int(rng.integers(2, 5))
+    params = MarketParams(sigmas=rng.uniform(0.5, 2.0, d), horizon_T=1.0, lam=0.5, x0=1.0)
+    if family == "full":
+        return full_ambiguity_spec(rng.uniform(-1.0, 1.0, d), rng.uniform(0.0, 1.0)), params
+    m = d * (d - 1) // 2
+    gamma = GammaBox.box(rng.uniform(-0.9, 0.0, m), rng.uniform(0.0, 0.9, m))
+    b_lo = rng.uniform(-1.0, 0.5, d)
+    return ProductSet(b_lo, b_lo + rng.uniform(0.0, 0.5, d), gamma), params
 
 
 # Instances exercising every three-asset closed-form case, mined by random

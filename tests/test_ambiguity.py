@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from robustmv import (
     EllipsoidalSet,
     GammaBox,
     ProductSet,
+    SamplingExhausted,
     ThetaPoint,
     contains,
     is_positive_definite,
@@ -14,7 +17,10 @@ from robustmv import (
     project_rho,
     sample,
 )
+from robustmv import ambiguity as amb
 from robustmv.ambiguity import ThetaProcessSchedule, drift_distance, schedule_within
+
+from conftest import random_set_instance
 
 
 @pytest.fixture
@@ -141,6 +147,62 @@ def test_sample_product(params2):
     for theta in sample(spec, 50, seed=11, params=params2):
         assert contains(spec, theta, params2)
 
+
+@given(st.sampled_from(["d2", "d3", "full", "product"]), st.integers(0, 2**32 - 1))
+def test_sample_contract(family, seed):
+    """Draws are members, the same seed repeats them bitwise, count 0 gives []."""
+    spec, params = random_set_instance(family, np.random.default_rng(seed))
+    assume(spec is not None)
+    draws = sample(spec, 60, seed=seed, params=params)
+    assert len(draws) == 60
+    assert all(contains(spec, theta, params) for theta in draws)
+    again = sample(spec, 60, seed=seed, params=params)
+    assert [(t.b.tobytes(), t.rho.tobytes()) for t in draws] == [(t.b.tobytes(), t.rho.tobytes()) for t in again]
+    assert sample(spec, 0, seed=seed, params=params) == []
+
+
+@pytest.mark.parametrize("product", [False, True], ids=["ellipsoidal", "product"])
+def test_sample_exhausted_without_pd_point(params3, product):
+    gamma = GammaBox.box([0.97, 0.97, -0.99], [0.99, 0.99, -0.97])
+    if product:
+        spec = ProductSet(np.zeros(3), np.full(3, 0.1), gamma)
+    else:
+        spec = EllipsoidalSet(b_hat=np.full(3, 0.1), delta=0.1, gamma=gamma)
+    with pytest.raises(SamplingExhausted):
+        sample(spec, 1, seed=0, params=params3)
+
+
+@pytest.mark.parametrize("longest, raises", [(99, False), (100, True)])
+def test_sample_counts_misses_across_blocks(monkeypatch, params2, longest, raises):
+    """SamplingExhausted fires at exactly MAX_REJECTIONS misses in a row, across blocks."""
+    verdicts = iter(([False] * 70 + [True]) * 3 + [False] * longest + [True] * 1000)
+    monkeypatch.setattr(amb, "MAX_REJECTIONS", 100)
+    # Blocks of 16 proposals: every run of misses spans several blocks.
+    monkeypatch.setattr(amb, "BLOCK_MIN", 16)
+    monkeypatch.setattr(amb, "BLOCK_MAX", 16)
+    monkeypatch.setattr(amb, "is_positive_definite", lambda rho, d: np.array([next(verdicts) for _ in rho]))
+    spec = ProductSet(np.zeros(2), np.ones(2), GammaBox.box([-0.5], [0.5]))
+    if raises:
+        with pytest.raises(SamplingExhausted):
+            sample(spec, 5, seed=0, params=params2)
+    else:
+        assert len(sample(spec, 5, seed=0, params=params2)) == 5
+
+
+def test_sample_blocks_grow_geometrically(monkeypatch, params2):
+    """One hit in the first block does not size the next block from that hit alone."""
+    sizes = []
+
+    def one_in_fifty(rho, d):
+        start = sum(sizes)
+        sizes.append(len(rho))
+        return (np.arange(start, start + len(rho)) % 50) == 49
+
+    monkeypatch.setattr(amb, "is_positive_definite", one_in_fifty)
+    spec = ProductSet(np.zeros(2), np.ones(2), GammaBox.box([-0.5], [0.5]))
+    assert len(sample(spec, 150, seed=0, params=params2)) == 150
+    assert all(size <= amb.BLOCK_GROWTH * sum(sizes[:i]) for i, size in enumerate(sizes) if i)
+    assert sum(sizes) < 2 * 150 * 50
 
 def test_ellipsoid_scaling_invariance(params2):
     # membership depends only on the ratio distance/delta

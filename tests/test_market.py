@@ -27,7 +27,7 @@ from robustmv import (
     variance_risk_ratio,
 )
 from robustmv import sample
-from robustmv.market import upper_pairs
+from robustmv.market import PD_TOLERANCE, _factor, _factor_stack, correlation_stack, n_pairs, upper_pairs
 from robustmv.solver import _permute_pairs
 
 from conftest import fd_gradient, premium_2x2
@@ -322,3 +322,40 @@ def test_pair_layout_round_trip_and_permutation(layout):
     permuted = _permute_pairs(rho, perm, d)
     assert permuted.tobytes() == expected.tobytes()
     assert _permute_pairs(permuted, np.argsort(perm), d).tobytes() == rho.tobytes()
+
+
+@given(st.integers(1, 6), st.integers(0, 2**32 - 1))
+def test_factor_stack_matches_factor(d, seed):
+    """The stacked pivot test gives _factor's verdicts, failing pivots and L."""
+    rng = np.random.default_rng(seed)
+    rhos = rng.uniform(-1.0, 1.0, (40, n_pairs(d)))
+    # Points bisected onto the PD boundary as project_rho does: the last PD
+    # point and the first non-PD one of 60 halvings toward the origin.
+    boundary = []
+    for rho in rhos[:8]:
+        if is_positive_definite(rho, d):
+            continue
+        lo, hi = 0.0, 1.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if is_positive_definite(mid * rho, d) else (lo, mid)
+        boundary += [lo * rho, hi * rho]
+    rhos = np.concatenate([rhos, np.reshape(boundary, (len(boundary), n_pairs(d)))])
+    corr = correlation_stack(rhos, d)
+    assert all(np.array_equal(c, correlation_matrix(r, d)) for c, r in zip(corr, rhos))
+    assert is_positive_definite(rhos, d).tolist() == [is_positive_definite(r, d) for r in rhos]
+    # Rank-deficient Gram matrices fail at inner pivots; a diagonal entry of
+    # exactly PD_TOLERANCE * max(diagonal) must fail as well.
+    factors = rng.standard_normal((20, d, int(rng.integers(1, d + 1))))
+    exact = np.tile(np.eye(d), (d, 1, 1))
+    if d > 1:
+        exact[np.arange(d), np.arange(d), np.arange(d)] = PD_TOLERANCE
+    stack = np.concatenate([corr, factors @ factors.transpose(0, 2, 1), exact])
+    lower, bad = _factor_stack(stack)
+    for a, l_stack, k in zip(stack, lower, bad):
+        l_ref, k_ref = _factor(a)
+        assert k == (-1 if k_ref is None else k_ref)
+        if l_ref is None:
+            assert not l_stack.any()
+        else:
+            assert np.allclose(l_stack, l_ref, rtol=1e-15, atol=0.0)

@@ -18,10 +18,12 @@ from robustmv import (
     ZeroDrift,
     classify,
     contains,
+    correlation_matrix,
     grid_oracle,
     is_positive_definite,
     numeric_minimize,
     risk_premium,
+    sample,
     solve,
     solve_ellipsoidal_given_rho,
     variance_risk_ratio,
@@ -35,6 +37,7 @@ from conftest import (
     box_corners_pd,
     curated_three_asset,
     full_ambiguity_spec,
+    random_set_instance,
     random_three_asset_instance,
     random_two_asset_instance,
 )
@@ -588,14 +591,40 @@ def test_verify_saddle_pass_and_negative_control(params2, reference_spec):
     assert report.worst_upper_margin <= 1e-8
     assert report.worst_lower_margin >= -1e-8
 
-    # deliberately wrong correlation: inequalities must break
-    bad = solver_mod.WorstCaseSolution(
-        theta_star=ThetaPoint(b=sol.theta_star.b, rho=[0.0]),
-        r_star=sol.r_star,
-        case_label="Numeric",
-    )
-    with pytest.raises(SaddleViolated):
-        verify_saddle(bad, reference_spec, params2, samples=500, seed=21)
+    # Deliberately wrong correlation (upper side breaks) and drift shrunk by
+    # 2% (lower side breaks, first at a later draw): the raised draw is the
+    # first offending one in draw order, its upper side tested first.
+    for theta_bad in (ThetaPoint(b=sol.theta_star.b, rho=[0.0]), ThetaPoint(b=0.98 * sol.theta_star.b, rho=[0.5])):
+        bad = solver_mod.WorstCaseSolution(theta_star=theta_bad, r_star=sol.r_star, case_label="Numeric")
+        with pytest.raises(SaddleViolated) as raised:
+            verify_saddle(bad, reference_spec, params2, samples=500, seed=21)
+        margins = _saddle_margins(bad, reference_spec, params2, 500, 21)
+        theta, up, low = next(m for m in margins if m[1] > 1e-8 or m[2] < -1e-8)
+        assert raised.value.theta.b.tobytes() == theta.b.tobytes()
+        assert raised.value.theta.rho.tobytes() == theta.rho.tobytes()
+        assert np.isclose(raised.value.margin, up if up > 1e-8 else low, rtol=1e-12)
+
+
+def _saddle_margins(solution, spec, params, samples, seed):
+    """(draw, H(b*, rho) - r*, H(b, rho*) - r*) per draw, one dense matrix product each."""
+    kappa = variance_risk_ratio(solution.theta_star, params)
+    sig = np.outer(params.sigmas, params.sigmas)
+    return [
+        (t, kappa @ (correlation_matrix(t.rho, params.d) * sig) @ kappa - solution.r_star, t.b @ kappa - solution.r_star)
+        for t in sample(spec, samples, seed=seed, params=params)
+    ]
+
+
+@given(st.sampled_from(["d2", "d3", "full", "product"]), st.integers(0, 2**32 - 1))
+def test_verify_saddle_matches_per_draw_loop(family, seed):
+    spec, params = random_set_instance(family, np.random.default_rng(seed))
+    assume(spec is not None)
+    sol = solve(spec, params)
+    # tol = inf compares the margins whether or not the solution is a saddle point.
+    report = verify_saddle(sol, spec, params, samples=200, seed=seed, tol=np.inf)
+    margins = _saddle_margins(sol, spec, params, 200, seed)
+    assert abs(report.worst_upper_margin - max(up for _, up, _ in margins)) <= 1e-12
+    assert abs(report.worst_lower_margin - min(low for _, _, low in margins)) <= 1e-12
 
 
 def test_verify_saddle_singleton_margins_zero(params2):

@@ -128,6 +128,15 @@ def test_growth_overflow_names_exponent(reference_spec):
             call()
 
 
+def test_value_offset_growth_overflow(reference_spec):
+    # offset(t) carries e^{r* (T - t)}; quad_coeff's exponent r* (t - T) is <= 0 on [0, T].
+    big = MarketParams(sigmas=[1.0, 1.0], horizon_T=1e4, lam=0.5, x0=1.0)
+    coeffs = value_coefficients(solve(reference_spec, big), big)
+    with pytest.raises(GrowthOverflow, match=r"r\* T = 900$"):
+        coeffs.offset(0.0)
+    assert coeffs.quad_coeff(0.0) == 0.0 and coeffs.quad_coeff(1e4) == -0.5
+
+
 def test_value_coefficients_terminal_and_ode(params2, reference_spec):
     sol = _reference_solution(params2, reference_spec)
     coeffs = value_coefficients(sol, params2)
