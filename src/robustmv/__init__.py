@@ -41,6 +41,7 @@ from .market import (
     variance_risk_ratio,
 )
 from .simulate import (
+    AffineRule,
     ObjectiveEstimate,
     SimConfig,
     estimate_objective,

@@ -15,7 +15,9 @@ full correlation ambiguity uses "gamma": {"full_ambiguity": true}.  An optional
 "sweep" list of {dotted.key: value} overrides produces one CSV row per entry.
 
 Exit codes: 0 success, 1 input error, 2 verification failure, 3 a flagged
-mathematical condition (no minimizer / zero drift).
+mathematical condition (no minimizer / zero drift, or a numeric fallback
+that did not converge: solve, classify and sweep still emit their report
+and name the iterations and residual on stderr).
 """
 
 from __future__ import annotations
@@ -219,6 +221,18 @@ def _resolution(args, params: MarketParams) -> int:
     return args.resolution or (2001 if n_pairs(params.d) <= 1 else 51)
 
 
+def _flag_unconverged(solutions, exit_code: int) -> int:
+    """Name each numeric-fallback answer that did not converge on stderr; exit 3 if any."""
+    flagged = [s.diagnostics for s in solutions if not s.diagnostics.get("converged", True)]
+    for diag in flagged:
+        print(
+            f"flagged condition: numeric fallback did not converge: {diag['iterations']} "
+            f"iterations, residual {diag['residual']:.6g}",
+            file=sys.stderr,
+        )
+    return EXIT_FLAGGED if flagged and exit_code == EXIT_OK else exit_code
+
+
 def cmd_solve(args, raw: dict) -> int:
     params = parse_market(raw)
     spec = parse_ambiguity(raw, params)
@@ -243,7 +257,7 @@ def cmd_solve(args, raw: dict) -> int:
         if gap > tolerance:
             exit_code = EXIT_VERIFICATION
     _emit(report, raw)
-    return exit_code
+    return _flag_unconverged([solution], exit_code)
 
 
 def cmd_classify(args, raw: dict) -> int:
@@ -253,7 +267,7 @@ def cmd_classify(args, raw: dict) -> int:
     report = strategy_report(solution, params)
     _emit(report, raw)
     print(report["narrative"], file=sys.stderr)
-    return EXIT_OK
+    return _flag_unconverged([solution], EXIT_OK)
 
 
 def cmd_simulate(args, raw: dict) -> int:
@@ -380,7 +394,7 @@ def _set_dotted(config: dict, dotted: str, value):
 
 
 def cmd_sweep(raw: dict) -> int:
-    rows = []
+    rows, solutions = [], []
     keys = sorted({k for entry in raw["sweep"] for k in entry})
     for entry in raw["sweep"]:
         variant = copy.deepcopy(raw)
@@ -389,6 +403,7 @@ def cmd_sweep(raw: dict) -> int:
         params = parse_market(variant)
         spec = parse_ambiguity(variant, params)
         solution = solve(spec, params)
+        solutions.append(solution)
         summary = strategy_report(solution, params)
         row = {k: entry.get(k, "") for k in keys}
         row.update({
@@ -397,6 +412,7 @@ def cmd_sweep(raw: dict) -> int:
             "no_trade": solution.no_trade,
             "V0": summary["V0"],
             "diversification": summary["class"],
+            "converged": bool(solution.diagnostics.get("converged", True)),
         })
         rows.append(row)
     buffer = io.StringIO()
@@ -409,7 +425,7 @@ def cmd_sweep(raw: dict) -> int:
         with open(path, "w", encoding="utf-8", newline="") as fh:
             fh.write(text)
     print(text, end="")
-    return EXIT_OK
+    return _flag_unconverged(solutions, EXIT_OK)
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -1,18 +1,25 @@
 """Monte-Carlo verification of the wealth dynamics and optimality conditions.
 
-Two simulators for the self-financed wealth process dX = alpha'(b dt +
+Simulators for the self-financed wealth process dX = alpha'(b dt +
 sigma(rho) dW) under piecewise-constant parameter scenarios:
 
-* an Euler scheme that replays any feedback rule step by step, and
-* an exact scheme for the optimal wealth, which is a deterministic affine
-  map of a lognormal factor and therefore free of discretization error.
+* an Euler scheme that replays any feedback rule step by step: plain
+  callables, FeedbackStrategy, and AffineRule with both w and v nonzero;
+* exact schemes, free of discretization error, for the wealth-affine rules
+  alpha = w + (xbar - x) v with w = 0 (xbar - X is a geometric Brownian
+  motion) or v = 0 (X is an arithmetic Brownian motion), one normal per
+  path and step; simulate_wealth picks them for such an AffineRule;
+* the exact scheme for the optimal wealth (simulate_optimal_exact), the
+  w = 0 case with v = Sigma(rho*)^{-1} b*.
 
 On top of those: the mean-variance objective estimator with a delta-method
 standard error, a sampled check of the two optimality-principle conditions
 (the value process built from the solved instance must drift the right way
 under probe strategies and probe scenarios), and the closed-form table
 showing that the one-sided monotonicity genuinely fails for distant drift
-scenarios while the terminal inequality survives.
+scenarios while the terminal inequality survives.  The default probe
+strategies are AffineRules on the exact schemes; the scenario probes need
+only terminal wealth and draw X_T directly, one normal per path.
 
 Reproducibility: paths are generated in fixed-size blocks, each block from
 its own counter-based substream keyed by (seed, block index).  Results are
@@ -33,7 +40,7 @@ import numpy as np
 from .ambiguity import AmbiguitySpec, EllipsoidalSet, ThetaProcessSchedule
 from .ambiguity import contains, project_b, project_rho
 from .errors import PrincipleViolated
-from .market import MarketParams, ThetaPoint, covariance_from, risk_premium, variance_risk_ratio
+from .market import MarketParams, ThetaPoint, _frozen, covariance_from, risk_premium, variance_risk_ratio
 from .solver import WorstCaseSolution
 from .strategy import FeedbackStrategy, evaluate_alpha, growth_factor, robust_strategy
 from .strategy import value_coefficients, value_v0
@@ -104,6 +111,30 @@ def _normals(rng, lanes: int, d: int, antithetic: bool) -> np.ndarray:
     return out[:lanes]
 
 
+@dataclass(frozen=True)
+class AffineRule:
+    """Wealth-affine rule alpha(t, x) = w + (xbar - x) v, amounts per asset.
+
+    Called like any probe rule: a scalar x gives a length-d vector, a vector
+    of wealths an (n, d) array.  simulate_wealth draws the rule exactly when
+    w = 0 or v = 0, and by Euler otherwise.
+    """
+
+    xbar: float
+    v: np.ndarray
+    w: np.ndarray
+
+    def __post_init__(self):
+        object.__setattr__(self, "v", _frozen(self.v))
+        object.__setattr__(self, "w", _frozen(self.w))
+
+    def __call__(self, t, x):
+        x = np.asarray(x, dtype=float)
+        if x.ndim == 0:
+            return self.w + (self.xbar - float(x)) * self.v
+        return self.w[None, :] + (self.xbar - x)[:, None] * self.v[None, :]
+
+
 def _as_alpha_fn(strategy_or_fn):
     if isinstance(strategy_or_fn, FeedbackStrategy):
         return lambda t, x: evaluate_alpha(strategy_or_fn, t, x)
@@ -121,18 +152,51 @@ def _step_model(schedule: ThetaProcessSchedule, params: MarketParams, n_steps: i
     return dt, drifts, chols
 
 
+def _exact_step_integrals(direction, schedule, params, n_steps, log_scale=True):
+    """Exact per-step integrals of the drift and variance rates along a direction.
+
+    For a position u the rates are b'u and u' Sigma u under each scenario
+    piece.  With log_scale the drift is that of log N for the lognormal
+    factor dN = -N u'(b dt + sigma dW), b'u + u' Sigma u / 2.  Rates are
+    integrated piecewise so steps may straddle breakpoints; n_steps = 1
+    gives the totals over [0, T].
+    """
+    pieces = []
+    for t0, t1, theta in schedule.pieces(params.horizon_T):
+        sigma = covariance_from(theta.rho, params).matrix
+        var_rate = float(direction @ sigma @ direction)
+        drift_rate = float(theta.b @ direction) + (0.5 * var_rate if log_scale else 0.0)
+        pieces.append((t0, t1, drift_rate, var_rate))
+    dt = params.horizon_T / n_steps
+    drift_int = np.zeros(n_steps)
+    var_int = np.zeros(n_steps)
+    for n in range(n_steps):
+        a, b = n * dt, (n + 1) * dt
+        for t0, t1, drift_rate, var_rate in pieces:
+            overlap = max(0.0, min(b, t1) - max(a, t0))
+            if overlap > 0.0:
+                drift_int[n] += drift_rate * overlap
+                var_int[n] += var_rate * overlap
+    return drift_int, var_int
+
+
 def simulate_wealth(
     strategy_or_fn,
     schedule: ThetaProcessSchedule,
     params: MarketParams,
     cfg: SimConfig,
 ):
-    """Euler paths of the wealth process under a feedback rule.
+    """Paths of the wealth process under a feedback rule.
 
-    The rule is re-evaluated at every step from the current wealth.
-    Returns (t_grid, paths) with paths of shape (n_paths, n_steps + 1);
-    wealth is unconstrained and may go negative.
+    An AffineRule with w = 0 or v = 0 is drawn exactly (_affine_paths).
+    Any other rule (a callable, a FeedbackStrategy, an AffineRule with w
+    and v both nonzero) runs on the Euler scheme, re-evaluated at every
+    step from the current wealth.  Returns (t_grid, paths) with paths of
+    shape (n_paths, n_steps + 1); wealth is unconstrained and may go
+    negative.
     """
+    if isinstance(strategy_or_fn, AffineRule) and not (strategy_or_fn.v.any() and strategy_or_fn.w.any()):
+        return _affine_paths(strategy_or_fn, schedule, params, cfg)
     alpha_fn = _as_alpha_fn(strategy_or_fn)
     dt, drifts, chols = _step_model(schedule, params, cfg.n_steps)
     sqrt_dt = math.sqrt(dt)
@@ -156,39 +220,69 @@ def simulate_wealth(
     return t_grid, paths
 
 
+def _affine_paths(rule: AffineRule, schedule, params, cfg):
+    """Exact paths of an AffineRule with w = 0 or v = 0.
+
+    w = 0: Y = xbar - X solves dY = -Y v'(b dt + sigma dW), a geometric
+    Brownian motion, so X_t = x0 + (xbar - x0)(1 - N_t) with the lognormal N
+    of _exact_step_integrals.  v = 0: X is an arithmetic Brownian motion
+    with increments of mean w'b dt and variance w' Sigma w dt.  Either way
+    one normal per path and step, from the block streams of the Euler
+    scheme.  v = w = 0 holds no risky asset and stays at x0 exactly.
+    """
+    t_grid = np.linspace(0.0, params.horizon_T, cfg.n_steps + 1)
+    geometric = bool(rule.v.any())
+    if not (geometric or rule.w.any()):
+        return t_grid, np.full((cfg.n_paths, cfg.n_steps + 1), float(params.x0))
+    direction = rule.v if geometric else rule.w
+    drift_int, var_int = _exact_step_integrals(direction, schedule, params, cfg.n_steps, log_scale=geometric)
+    vol_int = np.sqrt(var_int)
+    y0 = rule.xbar - params.x0
+    paths = np.empty((cfg.n_paths, cfg.n_steps + 1))
+
+    def worker(block, start, stop):
+        rng = _block_rng(cfg.seed, block)
+        lanes = stop - start
+        acc = np.zeros(lanes)
+        paths[start:stop, 0] = params.x0
+        for n in range(cfg.n_steps):
+            xi = _normals(rng, lanes, 1, cfg.antithetic)[:, 0]
+            if geometric:
+                acc -= drift_int[n] + vol_int[n] * xi
+                paths[start:stop, n + 1] = params.x0 + y0 * (1.0 - np.exp(acc))
+            else:
+                acc += drift_int[n] + vol_int[n] * xi
+                paths[start:stop, n + 1] = params.x0 + acc
+
+    _run_blocks(cfg.n_paths, worker)
+    return t_grid, paths
+
+
+def _terminal_wealth(rule: AffineRule, schedule, params, cfg) -> np.ndarray:
+    """X_T alone for an AffineRule with w = 0, one normal per path.
+
+    log N_T is Gaussian with the drift and variance of the whole horizon,
+    summed over the schedule's pieces; no path array is built.
+    """
+    drift, var = _exact_step_integrals(rule.v, schedule, params, 1)
+    vol = math.sqrt(var[0])
+    y0 = rule.xbar - params.x0
+    xt = np.empty(cfg.n_paths)
+
+    def worker(block, start, stop):
+        xi = _normals(_block_rng(cfg.seed, block), stop - start, 1, cfg.antithetic)[:, 0]
+        xt[start:stop] = params.x0 + y0 * (1.0 - np.exp(-drift[0] - vol * xi))
+
+    _run_blocks(cfg.n_paths, worker)
+    return xt
+
+
 @dataclass(frozen=True)
 class MartingaleStats:
     """Per-step sample mean and standard error of the exponential-factor ratios."""
 
     mean_ratio: np.ndarray
     se_ratio: np.ndarray
-
-
-def _exact_step_integrals(solution, schedule, params, n_steps):
-    """Exact per-step integrals of the drift and variance rates of log N.
-
-    Within each scenario piece the optimal-wealth factor N is lognormal;
-    rates are integrated piecewise so steps may straddle breakpoints.
-    """
-    theta_star = solution.theta_star
-    kappa_star = variance_risk_ratio(theta_star, params)
-    pieces = []
-    for t0, t1, theta in schedule.pieces(params.horizon_T):
-        sigma = covariance_from(theta.rho, params).matrix
-        var_rate = float(kappa_star @ sigma @ kappa_star)
-        drift_rate = float(theta.b @ kappa_star) + 0.5 * var_rate
-        pieces.append((t0, t1, drift_rate, var_rate))
-    dt = params.horizon_T / n_steps
-    drift_int = np.zeros(n_steps)
-    var_int = np.zeros(n_steps)
-    for n in range(n_steps):
-        a, b = n * dt, (n + 1) * dt
-        for t0, t1, drift_rate, var_rate in pieces:
-            overlap = max(0.0, min(b, t1) - max(a, t0))
-            if overlap > 0.0:
-                drift_int[n] += drift_rate * overlap
-                var_int[n] += var_rate * overlap
-    return drift_int, var_int
 
 
 def simulate_optimal_exact(
@@ -205,7 +299,8 @@ def simulate_optimal_exact(
     martingale_stats=True also returns per-step statistics of the
     associated exponential-martingale ratios, whose mean must be 1.
     """
-    drift_int, var_int = _exact_step_integrals(solution, schedule, params, cfg.n_steps)
+    kappa_star = variance_risk_ratio(solution.theta_star, params)
+    drift_int, var_int = _exact_step_integrals(kappa_star, schedule, params, cfg.n_steps)
     vol_int = np.sqrt(var_int)
     factor = growth_factor(solution.r_star, params.horizon_T) / (2.0 * params.lam)
     t_grid = np.linspace(0.0, params.horizon_T, cfg.n_steps + 1)
@@ -292,30 +387,35 @@ def estimate_objective(paths_or_xt, params: MarketParams) -> ObjectiveEstimate:
     )
 
 
+def _optimal_rule(strategy: FeedbackStrategy) -> AffineRule:
+    """alpha* = (xbar - x) kappa* as an AffineRule, xbar = x0 + e^{r* T} / (2 lam)."""
+    xbar = strategy.x0 + growth_factor(strategy.r_star, strategy.horizon_T) / (2.0 * strategy.lam)
+    kappa = strategy.allocation_direction
+    return AffineRule(xbar=xbar, v=kappa, w=np.zeros_like(kappa))
+
+
 def default_probe_strategies(strategy: FeedbackStrategy):
-    """Eight named strategy probes: scalings, sign flip, component shuffle, static."""
-    direction = strategy.allocation_direction
+    """Eight named strategy probes: scalings, sign flip, component shuffle, static.
+
+    Each is an AffineRule around the optimal rule's target wealth xbar: the
+    scalings c alpha* have v = c kappa*, `reversed` has kappa* in reverse
+    asset order, `static` holds kappa* itself (v = 0) and `zero` nothing.
+    """
+    optimal = _optimal_rule(strategy)
+    xbar, kappa, none = optimal.xbar, optimal.v, optimal.w
 
     def scaled(c):
-        return lambda t, x: c * evaluate_alpha(strategy, t, x)
-
-    def reversed_rule(t, x):
-        mult = np.atleast_1d(strategy.wealth_multiplier(x))
-        return mult[:, None] * direction[::-1][None, :]
-
-    def static_rule(t, x):
-        n = np.atleast_1d(np.asarray(x)).size
-        return np.broadcast_to(direction, (n, direction.size))
+        return AffineRule(xbar=xbar, v=c * kappa, w=none)
 
     return [
         ("optimal", scaled(1.0)),
-        ("zero", scaled(0.0)),
+        ("zero", AffineRule(xbar=xbar, v=none, w=none)),
         ("half", scaled(0.5)),
         ("one_and_half", scaled(1.5)),
         ("double", scaled(2.0)),
         ("contrarian", scaled(-1.0)),
-        ("reversed", reversed_rule),
-        ("static", static_rule),
+        ("reversed", AffineRule(xbar=xbar, v=kappa[::-1], w=none)),
+        ("static", AffineRule(xbar=xbar, v=none, w=kappa)),
     ]
 
 
@@ -409,18 +509,25 @@ def _monotonicity_check(paths, t_grid, coeffs, n_sigma=3.0):
     Uses per-path linearization of consecutive value differences, so the
     standard error accounts for the coupling between grid nodes.  The
     Bonferroni threshold z = Phi^{-1}(1 - Phi(-n_sigma) / n_increments)
-    makes n_sigma a family-wise level over all increments.
+    makes n_sigma a family-wise level over all increments.  Works in two
+    buffers of the paths' size: quad * (x - mean)^2 per node, then the
+    per-path increments and their deviations.
     """
     quad = coeffs.quad_coeff(t_grid)
     offset = coeffs.offset(t_grid)
-    means = paths.mean(axis=0)
-    centered = paths - means[None, :]
-    per_path = quad[None, 1:] * centered[:, 1:] ** 2 - quad[None, :-1] * centered[:, :-1] ** 2
-    per_path = per_path + np.diff(paths, axis=1)
-    diffs = per_path.mean(axis=0) + np.diff(offset)
     n = paths.shape[0]
+    value = paths - paths.mean(axis=0)
+    np.square(value, out=value)
+    value *= quad
+    per_path = np.subtract(value[:, 1:], value[:, :-1])
+    per_path += np.subtract(paths[:, 1:], paths[:, :-1], out=value[:, :-1])
+    mean = per_path.mean(axis=0)
+    diffs = mean + np.diff(offset)
+    per_path -= mean
+    np.square(per_path, out=per_path)
+    spread = np.sqrt(per_path.sum(axis=0) / (n - 1))
     z = NormalDist().inv_cdf(1.0 - NormalDist().cdf(-n_sigma) / diffs.size)
-    allowance = z * per_path.std(axis=0, ddof=1) / math.sqrt(n)
+    allowance = z * spread / math.sqrt(n)
     worst = int(np.argmax(diffs - allowance))
     return float(diffs[worst]), float(allowance[worst])
 
@@ -443,6 +550,11 @@ def verify_weak_principle(
     J margins get n_sigma standard errors, and the monotone check holds
     that level family-wise over all grid increments.  Raises
     PrincipleViolated on the first failure.
+
+    Strategy probes run through simulate_wealth: the default ones are
+    AffineRules on exact paths, any other callable runs on Euler.  The
+    scenario probes read only X_T of the optimal rule, so they sample it
+    directly, one normal per path.
     """
     strategy = robust_strategy(solution, params)
     coeffs = value_coefficients(solution, params)
@@ -477,10 +589,10 @@ def verify_weak_principle(
                 margin=margin,
             )
 
+    optimal = _optimal_rule(strategy)
     terminal = []
     for name, sched in probe_schedules:
-        _, paths = simulate_wealth(strategy, sched, params, cfg)
-        est = estimate_objective(paths, params)
+        est = estimate_objective(_terminal_wealth(optimal, sched, params, cfg), params)
         margin = est.J - v0  # E[V_T] - V0 since the terminal value is x - lam (x - xbar)^2
         allowance = n_sigma * est.std_error_J
         check = ProbeCheck(name=name, margin=margin, allowance=allowance, ok=margin >= -allowance)

@@ -230,3 +230,18 @@ def curated_three_asset(label):
         gamma=GammaBox.box(raw["lo"], raw["hi"]),
     )
     return spec, params
+
+
+# A d = 4 box (delta = 0) on which the numeric fallback stalls on the PD
+# boundary: it reports r* = 1.819709 with converged=False after 166
+# iterations (box residual 0.21), and the verdict reads well-diversified.
+# The true minimum is beta_4^2 = 1.799245, attained inside the box, so only
+# asset 4 should be traded.
+STALLED_D4 = dict(
+    sigmas=[1.1619982925651684, 1.4597348838224937, 0.7035717574752196, 0.7070568320884325],
+    b_hat=[-0.6525571749734564, -0.43333718928349585, 0.9234185497588847, -0.9484174148090769],
+    lower=[-0.43463479354695356, -0.45145694456051944, 0.1717810114305727,
+           -0.586434499322625, -0.05659204001169638, -0.99],
+    upper=[-0.23633267108225742, 0.03438538860769919, 0.4753315192482581,
+           -0.19701364113469494, 0.49042527387945734, -0.954124611043254],
+)

@@ -9,6 +9,8 @@ import pytest
 from robustmv import cli
 from robustmv.cli import main
 
+from conftest import STALLED_D4
+
 REFERENCE = {
     "market": {"sigmas": [1.0, 1.0], "horizon_T": 1.0, "lambda": 0.5, "x0": 1.0},
     "ambiguity": {
@@ -281,3 +283,47 @@ def test_sweep_csv(tmp_path, capsys):
     r_stars = [float(r["r_star"]) for r in rows]
     assert r_stars[0] > r_stars[1] > r_stars[2]
     assert rows[2]["no_trade"] == "True"
+
+
+STALLED = {
+    "market": {"sigmas": STALLED_D4["sigmas"], "horizon_T": 1.0, "lambda": 0.5, "x0": 1.0},
+    "ambiguity": {
+        "variant": "ellipsoidal",
+        "b_hat": STALLED_D4["b_hat"],
+        "delta": 0.0,
+        "gamma": {"lower": STALLED_D4["lower"], "upper": STALLED_D4["upper"]},
+    },
+}
+
+
+@pytest.mark.parametrize("command", ["solve", "classify"])
+def test_unconverged_fallback_exit_3(tmp_path, capsys, command):
+    # The numeric fallback stalls on this box; the answer is flagged, not passed.
+    cfg = write_config(tmp_path, STALLED)
+    assert main([command, "--config", cfg]) == 3
+    out = capsys.readouterr()
+    report = json.loads(out.out)
+    label = report["solution"]["case_label"] if command == "solve" else report["case_label"]
+    assert label == "Numeric"
+    assert "did not converge: 166 iterations, residual 0.213" in out.err
+    assert "Traceback" not in out.err
+
+
+def test_unconverged_fallback_sweep_exit_3(tmp_path, capsys):
+    payload = json.loads(json.dumps(STALLED))
+    payload["sweep"] = [{"ambiguity.delta": 0.0}, {"ambiguity.delta": 2.0}]
+    cfg = write_config(tmp_path, payload)
+    assert main(["solve", "--config", cfg]) == 3
+    out = capsys.readouterr()
+    rows = list(csv.DictReader(out.out.splitlines()))
+    assert [r["converged"] for r in rows] == ["False", "False"]
+    assert out.err.count("did not converge") == 2
+
+
+def test_sweep_converged_column(tmp_path, capsys):
+    payload = json.loads(json.dumps(REFERENCE))
+    payload["sweep"] = [{"ambiguity.delta": 0.0}, {"ambiguity.delta": 0.5}]
+    cfg = write_config(tmp_path, payload)
+    assert main(["classify", "--config", cfg]) == 0
+    rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+    assert [r["converged"] for r in rows] == ["True", "True"]

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from robustmv import (
+    AffineRule,
     EllipsoidalSet,
     GammaBox,
     MarketParams,
@@ -14,7 +15,10 @@ from robustmv import (
     ProductSet,
     SimConfig,
     ThetaPoint,
+    ValueCoefficients,
+    correlation_matrix,
     estimate_objective,
+    evaluate_alpha,
     mean_wealth_path,
     monotonicity_counterexample,
     robust_strategy,
@@ -27,9 +31,12 @@ from robustmv import (
 from robustmv.ambiguity import ThetaProcessSchedule
 from robustmv.simulate import (
     _monotonicity_check,
+    _terminal_wealth,
     default_probe_schedules,
     default_probe_strategies,
 )
+
+from conftest import curated_three_asset
 
 
 @pytest.fixture
@@ -133,7 +140,10 @@ def test_determinism_across_worker_counts(params2, reference):
             os.environ["ROBUSTMV_THREADS"] = threads
             _, euler = simulate_wealth(strat, sched, params2, cfg)
             _, exact, stats = simulate_optimal_exact(sol, sched, params2, cfg, martingale_stats=True)
-            runs[threads] = (euler, exact, stats.mean_ratio, stats.se_ratio)
+            probes = dict(default_probe_strategies(strat))
+            affine = [simulate_wealth(probes[name], sched, params2, cfg)[1] for name in ("half", "static")]
+            terminal = _terminal_wealth(probes["optimal"], sched, params2, cfg)
+            runs[threads] = (euler, exact, stats.mean_ratio, stats.se_ratio, *affine, terminal)
     finally:
         if old is None:
             os.environ.pop("ROBUSTMV_THREADS", None)
@@ -339,3 +349,166 @@ def test_counterexample_input_validation(params1, params2):
         monotonicity_counterexample(0.5, 0.2, params1)  # needs b_lower < theta
     with pytest.raises(ValueError):
         monotonicity_counterexample(0.2, 5.0, params2)  # needs d = 1
+
+
+# -- exact paths of wealth-affine rules
+
+
+def _instances():
+    """(name, solution, params) for the README and the three-asset Case5ii instances."""
+    readme = EllipsoidalSet(b_hat=np.array([0.4, 0.2]), delta=0.1, gamma=GammaBox.box([-0.5], [0.8]))
+    params = MarketParams(sigmas=[1.0, 1.0], horizon_T=1.0, lam=0.5, x0=1.0)
+    case5ii, params3 = curated_three_asset("ThreeAsset.Case5ii")
+    return [("readme", solve(readme, params), params), ("case5ii", solve(case5ii, params3), params3)]
+
+
+def _moment_z(paths, mean, var):
+    """Per-node z-scores of the sample mean and variance against closed forms."""
+    n = paths.shape[0]
+    centered = paths - paths.mean(axis=0)
+    sample_var = paths.var(axis=0, ddof=1)
+    se_mean = np.sqrt(sample_var / n)
+    se_var = np.sqrt(np.mean((centered**2 - sample_var) ** 2, axis=0) / n)
+    return np.abs(paths.mean(axis=0) - mean) / se_mean, np.abs(sample_var - var) / se_var
+
+
+@pytest.mark.parametrize("name, sol, params", _instances())
+def test_affine_exact_moments(name, sol, params):
+    strat = robust_strategy(sol, params)
+    sched = ThetaProcessSchedule.constant(sol.theta_star)
+    probes = dict(default_probe_strategies(strat))
+    cfg = SimConfig(n_paths=20000, n_steps=32, seed=61)
+    r, x0 = sol.r_star, params.x0
+    y0 = math.exp(r * params.horizon_T) / (2.0 * params.lam)
+    xbar = x0 + y0
+    for c, probe in ((0.5, "half"), (1.0, "optimal"), (1.5, "one_and_half"), (2.0, "double"), (-1.0, "contrarian")):
+        t, paths = simulate_wealth(probes[probe], sched, params, cfg)
+        assert np.all(paths[:, 0] == x0)
+        mean = xbar - y0 * np.exp(-c * r * t[1:])
+        var = y0**2 * (np.exp((c * c - 2.0 * c) * r * t[1:]) - np.exp(-2.0 * c * r * t[1:]))
+        z_mean, z_var = _moment_z(paths[:, 1:], mean, var)
+        assert z_mean.max() < 4.0 and z_var.max() < 4.0, (name, probe)
+    # static: alpha = kappa*, so X is Brownian with drift and variance rate r*
+    t, paths = simulate_wealth(probes["static"], sched, params, cfg)
+    z_mean, z_var = _moment_z(paths[:, 1:], x0 + r * t[1:], r * t[1:])
+    assert z_mean.max() < 4.0 and z_var.max() < 4.0
+    _, zero = simulate_wealth(probes["zero"], sched, params, cfg)
+    assert np.all(zero == x0)
+
+
+def _terminal_moments(sched, kappa, params, y0):
+    """Closed-form mean and variance of X_T = x0 + y0 (1 - N_T), log N_T Gaussian."""
+    drift = var = 0.0
+    for t0, t1, theta in sched.pieces(params.horizon_T):
+        sigma = np.outer(params.sigmas, params.sigmas) * correlation_matrix(theta.rho, params.d)
+        rate = float(kappa @ sigma @ kappa)
+        drift += (float(theta.b @ kappa) + 0.5 * rate) * (t1 - t0)
+        var += rate * (t1 - t0)
+    mean_n = math.exp(-drift + 0.5 * var)
+    return params.x0 + y0 * (1.0 - mean_n), y0**2 * mean_n**2 * math.expm1(var)
+
+
+@pytest.mark.parametrize("name, sol, params", _instances())
+def test_terminal_sampler_closed_form(name, sol, params, reference_spec):
+    strat = robust_strategy(sol, params)
+    optimal = dict(default_probe_strategies(strat))["optimal"]
+    y0 = math.exp(sol.r_star * params.horizon_T) / (2.0 * params.lam)
+    spec = reference_spec if name == "readme" else curated_three_asset("ThreeAsset.Case5ii")[0]
+    switch = dict(default_probe_schedules(spec, params, sol))["switch_mid_horizon"]
+    cfg = SimConfig(n_paths=200_000, n_steps=1, seed=62)
+    for sched in (ThetaProcessSchedule.constant(sol.theta_star), switch):
+        xt = _terminal_wealth(optimal, sched, params, cfg)
+        mean, var = _terminal_moments(sched, strat.allocation_direction, params, y0)
+        z_mean, z_var = _moment_z(xt[:, None], mean, var)
+        assert z_mean[0] < 4.0 and z_var[0] < 4.0, name
+
+
+def test_affine_exact_matches_euler(params2, reference):
+    sol, strat, sched = reference
+    cfg = SimConfig(n_paths=20000, n_steps=64, seed=63)
+    for name, rule in default_probe_strategies(strat):
+        _, exact = simulate_wealth(rule, sched, params2, cfg)
+        _, euler = simulate_wealth(lambda t, x: rule(t, x), sched, params2, cfg)
+        e1, e2 = estimate_objective(exact, params2), estimate_objective(euler, params2)
+        assert abs(e1.J - e2.J) <= 4.0 * math.hypot(e1.std_error_J, e2.std_error_J), name
+
+
+def test_affine_rule_call_shapes(params2, reference):
+    _, strat, _ = reference
+    probes = dict(default_probe_strategies(strat))
+    x = np.array([0.5, 1.0, 1.7])
+    for c, name in ((1.0, "optimal"), (0.5, "half"), (-1.0, "contrarian")):
+        assert probes[name](0.0, 1.2).shape == (2,)
+        assert np.allclose(probes[name](0.0, x), c * evaluate_alpha(strat, 0.0, x), rtol=1e-14, atol=0.0)
+    assert np.array_equal(probes["static"](0.3, x), np.tile(strat.allocation_direction, (3, 1)))
+    assert np.array_equal(probes["zero"](0.3, 2.0), np.zeros(2))
+
+
+def test_affine_antithetic_pairs(params2, reference):
+    sol, strat, sched = reference
+    probes = dict(default_probe_strategies(strat))
+    cfg = SimConfig(n_paths=5000, n_steps=8, seed=64, antithetic=True)
+    dt = params2.horizon_T / cfg.n_steps
+    y0 = math.exp(sol.r_star) / (2.0 * params2.lam)
+    # static: increments r* dt + sqrt(r* dt) xi, so lane pairs sum to 2 r* dt
+    _, paths = simulate_wealth(probes["static"], sched, params2, cfg)
+    inc = np.diff(paths, axis=1)
+    assert np.allclose(inc[0::2] + inc[1::2], 2.0 * sol.r_star * dt, rtol=0.0, atol=1e-13)
+    assert np.all(np.abs(inc[0::2] - inc[1::2]) > 0.0)
+    # optimal: log N steps by -(3/2) r* dt - sqrt(r* dt) xi
+    _, paths = simulate_wealth(probes["optimal"], sched, params2, cfg)
+    log_n = np.log1p(-(paths - params2.x0) / y0)
+    step = np.diff(log_n, axis=1)
+    assert np.allclose(step[0::2] + step[1::2], -3.0 * sol.r_star * dt, rtol=0.0, atol=1e-12)
+    # terminal draws: log N_T of a pair sums to -3 r* T
+    xt = _terminal_wealth(probes["optimal"], sched, params2, cfg)
+    log_nt = np.log1p(-(xt - params2.x0) / y0)
+    assert np.allclose(log_nt[0::2] + log_nt[1::2], -3.0 * sol.r_star, rtol=0.0, atol=1e-12)
+
+
+def test_optimal_exact_reference_values(params2, reference):
+    # Values recorded from the exact simulator before the affine rules shared
+    # its step integrals; they must not move (numpy 2.4, x86-64).
+    sol, _, sched = reference
+    cfg = SimConfig(n_paths=10000, n_steps=16, seed=7)
+    _, paths, stats = simulate_optimal_exact(sol, sched, params2, cfg, martingale_stats=True)
+    assert paths[0, -1] == 0.033188384305799956
+    assert paths[9999, 8] == 1.1967926839778944
+    assert paths[5000, 3] == 1.227760579002348
+    assert paths[:, -1].sum() == 10937.577489480873
+    assert stats.mean_ratio[0] == 1.0005980191297765
+    assert stats.mean_ratio[-1] == 1.0008322968245122
+    assert stats.se_ratio[-1] == 0.0015087257576744317
+    switch = ThetaProcessSchedule(
+        breakpoints=np.array([0.0, 0.5]), values=(sol.theta_star, ThetaPoint(b=[0.44, 0.22], rho=[0.0]))
+    )
+    cfg = SimConfig(n_paths=5000, n_steps=64, seed=3, antithetic=True)
+    _, paths = simulate_optimal_exact(sol, switch, params2, cfg)
+    assert paths[0, -1] == 0.9915946635223639
+    assert paths[4999, 32] == 1.1568965036097476
+    assert paths[:, -1].sum() == 5565.572108390377
+
+
+def test_weak_principle_flipped_offset_fails(params2, reference_spec, monkeypatch):
+    # A wrong value function: offset(t) with its sign flipped rises in t.
+    offset = ValueCoefficients.offset
+    monkeypatch.setattr(ValueCoefficients, "offset", lambda self, t: -offset(self, t))
+    sol = solve(reference_spec, params2)
+    cfg = SimConfig(n_paths=4096, n_steps=32, seed=0)
+    with pytest.raises(PrincipleViolated, match="E\\[V_t\\] increases"):
+        verify_weak_principle(sol, reference_spec, params2, cfg)
+
+
+def test_weak_principle_callable_probe_runs_euler(params2, reference_spec):
+    sol = solve(reference_spec, params2)
+    rule = dict(default_probe_strategies(robust_strategy(sol, params2)))["optimal"]
+    calls = []
+
+    def spy(t, x):
+        calls.append(t)
+        return rule(t, x)
+
+    cfg = SimConfig(n_paths=5000, n_steps=16, seed=1)
+    report = verify_weak_principle(sol, reference_spec, params2, cfg, probe_strategies=[("spy", spy)])
+    assert report.ok and [c.name for c in report.monotone_under_worst_case] == ["spy"]
+    assert len(calls) == 2 * cfg.n_steps  # two blocks, one call per Euler step

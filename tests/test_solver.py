@@ -34,6 +34,7 @@ from robustmv.errors import BoxNotPositiveDefinite, GridTooLarge
 
 from conftest import (
     CURATED_THREE_ASSET,
+    STALLED_D4,
     box_corners_pd,
     curated_three_asset,
     full_ambiguity_spec,
@@ -434,6 +435,20 @@ def test_numeric_no_trade_below_threshold(delta):
     assert classify(sol, params).kind == "no_trade"
     assert sol.diagnostics["converged"]
     assert sol.diagnostics["iterations"] <= 100
+
+
+@pytest.mark.xfail(strict=True, reason="the numeric fallback stalls on the PD boundary of this box")
+def test_stalled_d4_one_asset_answer():
+    params = MarketParams(sigmas=STALLED_D4["sigmas"], horizon_T=1.0, lam=0.5, x0=1.0)
+    spec = EllipsoidalSet(
+        b_hat=np.array(STALLED_D4["b_hat"]),
+        delta=0.0,
+        gamma=GammaBox.box(STALLED_D4["lower"], STALLED_D4["upper"]),
+    )
+    beta_4 = STALLED_D4["b_hat"][3] / STALLED_D4["sigmas"][3]
+    sol = solve(spec, params)
+    assert sol.r_star == pytest.approx(beta_4**2, rel=0.0, abs=1e-12)
+    assert classify(sol, params).kind == "anti_diversification"
 
 
 def _certified_min_premium(beta, lower, upper, start, iters=5000):
