@@ -25,10 +25,9 @@ from .errors import NoFeasiblePoint, SamplingExhausted
 from .market import (
     MarketParams,
     ThetaPoint,
-    _factor_stack,
     _frozen,
     _require_finite,
-    correlation_stack,
+    covariance_factor_stack,
     covariance_from,
     is_positive_definite,
     n_pairs,
@@ -244,7 +243,7 @@ def _draws(spec: AmbiguitySpec, count: int, seed: int, params: MarketParams):
             norm = np.linalg.norm(z, axis=1)
             ok &= norm > 0.0
             b = np.empty((size, d))
-            chol = _factor_stack(correlation_stack(rho[ok], d))[0] * params.sigmas[:, None]
+            chol = covariance_factor_stack(rho[ok], params.sigmas)[0]
             ball = (radius[ok] / norm[ok])[:, None] * z[ok]
             b[ok] = spec.b_hat + spec.delta * (chol @ ball[:, :, None])[:, :, 0]
             # Explicit trailing axis: numpy >= 2 reads an (n, d) right-hand side

@@ -57,6 +57,16 @@ def pair_index(d: int) -> tuple[np.ndarray, np.ndarray]:
     return rows, cols
 
 
+@functools.lru_cache(maxsize=None)
+def pair_position(d: int) -> np.ndarray:
+    """Read-only d x d map from (i, j) to the rho slot of that pair; i = j maps to slot d(d-1)/2."""
+    rows, cols = pair_index(d)
+    position = np.full((d, d), rows.size)
+    position[rows, cols] = position[cols, rows] = np.arange(rows.size)
+    position.flags.writeable = False
+    return position
+
+
 def upper_pairs(matrix) -> np.ndarray:
     """Strict upper triangle of a square matrix as a rho-ordered vector."""
     matrix = np.asarray(matrix)
@@ -140,12 +150,7 @@ class ThetaPoint:
 
 def correlation_matrix(rho, d: int) -> np.ndarray:
     """Dense symmetric C(rho) with unit diagonal; exactly symmetric bitwise."""
-    rho = as_rho(rho, d)
-    rows, cols = pair_index(d)
-    c = np.eye(d)
-    c[rows, cols] = rho
-    c[cols, rows] = rho
-    return c
+    return np.append(as_rho(rho, d), 1.0)[pair_position(d)]
 
 
 def _factor(matrix: np.ndarray, rel_tol: float = PD_TOLERANCE):
@@ -171,11 +176,8 @@ def _factor(matrix: np.ndarray, rel_tol: float = PD_TOLERANCE):
 def correlation_stack(rhos, d: int) -> np.ndarray:
     """C(rho) for each row of an (n, d(d-1)/2) stack of rho vectors: shape (n, d, d)."""
     rhos = np.asarray(rhos, dtype=float)
-    rows, cols = pair_index(d)
-    c = np.tile(np.eye(d), (rhos.shape[0], 1, 1))
-    c[:, rows, cols] = rhos
-    c[:, cols, rows] = rhos
-    return c
+    # take keeps C order ([:, position] does not), on which matmul's rounding depends.
+    return np.concatenate([rhos, np.ones((len(rhos), 1))], axis=1).take(pair_position(d), axis=1)
 
 
 def _factor_stack(a: np.ndarray, rel_tol: float = PD_TOLERANCE):
@@ -204,6 +206,12 @@ def _factor_stack(a: np.ndarray, rel_tol: float = PD_TOLERANCE):
     return lower, bad
 
 
+def covariance_factor_stack(rhos, sigmas: np.ndarray):
+    """_factor_stack's (L, bad) of C(rho) for a stack of rho rows, L scaled to diag(sigma) L."""
+    lower, bad = _factor_stack(correlation_stack(rhos, sigmas.size))
+    return lower * sigmas[:, None], bad
+
+
 def is_positive_definite(rho, d: int):
     """True iff C(rho) is positive definite under the pivot tolerance.
 
@@ -211,8 +219,7 @@ def is_positive_definite(rho, d: int):
     """
     if np.ndim(rho) == 2:
         return _factor_stack(correlation_stack(rho, d))[1] < 0
-    lower, _ = _factor(correlation_matrix(rho, d))
-    return lower is not None
+    return _factor(correlation_matrix(rho, d))[0] is not None
 
 
 @dataclass(frozen=True)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -36,9 +36,10 @@ from .errors import (
 from .market import (
     MarketParams,
     ThetaPoint,
-    correlation_matrix,
+    covariance_factor_stack,
     is_positive_definite,
     pair_index,
+    pair_position,
     risk_premium,
     risk_premium_gradients,
     sharpe_profile,
@@ -116,7 +117,8 @@ def _permute_pairs(rho, perm, d: int) -> np.ndarray:
     perm = order maps input order to the sorted frame; argsort(order) maps
     back.
     """
-    return upper_pairs(correlation_matrix(rho, d)[np.ix_(perm, perm)])
+    rows, cols = pair_index(d)
+    return np.asarray(rho, dtype=float)[pair_position(d)[perm[rows], perm[cols]]]
 
 
 def _full_ambiguity(profile, d: int):
@@ -165,14 +167,8 @@ def _two_asset(spec: EllipsoidalSet, profile):
     return rho_star, label, {"proximity": q, "order": profile.order.tolist()}
 
 
-def _reduced_pair(removed: int):
-    """Kept asset indices when one of three assets is removed (0-based)."""
-    return [j for j in range(3) if j != removed]
-
-
-def _reduced_kappa(removed: int, rho_pair: float, sigmas, b_hat):
+def _reduced_kappa(j: int, k: int, rho_pair: float, sigmas, b_hat):
     """Sigma_{-i}(rho_jk)^{-1} b_{-i} for the two kept assets (j, k)."""
-    j, k = _reduced_pair(removed)
     sj, sk = sigmas[j], sigmas[k]
     det = (sj * sk) ** 2 * (1.0 - rho_pair**2)
     kj = (sk**2 * b_hat[j] - sj * sk * rho_pair * b_hat[k]) / det
@@ -207,18 +203,20 @@ def _line_box_segment(coef_x, coef_y, const, box_x, box_y):
     return points[0], points[-1]
 
 
-def _three_asset_case_matches(b_hat, sigmas, lower, upper, params_sorted):
+def _three_asset_case_matches(b_hat, sigmas, lower, upper, kappas):
     """All fired closed-form cases for a sorted-frame three-asset instance.
 
-    Returns a list of (label, rho_star, zero_components); the cases are
-    mutually exclusive away from boundaries, so the list normally has one
-    entry.  Cases 1-4 leave a set of minimizers (an interval or a segment)
-    and take its midpoint.  One PD test on that point is enough: every
-    pivot of the triangular factorization is a Schur complement of C(rho),
-    concave in rho, so the region where all pivots clear the tolerance is
-    convex.  The caller has checked all 8 box corners, so the whole box
-    lies in it and the midpoint, the PD point nearest the middle, fails
-    only by rounding; the case is then skipped.
+    Cases 2-5 read kappa only at box corners: row 4 [r12 = u12] +
+    2 [r13 = u13] + [r23 = u23] of the (8, 3) table kappas.  Returns a list
+    of (label, rho_star, zero_components); the cases are mutually exclusive
+    away from boundaries, so the list normally has one entry.  Cases 1-4
+    leave a set of minimizers (an interval or a segment) and take its
+    midpoint.  One PD test on that point is enough: every pivot of the
+    triangular factorization is a Schur complement of C(rho), concave in
+    rho, so the region where all pivots clear the tolerance is convex.  All
+    8 corners passed the caller's stacked test, so the whole box lies in it
+    and the midpoint, the PD point nearest the middle, fails only by
+    rounding; the case is then skipped.
     """
     l12, l13, l23 = lower
     u12, u13, u23 = upper
@@ -228,8 +226,7 @@ def _three_asset_case_matches(b_hat, sigmas, lower, upper, params_sorted):
     q23 = betas[2] / betas[1] if betas[1] != 0.0 else 0.0
 
     def kappa(r12, r13, r23):
-        theta = ThetaPoint(b=b_hat, rho=np.array([r12, r13, r23]))
-        return variance_risk_ratio(theta, params_sorted)
+        return kappas[4 * (r12 == u12) + 2 * (r13 == u13) + (r23 == u23)]
 
     matches = []
 
@@ -246,8 +243,8 @@ def _three_asset_case_matches(b_hat, sigmas, lower, upper, params_sorted):
         kb = kappa(*corner_b)[removed]
         if not ka * kb <= 0.0:
             return
-        kj, kk = _reduced_kappa(removed, fixed_value, sigmas, b_hat)
-        j, k = _reduced_pair(removed)
+        j, k = (p for p in range(3) if p != removed)
+        kj, kk = _reduced_kappa(j, k, fixed_value, sigmas, b_hat)
         s_rm = sigmas[removed]
         coef_x = sigmas[j] * s_rm * kj
         coef_y = sigmas[k] * s_rm * kk
@@ -282,16 +279,14 @@ def _three_asset_case_matches(b_hat, sigmas, lower, upper, params_sorted):
         line_case(THREE_CASE4II, 0, 2, l23, (l12, u13, l23), (u12, l13, l23), (l12, u12), (l13, u13))
 
     # Case 5: nothing vanishes; the minimizer sits at a specific corner.
-    for label, corner, want12, want13 in (
+    for label, corner, s12, s13 in (
         (THREE_CASE5I, (u12, u13, u23), 1, 1),
         (THREE_CASE5II, (l12, l13, u23), -1, -1),
         (THREE_CASE5III, (u12, l13, l23), 1, -1),
         (THREE_CASE5IV, (l12, u13, l23), -1, 1),
     ):
         k = kappa(*corner)
-        p12 = k[0] * k[1]
-        p13 = k[0] * k[2]
-        if (p12 > 0.0 if want12 > 0 else p12 < 0.0) and (p13 > 0.0 if want13 > 0 else p13 < 0.0):
+        if s12 * k[0] * k[1] > 0.0 and s13 * k[0] * k[2] > 0.0:
             matches.append((label, np.array(corner), []))
 
     return matches
@@ -300,39 +295,38 @@ def _three_asset_case_matches(b_hat, sigmas, lower, upper, params_sorted):
 def _three_asset(spec: EllipsoidalSet, params: MarketParams, profile):
     """Three assets, per-pair correlation box, five exclusive cases.
 
-    Cases are tested in order and the first match wins.  Exclusivity only
-    breaks down at numerical boundaries; when no case fires, None is
-    returned and the numeric fallback takes over.
+    The 8 sorted-frame corners are factored as one stack: the first non-PD
+    one raises BoxNotPositiveDefinite, named in the caller's pair order.
+    Batched solves on that factor give kappa at every corner, bitwise equal
+    to variance_risk_ratio there, so no case test reads other numbers than
+    a corner-by-corner evaluation would.  Cases are tested in order and the
+    first match wins.  Exclusivity only breaks down at numerical
+    boundaries; when no case fires, None is returned and the numeric
+    fallback takes over.
     """
     order = profile.order
     sigmas_sorted = params.sigmas[order]
     b_sorted = np.asarray(spec.b_hat)[order]
     lower = _permute_pairs(spec.gamma.lower, order, 3)
     upper = _permute_pairs(spec.gamma.upper, order, 3)
-    params_sorted = MarketParams(
-        sigmas=sigmas_sorted, horizon_T=params.horizon_T, lam=params.lam, x0=params.x0
-    )
-    for corner in itertools.product(*zip(lower, upper)):
-        if not is_positive_definite(np.array(corner), 3):
-            raise BoxNotPositiveDefinite(
-                f"correlation box corner {corner} (sorted frame) is not positive definite",
-                corner=corner,
-            )
-    matches = _three_asset_case_matches(b_sorted, sigmas_sorted, lower, upper, params_sorted)
+    corners = np.array(list(itertools.product(*zip(lower, upper))))
+    chol, bad = covariance_factor_stack(corners, sigmas_sorted)
+    if np.any(bad >= 0):
+        corner = tuple(_permute_pairs(corners[np.argmax(bad >= 0)], np.argsort(order), 3).tolist())
+        raise BoxNotPositiveDefinite(f"correlation box corner {corner} is not positive definite", corner=corner)
+    # Explicit trailing axis: 8 right-hand sides in numpy 1 and 2 alike (see ambiguity._draws).
+    rhs = np.broadcast_to(b_sorted[:, None], (8, 3, 1))
+    kappas = np.linalg.solve(chol.transpose(0, 2, 1), np.linalg.solve(chol, rhs))[:, :, 0]
+    matches = _three_asset_case_matches(b_sorted, sigmas_sorted, lower, upper, kappas)
     if not matches:
         return None
     label, rho_sorted, zero_components = matches[0]
-    diagnostics = {
-        "order": order.tolist(),
-        "all_matches": [m[0] for m in matches],
-    }
+    diagnostics = {"order": order.tolist(), "all_matches": [m[0] for m in matches]}
     if zero_components:
         kappa_sorted = variance_risk_ratio(
-            ThetaPoint(b=b_sorted, rho=rho_sorted), params_sorted
+            ThetaPoint(b=b_sorted, rho=rho_sorted), replace(params, sigmas=sigmas_sorted)
         )
-        diagnostics["zero_component_residual"] = max(
-            abs(float(kappa_sorted[i])) for i in zero_components
-        )
+        diagnostics["zero_component_residual"] = max(abs(float(kappa_sorted[i])) for i in zero_components)
     return _permute_pairs(rho_sorted, np.argsort(order), 3), label, diagnostics
 
 

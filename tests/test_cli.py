@@ -187,6 +187,23 @@ def test_classify_no_trade(tmp_path, capsys):
     assert json.loads(capsys.readouterr().out)["class"] == "no_trade"
 
 
+def test_non_pd_box_exit_1(tmp_path, capsys):
+    payload = {
+        "market": {"sigmas": [1.0, 1.0, 1.0], "horizon_T": 1.0, "lambda": 0.5, "x0": 1.0},
+        "ambiguity": {
+            "variant": "ellipsoidal",
+            "b_hat": [0.2, 0.5, 0.3],  # sorted frame differs from the input order
+            "delta": 0.1,
+            "gamma": {"lower": [0.85, 0.85, -0.9], "upper": [0.9, 0.9, -0.8]},
+        },
+    }
+    cfg = write_config(tmp_path, payload)
+    assert main(["solve", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: correlation box corner (0.85, 0.85, -0.9) is not positive definite\n"
+
+
 def test_classify_well_diversified_three_asset(tmp_path, capsys):
     payload = {
         "market": {"sigmas": [1.0, 1.0, 1.0], "horizon_T": 1.0, "lambda": 0.5, "x0": 1.0},

@@ -29,6 +29,7 @@ from robustmv import (
     variance_risk_ratio,
     verify_saddle,
 )
+from robustmv import market as market_mod
 from robustmv import solver as solver_mod
 from robustmv.errors import BoxNotPositiveDefinite, GridTooLarge
 
@@ -317,9 +318,63 @@ def test_three_asset_fallthrough_goes_numeric(monkeypatch):
 
 def test_three_asset_rejects_non_pd_box(params3):
     gamma = GammaBox.box([0.85, 0.85, -0.9], [0.9, 0.9, -0.8])  # corners violate PD
-    spec = EllipsoidalSet(b_hat=np.array([0.5, 0.3, 0.2]), delta=0.1, gamma=gamma)
-    with pytest.raises(BoxNotPositiveDefinite):
-        solve(spec, params3)
+    for b_hat in ([0.5, 0.3, 0.2], [0.2, 0.5, 0.3]):  # sorted frame = input order, then permuted
+        spec = EllipsoidalSet(b_hat=np.array(b_hat), delta=0.1, gamma=gamma)
+        with pytest.raises(BoxNotPositiveDefinite) as caught:
+            solve(spec, params3)
+        # The corner comes as plain floats in the caller's pair order.
+        assert str(caught.value) == "correlation box corner (0.85, 0.85, -0.9) is not positive definite"
+        assert caught.value.corner == (0.85, 0.85, -0.9)
+        assert all(type(r) is float for r in caught.value.corner)
+
+
+@st.composite
+def permuted_scaled_boxes(draw):
+    """A random PD three-asset box with its assets permuted and rescaled."""
+    spec, params = random_three_asset_instance(np.random.default_rng(draw(st.integers(0, 2**32 - 1))))
+    assume(spec is not None)
+    perm = np.array(draw(st.permutations(range(3))))
+    scale = np.array(draw(st.lists(st.floats(0.1, 10.0), min_size=3, max_size=3)))
+    gamma = GammaBox.box(*(solver_mod._permute_pairs(g, perm, 3) for g in (spec.gamma.lower, spec.gamma.upper)))
+    spec = EllipsoidalSet(b_hat=spec.b_hat[perm] * scale, delta=spec.delta, gamma=gamma)
+    return spec, MarketParams(sigmas=params.sigmas[perm] * scale, horizon_T=1.0, lam=0.5, x0=1.0)
+
+
+@given(permuted_scaled_boxes())
+def test_three_asset_corner_table_is_variance_risk_ratio(instance):
+    """Each row of the stacked corner table is bitwise kappa at its corner, so
+    the case sign tests (ka * kb <= 0, p12 > 0) read the scalar kernel's numbers."""
+    spec, params = instance
+    seen = []
+    matches = solver_mod._three_asset_case_matches
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(solver_mod, "_three_asset_case_matches", lambda *args: seen.append(args) or matches(*args))
+        solve(spec, params)
+    b_sorted, sigmas_sorted, lower, upper, kappas = seen[0]
+    sorted_params = MarketParams(sigmas=sigmas_sorted, horizon_T=1.0, lam=0.5, x0=1.0)
+    for row in range(8):
+        corner = np.where([row & 4, row & 2, row & 1], upper, lower)
+        kappa = variance_risk_ratio(ThetaPoint(b=b_sorted, rho=corner), sorted_params)
+        assert kappas[row].tobytes() == kappa.tobytes(), row
+
+
+def test_three_asset_factorization_count(monkeypatch):
+    """A three-asset solve factors its 8 corners as one stack and makes at most
+    3 scalar factorizations (1 for Case 5): the midpoint PD test, the
+    zero-component residual and the premium at rho*."""
+    counts = {}
+    factor, stack = market_mod._factor, solver_mod.covariance_factor_stack
+
+    def counted(key, fn):
+        return lambda *args, **kwargs: counts.update({key: counts[key] + 1}) or fn(*args, **kwargs)
+
+    monkeypatch.setattr(market_mod, "_factor", counted("scalar", factor))
+    monkeypatch.setattr(solver_mod, "covariance_factor_stack", counted("stacked", stack))
+    for label in sorted(CURATED_THREE_ASSET):
+        counts.update(scalar=0, stacked=0)
+        assert solve(*curated_three_asset(label)).case_label == label
+        assert counts["stacked"] == 1, (label, counts)
+        assert counts["scalar"] <= (1 if ".Case5" in label else 3), (label, counts)
 
 
 def test_three_asset_permutation_equivariance():
