@@ -285,6 +285,7 @@ class ThetaProcessSchedule:
     def __post_init__(self):
         object.__setattr__(self, "breakpoints", _frozen(self.breakpoints))
         object.__setattr__(self, "values", tuple(self.values))
+        _require_finite(breakpoints=self.breakpoints)
         if self.breakpoints.size != len(self.values):
             raise ValueError("one value per breakpoint required")
         if self.breakpoints.size == 0:

@@ -8,11 +8,12 @@ For ellipsoidal sets the worst correlation rho* minimizes R(b_hat, rho)
 and never depends on delta; delta only shrinks the drift, b* =
 (1 - delta/s)_+ b_hat with s = sqrt(R(b_hat, rho*)), so r* = (s - delta)_+^2
 and delta >= s means no trade.  `solve` finds rho* by a delta-free closed
-form (one asset; full correlation ambiguity; two assets with a correlation
-interval, three cases; three assets with a correlation box, five exclusive
-cases) or by the projected-gradient fallback, then shrinks once.  Product
-(rectangular) sets go through the same fallback on (b, rho) jointly, and an
-exhaustive grid oracle provides independent ground truth for tests.
+form or by the projected-gradient fallback, then shrinks once.  The closed
+forms: any d when only the top-|Sharpe| asset is traded (`_one_asset`);
+two assets with a correlation interval, three cases; three assets with a
+correlation box, Cases 2-5.  Product (rectangular) sets go through the
+same fallback on (b, rho) jointly, and an exhaustive grid oracle provides
+independent ground truth for tests.
 """
 
 from __future__ import annotations
@@ -51,6 +52,7 @@ from .market import (
 SINGLETON = "Singleton"
 ONE_ASSET = "OneAsset"
 FULL_AMBIGUITY = "FullAmbiguity"
+TOP_ASSET = "TopAsset"
 TWO_INTERIOR = "TwoAsset.Interior"
 TWO_UPPER = "TwoAsset.Upper"
 TWO_LOWER = "TwoAsset.Lower"
@@ -121,35 +123,31 @@ def _permute_pairs(rho, perm, d: int) -> np.ndarray:
     return np.asarray(rho, dtype=float)[pair_position(d)[perm[rows], perm[cols]]]
 
 
-def _full_ambiguity(profile, d: int):
-    """Worst case when the correlation is completely unknown.
+def _one_asset(lower, upper, profile, d: int):
+    """Worst correlation at which only the top-|Sharpe| asset is traded, or None.
 
-    Requires a strictly largest |Sharpe ratio|; otherwise the infimum of
-    the premium is not attained and NoMinimum is raised.  The worst-case
-    correlation aligns every other asset with the dominant one, so only
-    that asset survives and the premium root s is its |Sharpe ratio|.
-    Returns (rho*, label, diagnostics, s).
+    The fact: for any PD rho and any asset i, b_hat' Sigma(rho)^{-1} b_hat
+    >= beta_i^2, with equality iff row i of C(rho) equals the Sharpe
+    proximities q_ij = beta_j / beta_i (Cauchy-Schwarz in the Sigma inner
+    product: kappa = Sigma^{-1} b_hat is then a multiple of e_i).  So when
+    the box [lower, upper] holds such a PD point for the top asset, the
+    minimum of R over box & PD is exactly beta_top^2, for every d.
 
-    In the sorted frame the first row of rho* takes the Sharpe proximities
-    q_1j and the other pairs the rank-one completion rho_ij = q_1i q_1j:
-    the upper triangle of v v' with v = (1, q_12, ..., q_1d), positive
-    definite whenever every |q_1j| < 1.
+    The top row takes q and every other pair q_j q_k clipped to its
+    interval: unclipped, the max-determinant completion (at d = 3 the clip
+    keeps it so), and for bounds [-1, 1] the upper triangle of v v',
+    v = betas / beta_top.  Returns that rho in input order when the top row
+    needed no clipping and C(rho) passes the PD test.
     """
-    sorted_abs = np.abs(profile.sorted_betas)
-    if d > 1 and not sorted_abs[0] > sorted_abs[1]:
-        raise NoMinimum(
-            "the premium has no minimizer under full correlation ambiguity: "
-            "more than one asset attains the largest |Sharpe ratio|"
-        )
-    v = np.concatenate(([1.0], profile.proximities[: d - 1]))
-    rho_star = _permute_pairs(upper_pairs(np.outer(v, v)), np.argsort(profile.order), d)
-    if not is_positive_definite(rho_star, d):
-        raise NoMinimum(
-            "worst-case correlation is numerically singular: the two largest "
-            "|Sharpe ratios| are too close to distinguish"
-        )
-    top = float(sorted_abs[0])
-    return rho_star, FULL_AMBIGUITY, {"top_sharpe": top, "order": profile.order.tolist()}, top
+    top = profile.order[0]
+    v = profile.betas / profile.betas[top]
+    target = upper_pairs(np.outer(v, v))
+    rho = np.clip(target, lower, upper)
+    rows, cols = pair_index(d)
+    top_row = (rows == top) | (cols == top)
+    if np.array_equal(rho[top_row], target[top_row]) and is_positive_definite(rho, d):
+        return rho
+    return None
 
 
 def _two_asset(spec: EllipsoidalSet, profile):
@@ -203,38 +201,28 @@ def _line_box_segment(coef_x, coef_y, const, box_x, box_y):
     return points[0], points[-1]
 
 
-def _three_asset_case_matches(b_hat, sigmas, lower, upper, kappas):
-    """All fired closed-form cases for a sorted-frame three-asset instance.
+def _three_asset_case_matches(b_hat, sigmas, lower, upper, kappas, proximities):
+    """All fired Cases 2-5 for a sorted-frame three-asset instance.
 
-    Cases 2-5 read kappa only at box corners: row 4 [r12 = u12] +
-    2 [r13 = u13] + [r23 = u23] of the (8, 3) table kappas.  Returns a list
-    of (label, rho_star, zero_components); the cases are mutually exclusive
-    away from boundaries, so the list normally has one entry.  Cases 1-4
-    leave a set of minimizers (an interval or a segment) and take its
-    midpoint.  One PD test on that point is enough: every pivot of the
-    triangular factorization is a Schur complement of C(rho), concave in
-    rho, so the region where all pivots clear the tolerance is convex.  All
-    8 corners passed the caller's stacked test, so the whole box lies in it
-    and the midpoint, the PD point nearest the middle, fails only by
-    rounding; the case is then skipped.
+    They read kappa only at box corners: row 4 [r12 = u12] + 2 [r13 = u13]
+    + [r23 = u23] of the (8, 3) table kappas.  Returns a list of (label,
+    rho_star, zero_components); the cases are mutually exclusive away from
+    boundaries, so the list normally has one entry.  Cases 2-4 leave a
+    segment of minimizers and take its midpoint.  One PD test on that point
+    is enough: every pivot of the triangular factorization is a Schur
+    complement of C(rho), concave in rho, so the region where all pivots
+    clear the tolerance is convex.  All 8 corners passed the caller's
+    stacked test, so the whole box lies in it and the midpoint fails only
+    by rounding; the case is then skipped.
     """
     l12, l13, l23 = lower
     u12, u13, u23 = upper
-    betas = b_hat / sigmas
-    q12 = betas[1] / betas[0] if betas[0] != 0.0 else 0.0
-    q13 = betas[2] / betas[0] if betas[0] != 0.0 else 0.0
-    q23 = betas[2] / betas[1] if betas[1] != 0.0 else 0.0
+    q12, q13, q23 = proximities
 
     def kappa(r12, r13, r23):
         return kappas[4 * (r12 == u12) + 2 * (r13 == u13) + (r23 == u23)]
 
     matches = []
-
-    # Case 1: both proximities to the top asset inside their intervals.
-    if l12 <= q12 <= u12 and l13 <= q13 <= u13:
-        rho_star = np.array([q12, q13, l23 + 0.5 * (u23 - l23)])
-        if is_positive_definite(rho_star, 3):
-            matches.append((THREE_CASE1, rho_star, [1, 2]))
 
     # Cases 2-4: one allocation component vanishes on a line inside the box.
     # (fixed pair, fixed value, removed asset, sign corners, free boxes)
@@ -293,7 +281,7 @@ def _three_asset_case_matches(b_hat, sigmas, lower, upper, kappas):
 
 
 def _three_asset(spec: EllipsoidalSet, params: MarketParams, profile):
-    """Three assets, per-pair correlation box, five exclusive cases.
+    """Three assets, per-pair correlation box, Cases 2-5 (Case 1 is `_one_asset`).
 
     The 8 sorted-frame corners are factored as one stack: the first non-PD
     one raises BoxNotPositiveDefinite, named in the caller's pair order.
@@ -317,7 +305,7 @@ def _three_asset(spec: EllipsoidalSet, params: MarketParams, profile):
     # Explicit trailing axis: 8 right-hand sides in numpy 1 and 2 alike (see ambiguity._draws).
     rhs = np.broadcast_to(b_sorted[:, None], (8, 3, 1))
     kappas = np.linalg.solve(chol.transpose(0, 2, 1), np.linalg.solve(chol, rhs))[:, :, 0]
-    matches = _three_asset_case_matches(b_sorted, sigmas_sorted, lower, upper, kappas)
+    matches = _three_asset_case_matches(b_sorted, sigmas_sorted, lower, upper, kappas, profile.proximities)
     if not matches:
         return None
     label, rho_sorted, zero_components = matches[0]
@@ -634,26 +622,36 @@ def verify_saddle(
 def solve(spec: AmbiguitySpec, params: MarketParams) -> WorstCaseSolution:
     """Route an ambiguity set to its closed form or the numeric fallback.
 
-    d >= 4 and three-asset boxes where no case fires (marked
-    diagnostics["case_fallthrough"]) go to numeric_minimize.
+    Full ambiguity and every box with d != 2 first try `_one_asset`: when
+    the set holds a PD point whose top-asset row is the Sharpe proximities,
+    only that asset is traded and s = |beta_top| exactly.  The label is
+    FullAmbiguity, OneAsset (d = 1), ThreeAsset.Case1 or TopAsset (d >= 4);
+    only that one point must be PD, so non-PD box corners do not stop it.
+    Under full ambiguity a miss means the top |Sharpe ratio| is tied, or
+    too close to tied, and raises NoMinimum.  d = 2 keeps its interval
+    rule, whose interior case is the same fact.  d >= 4 and three-asset
+    boxes where no case fires (marked diagnostics["case_fallthrough"]) go
+    to numeric_minimize.
     """
     if isinstance(spec, ProductSet):
         return solve_product(spec, params)
-    d = params.d
+    d, full = params.d, spec.gamma.full_ambiguity
     profile = sharpe_profile(spec.b_hat, params)
     if profile.zero_drift:
         raise ZeroDrift("all prior expected returns are zero: never trade")
-    if spec.gamma.full_ambiguity:
-        rho_star, label, diagnostics, s = _full_ambiguity(profile, d)
+    # The full set is every PD matrix: GammaBox.full's +-FULL_CLIP bounds serve sampling only.
+    bounds = (-1.0, 1.0) if full else (spec.gamma.lower, spec.gamma.upper)
+    rho_star = None if d == 2 and not full else _one_asset(*bounds, profile, d)
+    if rho_star is not None:
+        s = abs(float(profile.betas[profile.order[0]]))
+        label = FULL_AMBIGUITY if full else {1: ONE_ASSET, 3: THREE_CASE1}.get(d, TOP_ASSET)
+        diagnostics = {"order": profile.order.tolist(), "top_sharpe": s}
+    elif full:
+        raise NoMinimum("no minimizer under full correlation ambiguity: the top |Sharpe ratio| is tied or nearly")
     else:
-        if d == 1:
-            found = np.zeros(0), ONE_ASSET, {}
-        elif d == 2:
-            found = _two_asset(spec, profile)
-        elif d == 3:
-            found = _three_asset(spec, params, profile)
-        else:
+        if d >= 4:
             return numeric_minimize(spec, params)
+        found = _two_asset(spec, profile) if d == 2 else _three_asset(spec, params, profile)
         if found is None:
             fallback = numeric_minimize(spec, params)
             fallback.diagnostics["case_fallthrough"] = True

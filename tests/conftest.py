@@ -232,11 +232,12 @@ def curated_three_asset(label):
     return spec, params
 
 
-# A d = 4 box (delta = 0) on which the numeric fallback stalls on the PD
-# boundary: it reports r* = 1.819709 with converged=False after 166
-# iterations (box residual 0.21), and the verdict reads well-diversified.
-# The true minimum is beta_4^2 = 1.799245, attained inside the box, so only
-# asset 4 should be traded.
+# A d = 4 box (delta = 0) whose minimum is beta_4^2 = 1.799245, attained
+# inside the box (smallest eigenvalue 0.021), so only asset 4 is traded:
+# solve returns it in closed form (TopAsset).  With that closed form off,
+# the numeric fallback stalls on the PD boundary: r* = 1.819709 with
+# converged=False after 166 iterations (box residual 0.21), and the verdict
+# reads well-diversified.
 STALLED_D4 = dict(
     sigmas=[1.1619982925651684, 1.4597348838224937, 0.7035717574752196, 0.7070568320884325],
     b_hat=[-0.6525571749734564, -0.43333718928349585, 0.9234185497588847, -0.9484174148090769],

@@ -230,6 +230,10 @@ def test_schedule_validation(params2, ell2):
         ThetaProcessSchedule(breakpoints=np.array([0.1]), values=(theta,))
     with pytest.raises(ValueError):
         ThetaProcessSchedule(breakpoints=np.array([0.0, 0.0]), values=(theta, theta))
+    # np.diff(...) <= 0 is False at a NaN, so the increasing check alone would pass it.
+    for bad in (np.nan, np.inf):
+        with pytest.raises(ValueError, match="breakpoints must be finite"):
+            ThetaProcessSchedule(breakpoints=np.array([0.0, bad]), values=(theta, theta))
 
 
 def test_schedule_pieces_and_lookup(params2):

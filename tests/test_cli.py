@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from robustmv import cli
+from robustmv import cli, solver
 from robustmv.cli import main
 
 from conftest import STALLED_D4
@@ -267,6 +267,16 @@ def test_simulate_corrupt_schedule_exit_1(tmp_path):
     assert main(["simulate", "--config", cfg, "--paths", "10", "--steps", "4", "--seed", "1"]) == 1
 
 
+def test_simulate_nan_breakpoint_exit_1(tmp_path, capsys):
+    payload = json.loads(json.dumps(REFERENCE))
+    value = {"b": [0.4, 0.2], "rho": [0.5]}
+    payload["schedule"] = {"breakpoints": [0.0, float("nan")], "values": [value, value]}
+    cfg = write_config(tmp_path, payload)
+    assert main(["simulate", "--config", cfg, "--paths", "10", "--steps", "4", "--seed", "1"]) == 1
+    err = capsys.readouterr().err
+    assert "breakpoints must be finite" in err and "Traceback" not in err
+
+
 def test_oracle_subcommand(tmp_path, capsys):
     cfg = write_config(tmp_path, REFERENCE)
     assert main(["oracle", "--config", cfg, "--resolution", "501"]) == 0
@@ -313,9 +323,24 @@ STALLED = {
 }
 
 
+def test_stalled_d4_classify_top_asset(tmp_path, capsys):
+    # Only asset 4 is traded: the one-asset closed form, no numeric descent.
+    cfg = write_config(tmp_path, STALLED)
+    assert main(["classify", "--config", cfg]) == 0
+    out = capsys.readouterr()
+    report = json.loads(out.out)
+    assert report["class"] == "anti_diversification"
+    assert report["case_label"] == "TopAsset"
+    assert report["signs"] == [0, 0, 0, -1]
+    assert "invest only in asset 4" in out.err
+    assert "converge" not in out.err and "Traceback" not in out.err
+
+
 @pytest.mark.parametrize("command", ["solve", "classify"])
-def test_unconverged_fallback_exit_3(tmp_path, capsys, command):
-    # The numeric fallback stalls on this box; the answer is flagged, not passed.
+def test_unconverged_fallback_exit_3(tmp_path, capsys, monkeypatch, command):
+    # With the one-asset closed form off, the numeric fallback stalls on this
+    # box; the answer is flagged, not passed.
+    monkeypatch.setattr(solver, "_one_asset", lambda *args: None)
     cfg = write_config(tmp_path, STALLED)
     assert main([command, "--config", cfg]) == 3
     out = capsys.readouterr()
@@ -326,7 +351,8 @@ def test_unconverged_fallback_exit_3(tmp_path, capsys, command):
     assert "Traceback" not in out.err
 
 
-def test_unconverged_fallback_sweep_exit_3(tmp_path, capsys):
+def test_unconverged_fallback_sweep_exit_3(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(solver, "_one_asset", lambda *args: None)
     payload = json.loads(json.dumps(STALLED))
     payload["sweep"] = [{"ambiguity.delta": 0.0}, {"ambiguity.delta": 2.0}]
     cfg = write_config(tmp_path, payload)

@@ -238,7 +238,7 @@ def test_rho_star_is_delta_free_and_delta_only_shrinks(seed, family):
         spec = full_ambiguity_spec(rng.uniform(-1.0, 1.0, d), rng.uniform(0.0, 1.0))
     base = solve(spec, params)
     rho = base.theta_star.rho
-    if family == "full":
+    if base.case_label in ("FullAmbiguity", "ThreeAsset.Case1"):  # only the top asset is traded
         s = float(np.max(np.abs(spec.b_hat / params.sigmas)))
     else:
         s = math.sqrt(risk_premium(ThetaPoint(b=spec.b_hat, rho=rho), params))
@@ -271,7 +271,8 @@ _PAIR = {(0, 1): 0, (0, 2): 1, (1, 2): 2}
 
 @given(st.sampled_from(sorted(CURATED_THREE_ASSET)) | st.integers(0, 2**32 - 1))
 def test_three_asset_minimizer_is_midpoint(source):
-    """Cases 1-4 return the middle of their interval or segment of minimizers."""
+    """Cases 2-4 return the middle of their segment of minimizers; Case 1 (only the
+    top asset traded) pins the top row to q and clips the other pair to q_j q_k."""
     if isinstance(source, str):
         spec, params = curated_three_asset(source)
     else:
@@ -283,8 +284,12 @@ def test_three_asset_minimizer_is_midpoint(source):
     order, rho = sol.diagnostics["order"], sol.theta_star.rho
     lo, hi = spec.gamma.lower, spec.gamma.upper
     if case == "1":
+        betas = spec.b_hat / params.sigmas
+        q = betas / betas[order[0]]
+        for j in order[1:]:
+            assert rho[_PAIR[tuple(sorted((order[0], j)))]] == q[j]
         k = _PAIR[tuple(sorted(order[1:]))]
-        assert abs(rho[k] - 0.5 * (lo[k] + hi[k])) <= 1e-15
+        assert rho[k] == min(max(q[order[1]] * q[order[2]], lo[k]), hi[k])
         return
     i = order[_REMOVED[case]]
     j, k = (a for a in range(3) if a != i)
@@ -350,7 +355,8 @@ def test_three_asset_corner_table_is_variance_risk_ratio(instance):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(solver_mod, "_three_asset_case_matches", lambda *args: seen.append(args) or matches(*args))
         solve(spec, params)
-    b_sorted, sigmas_sorted, lower, upper, kappas = seen[0]
+    assume(seen)  # Case 1 boxes never reach the corner table
+    b_sorted, sigmas_sorted, lower, upper, kappas, _ = seen[0]
     sorted_params = MarketParams(sigmas=sigmas_sorted, horizon_T=1.0, lam=0.5, x0=1.0)
     for row in range(8):
         corner = np.where([row & 4, row & 2, row & 1], upper, lower)
@@ -361,7 +367,8 @@ def test_three_asset_corner_table_is_variance_risk_ratio(instance):
 def test_three_asset_factorization_count(monkeypatch):
     """A three-asset solve factors its 8 corners as one stack and makes at most
     3 scalar factorizations (1 for Case 5): the midpoint PD test, the
-    zero-component residual and the premium at rho*."""
+    zero-component residual and the premium at rho*.  Case 1 makes only the
+    PD test of the one-asset completion."""
     counts = {}
     factor, stack = market_mod._factor, solver_mod.covariance_factor_stack
 
@@ -373,6 +380,9 @@ def test_three_asset_factorization_count(monkeypatch):
     for label in sorted(CURATED_THREE_ASSET):
         counts.update(scalar=0, stacked=0)
         assert solve(*curated_three_asset(label)).case_label == label
+        if label == "ThreeAsset.Case1":
+            assert counts == {"scalar": 1, "stacked": 0}, counts
+            continue
         assert counts["stacked"] == 1, (label, counts)
         assert counts["scalar"] <= (1 if ".Case5" in label else 3), (label, counts)
 
@@ -492,7 +502,6 @@ def test_numeric_no_trade_below_threshold(delta):
     assert sol.diagnostics["iterations"] <= 100
 
 
-@pytest.mark.xfail(strict=True, reason="the numeric fallback stalls on the PD boundary of this box")
 def test_stalled_d4_one_asset_answer():
     params = MarketParams(sigmas=STALLED_D4["sigmas"], horizon_T=1.0, lam=0.5, x0=1.0)
     spec = EllipsoidalSet(
@@ -502,8 +511,10 @@ def test_stalled_d4_one_asset_answer():
     )
     beta_4 = STALLED_D4["b_hat"][3] / STALLED_D4["sigmas"][3]
     sol = solve(spec, params)
+    assert sol.case_label == "TopAsset"
     assert sol.r_star == pytest.approx(beta_4**2, rel=0.0, abs=1e-12)
-    assert classify(sol, params).kind == "anti_diversification"
+    report = classify(sol, params)
+    assert report.kind == "anti_diversification" and report.asset == 3
 
 
 def _certified_min_premium(beta, lower, upper, start, iters=5000):
@@ -593,6 +604,67 @@ def test_numeric_matches_certified_minimum(instance):
         if certified:
             assert sol.diagnostics["converged"]
             assert sol.no_trade == (share > 1.0)
+
+
+@st.composite
+def one_asset_boxes(draw):
+    """Random d = 3-6 boxes drawn as in numeric_instances; most are then moved
+    to hold q in the top row, and some also q_j q_k in the other pairs."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    d = draw(st.integers(3, 6))
+    sigmas, b_hat = rng.uniform(0.5, 2.0, d), rng.uniform(-1.0, 1.0, d)
+    betas = b_hat / sigmas
+    assume(np.max(np.abs(betas)) > 0.05)
+    m = d * (d - 1) // 2
+    lower = rng.uniform(-0.9, 0.6, m)
+    upper = np.minimum(lower + rng.uniform(0.0, 0.9, m), 0.95)
+    top = int(np.argmax(np.abs(betas)))
+    rows, cols = market_mod.pair_index(d)
+    row = (rows == top) | (cols == top)
+    around = draw(st.sampled_from(["none", "top row", "all pairs"]))
+    if around != "none":
+        q = market_mod.upper_pairs(np.outer(betas, betas)) / betas[top] ** 2
+        assume(np.all(np.abs(q[row]) < 0.98))
+        moved = row if around == "top row" else np.ones(m, dtype=bool)
+        lower[moved] = np.maximum(q[moved] - rng.uniform(0.0, 0.3, moved.sum()), -0.99)
+        upper[moved] = np.minimum(q[moved] + rng.uniform(0.0, 0.3, moved.sum()), 0.99)
+    return sigmas, b_hat, lower, upper, top
+
+
+@settings(max_examples=100)
+@given(one_asset_boxes(), st.sampled_from([0.0, 0.5, 1.5]))
+def test_one_asset_closed_form(instance, share):
+    """When `_one_asset` fires, only the top asset is traded at r* = (|beta_top| - delta)_+^2."""
+    sigmas, b_hat, lower, upper, top = instance
+    d = sigmas.size
+    params = MarketParams(sigmas=sigmas, horizon_T=1.0, lam=0.5, x0=1.0)
+    assume(solver_mod._one_asset(lower, upper, market_mod.sharpe_profile(b_hat, params), d) is not None)
+    beta_top = abs(b_hat[top] / sigmas[top])
+    delta = share * beta_top
+    spec = EllipsoidalSet(b_hat=b_hat, delta=delta, gamma=GammaBox.box(lower, upper))
+    sol = solve(spec, params)
+    assert sol.case_label == ("ThreeAsset.Case1" if d == 3 else "TopAsset")
+    assert sol.r_star == max(beta_top - delta, 0.0) ** 2
+    rho = sol.theta_star.rho
+    assert np.all(lower <= rho) and np.all(rho <= upper) and is_positive_definite(rho, d)
+    if sol.r_star > 0.0:
+        report = classify(sol, params)
+        assert report.kind == "anti_diversification" and report.asset == top
+    # The delta = 0 premium: an independent descent brackets its minimum.
+    centre = 0.5 * (lower + upper)
+    start = centre if is_positive_definite(centre, d) else rho
+    lo, hi = _certified_min_premium(b_hat / sigmas, lower, upper, start)
+    assert lo - 1e-9 <= beta_top**2 <= hi + 1e-9
+    if d == 3 and box_corners_pd(lower, upper, 3):
+        spec0 = EllipsoidalSet(b_hat=b_hat, delta=0.0, gamma=spec.gamma)
+        # No node of the grid, all of it PD, undercuts beta_top^2.
+        assert grid_oracle(spec0, params, 21).r_star >= beta_top**2 * (1.0 - 1e-12)
+        # Case 1 is exclusive: with it off no other case fires, and the descent finds beta_top^2.
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(solver_mod, "_one_asset", lambda *args: None)
+            numeric = solve(spec0, params)
+        assert numeric.case_label == "Numeric" and numeric.diagnostics["case_fallthrough"]
+        assert abs(numeric.r_star - beta_top**2) <= 1e-8
 
 
 def test_grid_oracle_semantics(params2):
