@@ -14,7 +14,9 @@ Product sets use {"variant": "product", "delta_lower": [...], "delta_upper": [..
 full correlation ambiguity uses "gamma": {"full_ambiguity": true}.  An optional
 "sweep" list of {dotted.key: value} overrides produces one CSV row per entry.
 
-Exit codes: 0 success, 1 input error, 2 verification failure, 3 a flagged
+Exit codes: 0 success, 1 input error (among them a section or "gamma" that
+is not a JSON object, a "sweep" that is not a non-empty list of objects,
+--resolution below 1 and --probes below 0), 2 verification failure, 3 a flagged
 mathematical condition (no minimizer / zero drift, or a numeric fallback
 that did not converge: solve, classify and sweep still emit their report
 and name the iterations and residual on stderr).
@@ -49,6 +51,7 @@ from .market import (
     risk_premium,
 )
 from .simulate import (
+    N_SIGMA,
     SimConfig,
     default_probe_schedules,
     default_probe_strategies,
@@ -71,6 +74,15 @@ def _require(cond, message):
         raise ConfigError(message)
 
 
+def _section(raw: dict, key: str, default=None) -> dict:
+    """raw[key], which must be a JSON object; default when absent, else required."""
+    if key not in raw:
+        _require(default is not None, f"missing '{key}' section")
+        return default
+    _require(isinstance(raw[key], dict), f"'{key}' must be a JSON object")
+    return raw[key]
+
+
 def load_config(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -80,12 +92,18 @@ def load_config(path: str) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     _require(isinstance(raw, dict), "config root must be a JSON object")
+    _section(raw, "output", {})  # read only once the work is done, so checked up front
+    if "sweep" in raw:
+        sweep = raw["sweep"]
+        _require(
+            isinstance(sweep, list) and sweep and all(isinstance(entry, dict) for entry in sweep),
+            "'sweep' must be a non-empty list of JSON objects",
+        )
     return raw
 
 
 def parse_market(raw: dict) -> MarketParams:
-    _require("market" in raw, "missing 'market' section")
-    m = raw["market"]
+    m = _section(raw, "market")
     for key in ("sigmas", "horizon_T", "lambda", "x0"):
         _require(key in m, f"market section missing '{key}'")
     try:
@@ -113,11 +131,10 @@ def parse_gamma(raw: dict, d: int) -> GammaBox:
 
 
 def parse_ambiguity(raw: dict, params: MarketParams):
-    _require("ambiguity" in raw, "missing 'ambiguity' section")
-    a = raw["ambiguity"]
+    a = _section(raw, "ambiguity")
     variant = a.get("variant")
     _require(variant in ("product", "ellipsoidal"), "ambiguity variant must be 'product' or 'ellipsoidal'")
-    gamma = parse_gamma(a.get("gamma", {}), params.d)
+    gamma = parse_gamma(_section(a, "gamma", {}), params.d)
     try:
         if variant == "product":
             for key in ("delta_lower", "delta_upper"):
@@ -142,7 +159,7 @@ def parse_ambiguity(raw: dict, params: MarketParams):
 
 
 def parse_sim_config(raw: dict, overrides) -> SimConfig:
-    s = dict(raw.get("simulate", {}))
+    s = dict(_section(raw, "simulate", {}))
     for key, value in overrides.items():
         if value is not None:
             s[key] = value
@@ -153,7 +170,7 @@ def parse_sim_config(raw: dict, overrides) -> SimConfig:
             seed=int(s.get("seed", 0)),
             antithetic=bool(s.get("antithetic", False)),
         )
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ConfigError(f"bad simulate parameters: {exc}") from exc
 
 
@@ -285,7 +302,7 @@ def cmd_simulate(args, raw: dict) -> int:
     estimate = estimate_objective(paths, params)
     v0 = value_v0(solution, params)
     gap = abs(estimate.J - v0)
-    allowance = 3.0 * estimate.std_error_J
+    allowance = N_SIGMA * estimate.std_error_J
     report = {
         "solution": solution_to_dict(solution),
         "V0": v0,
@@ -301,7 +318,7 @@ def cmd_simulate(args, raw: dict) -> int:
     }
     exit_code = EXIT_OK
     if gap > allowance:
-        report["failure"] = "objective estimate is more than 3 standard errors from V0"
+        report["failure"] = f"objective estimate is more than {N_SIGMA:g} standard errors from V0"
         exit_code = EXIT_VERIFICATION
     if args.probes != 0:
         strategies = default_probe_strategies(strategy)[: args.probes]
@@ -465,10 +482,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_flags(args) -> None:
+    """Out-of-range numeric flags are input errors, rejected before any work runs."""
+    if getattr(args, "resolution", None) is not None and args.resolution < 1:
+        raise RobustMVError(f"--resolution must be at least 1, got {args.resolution}")
+    if getattr(args, "probes", 0) < 0:
+        raise RobustMVError(f"--probes must be nonnegative, got {args.probes}")
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_flags(args)
         raw = load_config(args.config)
         if "sweep" in raw and args.command in ("solve", "classify"):
             return cmd_sweep(raw)

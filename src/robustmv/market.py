@@ -319,10 +319,6 @@ class SharpeProfile:
     proximities: np.ndarray
     zero_drift: bool
 
-    @property
-    def sorted_betas(self) -> np.ndarray:
-        return self.betas[self.order]
-
 
 def sharpe_profile(b_hat, params: MarketParams) -> SharpeProfile:
     """Sharpe ratios of b_hat with the descending-|beta| sort applied."""

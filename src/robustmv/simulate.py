@@ -5,21 +5,21 @@ sigma(rho) dW) under piecewise-constant parameter scenarios:
 
 * an Euler scheme that replays any feedback rule step by step: plain
   callables, FeedbackStrategy, and AffineRule with both w and v nonzero;
-* exact schemes, free of discretization error, for the wealth-affine rules
-  alpha = w + (xbar - x) v with w = 0 (xbar - X is a geometric Brownian
-  motion) or v = 0 (X is an arithmetic Brownian motion), one normal per
-  path and step; simulate_wealth picks them for such an AffineRule;
-* the exact scheme for the optimal wealth (simulate_optimal_exact), the
-  w = 0 case with v = Sigma(rho*)^{-1} b*.
+* one exact scheme, free of discretization error, for wealth along a fixed
+  direction u: either xbar - X is a geometric Brownian motion (the rules
+  alpha = (xbar - x) u) or X is an arithmetic one (alpha = u), one normal
+  per path and step.  It serves the optimal wealth
+  (simulate_optimal_exact, u = Sigma(rho*)^{-1} b*), the wealth-affine
+  probe rules (simulate_wealth picks it for an AffineRule with w = 0 or
+  v = 0), and the terminal draws of the scenario probes (one step over
+  [0, T]).
 
 On top of those: the mean-variance objective estimator with a delta-method
 standard error, a sampled check of the two optimality-principle conditions
 (the value process built from the solved instance must drift the right way
 under probe strategies and probe scenarios), and the closed-form table
 showing that the one-sided monotonicity genuinely fails for distant drift
-scenarios while the terminal inequality survives.  The default probe
-strategies are AffineRules on the exact schemes; the scenario probes need
-only terminal wealth and draw X_T directly, one normal per path.
+scenarios while the terminal inequality survives.
 
 Reproducibility: paths are generated in fixed-size blocks, each block from
 its own counter-based substream keyed by (seed, block index).  Results are
@@ -32,7 +32,7 @@ from __future__ import annotations
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from statistics import NormalDist
 
 import numpy as np
@@ -46,6 +46,8 @@ from .strategy import FeedbackStrategy, evaluate_alpha, growth_factor, robust_st
 from .strategy import value_coefficients, value_v0
 
 BLOCK = 4096
+# Noise level of every Monte-Carlo check: margins get N_SIGMA standard errors.
+N_SIGMA = 3.0
 
 
 @dataclass(frozen=True)
@@ -152,7 +154,7 @@ def _step_model(schedule: ThetaProcessSchedule, params: MarketParams, n_steps: i
     return dt, drifts, chols
 
 
-def _exact_step_integrals(direction, schedule, params, n_steps, log_scale=True):
+def _exact_step_integrals(direction, schedule, params, n_steps, log_scale):
     """Exact per-step integrals of the drift and variance rates along a direction.
 
     For a position u the rates are b'u and u' Sigma u under each scenario
@@ -220,25 +222,35 @@ def simulate_wealth(
     return t_grid, paths
 
 
-def _affine_paths(rule: AffineRule, schedule, params, cfg):
-    """Exact paths of an AffineRule with w = 0 or v = 0.
+@dataclass(frozen=True)
+class MartingaleStats:
+    """Per-step sample mean and standard error of the exponential-factor ratios."""
 
-    w = 0: Y = xbar - X solves dY = -Y v'(b dt + sigma dW), a geometric
-    Brownian motion, so X_t = x0 + (xbar - x0)(1 - N_t) with the lognormal N
-    of _exact_step_integrals.  v = 0: X is an arithmetic Brownian motion
-    with increments of mean w'b dt and variance w' Sigma w dt.  Either way
-    one normal per path and step, from the block streams of the Euler
-    scheme.  v = w = 0 holds no risky asset and stays at x0 exactly.
+    mean_ratio: np.ndarray
+    se_ratio: np.ndarray
+
+
+def _exact_paths(direction, y0, geometric, schedule, params, cfg, martingale_stats=False):
+    """Discretization-free wealth paths along one direction u, one normal per path and step.
+
+    geometric: Y = xbar - X solves dY = -Y u'(b dt + sigma dW), a geometric
+    Brownian motion, so X_t = x0 + y0 (1 - N_t) with the lognormal N of
+    _exact_step_integrals and y0 = xbar - x0 as the caller computed it.
+    Otherwise X is an arithmetic Brownian motion with increments of mean
+    u'b dt and variance u' Sigma u dt.  The normals come from the block
+    streams of the Euler scheme.  With martingale_stats=True (geometric
+    only) also returns per-step statistics of the exponential-martingale
+    ratios, whose mean must be 1.
     """
-    t_grid = np.linspace(0.0, params.horizon_T, cfg.n_steps + 1)
-    geometric = bool(rule.v.any())
-    if not (geometric or rule.w.any()):
-        return t_grid, np.full((cfg.n_paths, cfg.n_steps + 1), float(params.x0))
-    direction = rule.v if geometric else rule.w
-    drift_int, var_int = _exact_step_integrals(direction, schedule, params, cfg.n_steps, log_scale=geometric)
+    drift_int, var_int = _exact_step_integrals(direction, schedule, params, cfg.n_steps, geometric)
     vol_int = np.sqrt(var_int)
-    y0 = rule.xbar - params.x0
+    t_grid = np.linspace(0.0, params.horizon_T, cfg.n_steps + 1)
     paths = np.empty((cfg.n_paths, cfg.n_steps + 1))
+    # One row of ratio sums per block, added up after all blocks ran, so
+    # the statistics do not depend on the order the workers finish in.
+    n_blocks = len(_block_ranges(cfg.n_paths))
+    ratio_sum = np.zeros((n_blocks, cfg.n_steps))
+    ratio_sq = np.zeros((n_blocks, cfg.n_steps))
 
     def worker(block, start, stop):
         rng = _block_rng(cfg.seed, block)
@@ -246,43 +258,40 @@ def _affine_paths(rule: AffineRule, schedule, params, cfg):
         acc = np.zeros(lanes)
         paths[start:stop, 0] = params.x0
         for n in range(cfg.n_steps):
-            xi = _normals(rng, lanes, 1, cfg.antithetic)[:, 0]
+            gaussian = vol_int[n] * _normals(rng, lanes, 1, cfg.antithetic)[:, 0]
+            # The two updates group their sums differently; each order keeps
+            # the bits its scheme produced before the schemes shared this loop.
             if geometric:
-                acc -= drift_int[n] + vol_int[n] * xi
+                acc = acc - drift_int[n] - gaussian
                 paths[start:stop, n + 1] = params.x0 + y0 * (1.0 - np.exp(acc))
             else:
-                acc += drift_int[n] + vol_int[n] * xi
+                acc = acc + (drift_int[n] + gaussian)
                 paths[start:stop, n + 1] = params.x0 + acc
+            if martingale_stats:
+                ratios = np.exp(-2.0 * var_int[n] - 2.0 * gaussian)
+                ratio_sum[block, n] = ratios.sum()
+                ratio_sq[block, n] = (ratios**2).sum()
 
     _run_blocks(cfg.n_paths, worker)
-    return t_grid, paths
+    if not martingale_stats:
+        return t_grid, paths
+    n = cfg.n_paths
+    mean = ratio_sum.sum(axis=0) / n
+    var = np.maximum(ratio_sq.sum(axis=0) / n - mean**2, 0.0) * n / (n - 1)
+    return t_grid, paths, MartingaleStats(mean_ratio=mean, se_ratio=np.sqrt(var / n))
 
 
-def _terminal_wealth(rule: AffineRule, schedule, params, cfg) -> np.ndarray:
-    """X_T alone for an AffineRule with w = 0, one normal per path.
+def _affine_paths(rule: AffineRule, schedule, params, cfg):
+    """Exact paths of an AffineRule with w = 0 (geometric along v) or v = 0 (arithmetic along w).
 
-    log N_T is Gaussian with the drift and variance of the whole horizon,
-    summed over the schedule's pieces; no path array is built.
+    v = w = 0 holds no risky asset and stays at x0 exactly.
     """
-    drift, var = _exact_step_integrals(rule.v, schedule, params, 1)
-    vol = math.sqrt(var[0])
-    y0 = rule.xbar - params.x0
-    xt = np.empty(cfg.n_paths)
-
-    def worker(block, start, stop):
-        xi = _normals(_block_rng(cfg.seed, block), stop - start, 1, cfg.antithetic)[:, 0]
-        xt[start:stop] = params.x0 + y0 * (1.0 - np.exp(-drift[0] - vol * xi))
-
-    _run_blocks(cfg.n_paths, worker)
-    return xt
-
-
-@dataclass(frozen=True)
-class MartingaleStats:
-    """Per-step sample mean and standard error of the exponential-factor ratios."""
-
-    mean_ratio: np.ndarray
-    se_ratio: np.ndarray
+    geometric = bool(rule.v.any())
+    if not (geometric or rule.w.any()):
+        t_grid = np.linspace(0.0, params.horizon_T, cfg.n_steps + 1)
+        return t_grid, np.full((cfg.n_paths, cfg.n_steps + 1), float(params.x0))
+    direction = rule.v if geometric else rule.w
+    return _exact_paths(direction, rule.xbar - params.x0, geometric, schedule, params, cfg)
 
 
 def simulate_optimal_exact(
@@ -300,40 +309,8 @@ def simulate_optimal_exact(
     associated exponential-martingale ratios, whose mean must be 1.
     """
     kappa_star = variance_risk_ratio(solution.theta_star, params)
-    drift_int, var_int = _exact_step_integrals(kappa_star, schedule, params, cfg.n_steps)
-    vol_int = np.sqrt(var_int)
     factor = growth_factor(solution.r_star, params.horizon_T) / (2.0 * params.lam)
-    t_grid = np.linspace(0.0, params.horizon_T, cfg.n_steps + 1)
-    paths = np.empty((cfg.n_paths, cfg.n_steps + 1))
-    # One row of ratio sums per block, added up after all blocks ran, so
-    # the statistics do not depend on the order the workers finish in.
-    n_blocks = len(_block_ranges(cfg.n_paths))
-    ratio_sum = np.zeros((n_blocks, cfg.n_steps))
-    ratio_sq = np.zeros((n_blocks, cfg.n_steps))
-
-    def worker(block, start, stop):
-        rng = _block_rng(cfg.seed, block)
-        lanes = stop - start
-        log_n = np.zeros(lanes)
-        paths[start:stop, 0] = params.x0
-        for n in range(cfg.n_steps):
-            xi = _normals(rng, lanes, 1, cfg.antithetic)[:, 0]
-            gaussian = vol_int[n] * xi
-            log_n = log_n - drift_int[n] - gaussian
-            paths[start:stop, n + 1] = params.x0 + factor * (1.0 - np.exp(log_n))
-            if martingale_stats:
-                ratios = np.exp(-2.0 * var_int[n] - 2.0 * gaussian)
-                ratio_sum[block, n] = ratios.sum()
-                ratio_sq[block, n] = (ratios**2).sum()
-
-    _run_blocks(cfg.n_paths, worker)
-    if not martingale_stats:
-        return t_grid, paths
-    n = cfg.n_paths
-    mean = ratio_sum.sum(axis=0) / n
-    var = np.maximum(ratio_sq.sum(axis=0) / n - mean**2, 0.0) * n / (n - 1)
-    stats = MartingaleStats(mean_ratio=mean, se_ratio=np.sqrt(var / n))
-    return t_grid, paths, stats
+    return _exact_paths(kappa_star, factor, True, schedule, params, cfg, martingale_stats)
 
 
 def summarize_paths(t_grid, paths):
@@ -377,7 +354,9 @@ def estimate_objective(paths_or_xt, params: MarketParams) -> ObjectiveEstimate:
     m3 = float(np.mean(centered**3))
     m4 = float(np.mean(centered**4))
     var_of_var = max(m4 - (n - 3) / (n - 1) * var**2, 0.0) / n
-    se = math.sqrt(max(var / n + params.lam**2 * var_of_var - 2.0 * params.lam * m3 / n, 0.0))
+    lam = params.lam
+    # lam (lam var_of_var), not lam^2 var_of_var, so that a huge lam times a zero var_of_var is 0.
+    se = math.sqrt(max(var / n + lam * (lam * var_of_var) - 2.0 * lam * m3 / n, 0.0))
     return ObjectiveEstimate(
         mean_XT=mean,
         var_XT=var,
@@ -503,13 +482,13 @@ class WeakPrincipleReport:
     ok: bool
 
 
-def _monotonicity_check(paths, t_grid, coeffs, n_sigma=3.0):
+def _monotonicity_check(paths, t_grid, coeffs):
     """Largest noise-adjusted increase of E[V_t] along the grid.
 
     Uses per-path linearization of consecutive value differences, so the
     standard error accounts for the coupling between grid nodes.  The
-    Bonferroni threshold z = Phi^{-1}(1 - Phi(-n_sigma) / n_increments)
-    makes n_sigma a family-wise level over all increments.  Works in two
+    Bonferroni threshold z = Phi^{-1}(1 - Phi(-N_SIGMA) / n_increments)
+    makes N_SIGMA a family-wise level over all increments.  Works in two
     buffers of the paths' size: quad * (x - mean)^2 per node, then the
     per-path increments and their deviations.
     """
@@ -526,7 +505,7 @@ def _monotonicity_check(paths, t_grid, coeffs, n_sigma=3.0):
     per_path -= mean
     np.square(per_path, out=per_path)
     spread = np.sqrt(per_path.sum(axis=0) / (n - 1))
-    z = NormalDist().inv_cdf(1.0 - NormalDist().cdf(-n_sigma) / diffs.size)
+    z = NormalDist().inv_cdf(1.0 - NormalDist().cdf(-N_SIGMA) / diffs.size)
     allowance = z * spread / math.sqrt(n)
     worst = int(np.argmax(diffs - allowance))
     return float(diffs[worst]), float(allowance[worst])
@@ -539,22 +518,21 @@ def verify_weak_principle(
     cfg: SimConfig,
     probe_strategies=None,
     probe_schedules=None,
-    n_sigma: float = 3.0,
 ) -> WeakPrincipleReport:
     """Monte-Carlo check of the optimality-principle conditions.
 
     Condition (monotone): under the worst-case scenario, t -> E[V_t] is
     nonincreasing for every probe strategy.  Condition (terminal): under
     every probe scenario, the optimal rule satisfies E[V_T] >= V0.  Each
-    test has the false-alarm rate of a one-sided n_sigma normal event: the
-    J margins get n_sigma standard errors, and the monotone check holds
+    test has the false-alarm rate of a one-sided N_SIGMA normal event: the
+    J margins get N_SIGMA standard errors, and the monotone check holds
     that level family-wise over all grid increments.  Raises
     PrincipleViolated on the first failure.
 
     Strategy probes run through simulate_wealth: the default ones are
     AffineRules on exact paths, any other callable runs on Euler.  The
-    scenario probes read only X_T of the optimal rule, so they sample it
-    directly, one normal per path.
+    scenario probes read only X_T of the optimal rule, so they draw it on
+    the exact scheme with one step over [0, T], one normal per path.
     """
     strategy = robust_strategy(solution, params)
     coeffs = value_coefficients(solution, params)
@@ -568,7 +546,7 @@ def verify_weak_principle(
     monotone, j_upper = [], []
     for name, fn in probe_strategies:
         t_grid, paths = simulate_wealth(fn, worst_case, params, cfg)
-        increase, allowance = _monotonicity_check(paths, t_grid, coeffs, n_sigma)
+        increase, allowance = _monotonicity_check(paths, t_grid, coeffs)
         check = ProbeCheck(name=name, margin=increase, allowance=allowance, ok=increase <= allowance)
         monotone.append(check)
         if not check.ok:
@@ -579,7 +557,7 @@ def verify_weak_principle(
             )
         est = estimate_objective(paths, params)
         margin = est.J - v0
-        allowance_j = n_sigma * est.std_error_J
+        allowance_j = N_SIGMA * est.std_error_J
         check_j = ProbeCheck(name=name, margin=margin, allowance=allowance_j, ok=margin <= allowance_j)
         j_upper.append(check_j)
         if not check_j.ok:
@@ -592,9 +570,10 @@ def verify_weak_principle(
     optimal = _optimal_rule(strategy)
     terminal = []
     for name, sched in probe_schedules:
-        est = estimate_objective(_terminal_wealth(optimal, sched, params, cfg), params)
+        xt = _affine_paths(optimal, sched, params, replace(cfg, n_steps=1))[1][:, -1]
+        est = estimate_objective(xt, params)
         margin = est.J - v0  # E[V_T] - V0 since the terminal value is x - lam (x - xbar)^2
-        allowance = n_sigma * est.std_error_J
+        allowance = N_SIGMA * est.std_error_J
         check = ProbeCheck(name=name, margin=margin, allowance=allowance, ok=margin >= -allowance)
         terminal.append(check)
         if not check.ok:
@@ -630,10 +609,6 @@ class CounterexampleTable:
 
     def has_negative(self) -> bool:
         return bool(np.any(self.f_values < 0.0))
-
-    def rows(self):
-        for c, row in zip(self.c_values, self.f_values):
-            yield c, row
 
 
 def monotonicity_counterexample(

@@ -73,6 +73,10 @@ ORACLE = "Oracle"
 
 GRID_BUDGET = 10**8
 
+# Projected descent: iteration budget, and the box residual that counts as converged.
+DESCENT_MAX_ITERS = 5000
+DESCENT_TOL = 1e-8
+
 
 @dataclass
 class WorstCaseSolution:
@@ -341,7 +345,7 @@ def _box_residual(grad, x, lower, upper) -> float:
     return float(-np.minimum(drop, 0.0).sum())
 
 
-def _projected_descent(value_grad, start, lower, upper, max_iters, tol):
+def _projected_descent(value_grad, start, lower, upper):
     """Projected gradient descent of a convex f over a box.
 
     value_grad gives (inf, None) outside f's domain.  Barzilai-Borwein steps
@@ -352,9 +356,9 @@ def _projected_descent(value_grad, start, lower, upper, max_iters, tol):
     fx, g = value_grad(x)
     eta = 1.0
     iterations = 0
-    for iterations in range(1, max_iters + 1):
+    for iterations in range(1, DESCENT_MAX_ITERS + 1):
         residual = _box_residual(g, x, lower, upper)
-        if residual < tol:
+        if residual < DESCENT_TOL:
             return x, fx, iterations, residual, True
         while True:
             candidate = np.clip(x - eta * g, lower, upper)
@@ -373,15 +377,10 @@ def _projected_descent(value_grad, start, lower, upper, max_iters, tol):
         eta = float(step @ step) / curvature if curvature > 0.0 else 1.0
         x, fx, g = candidate, f_candidate, g_candidate
     residual = _box_residual(g, x, lower, upper)
-    return x, fx, iterations, residual, residual < tol
+    return x, fx, iterations, residual, residual < DESCENT_TOL
 
 
-def numeric_minimize(
-    spec: AmbiguitySpec,
-    params: MarketParams,
-    max_iters: int = 5000,
-    tol: float = 1e-8,
-) -> WorstCaseSolution:
+def numeric_minimize(spec: AmbiguitySpec, params: MarketParams) -> WorstCaseSolution:
     """Projected-gradient minimization of the risk premium over the set.
 
     One descent from the box centre reaches the global minimum: R(b, rho)
@@ -426,9 +425,7 @@ def numeric_minimize(
         except NotPositiveDefinite:
             return np.inf, None
 
-    x, r_min, iterations, residual, converged = _projected_descent(
-        value_grad, start, lower, upper, max_iters, tol
-    )
+    x, r_min, iterations, residual, converged = _projected_descent(value_grad, start, lower, upper)
     if isinstance(spec, EllipsoidalSet):
         b_star, r_star = _shrink(spec.b_hat, math.sqrt(r_min), spec.delta)
         theta_star = ThetaPoint(b=b_star, rho=x)

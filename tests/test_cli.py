@@ -2,9 +2,12 @@
 
 import csv
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from robustmv import cli, solver
 from robustmv.cli import main
@@ -370,3 +373,77 @@ def test_sweep_converged_column(tmp_path, capsys):
     assert main(["classify", "--config", cfg]) == 0
     rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
     assert [r["converged"] for r in rows] == ["True", "True"]
+
+
+def replaced(payload, path, value):
+    """A deep copy of payload with the node at path, a tuple of keys, set to value."""
+    out = json.loads(json.dumps(payload))
+    node = out
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = value
+    return out
+
+
+@pytest.mark.parametrize(
+    "path, value, argv",
+    [
+        (("sweep",), [], ["solve"]),
+        (("sweep",), [1, 2], ["solve"]),
+        (("sweep",), "ab", ["solve"]),
+        (("output",), [], ["solve"]),
+        (("ambiguity",), [], ["solve"]),
+        (("ambiguity", "gamma"), [1], ["solve"]),
+        (("simulate",), 5, ["simulate", "--probes", "0"]),
+    ],
+)
+def test_section_of_wrong_type_exit_1(tmp_path, capsys, path, value, argv):
+    cfg = write_config(tmp_path, replaced(REFERENCE, path, value))
+    assert main([argv[0], "--config", cfg, *argv[1:]]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv", [["oracle", "--resolution", "-5"], ["oracle", "--resolution", "0"], ["simulate", "--probes", "-1"]]
+)
+def test_flag_out_of_range_exit_1(tmp_path, capsys, argv):
+    cfg = write_config(tmp_path, REFERENCE)
+    assert main([argv[0], "--config", cfg, *argv[1:]]) == 1
+    out = capsys.readouterr()
+    assert out.out == "" and "must be" in out.err and "Traceback" not in out.err
+
+
+# The README instance with every section it documents, output.path left out
+# so that no run writes a report file.
+FUZZ_BASE = {
+    **REFERENCE,
+    "simulate": {"n_paths": 100000, "n_steps": 256, "seed": 42, "antithetic": False},
+    "output": {"format": "json"},
+}
+
+
+def _fuzz_paths(node, prefix=()):
+    """Key paths (tuples) of every section, sub-section, list and leaf of a config."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, value in items:
+        path = (*prefix, key)
+        yield path
+        if isinstance(value, (dict, list)):
+            yield from _fuzz_paths(value, path)
+
+
+FUZZ_VALUES = [None, [], {}, "x", 1, 1.5, True, math.nan, math.inf, 1e308]
+FUZZ_COMMANDS = [["solve"], ["classify"], ["simulate", "--paths", "64", "--steps", "2", "--probes", "0"]]
+
+
+@settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    path=st.sampled_from(list(_fuzz_paths(FUZZ_BASE))),
+    value=st.sampled_from(FUZZ_VALUES),
+    command=st.sampled_from(FUZZ_COMMANDS),
+)
+def test_cli_fuzz_never_raises(tmp_path, monkeypatch, path, value, command):
+    monkeypatch.chdir(tmp_path)
+    cfg = write_config(tmp_path, replaced(FUZZ_BASE, path, value))
+    assert main([command[0], "--config", cfg, *command[1:]]) in (0, 1, 2, 3)

@@ -2,6 +2,7 @@
 
 import math
 import os
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -30,13 +31,18 @@ from robustmv import (
 )
 from robustmv.ambiguity import ThetaProcessSchedule
 from robustmv.simulate import (
+    _affine_paths,
     _monotonicity_check,
-    _terminal_wealth,
     default_probe_schedules,
     default_probe_strategies,
 )
 
 from conftest import curated_three_asset
+
+
+def _terminal_draws(rule, sched, params, cfg):
+    """X_T of an AffineRule drawn the way verify_weak_principle draws its scenario probes."""
+    return _affine_paths(rule, sched, params, replace(cfg, n_steps=1))[1][:, -1]
 
 
 @pytest.fixture
@@ -142,7 +148,7 @@ def test_determinism_across_worker_counts(params2, reference):
             _, exact, stats = simulate_optimal_exact(sol, sched, params2, cfg, martingale_stats=True)
             probes = dict(default_probe_strategies(strat))
             affine = [simulate_wealth(probes[name], sched, params2, cfg)[1] for name in ("half", "static")]
-            terminal = _terminal_wealth(probes["optimal"], sched, params2, cfg)
+            terminal = _terminal_draws(probes["optimal"], sched, params2, cfg)
             runs[threads] = (euler, exact, stats.mean_ratio, stats.se_ratio, *affine, terminal)
     finally:
         if old is None:
@@ -417,7 +423,7 @@ def test_terminal_sampler_closed_form(name, sol, params, reference_spec):
     switch = dict(default_probe_schedules(spec, params, sol))["switch_mid_horizon"]
     cfg = SimConfig(n_paths=200_000, n_steps=1, seed=62)
     for sched in (ThetaProcessSchedule.constant(sol.theta_star), switch):
-        xt = _terminal_wealth(optimal, sched, params, cfg)
+        xt = _terminal_draws(optimal, sched, params, cfg)
         mean, var = _terminal_moments(sched, strat.allocation_direction, params, y0)
         z_mean, z_var = _moment_z(xt[:, None], mean, var)
         assert z_mean[0] < 4.0 and z_var[0] < 4.0, name
@@ -461,7 +467,7 @@ def test_affine_antithetic_pairs(params2, reference):
     step = np.diff(log_n, axis=1)
     assert np.allclose(step[0::2] + step[1::2], -3.0 * sol.r_star * dt, rtol=0.0, atol=1e-12)
     # terminal draws: log N_T of a pair sums to -3 r* T
-    xt = _terminal_wealth(probes["optimal"], sched, params2, cfg)
+    xt = _terminal_draws(probes["optimal"], sched, params2, cfg)
     log_nt = np.log1p(-(xt - params2.x0) / y0)
     assert np.allclose(log_nt[0::2] + log_nt[1::2], -3.0 * sol.r_star, rtol=0.0, atol=1e-12)
 
