@@ -65,7 +65,6 @@ from .strategy import (
     ValueCoefficients,
     classical_strategy,
     classify,
-    evaluate_alpha,
     mean_wealth_path,
     robust_strategy,
     strategy_report,

@@ -39,13 +39,15 @@ MEMBERSHIP_TOL = 1e-9
 MAX_REJECTIONS = 10**6
 # Proposals per block of the rejection sampler, and its growth cap.
 BLOCK_MIN, BLOCK_MAX, BLOCK_GROWTH = 64, 65536, 4
-# Stand-in bounds when the correlation set is the full PD region.
-FULL_CLIP = 1.0 - 1e-9
 
 
 @dataclass(frozen=True)
 class GammaBox:
-    """Per-pair correlation bounds, or the full PD region when full_ambiguity."""
+    """Per-pair correlation bounds; full_ambiguity marks the full PD region, bounds [-1, 1].
+
+    Every PD correlation lies strictly inside (-1, 1), so the closed box
+    [-1, 1] adds no member: membership still requires the PD test.
+    """
 
     lower: np.ndarray
     upper: np.ndarray
@@ -66,7 +68,7 @@ class GammaBox:
     @classmethod
     def full(cls, d: int) -> "GammaBox":
         m = n_pairs(d)
-        return cls(lower=np.full(m, -FULL_CLIP), upper=np.full(m, FULL_CLIP), full_ambiguity=True)
+        return cls(lower=np.full(m, -1.0), upper=np.full(m, 1.0), full_ambiguity=True)
 
     @classmethod
     def box(cls, lower, upper) -> "GammaBox":
@@ -81,8 +83,6 @@ class GammaBox:
         return self.lower.size
 
     def rho_in_box(self, rho: np.ndarray) -> bool:
-        if self.full_ambiguity:
-            return bool(np.all(np.abs(rho) <= 1.0))
         return bool(np.all(rho >= self.lower) and np.all(rho <= self.upper))
 
     def is_singleton(self) -> bool:
@@ -221,8 +221,6 @@ def _draws(spec: AmbiguitySpec, count: int, seed: int, params: MarketParams):
         raise ValueError("count must be nonnegative")
     rng = np.random.default_rng(seed)
     lower, upper = spec.gamma.lower, spec.gamma.upper
-    if spec.gamma.full_ambiguity:
-        lower, upper = np.full_like(lower, -1.0), np.full_like(upper, 1.0)
     d = spec.d
     bs, rhos = [np.zeros((0, d))], [np.zeros((0, lower.size))]
     kept = proposed = misses = 0

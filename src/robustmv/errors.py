@@ -48,21 +48,19 @@ class GridTooLarge(RobustMVError):
 class SaddleViolated(RobustMVError):
     """A sampled point broke one of the saddle inequalities."""
 
-    def __init__(self, message, theta=None, margin=None, report=None):
+    def __init__(self, message, theta=None, margin=None):
         super().__init__(message)
         self.theta = theta
         self.margin = margin
-        self.report = report
 
 
 class PrincipleViolated(RobustMVError):
     """A probe broke one of the optimality-principle conditions beyond tolerance."""
 
-    def __init__(self, message, probe=None, margin=None, report=None):
+    def __init__(self, message, probe=None, margin=None):
         super().__init__(message)
         self.probe = probe
         self.margin = margin
-        self.report = report
 
 
 class GrowthOverflow(RobustMVError):

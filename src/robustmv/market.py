@@ -153,16 +153,16 @@ def correlation_matrix(rho, d: int) -> np.ndarray:
     return np.append(as_rho(rho, d), 1.0)[pair_position(d)]
 
 
-def _factor(matrix: np.ndarray, rel_tol: float = PD_TOLERANCE):
+def _factor(matrix: np.ndarray):
     """Attempt L L' = matrix with a pivot-by-pivot tolerance check.
 
     Returns (L, None) on success or (None, k) with k the index of the first
-    pivot at or below rel_tol * max(diagonal).
+    pivot at or below PD_TOLERANCE * max(diagonal).
     """
     a = np.asarray(matrix, dtype=float)
     n = a.shape[0]
     lower = np.zeros_like(a)
-    threshold = rel_tol * float(np.max(np.diag(a))) if n else 0.0
+    threshold = PD_TOLERANCE * float(np.max(np.diag(a))) if n else 0.0
     for k in range(n):
         pivot = a[k, k] - lower[k, :k] @ lower[k, :k]
         if not pivot > threshold:
@@ -180,11 +180,11 @@ def correlation_stack(rhos, d: int) -> np.ndarray:
     return np.concatenate([rhos, np.ones((len(rhos), 1))], axis=1).take(pair_position(d), axis=1)
 
 
-def _factor_stack(a: np.ndarray, rel_tol: float = PD_TOLERANCE):
+def _factor_stack(a: np.ndarray):
     """_factor over a stack of shape (n, d, d), one pivot column at a time.
 
     Returns (L, bad): bad[i] is the index of the first pivot of a[i] at or
-    below rel_tol * max(diagonal of a[i]), or -1 when every pivot passes; L
+    below PD_TOLERANCE * max(diagonal of a[i]), or -1 when every pivot passes; L
     is zero for the failing matrices.  The row products are matmuls over
     rows laid out as in _factor, so the same BLAS kernels form the pivots;
     verdicts on points bisected onto the PD boundary must match _factor's.
@@ -192,7 +192,7 @@ def _factor_stack(a: np.ndarray, rel_tol: float = PD_TOLERANCE):
     n, d = a.shape[0], a.shape[-1]
     lower = np.zeros_like(a)
     bad = np.full(n, -1)
-    threshold = rel_tol * np.max(np.diagonal(a, axis1=1, axis2=2), axis=1) if d else 0.0
+    threshold = PD_TOLERANCE * np.max(np.diagonal(a, axis1=1, axis2=2), axis=1) if d else 0.0
     for k in range(d):
         row = lower[:, k, None, :k]
         pivot = a[:, k, k] - (row @ row.transpose(0, 2, 1))[:, 0, 0]

@@ -3,8 +3,9 @@
 Simulators for the self-financed wealth process dX = alpha'(b dt +
 sigma(rho) dW) under piecewise-constant parameter scenarios:
 
-* an Euler scheme that replays any feedback rule step by step: plain
-  callables, FeedbackStrategy, and AffineRule with both w and v nonzero;
+* an Euler scheme that replays any feedback rule step by step, calling
+  it as rule(t, x) on a vector of wealths: plain callables, the optimal
+  rule FeedbackStrategy, and AffineRule with both w and v nonzero;
 * one exact scheme, free of discretization error, for wealth along a fixed
   direction u: either xbar - X is a geometric Brownian motion (the rules
   alpha = (xbar - x) u) or X is an arithmetic one (alpha = u), one normal
@@ -42,7 +43,7 @@ from .ambiguity import contains, project_b, project_rho
 from .errors import PrincipleViolated
 from .market import MarketParams, ThetaPoint, _frozen, covariance_from, risk_premium, variance_risk_ratio
 from .solver import WorstCaseSolution
-from .strategy import FeedbackStrategy, evaluate_alpha, growth_factor, robust_strategy
+from .strategy import FeedbackStrategy, growth_factor, robust_strategy
 from .strategy import value_coefficients, value_v0
 
 BLOCK = 4096
@@ -137,12 +138,6 @@ class AffineRule:
         return self.w[None, :] + (self.xbar - x)[:, None] * self.v[None, :]
 
 
-def _as_alpha_fn(strategy_or_fn):
-    if isinstance(strategy_or_fn, FeedbackStrategy):
-        return lambda t, x: evaluate_alpha(strategy_or_fn, t, x)
-    return strategy_or_fn
-
-
 def _step_model(schedule: ThetaProcessSchedule, params: MarketParams, n_steps: int):
     """Per-step (b, chol) taken from the scenario value at the left node."""
     dt = params.horizon_T / n_steps
@@ -183,23 +178,22 @@ def _exact_step_integrals(direction, schedule, params, n_steps, log_scale):
 
 
 def simulate_wealth(
-    strategy_or_fn,
+    rule,
     schedule: ThetaProcessSchedule,
     params: MarketParams,
     cfg: SimConfig,
 ):
-    """Paths of the wealth process under a feedback rule.
+    """Paths of the wealth process under a feedback rule alpha = rule(t, x).
 
     An AffineRule with w = 0 or v = 0 is drawn exactly (_affine_paths).
-    Any other rule (a callable, a FeedbackStrategy, an AffineRule with w
-    and v both nonzero) runs on the Euler scheme, re-evaluated at every
-    step from the current wealth.  Returns (t_grid, paths) with paths of
-    shape (n_paths, n_steps + 1); wealth is unconstrained and may go
-    negative.
+    Any other rule (a FeedbackStrategy, an AffineRule with w and v both
+    nonzero, any callable returning an (n, d) array for n wealths) runs on
+    the Euler scheme, called at every step on the current wealths.
+    Returns (t_grid, paths) with paths of shape (n_paths, n_steps + 1);
+    wealth is unconstrained and may go negative.
     """
-    if isinstance(strategy_or_fn, AffineRule) and not (strategy_or_fn.v.any() and strategy_or_fn.w.any()):
-        return _affine_paths(strategy_or_fn, schedule, params, cfg)
-    alpha_fn = _as_alpha_fn(strategy_or_fn)
+    if isinstance(rule, AffineRule) and not (rule.v.any() and rule.w.any()):
+        return _affine_paths(rule, schedule, params, cfg)
     dt, drifts, chols = _step_model(schedule, params, cfg.n_steps)
     sqrt_dt = math.sqrt(dt)
     t_grid = np.linspace(0.0, params.horizon_T, cfg.n_steps + 1)
@@ -213,7 +207,7 @@ def simulate_wealth(
         paths[start:stop, 0] = x
         for n in range(cfg.n_steps):
             z = _normals(rng, lanes, d, cfg.antithetic)
-            alpha = np.atleast_2d(alpha_fn(t_grid[n], x))
+            alpha = np.atleast_2d(rule(t_grid[n], x))
             shock = z @ chols[n].T
             x = x + (alpha @ drifts[n]) * dt + sqrt_dt * np.einsum("ij,ij->i", alpha, shock)
             paths[start:stop, n + 1] = x
@@ -355,8 +349,9 @@ def estimate_objective(paths_or_xt, params: MarketParams) -> ObjectiveEstimate:
     m4 = float(np.mean(centered**4))
     var_of_var = max(m4 - (n - 3) / (n - 1) * var**2, 0.0) / n
     lam = params.lam
-    # lam (lam var_of_var), not lam^2 var_of_var, so that a huge lam times a zero var_of_var is 0.
-    se = math.sqrt(max(var / n + lam * (lam * var_of_var) - 2.0 * lam * m3 / n, 0.0))
+    # lam (lam var_of_var) and lam (2 m3), not lam^2 var_of_var and 2 lam m3, so that a
+    # huge lam times a zero moment is 0 rather than inf * 0 = NaN.
+    se = math.sqrt(max(var / n + lam * (lam * var_of_var) - lam * (2.0 * m3) / n, 0.0))
     return ObjectiveEstimate(
         mean_XT=mean,
         var_XT=var,
@@ -366,13 +361,6 @@ def estimate_objective(paths_or_xt, params: MarketParams) -> ObjectiveEstimate:
     )
 
 
-def _optimal_rule(strategy: FeedbackStrategy) -> AffineRule:
-    """alpha* = (xbar - x) kappa* as an AffineRule, xbar = x0 + e^{r* T} / (2 lam)."""
-    xbar = strategy.x0 + growth_factor(strategy.r_star, strategy.horizon_T) / (2.0 * strategy.lam)
-    kappa = strategy.allocation_direction
-    return AffineRule(xbar=xbar, v=kappa, w=np.zeros_like(kappa))
-
-
 def default_probe_strategies(strategy: FeedbackStrategy):
     """Eight named strategy probes: scalings, sign flip, component shuffle, static.
 
@@ -380,8 +368,8 @@ def default_probe_strategies(strategy: FeedbackStrategy):
     scalings c alpha* have v = c kappa*, `reversed` has kappa* in reverse
     asset order, `static` holds kappa* itself (v = 0) and `zero` nothing.
     """
-    optimal = _optimal_rule(strategy)
-    xbar, kappa, none = optimal.xbar, optimal.v, optimal.w
+    xbar, kappa = strategy.xbar, strategy.allocation_direction
+    none = np.zeros_like(kappa)
 
     def scaled(c):
         return AffineRule(xbar=xbar, v=c * kappa, w=none)
@@ -567,7 +555,8 @@ def verify_weak_principle(
                 margin=margin,
             )
 
-    optimal = _optimal_rule(strategy)
+    kappa = strategy.allocation_direction
+    optimal = AffineRule(xbar=strategy.xbar, v=kappa, w=np.zeros_like(kappa))
     terminal = []
     for name, sched in probe_schedules:
         xt = _affine_paths(optimal, sched, params, replace(cfg, n_steps=1))[1][:, -1]

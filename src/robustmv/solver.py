@@ -636,9 +636,7 @@ def solve(spec: AmbiguitySpec, params: MarketParams) -> WorstCaseSolution:
     profile = sharpe_profile(spec.b_hat, params)
     if profile.zero_drift:
         raise ZeroDrift("all prior expected returns are zero: never trade")
-    # The full set is every PD matrix: GammaBox.full's +-FULL_CLIP bounds serve sampling only.
-    bounds = (-1.0, 1.0) if full else (spec.gamma.lower, spec.gamma.upper)
-    rho_star = None if d == 2 and not full else _one_asset(*bounds, profile, d)
+    rho_star = None if d == 2 and not full else _one_asset(spec.gamma.lower, spec.gamma.upper, profile, d)
     if rho_star is not None:
         s = abs(float(profile.betas[profile.order[0]]))
         label = FULL_AMBIGUITY if full else {1: ONE_ASSET, 3: THREE_CASE1}.get(d, TOP_ASSET)

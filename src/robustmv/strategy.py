@@ -1,14 +1,17 @@
 """From a worst-case scenario to the optimal robust trading rule.
 
 Once the worst-case pair (b*, rho*) is known, the robust problem reduces
-to the classical dynamic mean-variance problem under that model.  The
-optimal amount invested is linear in current wealth,
+to the classical dynamic mean-variance problem under that model (the rule
+of Zhou & Li, 2000).  The optimal amount invested is linear in current
+wealth,
 
-    alpha(x) = (x0 + e^{r* T} / (2 lam) - x) * Sigma(rho*)^{-1} b*,
+    alpha(x) = (xbar - x) * Sigma(rho*)^{-1} b*,   xbar = x0 + e^{r* T} / (2 lam),
 
-the initial value of the objective is x0 + (e^{r* T} - 1) / (4 lam), and
-the zero pattern of the direction vector Sigma(rho*)^{-1} b* classifies
-how diversified the robust portfolio is.
+and FeedbackStrategy is that rule as a callable, with xbar computed once
+by robust_strategy.  The initial value of the objective is
+x0 + (e^{r* T} - 1) / (4 lam), and the zero pattern of the direction
+vector Sigma(rho*)^{-1} b* classifies how diversified the robust
+portfolio is.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ import numpy as np
 
 from .errors import GrowthOverflow
 from .market import MarketParams, ThetaPoint, _frozen, risk_premium, variance_risk_ratio
-from .solver import WorstCaseSolution
+from .solver import SINGLETON, WorstCaseSolution
 
 # A direction component below this fraction of the largest one counts as zero.
 ZERO_DIRECTION_RTOL = 1e-10
@@ -34,74 +37,61 @@ SPREAD = "spread"
 
 
 def growth_factor(r_star: float, horizon: float) -> float:
-    """e^{r* T}; raises GrowthOverflow, naming r* T, beyond the float range."""
+    """e^{r* T}; raises GrowthOverflow, naming r* T, when it is infinite.
+
+    math.exp raises OverflowError for a large finite exponent but returns
+    inf for an infinite one (r* = inf when the drift is near the float limit).
+    """
     exponent = r_star * horizon
     try:
-        return math.exp(exponent)
+        growth = math.exp(exponent)
     except OverflowError:
-        raise GrowthOverflow(f"e^(r* T) exceeds the float range: r* T = {exponent:.6g}") from None
+        growth = math.inf
+    if growth == math.inf:
+        raise GrowthOverflow(f"e^(r* T) exceeds the float range: r* T = {exponent:.6g}")
+    return growth
 
 
 @dataclass(frozen=True)
 class FeedbackStrategy:
-    """Wealth-linear trading rule alpha(x) = multiplier(x) * direction."""
+    """The optimal rule alpha(t, x) = (xbar - x) * allocation_direction, amounts per asset.
+
+    xbar = x0 + e^{r* T} / (2 lam) is the target wealth; robust_strategy
+    computes it once.  Called like any rule: a scalar x gives a length-d
+    vector, a vector of wealths an (n, d) array.  t only enters through x;
+    it is accepted so the interface survives time-dependent extensions.
+    """
 
     theta_star: ThetaPoint
     allocation_direction: np.ndarray
     r_star: float
     x0: float
-    lam: float
-    horizon_T: float
+    xbar: float
 
     def __post_init__(self):
         object.__setattr__(self, "allocation_direction", _frozen(self.allocation_direction))
 
-    def wealth_multiplier(self, x):
-        """Scalar weight x0 + e^{r* T} / (2 lam) - x; positive along the optimal flow."""
-        return self.x0 + growth_factor(self.r_star, self.horizon_T) / (2.0 * self.lam) - np.asarray(x)
+    def __call__(self, t, x):
+        mult = self.xbar - np.asarray(x)
+        if np.ndim(mult) == 0:
+            return float(mult) * self.allocation_direction
+        return mult[:, None] * self.allocation_direction[None, :]
 
 
 def robust_strategy(solution: WorstCaseSolution, params: MarketParams) -> FeedbackStrategy:
-    """Optimal robust rule for a solved instance."""
-    direction = variance_risk_ratio(solution.theta_star, params)
+    """Optimal robust rule for a solved instance; GrowthOverflow when e^{r* T} leaves the float range."""
     return FeedbackStrategy(
         theta_star=solution.theta_star,
-        allocation_direction=direction,
+        allocation_direction=variance_risk_ratio(solution.theta_star, params),
         r_star=solution.r_star,
         x0=params.x0,
-        lam=params.lam,
-        horizon_T=params.horizon_T,
+        xbar=params.x0 + growth_factor(solution.r_star, params.horizon_T) / (2.0 * params.lam),
     )
 
 
 def classical_strategy(theta0: ThetaPoint, params: MarketParams) -> FeedbackStrategy:
-    """Mean-variance rule when the model (b0, rho0) is known exactly.
-
-    Identical to robust_strategy applied to a singleton ambiguity set.
-    """
-    r0 = risk_premium(theta0, params)
-    direction = variance_risk_ratio(theta0, params)
-    return FeedbackStrategy(
-        theta_star=theta0,
-        allocation_direction=direction,
-        r_star=r0,
-        x0=params.x0,
-        lam=params.lam,
-        horizon_T=params.horizon_T,
-    )
-
-
-def evaluate_alpha(strategy: FeedbackStrategy, t: float, x):
-    """Amounts invested at time t and wealth x.
-
-    t only enters through x in this rule; it is accepted so the interface
-    survives time-dependent extensions.  x may be a scalar (returns a
-    length-d vector) or a vector of wealths (returns an (n, d) array).
-    """
-    mult = strategy.wealth_multiplier(x)
-    if np.ndim(mult) == 0:
-        return float(mult) * strategy.allocation_direction
-    return np.asarray(mult)[:, None] * strategy.allocation_direction[None, :]
+    """Mean-variance rule when the model (b0, rho0) is known exactly: robust_strategy on that singleton."""
+    return robust_strategy(WorstCaseSolution(theta0, risk_premium(theta0, params), SINGLETON), params)
 
 
 def value_v0(solution: WorstCaseSolution, params: MarketParams) -> float:
@@ -112,8 +102,7 @@ def value_v0(solution: WorstCaseSolution, params: MarketParams) -> float:
 def mean_wealth_path(strategy: FeedbackStrategy, t_grid) -> np.ndarray:
     """Expected optimal wealth under the worst-case model at each grid time."""
     t = np.asarray(t_grid, dtype=float)
-    r, lam, horizon = strategy.r_star, strategy.lam, strategy.horizon_T
-    return strategy.x0 + growth_factor(r, horizon) / (2.0 * lam) * (1.0 - np.exp(-r * t))
+    return strategy.x0 + (strategy.xbar - strategy.x0) * (1.0 - np.exp(-strategy.r_star * t))
 
 
 @dataclass(frozen=True)

@@ -20,7 +20,6 @@ from robustmv import (
     classical_strategy,
     classify,
     estimate_objective,
-    evaluate_alpha,
     grid_oracle,
     is_positive_definite,
     numeric_minimize,
@@ -322,7 +321,7 @@ def test_criterion_8_no_trade_threshold():
     strategy = robust_strategy(above, REFERENCE_PARAMS)
     for t in (0.0, 0.5, 1.0):
         for x in (-2.0, 1.0, 5.0):
-            assert np.array_equal(evaluate_alpha(strategy, t, x), np.zeros(2))
+            assert np.array_equal(strategy(t, x), np.zeros(2))
     print(f"\nACCEPTANCE 8 PASS: no-trade flips at delta {flip:.12f} (threshold {threshold})")
 
 
@@ -370,9 +369,7 @@ def test_criterion_10_singleton_reduction():
         math.exp(classical.r_star * 1.0) - 1.0
     ) / (4.0 * REFERENCE_PARAMS.lam)
     for t, x in ((0.0, 1.0), (0.5, 0.2), (1.0, 3.0)):
-        assert np.array_equal(
-            evaluate_alpha(robust, t, x), evaluate_alpha(classical, t, x)
-        )
+        assert np.array_equal(robust(t, x), classical(t, x))
     print("\nACCEPTANCE 10 PASS: singleton pipeline reproduces the classical rule bitwise")
 
 

@@ -146,6 +146,30 @@ def test_growth_overflow_exit_1(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize(
+    "argv", [["solve"], ["classify"], ["simulate", "--paths", "64", "--steps", "2", "--probes", "0"]]
+)
+def test_infinite_growth_exit_1(tmp_path, capsys, argv):
+    # A drift near the float limit makes r* infinite; e^{r* T} = inf is an overflow too.
+    payload = json.loads(json.dumps(REFERENCE))
+    payload["ambiguity"]["b_hat"] = [1e308, 0.2]
+    cfg = write_config(tmp_path, payload)
+    assert main([argv[0], "--config", cfg, *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: e^(r* T) exceeds the float range: r* T = inf\n"
+
+
+def test_simulate_nan_objective_exit_2(tmp_path, capsys):
+    # A volatility near the float limit turns the paths into NaN; a NaN J is no match for V0.
+    payload = json.loads(json.dumps(REFERENCE))
+    payload["market"]["sigmas"] = [1e308, 1.0]
+    cfg = write_config(tmp_path, payload)
+    assert main(["simulate", "--config", cfg, "--paths", "64", "--steps", "2", "--probes", "0"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert math.isnan(report["objective"]["J"]) and "failure" in report
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["solve", "--oracle-check", "--resolution", "14"],
@@ -443,7 +467,12 @@ FUZZ_COMMANDS = [["solve"], ["classify"], ["simulate", "--paths", "64", "--steps
     value=st.sampled_from(FUZZ_VALUES),
     command=st.sampled_from(FUZZ_COMMANDS),
 )
-def test_cli_fuzz_never_raises(tmp_path, monkeypatch, path, value, command):
+def test_cli_fuzz_never_raises(tmp_path, monkeypatch, capsys, path, value, command):
+    # Every input ends in a documented exit code, and a success reports finite numbers only.
     monkeypatch.chdir(tmp_path)
     cfg = write_config(tmp_path, replaced(FUZZ_BASE, path, value))
-    assert main([command[0], "--config", cfg, *command[1:]]) in (0, 1, 2, 3)
+    capsys.readouterr()
+    code = main([command[0], "--config", cfg, *command[1:]])
+    assert code in (0, 1, 2, 3)
+    out = capsys.readouterr().out
+    assert code != 0 or not ("NaN" in out or "Infinity" in out)

@@ -19,7 +19,6 @@ from robustmv import (
     ValueCoefficients,
     correlation_matrix,
     estimate_objective,
-    evaluate_alpha,
     mean_wealth_path,
     monotonicity_counterexample,
     robust_strategy,
@@ -224,7 +223,7 @@ def test_wealth_multiplier_positive_along_optimal_flow(params2, reference_spec):
     ):
         cfg = SimConfig(n_paths=100_000, n_steps=256, seed=seed)
         _, paths = simulate_wealth(strat, sched, params2, cfg)
-        assert np.all(strat.wealth_multiplier(paths) > 0.0)
+        assert np.all(strat.xbar - paths > 0.0)
 
 
 def test_weak_principle_reference(params2, reference_spec):
@@ -445,7 +444,7 @@ def test_affine_rule_call_shapes(params2, reference):
     x = np.array([0.5, 1.0, 1.7])
     for c, name in ((1.0, "optimal"), (0.5, "half"), (-1.0, "contrarian")):
         assert probes[name](0.0, 1.2).shape == (2,)
-        assert np.allclose(probes[name](0.0, x), c * evaluate_alpha(strat, 0.0, x), rtol=1e-14, atol=0.0)
+        assert np.allclose(probes[name](0.0, x), c * strat(0.0, x), rtol=1e-14, atol=0.0)
     assert np.array_equal(probes["static"](0.3, x), np.tile(strat.allocation_direction, (3, 1)))
     assert np.array_equal(probes["zero"](0.3, 2.0), np.zeros(2))
 
@@ -493,6 +492,26 @@ def test_optimal_exact_reference_values(params2, reference):
     assert paths[0, -1] == 0.9915946635223639
     assert paths[4999, 32] == 1.1568965036097476
     assert paths[:, -1].sum() == 5565.572108390377
+
+
+def test_euler_reference_values(params2, reference):
+    # Euler paths of the optimal rule on the README instance, pinned bitwise:
+    # the rule's arithmetic and the Euler step must not move them (numpy 2.4,
+    # x86-64).
+    sol, strat, sched = reference
+    switch = ThetaProcessSchedule(
+        breakpoints=np.array([0.0, 0.5]), values=(sol.theta_star, ThetaPoint(b=[0.44, 0.22], rho=[0.0]))
+    )
+    expected = {
+        (False, False): (1.1968770532020023, 1.1697203184298532, 0.9422087084680746, 5473.575316467989),
+        (False, True): (0.6788229649118871, 0.7310741146462844, 1.0032704333331723, 5469.759044578163),
+        (True, False): (1.215722220781384, 1.1697203184298532, 0.9422087084680746, 5577.60083894114),
+        (True, True): (0.7083378712769313, 0.7310741146462844, 1.0032704333331723, 5573.859884858727),
+    }
+    for (two_piece, antithetic), values in expected.items():
+        cfg = SimConfig(n_paths=5000, n_steps=64, seed=7, antithetic=antithetic)
+        _, paths = simulate_wealth(strat, switch if two_piece else sched, params2, cfg)
+        assert (paths[0, -1], paths[4999, 32], paths[2500, 7], paths[:, -1].sum()) == values
 
 
 def test_weak_principle_flipped_offset_fails(params2, reference_spec, monkeypatch):

@@ -16,7 +16,6 @@ from robustmv import (
     ThetaProcessSchedule,
     classical_strategy,
     classify,
-    evaluate_alpha,
     mean_wealth_path,
     monotonicity_counterexample,
     robust_strategy,
@@ -26,6 +25,7 @@ from robustmv import (
     value_v0,
     variance_risk_ratio,
 )
+from robustmv.strategy import growth_factor
 
 from conftest import full_ambiguity_spec
 
@@ -51,7 +51,7 @@ def test_no_trade_direction_zero(params2, reference_spec):
     assert np.array_equal(strat.allocation_direction, np.zeros(2))
     for t in (0.0, 0.5, 1.0):
         for x in (-1.0, 1.0, 10.0):
-            assert np.array_equal(evaluate_alpha(strat, t, x), np.zeros(2))
+            assert np.array_equal(strat(t, x), np.zeros(2))
 
 
 def test_evaluate_alpha_examples(params2, reference_spec):
@@ -59,14 +59,14 @@ def test_evaluate_alpha_examples(params2, reference_spec):
     strat = robust_strategy(sol, params2)
     # zero position exactly at x = x0 + e^{r*T}/(2 lam)
     pivot = 1.0 + math.exp(0.09) / 1.0
-    assert np.allclose(evaluate_alpha(strat, 0.3, pivot), np.zeros(2), atol=1e-15)
+    assert np.allclose(strat(0.3, pivot), np.zeros(2), atol=1e-15)
     # scalar formula at x = x0
-    alpha = evaluate_alpha(strat, 0.0, 1.0)
+    alpha = strat(0.0, 1.0)
     assert np.allclose(alpha, math.exp(0.09) * np.array([0.3, 0.0]))
     # time does not enter
-    assert np.array_equal(alpha, evaluate_alpha(strat, 0.77, 1.0))
+    assert np.array_equal(alpha, strat(0.77, 1.0))
     # vectorized wealth
-    batch = evaluate_alpha(strat, 0.0, np.array([1.0, pivot]))
+    batch = strat(0.0, np.array([1.0, pivot]))
     assert batch.shape == (2, 2)
     assert np.allclose(batch[1], 0.0, atol=1e-15)
 
@@ -75,7 +75,7 @@ def test_high_risk_aversion_kills_position(reference_spec):
     big_lam = MarketParams(sigmas=[1.0, 1.0], horizon_T=1.0, lam=1e9, x0=1.0)
     sol = solve(reference_spec, big_lam)
     strat = robust_strategy(sol, big_lam)
-    assert np.max(np.abs(evaluate_alpha(strat, 0.0, 1.0))) < 1e-8
+    assert np.max(np.abs(strat(0.0, 1.0))) < 1e-8
 
 
 def test_value_v0(params2, reference_spec):
@@ -113,19 +113,23 @@ def test_growth_overflow_names_exponent(reference_spec):
     # r* = 0.09, so e^{r* T} leaves the float range at T = 1e4 wherever it is used.
     big = MarketParams(sigmas=[1.0, 1.0], horizon_T=1e4, lam=0.5, x0=1.0)
     sol = solve(reference_spec, big)
-    strat = robust_strategy(sol, big)
     schedule = ThetaProcessSchedule.constant(sol.theta_star)
     one_asset = MarketParams(sigmas=[1.0], horizon_T=1e4, lam=0.5, x0=1.0)
     calls = (
         lambda: value_v0(sol, big),
-        lambda: strat.wealth_multiplier(1.0),
-        lambda: mean_wealth_path(strat, [0.0, 1.0]),
+        lambda: robust_strategy(sol, big),
         lambda: simulate_optimal_exact(sol, schedule, big, SimConfig(n_paths=4, n_steps=2, seed=0)),
         lambda: monotonicity_counterexample(0.3, 0.5, one_asset),
     )
     for call in calls:
         with pytest.raises(GrowthOverflow, match=r"r\* T = 900$"):
             call()
+
+
+def test_growth_overflow_infinite_exponent():
+    # math.exp(inf) returns inf instead of raising OverflowError.
+    with pytest.raises(GrowthOverflow, match=r"r\* T = inf$"):
+        growth_factor(math.inf, 1.0)
 
 
 def test_value_offset_growth_overflow(reference_spec):
@@ -245,7 +249,7 @@ def test_singleton_reduction_bitwise(params2):
     assert np.array_equal(robust.theta_star.b, classical.theta_star.b)
     assert np.array_equal(robust.theta_star.rho, classical.theta_star.rho)
     for t, x in ((0.0, 1.0), (0.5, 2.0), (1.0, 0.5)):
-        assert np.array_equal(evaluate_alpha(robust, t, x), evaluate_alpha(classical, t, x))
+        assert np.array_equal(robust(t, x), classical(t, x))
 
 
 def test_direction_permutation_equivariance():
