@@ -237,6 +237,14 @@ class CovMatrix:
         """L^{-1} rhs, so that ||half_solve(b)||^2 = b' Sigma^{-1} b."""
         return np.linalg.solve(self.chol, rhs)
 
+    def premium_and_direction(self, b: np.ndarray) -> tuple[float, np.ndarray]:
+        """(R, kappa) = (b' Sigma^{-1} b, Sigma^{-1} b) from one half solve y = L^{-1} b.
+
+        Bitwise the values of risk_premium and variance_risk_ratio at this rho.
+        """
+        y = self.half_solve(b)
+        return float(y @ y), np.linalg.solve(self.chol.T, y)
+
 
 def covariance_from(rho, params: MarketParams) -> CovMatrix:
     """Sigma(rho) = diag(sigma) C(rho) diag(sigma) with cached factor.
@@ -282,12 +290,14 @@ def risk_premium_gradients(theta: ThetaPoint, params: MarketParams):
     report half this value.  Only the sign pattern matters to the
     optimality conditions, so either convention selects the same minimizer.
     """
-    kappa = variance_risk_ratio(theta, params)
-    grad_b = 2.0 * kappa
+    return _premium_gradients(variance_risk_ratio(theta, params), params)
+
+
+def _premium_gradients(kappa: np.ndarray, params: MarketParams):
+    """risk_premium_gradients from a direction kappa = Sigma(rho)^{-1} b already solved."""
     scaled = params.sigmas * kappa
     rows, cols = pair_index(params.d)
-    grad_rho = -2.0 * scaled[rows] * scaled[cols]
-    return grad_b, grad_rho
+    return 2.0 * kappa, -2.0 * scaled[rows] * scaled[cols]
 
 
 def saddle_value(b, rho, theta_star: ThetaPoint, params: MarketParams) -> float:

@@ -41,7 +41,7 @@ import numpy as np
 from .ambiguity import AmbiguitySpec, EllipsoidalSet, ThetaProcessSchedule
 from .ambiguity import contains, project_b, project_rho
 from .errors import PrincipleViolated
-from .market import MarketParams, ThetaPoint, _frozen, covariance_from, risk_premium, variance_risk_ratio
+from .market import MarketParams, ThetaPoint, _frozen, covariance_from, risk_premium
 from .solver import WorstCaseSolution
 from .strategy import FeedbackStrategy, growth_factor, robust_strategy
 from .strategy import value_coefficients, value_v0
@@ -302,9 +302,8 @@ def simulate_optimal_exact(
     martingale_stats=True also returns per-step statistics of the
     associated exponential-martingale ratios, whose mean must be 1.
     """
-    kappa_star = variance_risk_ratio(solution.theta_star, params)
     factor = growth_factor(solution.r_star, params.horizon_T) / (2.0 * params.lam)
-    return _exact_paths(kappa_star, factor, True, schedule, params, cfg, martingale_stats)
+    return _exact_paths(solution.direction, factor, True, schedule, params, cfg, martingale_stats)
 
 
 def summarize_paths(t_grid, paths):

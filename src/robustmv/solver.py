@@ -14,13 +14,19 @@ two assets with a correlation interval, three cases; three assets with a
 correlation box, Cases 2-5.  Product (rectangular) sets go through the
 same fallback on (b, rho) jointly, and an exhaustive grid oracle provides
 independent ground truth for tests.
+
+Every solution carries the direction kappa* = Sigma(rho*)^{-1} b* that the
+second step trades, and the invariant is direction == Sigma(rho*)^{-1} b*
+bitwise, the value variance_risk_ratio(theta_star) gives.  One factor of
+Sigma(rho*) yields both s (where no closed form gives it exactly) and
+kappa*, so nothing downstream factors again.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -37,12 +43,13 @@ from .errors import (
 from .market import (
     MarketParams,
     ThetaPoint,
+    _frozen,
+    _premium_gradients,
     covariance_factor_stack,
+    covariance_from,
     is_positive_definite,
     pair_index,
     pair_position,
-    risk_premium,
-    risk_premium_gradients,
     sharpe_profile,
     upper_pairs,
     variance_risk_ratio,
@@ -85,13 +92,20 @@ class WorstCaseSolution:
     theta_star   worst-case (drift, correlation) pair
     r_star       minimal risk premium
     case_label   which closed-form case (or fallback) produced the result
+    direction    kappa* = Sigma(rho*)^{-1} b*, the allocation direction: bitwise
+                 variance_risk_ratio(theta_star), solved on the factor of
+                 Sigma(rho*) that also gave r*
     diagnostics  solver-specific details (iterations, residuals, grid size)
     """
 
     theta_star: ThetaPoint
     r_star: float
     case_label: str
+    direction: np.ndarray
     diagnostics: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self.direction = _frozen(self.direction)
 
     @property
     def no_trade(self) -> bool:
@@ -106,6 +120,18 @@ def _shrink(b_hat, s, delta):
     return np.zeros_like(b_hat), 0.0
 
 
+def _shrink_at(cov, b_hat, delta):
+    """_shrink with s = ||L^{-1} b_hat||, L the factor of Sigma(rho*): bitwise sqrt(risk_premium)."""
+    y = cov.half_solve(b_hat)
+    return _shrink(b_hat, math.sqrt(float(y @ y)), delta)
+
+
+def _solution(b_star, rho_star, r_star, label, cov, diagnostics=None) -> WorstCaseSolution:
+    """WorstCaseSolution at (b*, rho*) whose direction is solved on cov, the factor of Sigma(rho*)."""
+    theta = ThetaPoint(b=b_star, rho=rho_star)
+    return WorstCaseSolution(theta, r_star, label, cov.solve(theta.b), diagnostics or {})
+
+
 def solve_ellipsoidal_given_rho(rho_star, b_hat, delta, params: MarketParams):
     """Worst drift inside the ellipsoid once the correlation is fixed.
 
@@ -113,8 +139,7 @@ def solve_ellipsoidal_given_rho(rho_star, b_hat, delta, params: MarketParams):
     s = ||sigma(rho*)^{-1} b_hat||_2: see _shrink.
     """
     b_hat = np.atleast_1d(np.asarray(b_hat, dtype=float))
-    s = math.sqrt(risk_premium(ThetaPoint(b=b_hat, rho=rho_star), params))
-    return _shrink(b_hat, s, delta)
+    return _shrink_at(covariance_from(rho_star, params), b_hat, delta)
 
 
 def _permute_pairs(rho, perm, d: int) -> np.ndarray:
@@ -127,8 +152,8 @@ def _permute_pairs(rho, perm, d: int) -> np.ndarray:
     return np.asarray(rho, dtype=float)[pair_position(d)[perm[rows], perm[cols]]]
 
 
-def _one_asset(lower, upper, profile, d: int):
-    """Worst correlation at which only the top-|Sharpe| asset is traded, or None.
+def _one_asset(lower, upper, profile, params: MarketParams):
+    """(rho, factor of Sigma(rho)) at which only the top-|Sharpe| asset is traded, or None.
 
     The fact: for any PD rho and any asset i, b_hat' Sigma(rho)^{-1} b_hat
     >= beta_i^2, with equality iff row i of C(rho) equals the Sharpe
@@ -140,18 +165,22 @@ def _one_asset(lower, upper, profile, d: int):
     The top row takes q and every other pair q_j q_k clipped to its
     interval: unclipped, the max-determinant completion (at d = 3 the clip
     keeps it so), and for bounds [-1, 1] the upper triangle of v v',
-    v = betas / beta_top.  Returns that rho in input order when the top row
-    needed no clipping and C(rho) passes the PD test.
+    v = betas / beta_top.  Returns that rho in input order, with its
+    covariance factor, when the top row needed no clipping and C(rho) passes
+    the PD test: that factorization is the test.
     """
     top = profile.order[0]
     v = profile.betas / profile.betas[top]
     target = upper_pairs(np.outer(v, v))
     rho = np.clip(target, lower, upper)
-    rows, cols = pair_index(d)
+    rows, cols = pair_index(params.d)
     top_row = (rows == top) | (cols == top)
-    if np.array_equal(rho[top_row], target[top_row]) and is_positive_definite(rho, d):
-        return rho
-    return None
+    if not np.array_equal(rho[top_row], target[top_row]):
+        return None
+    try:
+        return rho, covariance_from(rho, params)
+    except NotPositiveDefinite:
+        return None
 
 
 def _two_asset(spec: EllipsoidalSet, profile):
@@ -166,7 +195,7 @@ def _two_asset(spec: EllipsoidalSet, profile):
     q = float(profile.proximities[0])
     label = TWO_INTERIOR if lo <= q <= hi else (TWO_UPPER if hi < q else TWO_LOWER)
     rho_star = np.array([min(max(q, lo), hi)])
-    return rho_star, label, {"proximity": q, "order": profile.order.tolist()}
+    return rho_star, label, {"proximity": q, "order": profile.order.tolist()}, ()
 
 
 def _reduced_kappa(j: int, k: int, rho_pair: float, sigmas, b_hat):
@@ -294,7 +323,8 @@ def _three_asset(spec: EllipsoidalSet, params: MarketParams, profile):
     a corner-by-corner evaluation would.  Cases are tested in order and the
     first match wins.  Exclusivity only breaks down at numerical
     boundaries; when no case fires, None is returned and the numeric
-    fallback takes over.
+    fallback takes over.  Cases 2-4 also return the input-order index of the
+    component that vanishes, for the caller's residual check.
     """
     order = profile.order
     sigmas_sorted = params.sigmas[order]
@@ -314,12 +344,8 @@ def _three_asset(spec: EllipsoidalSet, params: MarketParams, profile):
         return None
     label, rho_sorted, zero_components = matches[0]
     diagnostics = {"order": order.tolist(), "all_matches": [m[0] for m in matches]}
-    if zero_components:
-        kappa_sorted = variance_risk_ratio(
-            ThetaPoint(b=b_sorted, rho=rho_sorted), replace(params, sigmas=sigmas_sorted)
-        )
-        diagnostics["zero_component_residual"] = max(abs(float(kappa_sorted[i])) for i in zero_components)
-    return _permute_pairs(rho_sorted, np.argsort(order), 3), label, diagnostics
+    zero = tuple(int(order[i]) for i in zero_components)
+    return _permute_pairs(rho_sorted, np.argsort(order), 3), label, diagnostics, zero
 
 
 def solve_product(spec: ProductSet, params: MarketParams) -> WorstCaseSolution:
@@ -330,12 +356,11 @@ def solve_product(spec: ProductSet, params: MarketParams) -> WorstCaseSolution:
     """
     if spec.is_singleton():
         theta = ThetaPoint(b=spec.delta_lower, rho=spec.gamma.lower)
-        r_star = risk_premium(theta, params)
-        return WorstCaseSolution(theta_star=theta, r_star=r_star, case_label=SINGLETON)
+        r_star, direction = covariance_from(theta.rho, params).premium_and_direction(theta.b)
+        return WorstCaseSolution(theta, r_star, SINGLETON, direction)
     if np.all(spec.delta_lower <= 0.0) and np.all(spec.delta_upper >= 0.0):
         rho = amb.project_rho(spec, 0.5 * (spec.gamma.lower + spec.gamma.upper))
-        theta = ThetaPoint(b=np.zeros(spec.d), rho=rho)
-        return WorstCaseSolution(theta_star=theta, r_star=0.0, case_label=PRODUCT_NO_TRADE)
+        return _solution(np.zeros(spec.d), rho, 0.0, PRODUCT_NO_TRADE, covariance_from(rho, params))
     return numeric_minimize(spec, params)
 
 
@@ -348,36 +373,38 @@ def _box_residual(grad, x, lower, upper) -> float:
 def _projected_descent(value_grad, start, lower, upper):
     """Projected gradient descent of a convex f over a box.
 
-    value_grad gives (inf, None) outside f's domain.  Barzilai-Borwein steps
-    halve until Armijo's test holds or the slope at the candidate is <= 0,
-    which for convex f proves a decrease that rounding can hide in f.
+    value_grad gives (f, gradient, aux) inside f's domain and (inf, None,
+    None) outside it; aux is whatever the caller needs again at the point
+    returned, and comes back with it.  Barzilai-Borwein steps halve until
+    Armijo's test holds or the slope at the candidate is <= 0, which for
+    convex f proves a decrease that rounding can hide in f.
     """
     x = start
-    fx, g = value_grad(x)
+    fx, g, aux = value_grad(x)
     eta = 1.0
     iterations = 0
     for iterations in range(1, DESCENT_MAX_ITERS + 1):
         residual = _box_residual(g, x, lower, upper)
         if residual < DESCENT_TOL:
-            return x, fx, iterations, residual, True
+            return x, fx, aux, iterations, residual, True
         while True:
             candidate = np.clip(x - eta * g, lower, upper)
             step = candidate - x
-            f_candidate, g_candidate = value_grad(candidate)
+            f_candidate, g_candidate, aux_candidate = value_grad(candidate)
             if g_candidate is not None and (
                 f_candidate <= fx + 1e-4 * float(g @ step) or float(g_candidate @ step) <= 0.0
             ):
                 break
             if eta < 1e-14:
-                return x, fx, iterations, residual, False
+                return x, fx, aux, iterations, residual, False
             eta *= 0.5
         if not np.any(step):
             break
         curvature = float(step @ (g_candidate - g))
         eta = float(step @ step) / curvature if curvature > 0.0 else 1.0
-        x, fx, g = candidate, f_candidate, g_candidate
+        x, fx, g, aux = candidate, f_candidate, g_candidate, aux_candidate
     residual = _box_residual(g, x, lower, upper)
-    return x, fx, iterations, residual, residual < DESCENT_TOL
+    return x, fx, aux, iterations, residual, residual < DESCENT_TOL
 
 
 def numeric_minimize(spec: AmbiguitySpec, params: MarketParams) -> WorstCaseSolution:
@@ -394,18 +421,20 @@ def numeric_minimize(spec: AmbiguitySpec, params: MarketParams) -> WorstCaseSolu
     test lie outside R's domain.  R blows up toward a singular C(rho) unless
     b is orthogonal to its null vector, so a minimum on the PD boundary is
     rare; there the box residual stays positive and converged is False.
+
+    Each evaluation factors Sigma(rho) once: y = L^{-1} b gives R = y'y and
+    kappa = L'^{-1} y, hence the gradient; the factor at the point returned
+    also gives the solution's direction.
     """
     d = spec.d
     g_lower, g_upper = spec.gamma.lower, spec.gamma.upper
     centre_rho = amb.project_rho(spec, 0.5 * (g_lower + g_upper))
-    if isinstance(spec, EllipsoidalSet):
+    ellipsoidal = isinstance(spec, EllipsoidalSet)
+    if ellipsoidal:
         lower, upper, start = g_lower, g_upper, centre_rho
 
         def theta(rho):
             return ThetaPoint(b=spec.b_hat, rho=rho)
-
-        def gradient(point):
-            return risk_premium_gradients(point, params)[1]
 
     else:
         lower = np.concatenate([spec.delta_lower, g_lower])
@@ -415,33 +444,24 @@ def numeric_minimize(spec: AmbiguitySpec, params: MarketParams) -> WorstCaseSolu
         def theta(z):
             return ThetaPoint(b=z[:d], rho=z[d:])
 
-        def gradient(point):
-            return np.concatenate(risk_premium_gradients(point, params))
-
     def value_grad(x):
         point = theta(x)
         try:
-            return risk_premium(point, params), gradient(point)
+            cov = covariance_from(point.rho, params)
         except NotPositiveDefinite:
-            return np.inf, None
+            return np.inf, None, None
+        r, kappa = cov.premium_and_direction(point.b)
+        grad_b, grad_rho = _premium_gradients(kappa, params)
+        return r, (grad_rho if ellipsoidal else np.concatenate([grad_b, grad_rho])), cov
 
-    x, r_min, iterations, residual, converged = _projected_descent(value_grad, start, lower, upper)
-    if isinstance(spec, EllipsoidalSet):
+    x, r_min, cov, iterations, residual, converged = _projected_descent(value_grad, start, lower, upper)
+    if ellipsoidal:
         b_star, r_star = _shrink(spec.b_hat, math.sqrt(r_min), spec.delta)
-        theta_star = ThetaPoint(b=b_star, rho=x)
+        rho_star = x
     else:
-        theta_star, r_star = theta(x), r_min
-    return WorstCaseSolution(
-        theta_star=theta_star,
-        r_star=r_star,
-        case_label=NUMERIC,
-        diagnostics={
-            "starts": 1,
-            "iterations": iterations,
-            "residual": residual,
-            "converged": bool(converged),
-        },
-    )
+        b_star, rho_star, r_star = x[:d], x[d:], r_min
+    diagnostics = {"starts": 1, "iterations": iterations, "residual": residual, "converged": bool(converged)}
+    return _solution(b_star, rho_star, r_star, NUMERIC, cov, diagnostics)
 
 
 def _premium_batch(b, rho, sigmas):
@@ -551,22 +571,14 @@ def grid_oracle(spec: AmbiguitySpec, params: MarketParams, resolution: int) -> W
     if not np.isfinite(scores[k_best]):
         raise BoxNotPositiveDefinite("no positive-definite node on the grid")
     rho_star = rho_grid[k_best].copy()
+    cov = covariance_from(rho_star, params)
     if isinstance(spec, EllipsoidalSet):
-        b_star, r_star = solve_ellipsoidal_given_rho(rho_star, spec.b_hat, spec.delta, params)
+        b_star, r_star = _shrink_at(cov, spec.b_hat, spec.delta)
     else:
         b_star = b_grid[k_best].copy()
         r_star = float(prem[k_best])
-    theta = ThetaPoint(b=b_star, rho=rho_star)
-    return WorstCaseSolution(
-        theta_star=theta,
-        r_star=r_star,
-        case_label=ORACLE,
-        diagnostics={
-            "resolution": resolution,
-            "nodes": int(total),
-            "feasible_nodes": int(mask.sum()),
-        },
-    )
+    diagnostics = {"resolution": resolution, "nodes": int(total), "feasible_nodes": int(mask.sum())}
+    return _solution(b_star, rho_star, r_star, ORACLE, cov, diagnostics)
 
 
 @dataclass(frozen=True)
@@ -629,6 +641,13 @@ def solve(spec: AmbiguitySpec, params: MarketParams) -> WorstCaseSolution:
     rule, whose interior case is the same fact.  d >= 4 and three-asset
     boxes where no case fires (marked diagnostics["case_fallthrough"]) go
     to numeric_minimize.
+
+    Sigma(rho*) is factored once: `_one_asset`'s PD test is that
+    factorization, and otherwise it follows the closed form.  The factor
+    gives the solution's direction Sigma(rho*)^{-1} b*; after the interval
+    and three-asset closed forms also s = ||L^{-1} b_hat|| (bitwise
+    sqrt(risk_premium)) and the Cases 2-4 zero-component residual, read
+    from Sigma(rho*)^{-1} b_hat in input order.
     """
     if isinstance(spec, ProductSet):
         return solve_product(spec, params)
@@ -636,11 +655,13 @@ def solve(spec: AmbiguitySpec, params: MarketParams) -> WorstCaseSolution:
     profile = sharpe_profile(spec.b_hat, params)
     if profile.zero_drift:
         raise ZeroDrift("all prior expected returns are zero: never trade")
-    rho_star = None if d == 2 and not full else _one_asset(spec.gamma.lower, spec.gamma.upper, profile, d)
-    if rho_star is not None:
+    found = None if d == 2 and not full else _one_asset(spec.gamma.lower, spec.gamma.upper, profile, params)
+    if found is not None:
+        rho_star, cov = found
         s = abs(float(profile.betas[profile.order[0]]))
         label = FULL_AMBIGUITY if full else {1: ONE_ASSET, 3: THREE_CASE1}.get(d, TOP_ASSET)
         diagnostics = {"order": profile.order.tolist(), "top_sharpe": s}
+        b_star, r_star = _shrink(spec.b_hat, s, spec.delta)
     elif full:
         raise NoMinimum("no minimizer under full correlation ambiguity: the top |Sharpe ratio| is tied or nearly")
     else:
@@ -651,12 +672,10 @@ def solve(spec: AmbiguitySpec, params: MarketParams) -> WorstCaseSolution:
             fallback = numeric_minimize(spec, params)
             fallback.diagnostics["case_fallthrough"] = True
             return fallback
-        rho_star, label, diagnostics = found
-        s = math.sqrt(risk_premium(ThetaPoint(b=spec.b_hat, rho=rho_star), params))
-    b_star, r_star = _shrink(spec.b_hat, s, spec.delta)
-    return WorstCaseSolution(
-        theta_star=ThetaPoint(b=b_star, rho=rho_star),
-        r_star=r_star,
-        case_label=label,
-        diagnostics=diagnostics,
-    )
+        rho_star, label, diagnostics, zero = found
+        cov = covariance_from(rho_star, params)
+        b_star, r_star = _shrink_at(cov, spec.b_hat, spec.delta)
+        if zero:
+            kappa_hat = cov.solve(spec.b_hat)
+            diagnostics["zero_component_residual"] = max(abs(float(kappa_hat[i])) for i in zero)
+    return _solution(b_star, rho_star, r_star, label, cov, diagnostics)

@@ -11,7 +11,9 @@ and FeedbackStrategy is that rule as a callable, with xbar computed once
 by robust_strategy.  The initial value of the objective is
 x0 + (e^{r* T} - 1) / (4 lam), and the zero pattern of the direction
 vector Sigma(rho*)^{-1} b* classifies how diversified the robust
-portfolio is.
+portfolio is.  robust_strategy and classify read that direction from
+WorstCaseSolution.direction, solved once with the worst case, and factor
+nothing themselves.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GrowthOverflow
-from .market import MarketParams, ThetaPoint, _frozen, risk_premium, variance_risk_ratio
+from .market import MarketParams, ThetaPoint, _frozen, covariance_from
 from .solver import SINGLETON, WorstCaseSolution
 
 # A direction component below this fraction of the largest one counts as zero.
@@ -82,7 +84,7 @@ def robust_strategy(solution: WorstCaseSolution, params: MarketParams) -> Feedba
     """Optimal robust rule for a solved instance; GrowthOverflow when e^{r* T} leaves the float range."""
     return FeedbackStrategy(
         theta_star=solution.theta_star,
-        allocation_direction=variance_risk_ratio(solution.theta_star, params),
+        allocation_direction=solution.direction,
         r_star=solution.r_star,
         x0=params.x0,
         xbar=params.x0 + growth_factor(solution.r_star, params.horizon_T) / (2.0 * params.lam),
@@ -91,7 +93,8 @@ def robust_strategy(solution: WorstCaseSolution, params: MarketParams) -> Feedba
 
 def classical_strategy(theta0: ThetaPoint, params: MarketParams) -> FeedbackStrategy:
     """Mean-variance rule when the model (b0, rho0) is known exactly: robust_strategy on that singleton."""
-    return robust_strategy(WorstCaseSolution(theta0, risk_premium(theta0, params), SINGLETON), params)
+    r0, kappa0 = covariance_from(theta0.rho, params).premium_and_direction(theta0.b)
+    return robust_strategy(WorstCaseSolution(theta0, r0, SINGLETON, kappa0), params)
 
 
 def value_v0(solution: WorstCaseSolution, params: MarketParams) -> float:
@@ -158,7 +161,7 @@ class DiversificationReport:
 
 def classify(solution: WorstCaseSolution, params: MarketParams) -> DiversificationReport:
     """Diversification verdict for a solved instance."""
-    direction = variance_risk_ratio(solution.theta_star, params)
+    direction = solution.direction
     scale = float(np.max(np.abs(direction))) if direction.size else 0.0
     if scale == 0.0 or solution.no_trade:
         signs = tuple(0 for _ in range(params.d))
@@ -218,7 +221,6 @@ def classify(solution: WorstCaseSolution, params: MarketParams) -> Diversificati
 def strategy_report(solution: WorstCaseSolution, params: MarketParams) -> dict:
     """JSON-ready summary: scenario, value, direction, diversification."""
     report = classify(solution, params)
-    strategy = robust_strategy(solution, params)
     return {
         "theta_star": {
             "b": solution.theta_star.b.tolist(),
@@ -226,7 +228,7 @@ def strategy_report(solution: WorstCaseSolution, params: MarketParams) -> dict:
         },
         "r_star": solution.r_star,
         "V0": value_v0(solution, params),
-        "direction": strategy.allocation_direction.tolist(),
+        "direction": solution.direction.tolist(),
         "class": report.kind,
         "mode": report.mode,
         "signs": list(report.signs),

@@ -276,13 +276,7 @@ def test_monotonicity_check_familywise(rise, flagged):
 def test_weak_principle_negative_control(params2, reference_spec):
     # lie about r*: claim a premium far above the truth, condition (iii) must break
     sol = solve(reference_spec, params2)
-    from robustmv.solver import WorstCaseSolution
-
-    inflated = WorstCaseSolution(
-        theta_star=sol.theta_star,
-        r_star=1.5,
-        case_label="Numeric",
-    )
+    inflated = replace(sol, r_star=1.5)
     cfg = SimConfig(n_paths=8000, n_steps=32, seed=13)
     with pytest.raises(PrincipleViolated):
         verify_weak_principle(inflated, reference_spec, params2, cfg)

@@ -16,6 +16,7 @@ from robustmv import (
     SaddleViolated,
     ThetaPoint,
     ZeroDrift,
+    classical_strategy,
     classify,
     contains,
     correlation_matrix,
@@ -43,6 +44,7 @@ from conftest import (
     random_three_asset_instance,
     random_two_asset_instance,
 )
+from robustmv.strategy import robust_strategy, strategy_report, value_v0
 
 # Frozen from the explicit 2x2 inverse oracle (see conftest.premium_2x2).
 TWO_ASSET_CASE2_RSTAR = 0.095293633286485616
@@ -366,9 +368,9 @@ def test_three_asset_corner_table_is_variance_risk_ratio(instance):
 
 def test_three_asset_factorization_count(monkeypatch):
     """A three-asset solve factors its 8 corners as one stack and makes at most
-    3 scalar factorizations (1 for Case 5): the midpoint PD test, the
-    zero-component residual and the premium at rho*.  Case 1 makes only the
-    PD test of the one-asset completion."""
+    2 scalar factorizations (1 for Case 5): the midpoint PD test and the one
+    factor of Sigma(rho*).  Case 1 makes only the PD test of the one-asset
+    completion, which is that factor."""
     counts = {}
     factor, stack = market_mod._factor, solver_mod.covariance_factor_stack
 
@@ -384,7 +386,50 @@ def test_three_asset_factorization_count(monkeypatch):
             assert counts == {"scalar": 1, "stacked": 0}, counts
             continue
         assert counts["stacked"] == 1, (label, counts)
-        assert counts["scalar"] <= (1 if ".Case5" in label else 3), (label, counts)
+        assert counts["scalar"] <= (1 if ".Case5" in label else 2), (label, counts)
+
+
+def _stalled_d4():
+    params = MarketParams(sigmas=STALLED_D4["sigmas"], horizon_T=1.0, lam=0.5, x0=1.0)
+    gamma = GammaBox.box(STALLED_D4["lower"], STALLED_D4["upper"])
+    return EllipsoidalSet(b_hat=np.array(STALLED_D4["b_hat"]), delta=0.0, gamma=gamma), params
+
+
+def test_one_factorization_per_solved_point(monkeypatch, params2, reference_spec):
+    """solve factors Sigma(rho*) once and the solution carries kappa*: robust_strategy,
+    classify, value_v0 and strategy_report factor nothing.  Cases 2-4 add the
+    sorted-frame midpoint PD test, and every three-asset box the one stack of corners."""
+    counts = {"scalar": 0, "stacked": 0}
+
+    def counted(key, fn):
+        return lambda *args: counts.update({key: counts[key] + 1}) or fn(*args)
+
+    monkeypatch.setattr(market_mod, "_factor", counted("scalar", market_mod._factor))
+    monkeypatch.setattr(market_mod, "_factor_stack", counted("stacked", market_mod._factor_stack))
+    instances = [
+        (reference_spec, params2),
+        (full_ambiguity_spec(reference_spec.b_hat, 0.1), params2),
+        _stalled_d4(),
+        curated_three_asset("ThreeAsset.Case5ii"),
+        curated_three_asset("ThreeAsset.Case2i"),
+    ]
+    seen = []
+    for spec, params in instances:
+        counts.update(scalar=0, stacked=0)
+        sol = solve(spec, params)
+        solved = dict(counts)
+        robust_strategy(sol, params)
+        classify(sol, params)
+        value_v0(sol, params)
+        strategy_report(sol, params)
+        label = sol.case_label
+        seen.append(label)
+        assert counts == solved, (label, solved, counts)
+        if label == "ThreeAsset.Case2i":
+            assert solved["scalar"] <= 2 and solved["stacked"] == 1, solved
+        else:
+            assert solved == {"scalar": 1, "stacked": int(label.startswith("ThreeAsset"))}, (label, solved)
+    assert seen == ["TwoAsset.Interior", "FullAmbiguity", "TopAsset", "ThreeAsset.Case5ii", "ThreeAsset.Case2i"]
 
 
 def test_three_asset_permutation_equivariance():
@@ -638,7 +683,7 @@ def test_one_asset_closed_form(instance, share):
     sigmas, b_hat, lower, upper, top = instance
     d = sigmas.size
     params = MarketParams(sigmas=sigmas, horizon_T=1.0, lam=0.5, x0=1.0)
-    assume(solver_mod._one_asset(lower, upper, market_mod.sharpe_profile(b_hat, params), d) is not None)
+    assume(solver_mod._one_asset(lower, upper, market_mod.sharpe_profile(b_hat, params), params) is not None)
     beta_top = abs(b_hat[top] / sigmas[top])
     delta = share * beta_top
     spec = EllipsoidalSet(b_hat=b_hat, delta=delta, gamma=GammaBox.box(lower, upper))
@@ -737,7 +782,12 @@ def test_verify_saddle_pass_and_negative_control(params2, reference_spec):
     # 2% (lower side breaks, first at a later draw): the raised draw is the
     # first offending one in draw order, its upper side tested first.
     for theta_bad in (ThetaPoint(b=sol.theta_star.b, rho=[0.0]), ThetaPoint(b=0.98 * sol.theta_star.b, rho=[0.5])):
-        bad = solver_mod.WorstCaseSolution(theta_star=theta_bad, r_star=sol.r_star, case_label="Numeric")
+        bad = solver_mod.WorstCaseSolution(
+            theta_star=theta_bad,
+            r_star=sol.r_star,
+            case_label="Numeric",
+            direction=variance_risk_ratio(theta_bad, params2),
+        )
         with pytest.raises(SaddleViolated) as raised:
             verify_saddle(bad, reference_spec, params2, samples=500, seed=21)
         margins = _saddle_margins(bad, reference_spec, params2, 500, 21)
@@ -779,6 +829,68 @@ def test_verify_saddle_singleton_margins_zero(params2):
     report = verify_saddle(sol, spec, params2, samples=50, seed=1)
     assert abs(report.worst_upper_margin) < 1e-12
     assert abs(report.worst_lower_margin) < 1e-12
+
+
+def _assert_one_factor_values(sol, spec, params):
+    """direction is bitwise variance_risk_ratio(theta*), and for ellipsoidal sets r* is
+    bitwise _shrink at s = sqrt(R(b_hat, rho*)); the one-asset closed form keeps its
+    exact s = |beta_top|, which R at rho* meets only to rounding."""
+    assert sol.direction.tobytes() == variance_risk_ratio(sol.theta_star, params).tobytes()
+    if isinstance(spec, EllipsoidalSet):
+        premium = risk_premium(ThetaPoint(b=spec.b_hat, rho=sol.theta_star.rho), params)
+        s = sol.diagnostics.get("top_sharpe", math.sqrt(premium))
+        assert sol.r_star == solver_mod._shrink(spec.b_hat, s, spec.delta)[1]
+        assert math.isclose(s * s, premium, rel_tol=1e-12)
+
+
+def test_solution_carries_direction_on_named_instances(params2, reference_spec):
+    fault_params = MarketParams(sigmas=FAULT_D4["sigmas"], horizon_T=1.0, lam=0.5, x0=1.0)
+    fault = EllipsoidalSet(
+        b_hat=np.array(FAULT_D4["b_hat"]), delta=0.3, gamma=GammaBox.box(FAULT_D4["lower"], FAULT_D4["upper"])
+    )
+    instances = [
+        (reference_spec, params2),
+        (full_ambiguity_spec(reference_spec.b_hat, 0.1), params2),
+        _stalled_d4(),
+        (fault, fault_params),
+        *(curated_three_asset(label) for label in sorted(CURATED_THREE_ASSET)),
+    ]
+    for spec, params in instances:
+        _assert_one_factor_values(solve(spec, params), spec, params)
+    case2i, params3 = curated_three_asset("ThreeAsset.Case2i")
+    product = ProductSet(np.array([0.2, -0.1]), np.array([0.4, 0.3]), GammaBox.box([-0.5], [0.6]))
+    for spec, params, resolution in ((reference_spec, params2, 201), (case2i, params3, 9), (product, params2, 21)):
+        _assert_one_factor_values(grid_oracle(spec, params, resolution), spec, params)
+    singleton = ProductSet(np.array([0.3, 0.2]), np.array([0.3, 0.2]), GammaBox.singleton([0.2]))
+    no_trade = ProductSet(np.array([-0.1, -0.2]), np.array([0.3, 0.4]), GammaBox.box([-0.2], [0.7]))
+    for spec, label in ((singleton, "Singleton"), (no_trade, "Product.NoTrade")):
+        sol = solve(spec, params2)
+        assert sol.case_label == label
+        _assert_one_factor_values(sol, spec, params2)
+    theta0 = ThetaPoint(b=[0.4, 0.2], rho=[0.3])
+    kappa0 = classical_strategy(theta0, params2).allocation_direction
+    assert kappa0.tobytes() == variance_risk_ratio(theta0, params2).tobytes()
+
+
+@settings(max_examples=60)
+@given(st.sampled_from(["d2", "d3", "full", "product"]), st.integers(0, 2**32 - 1))
+def test_solution_carries_direction_random_sets(family, seed):
+    spec, params = random_set_instance(family, np.random.default_rng(seed))
+    assume(spec is not None)
+    _assert_one_factor_values(solve(spec, params), spec, params)
+
+
+@settings(max_examples=20)
+@given(numeric_instances(), st.sampled_from([0.0, 0.3]))
+def test_solution_carries_direction_random_boxes(instance, delta):
+    sigmas, b_hat, lower, upper, _ = instance
+    params = MarketParams(sigmas=sigmas, horizon_T=1.0, lam=0.5, x0=1.0)
+    spec = EllipsoidalSet(b_hat=b_hat, delta=delta, gamma=GammaBox.box(lower, upper))
+    try:
+        sol = solve(spec, params)
+    except BoxNotPositiveDefinite:
+        return
+    _assert_one_factor_values(sol, spec, params)
 
 
 def test_solve_dispatcher_one_asset():
