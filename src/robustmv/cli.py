@@ -301,6 +301,10 @@ def cmd_simulate(args, raw: dict) -> int:
     strategy = robust_strategy(solution, params)
     t_grid, paths = simulate_wealth(strategy, schedule, params, cfg)
     estimate = estimate_objective(paths, params)
+    out = raw.get("output", {})
+    csv_path = out.get("path") if out.get("format") == "csv" else None
+    summary = summarize_paths(t_grid, paths) if csv_path else None
+    del paths  # the probes below simulate their own paths; do not hold these through them
     v0 = value_v0(solution, params)
     gap = abs(estimate.J - v0)
     allowance = N_SIGMA * estimate.std_error_J
@@ -333,16 +337,16 @@ def cmd_simulate(args, raw: dict) -> int:
                 "ok": principle.ok,
                 "monotone": [c.__dict__ for c in principle.monotone_under_worst_case],
                 "terminal": [c.__dict__ for c in principle.terminal_gain],
+                "objective_upper": [c.__dict__ for c in principle.objective_upper],
             }
         except PrincipleViolated as exc:
             report["weak_principle"] = {"ok": False, "probe": exc.probe, "margin": exc.margin}
             exit_code = EXIT_VERIFICATION
-    out = raw.get("output", {})
-    if out.get("format") == "csv" and out.get("path"):
-        with open(out["path"], "w", encoding="utf-8", newline="") as fh:
+    if csv_path:
+        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=["t", "mean", "var", "se"])
             writer.writeheader()
-            writer.writerows(summarize_paths(t_grid, paths))
+            writer.writerows(summary)
         print(json.dumps(report, indent=2))
     else:
         _emit(report, raw)

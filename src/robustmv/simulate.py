@@ -22,10 +22,18 @@ under probe strategies and probe scenarios), and the closed-form table
 showing that the one-sided monotonicity genuinely fails for distant drift
 scenarios while the terminal inequality survives.
 
+Layout: every simulator fills a node-major (n_steps + 1, n_paths) buffer,
+one contiguous row slice per step, and returns its transpose, so paths have
+shape (n_paths, n_steps + 1) in Fortran order and each grid node is one
+contiguous column.  The principle check walks them node by node.
+
 Reproducibility: paths are generated in fixed-size blocks, each block from
 its own counter-based substream keyed by (seed, block index).  Results are
 bitwise identical for a given SimConfig regardless of the worker count;
-the ROBUSTMV_THREADS environment variable only caps parallelism.
+the ROBUSTMV_THREADS environment variable only caps parallelism.  The
+principle check draws the exact scheme's normals once per call from those
+same streams and hands them to every exact strategy probe, so each probe's
+paths are bitwise those simulate_wealth would give it alone.
 """
 
 from __future__ import annotations
@@ -114,6 +122,23 @@ def _normals(rng, lanes: int, d: int, antithetic: bool) -> np.ndarray:
     return out[:lanes]
 
 
+def _node_normals(cfg: SimConfig) -> np.ndarray:
+    """The exact scheme's normals for cfg as one node-major (n_steps, n_paths) matrix.
+
+    Drawn from the block streams in the order _exact_paths draws them, so
+    the kernel fed this matrix returns bitwise the paths it draws alone.
+    """
+    normals = np.empty((cfg.n_steps, cfg.n_paths))
+
+    def worker(block, start, stop):
+        rng = _block_rng(cfg.seed, block)
+        for n in range(cfg.n_steps):
+            normals[n, start:stop] = _normals(rng, stop - start, 1, cfg.antithetic)[:, 0]
+
+    _run_blocks(cfg.n_paths, worker)
+    return normals
+
+
 @dataclass(frozen=True)
 class AffineRule:
     """Wealth-affine rule alpha(t, x) = w + (xbar - x) v, amounts per asset.
@@ -136,6 +161,11 @@ class AffineRule:
         if x.ndim == 0:
             return self.w + (self.xbar - float(x)) * self.v
         return self.w[None, :] + (self.xbar - x)[:, None] * self.v[None, :]
+
+
+def _draws_exactly(rule) -> bool:
+    """True for an AffineRule with w = 0 or v = 0, whose paths _affine_paths draws exactly."""
+    return isinstance(rule, AffineRule) and not (rule.v.any() and rule.w.any())
 
 
 def _step_model(schedule: ThetaProcessSchedule, params: MarketParams, n_steps: int):
@@ -182,6 +212,8 @@ def simulate_wealth(
     schedule: ThetaProcessSchedule,
     params: MarketParams,
     cfg: SimConfig,
+    *,
+    _shared_normals=None,
 ):
     """Paths of the wealth process under a feedback rule alpha = rule(t, x).
 
@@ -189,31 +221,34 @@ def simulate_wealth(
     Any other rule (a FeedbackStrategy, an AffineRule with w and v both
     nonzero, any callable returning an (n, d) array for n wealths) runs on
     the Euler scheme, called at every step on the current wealths.
-    Returns (t_grid, paths) with paths of shape (n_paths, n_steps + 1);
-    wealth is unconstrained and may go negative.
+    Returns (t_grid, paths) with paths of shape (n_paths, n_steps + 1), the
+    transpose of a node-major buffer; wealth is unconstrained and may go
+    negative.  _shared_normals is internal: verify_weak_principle passes
+    its one draw _node_normals(cfg), which an exact rule uses in place of
+    the block streams and Euler ignores.
     """
-    if isinstance(rule, AffineRule) and not (rule.v.any() and rule.w.any()):
-        return _affine_paths(rule, schedule, params, cfg)
+    if _draws_exactly(rule):
+        return _affine_paths(rule, schedule, params, cfg, _shared_normals)
     dt, drifts, chols = _step_model(schedule, params, cfg.n_steps)
     sqrt_dt = math.sqrt(dt)
     t_grid = np.linspace(0.0, params.horizon_T, cfg.n_steps + 1)
-    paths = np.empty((cfg.n_paths, cfg.n_steps + 1))
+    nodes = np.empty((cfg.n_steps + 1, cfg.n_paths))
     d = params.d
 
     def worker(block, start, stop):
         rng = _block_rng(cfg.seed, block)
         lanes = stop - start
         x = np.full(lanes, float(params.x0))
-        paths[start:stop, 0] = x
+        nodes[0, start:stop] = x
         for n in range(cfg.n_steps):
             z = _normals(rng, lanes, d, cfg.antithetic)
             alpha = np.atleast_2d(rule(t_grid[n], x))
             shock = z @ chols[n].T
             x = x + (alpha @ drifts[n]) * dt + sqrt_dt * np.einsum("ij,ij->i", alpha, shock)
-            paths[start:stop, n + 1] = x
+            nodes[n + 1, start:stop] = x
 
     _run_blocks(cfg.n_paths, worker)
-    return t_grid, paths
+    return t_grid, nodes.T
 
 
 @dataclass(frozen=True)
@@ -224,7 +259,7 @@ class MartingaleStats:
     se_ratio: np.ndarray
 
 
-def _exact_paths(direction, y0, geometric, schedule, params, cfg, martingale_stats=False):
+def _exact_paths(direction, y0, geometric, schedule, params, cfg, martingale_stats=False, normals=None):
     """Discretization-free wealth paths along one direction u, one normal per path and step.
 
     geometric: Y = xbar - X solves dY = -Y u'(b dt + sigma dW), a geometric
@@ -232,14 +267,15 @@ def _exact_paths(direction, y0, geometric, schedule, params, cfg, martingale_sta
     _exact_step_integrals and y0 = xbar - x0 as the caller computed it.
     Otherwise X is an arithmetic Brownian motion with increments of mean
     u'b dt and variance u' Sigma u dt.  The normals come from the block
-    streams of the Euler scheme.  With martingale_stats=True (geometric
-    only) also returns per-step statistics of the exponential-martingale
-    ratios, whose mean must be 1.
+    streams of the Euler scheme, or from normals, the same draw made once
+    by _node_normals(cfg).  With martingale_stats=True (geometric only)
+    also returns per-step statistics of the exponential-martingale ratios,
+    whose mean must be 1.
     """
     drift_int, var_int = _exact_step_integrals(direction, schedule, params, cfg.n_steps, geometric)
     vol_int = np.sqrt(var_int)
     t_grid = np.linspace(0.0, params.horizon_T, cfg.n_steps + 1)
-    paths = np.empty((cfg.n_paths, cfg.n_steps + 1))
+    nodes = np.empty((cfg.n_steps + 1, cfg.n_paths))
     # One row of ratio sums per block, added up after all blocks ran, so
     # the statistics do not depend on the order the workers finish in.
     n_blocks = len(_block_ranges(cfg.n_paths))
@@ -247,20 +283,23 @@ def _exact_paths(direction, y0, geometric, schedule, params, cfg, martingale_sta
     ratio_sq = np.zeros((n_blocks, cfg.n_steps))
 
     def worker(block, start, stop):
-        rng = _block_rng(cfg.seed, block)
+        rng = _block_rng(cfg.seed, block) if normals is None else None
         lanes = stop - start
         acc = np.zeros(lanes)
-        paths[start:stop, 0] = params.x0
+        nodes[0, start:stop] = params.x0
         for n in range(cfg.n_steps):
-            gaussian = vol_int[n] * _normals(rng, lanes, 1, cfg.antithetic)[:, 0]
+            if normals is None:
+                gaussian = vol_int[n] * _normals(rng, lanes, 1, cfg.antithetic)[:, 0]
+            else:
+                gaussian = vol_int[n] * normals[n, start:stop]
             # The two updates group their sums differently; each order keeps
             # the bits its scheme produced before the schemes shared this loop.
             if geometric:
                 acc = acc - drift_int[n] - gaussian
-                paths[start:stop, n + 1] = params.x0 + y0 * (1.0 - np.exp(acc))
+                nodes[n + 1, start:stop] = params.x0 + y0 * (1.0 - np.exp(acc))
             else:
                 acc = acc + (drift_int[n] + gaussian)
-                paths[start:stop, n + 1] = params.x0 + acc
+                nodes[n + 1, start:stop] = params.x0 + acc
             if martingale_stats:
                 ratios = np.exp(-2.0 * var_int[n] - 2.0 * gaussian)
                 ratio_sum[block, n] = ratios.sum()
@@ -268,14 +307,14 @@ def _exact_paths(direction, y0, geometric, schedule, params, cfg, martingale_sta
 
     _run_blocks(cfg.n_paths, worker)
     if not martingale_stats:
-        return t_grid, paths
+        return t_grid, nodes.T
     n = cfg.n_paths
     mean = ratio_sum.sum(axis=0) / n
     var = np.maximum(ratio_sq.sum(axis=0) / n - mean**2, 0.0) * n / (n - 1)
-    return t_grid, paths, MartingaleStats(mean_ratio=mean, se_ratio=np.sqrt(var / n))
+    return t_grid, nodes.T, MartingaleStats(mean_ratio=mean, se_ratio=np.sqrt(var / n))
 
 
-def _affine_paths(rule: AffineRule, schedule, params, cfg):
+def _affine_paths(rule: AffineRule, schedule, params, cfg, normals=None):
     """Exact paths of an AffineRule with w = 0 (geometric along v) or v = 0 (arithmetic along w).
 
     v = w = 0 holds no risky asset and stays at x0 exactly.
@@ -283,9 +322,9 @@ def _affine_paths(rule: AffineRule, schedule, params, cfg):
     geometric = bool(rule.v.any())
     if not (geometric or rule.w.any()):
         t_grid = np.linspace(0.0, params.horizon_T, cfg.n_steps + 1)
-        return t_grid, np.full((cfg.n_paths, cfg.n_steps + 1), float(params.x0))
+        return t_grid, np.full((cfg.n_steps + 1, cfg.n_paths), float(params.x0)).T
     direction = rule.v if geometric else rule.w
-    return _exact_paths(direction, rule.xbar - params.x0, geometric, schedule, params, cfg)
+    return _exact_paths(direction, rule.xbar - params.x0, geometric, schedule, params, cfg, normals=normals)
 
 
 def simulate_optimal_exact(
@@ -475,23 +514,37 @@ def _monotonicity_check(paths, t_grid, coeffs):
     Uses per-path linearization of consecutive value differences, so the
     standard error accounts for the coupling between grid nodes.  The
     Bonferroni threshold z = Phi^{-1}(1 - Phi(-N_SIGMA) / n_increments)
-    makes N_SIGMA a family-wise level over all increments.  Works in two
-    buffers of the paths' size: quad * (x - mean)^2 per node, then the
-    per-path increments and their deviations.
+    makes N_SIGMA a family-wise level over all increments.  Walks the
+    nodes of paths.T one at a time (contiguous rows for the simulators'
+    Fortran-ordered paths) in four buffers of n_paths values: the
+    quad * (x - mean)^2 of two adjacent nodes, the per-path increment and
+    the wealth step.
     """
     quad = coeffs.quad_coeff(t_grid)
     offset = coeffs.offset(t_grid)
-    n = paths.shape[0]
-    value = paths - paths.mean(axis=0)
-    np.square(value, out=value)
-    value *= quad
-    per_path = np.subtract(value[:, 1:], value[:, :-1])
-    per_path += np.subtract(paths[:, 1:], paths[:, :-1], out=value[:, :-1])
-    mean = per_path.mean(axis=0)
+    nodes = paths.T
+    n = nodes.shape[1]
+    mean = np.empty(nodes.shape[0] - 1)
+    sum_sq = np.empty_like(mean)
+    value, prev = np.empty(n), np.empty(n)
+    per_path, step = np.empty(n), np.empty(n)
+
+    def node_value(k, out):
+        np.subtract(nodes[k], nodes[k].mean(), out=out)
+        np.square(out, out=out)
+        out *= quad[k]
+
+    node_value(0, prev)
+    for k in range(mean.size):
+        node_value(k + 1, value)
+        np.subtract(value, prev, out=per_path)
+        per_path += np.subtract(nodes[k + 1], nodes[k], out=step)
+        mean[k] = per_path.mean()
+        per_path -= mean[k]
+        sum_sq[k] = per_path @ per_path
+        value, prev = prev, value
     diffs = mean + np.diff(offset)
-    per_path -= mean
-    np.square(per_path, out=per_path)
-    spread = np.sqrt(per_path.sum(axis=0) / (n - 1))
+    spread = np.sqrt(sum_sq / (n - 1))
     z = NormalDist().inv_cdf(1.0 - NormalDist().cdf(-N_SIGMA) / diffs.size)
     allowance = z * spread / math.sqrt(n)
     worst = int(np.argmax(diffs - allowance))
@@ -518,8 +571,11 @@ def verify_weak_principle(
 
     Strategy probes run through simulate_wealth: the default ones are
     AffineRules on exact paths, any other callable runs on Euler.  The
-    scenario probes read only X_T of the optimal rule, so they draw it on
-    the exact scheme with one step over [0, T], one normal per path.
+    exact probes share one draw of normals (_node_normals), made when the
+    first of them runs, so each gets bitwise the paths simulate_wealth
+    draws for it alone without redrawing them.  The scenario probes read only X_T of the
+    optimal rule, so they draw it on the exact scheme with one step over
+    [0, T], one normal per path.
     """
     strategy = robust_strategy(solution, params)
     coeffs = value_coefficients(solution, params)
@@ -531,8 +587,11 @@ def verify_weak_principle(
     worst_case = ThetaProcessSchedule.constant(solution.theta_star)
 
     monotone, j_upper = [], []
+    normals = None
     for name, fn in probe_strategies:
-        t_grid, paths = simulate_wealth(fn, worst_case, params, cfg)
+        if normals is None and _draws_exactly(fn):
+            normals = _node_normals(cfg)
+        t_grid, paths = simulate_wealth(fn, worst_case, params, cfg, _shared_normals=normals)
         increase, allowance = _monotonicity_check(paths, t_grid, coeffs)
         check = ProbeCheck(name=name, margin=increase, allowance=allowance, ok=increase <= allowance)
         monotone.append(check)
@@ -543,6 +602,7 @@ def verify_weak_principle(
                 margin=increase,
             )
         est = estimate_objective(paths, params)
+        del paths  # free this probe's paths before the next probe fills its own
         margin = est.J - v0
         allowance_j = N_SIGMA * est.std_error_J
         check_j = ProbeCheck(name=name, margin=margin, allowance=allowance_j, ok=margin <= allowance_j)

@@ -254,8 +254,14 @@ def test_simulate_small_run(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == 0
     assert report["gap_to_V0"] <= report["allowance"]
-    assert report["weak_principle"]["ok"]
-    assert len(report["weak_principle"]["monotone"]) == 8
+    principle = report["weak_principle"]
+    assert principle["ok"]
+    assert len(principle["monotone"]) == 8
+    upper = principle["objective_upper"]
+    assert [c["name"] for c in upper] == [c["name"] for c in principle["monotone"]]
+    assert all(c["ok"] and c["margin"] <= c["allowance"] for c in upper)
+    zero = upper[[c["name"] for c in upper].index("zero")]
+    assert zero["margin"] == pytest.approx(REFERENCE["market"]["x0"] - report["V0"], rel=1e-12)
 
 
 def test_simulate_tiny_sample_allowed(tmp_path, capsys):

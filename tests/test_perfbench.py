@@ -1,0 +1,29 @@
+"""The benchmark's result line: strict JSON with every end-to-end metric present and finite."""
+
+import json
+import math
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def test_benchmark_result_line_is_strict_json():
+    # Python's json writes a nan or inf metric as a bare NaN or Infinity,
+    # which strict JSON parsers refuse; one round of the sweep must print none.
+    names = [m["name"] for m in json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]]
+    assert len(names) == 8
+    proc = subprocess.run(
+        [sys.executable, "perfbench/run.py", "--workload", "ambiguity-sweep", "--seconds", "0", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=300, check=True,
+    )
+    result = json.loads(proc.stdout.strip().splitlines()[-1], parse_constant=_reject_constant)
+    assert result["correct"] is True, proc.stderr
+    for name in names:
+        value = result["metrics"][name]["value"]
+        assert isinstance(value, (int, float)) and math.isfinite(value), name

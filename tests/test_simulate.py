@@ -25,9 +25,11 @@ from robustmv import (
     simulate_optimal_exact,
     simulate_wealth,
     solve,
+    value_coefficients,
     value_v0,
     verify_weak_principle,
 )
+from robustmv import simulate as sim
 from robustmv.ambiguity import ThetaProcessSchedule
 from robustmv.simulate import (
     _affine_paths,
@@ -268,9 +270,73 @@ def test_monotonicity_check_familywise(rise, flagged):
     se = inc[:, node].std(ddof=1) / math.sqrt(n)
     inc[:, node] += rise * se
     paths = np.concatenate([np.zeros((n, 1)), np.cumsum(inc, axis=1)], axis=1)
+    assert paths.flags.c_contiguous  # the check takes any memory order and writes nothing
+    before = paths.copy()
     increase, allowance = _monotonicity_check(paths, np.linspace(0.0, 1.0, steps + 1), _WealthValue())
     assert increase == pytest.approx(rise * se)
     assert (increase > allowance) == flagged
+    assert np.array_equal(paths, before)
+
+
+def test_monotonicity_check_memory_order(params2, reference):
+    # The simulators' Fortran-ordered paths and a C-ordered copy differ only in
+    # the order the node sums add up.
+    sol, strat, sched = reference
+    cfg = SimConfig(n_paths=6000, n_steps=32, seed=21)
+    coeffs = value_coefficients(sol, params2)
+    for rule in (strat, dict(default_probe_strategies(strat))["double"]):
+        t_grid, paths = simulate_wealth(rule, sched, params2, cfg)
+        node_major = _monotonicity_check(paths, t_grid, coeffs)
+        c_order = _monotonicity_check(np.ascontiguousarray(paths), t_grid, coeffs)
+        assert c_order == pytest.approx(node_major, rel=1e-12, abs=0.0)
+
+
+def test_paths_are_node_major(params2, reference):
+    sol, strat, sched = reference
+    cfg = SimConfig(n_paths=5000, n_steps=8, seed=2)
+    probes = dict(default_probe_strategies(strat))
+    runs = {
+        "euler": simulate_wealth(strat, sched, params2, cfg)[1],
+        "optimal_exact": simulate_optimal_exact(sol, sched, params2, cfg)[1],
+        **{name: simulate_wealth(probes[name], sched, params2, cfg)[1] for name in ("half", "static", "zero")},
+    }
+    for name, paths in runs.items():
+        assert paths.shape == (cfg.n_paths, cfg.n_steps + 1), name
+        assert paths.T.flags.c_contiguous, name
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_weak_principle_shared_draw_matches_simulate_wealth(params2, reference_spec, monkeypatch, antithetic):
+    # The exact strategy probes share one draw of normals: one set of block
+    # streams, plus one per scenario probe for its terminal draw.  Each probe
+    # still runs through simulate_wealth (the benchmark's trace counts those
+    # calls) and must check bitwise the paths it draws for the probe alone.
+    sol = solve(reference_spec, params2)
+    cfg = SimConfig(n_paths=5000, n_steps=16, seed=11, antithetic=antithetic)
+    checked, streams, runs = [], [], []
+    check, block_rng, simulate = sim._monotonicity_check, sim._block_rng, sim.simulate_wealth
+    monkeypatch.setattr(sim, "_monotonicity_check", lambda paths, *rest: checked.append(paths) or check(paths, *rest))
+    monkeypatch.setattr(sim, "_block_rng", lambda seed, block: streams.append(block) or block_rng(seed, block))
+    monkeypatch.setattr(sim, "simulate_wealth", lambda *args, **kw: runs.append(args) or simulate(*args, **kw))
+    report = verify_weak_principle(sol, reference_spec, params2, cfg)
+    n_blocks = 2
+    assert len(streams) == n_blocks * (1 + len(report.terminal_gain))
+    monkeypatch.undo()
+    worst = ThetaProcessSchedule.constant(sol.theta_star)
+    probes = default_probe_strategies(robust_strategy(sol, params2))
+    assert len(checked) == len(runs) == len(probes)
+    for (name, rule), paths in zip(probes, checked):
+        assert np.array_equal(paths, simulate_wealth(rule, worst, params2, cfg)[1]), name
+
+
+def test_weak_principle_thread_count_determinism(params2, reference_spec, monkeypatch):
+    sol = solve(reference_spec, params2)
+    cfg = SimConfig(n_paths=3 * 4096 + 17, n_steps=16, seed=8)
+    reports = []
+    for threads in ("1", "4"):
+        monkeypatch.setenv("ROBUSTMV_THREADS", threads)
+        reports.append(verify_weak_principle(sol, reference_spec, params2, cfg))
+    assert reports[0] == reports[1]
 
 
 def test_weak_principle_negative_control(params2, reference_spec):
