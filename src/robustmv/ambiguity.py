@@ -12,7 +12,8 @@ Two families are supported:
 Membership tests, projections used by the numeric solvers, and a
 deterministic block rejection sampler live here: proposals are drawn,
 filtered by one stacked PD test and the drift test, and kept a block at a
-time.
+time.  On the full correlation set the correlation proposals come from the
+onion method and are PD already; elsewhere they are uniform on the box.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from .market import (
     covariance_from,
     is_positive_definite,
     n_pairs,
+    pair_index,
 )
 
 # Absolute slack on the ellipsoid inequality; the set is closed, floats are not.
@@ -205,23 +207,56 @@ def project_b(spec: AmbiguitySpec, b, rho, params: MarketParams) -> np.ndarray:
     return spec.b_hat + (spec.delta / dist) * (b - spec.b_hat)
 
 
+def _onion(rng: np.random.Generator, size: int, d: int) -> np.ndarray:
+    """`size` rho rows drawn uniformly from the PD correlation matrices, d >= 2.
+
+    The onion method of Lewandowski, Kurowicka & Joe (2009, J. Multivariate
+    Anal. 100, eta = 1) grows the Cholesky factor one row at a time: with
+    beta = d/2, rho_12 = 2 Beta(beta, beta) - 1; then for k = 2 .. d-1,
+    beta -= 1/2, y ~ Beta(k/2, beta), u uniform on the unit sphere of R^k,
+    and row k is (sqrt(y) u, sqrt(1 - y)).  Every row has unit norm, so
+    L L' is a correlation matrix; its upper pairs are clipped to [-1, 1]
+    against rounding.
+    """
+    chol = np.zeros((size, d, d))
+    beta = d / 2
+    r12 = 2.0 * rng.beta(beta, beta, size) - 1.0
+    chol[:, 0, 0] = 1.0
+    chol[:, 1, 0] = r12
+    chol[:, 1, 1] = np.sqrt(1.0 - r12 * r12)
+    for k in range(2, d):
+        beta -= 0.5
+        y = rng.beta(k / 2, beta, size)
+        u = rng.standard_normal((size, k))
+        chol[:, k, :k] = (np.sqrt(y) / np.linalg.norm(u, axis=1))[:, None] * u
+        chol[:, k, k] = np.sqrt(1.0 - y)
+    rows, cols = pair_index(d)
+    return np.clip((chol @ chol.transpose(0, 2, 1))[:, rows, cols], -1.0, 1.0)
+
+
 def _draws(spec: AmbiguitySpec, count: int, seed: int, params: MarketParams):
     """Block rejection sampler: (b, rho) arrays of shapes (count, d), (count, m).
 
-    Each block of proposals is filtered with one stacked PD test, then with
-    the drift test of `contains` (the drift box, or ||L^{-1}(b - b_hat)||
-    <= delta + MEMBERSHIP_TOL with L the covariance factor).  Misses are
-    counted in draw order across blocks, so SamplingExhausted fires after
-    exactly MAX_REJECTIONS consecutive rejections.  Blocks are sized from
-    the acceptance rate seen so far, between BLOCK_MIN and BLOCK_MAX, and
-    propose at most BLOCK_GROWTH times the proposals before them, so that
-    a first block with few hits by chance cannot set off an oversized one.
+    Correlation proposals are uniform on the box, except on the full set
+    (every pair bound -1/+1, d >= 2), where `_onion` proposes uniform PD
+    correlation matrices and nearly nothing is rejected.  Either way each
+    block of proposals is filtered with one stacked PD test (pivot
+    tolerance) and the box test, then with the drift test of `contains`
+    (the drift box, or ||L^{-1}(b - b_hat)|| <= delta + MEMBERSHIP_TOL
+    with L the covariance factor), so the rho draws are uniform on the
+    box's PD part (within tolerance).  Misses are counted in draw order across blocks,
+    so SamplingExhausted fires after exactly MAX_REJECTIONS consecutive
+    rejections.  Blocks are sized from the acceptance rate seen so far,
+    between BLOCK_MIN and BLOCK_MAX, and propose at most BLOCK_GROWTH
+    times the proposals before them, so that a first block with few hits
+    by chance cannot set off an oversized one.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
     rng = np.random.default_rng(seed)
     lower, upper = spec.gamma.lower, spec.gamma.upper
     d = spec.d
+    onion = d >= 2 and bool(np.all(lower == -1.0) and np.all(upper == 1.0))
     bs, rhos = [np.zeros((0, d))], [np.zeros((0, lower.size))]
     kept = proposed = misses = 0
     while kept < count:
@@ -229,7 +264,7 @@ def _draws(spec: AmbiguitySpec, count: int, seed: int, params: MarketParams):
         guess = min(1.25 * need * proposed / max(kept, 1), BLOCK_GROWTH * proposed) if proposed else need
         size = int(np.clip(guess, BLOCK_MIN, BLOCK_MAX))
         proposed += size
-        rho = rng.uniform(lower, upper, (size, lower.size))
+        rho = _onion(rng, size, d) if onion else rng.uniform(lower, upper, (size, lower.size))
         ok = is_positive_definite(rho, d) & np.all((rho >= lower) & (rho <= upper), axis=1)
         if isinstance(spec, ProductSet):
             b = rng.uniform(spec.delta_lower, spec.delta_upper, (size, d))
@@ -261,10 +296,13 @@ def _draws(spec: AmbiguitySpec, count: int, seed: int, params: MarketParams):
 
 
 def sample(spec: AmbiguitySpec, count: int, seed: int, params: MarketParams) -> list[ThetaPoint]:
-    """`count` members of the set, deterministic for a seed (block rejection sampling).
+    """`count` members of the set, deterministic for a seed.
 
-    Draws are taken a block at a time (see _draws), so a seed gives other
-    draws than the earlier one-proposal-at-a-time sampler did.
+    Draws are taken a block at a time (see _draws): onion proposals on the
+    full correlation set, uniform box proposals elsewhere, kept by the same
+    PD, box and drift filters.  A seed gives other draws than the earlier
+    one-proposal-at-a-time sampler did, and on the full set other draws
+    than the box-proposal sampler did.
     """
     return [ThetaPoint(b=b, rho=rho) for b, rho in zip(*_draws(spec, count, seed, params))]
 

@@ -16,8 +16,9 @@ full correlation ambiguity uses "gamma": {"full_ambiguity": true}.  An optional
 
 Exit codes: 0 success, 1 input error (among them a section or "gamma" that
 is not a JSON object, a "sweep" that is not a non-empty list of objects,
---resolution below 1 and --probes below 0, and e^{r* T} beyond the float
-range), 2 verification failure (a NaN objective estimate included), 3 a flagged
+--resolution below 1 and --probes below 0, e^{r* T} beyond the float
+range, and a correlation box in which the solver finds no PD point),
+2 verification failure (a NaN objective estimate included), 3 a flagged
 mathematical condition (no minimizer / zero drift, or a numeric fallback
 that did not converge: solve, classify and sweep still emit their report
 and name the iterations and residual on stderr).

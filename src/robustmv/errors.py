@@ -26,7 +26,14 @@ class NoMinimum(RobustMVError):
 
 
 class BoxNotPositiveDefinite(RobustMVError):
-    """A corner of the correlation box is not positive definite."""
+    """A correlation box with a non-PD part in which no PD point was found.
+
+    `solve` raises it for a three-asset box with a non-PD corner (named in
+    ``corner``, in the caller's pair order) when the numeric fallback finds
+    no PD point to start from; a box whose corners fail but which holds PD
+    points is solved numerically.  `grid_oracle` raises it when no grid
+    node is PD (``corner`` is None).
+    """
 
     def __init__(self, message, corner=None):
         super().__init__(message)

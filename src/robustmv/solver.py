@@ -35,6 +35,7 @@ from .ambiguity import AmbiguitySpec, EllipsoidalSet, ProductSet
 from .errors import (
     BoxNotPositiveDefinite,
     GridTooLarge,
+    NoFeasiblePoint,
     NoMinimum,
     NotPositiveDefinite,
     SaddleViolated,
@@ -317,7 +318,8 @@ def _three_asset(spec: EllipsoidalSet, params: MarketParams, profile):
     """Three assets, per-pair correlation box, Cases 2-5 (Case 1 is `_one_asset`).
 
     The 8 sorted-frame corners are factored as one stack: the first non-PD
-    one raises BoxNotPositiveDefinite, named in the caller's pair order.
+    one raises BoxNotPositiveDefinite, named in the caller's pair order
+    (`solve` then tries the numeric fallback).
     Batched solves on that factor give kappa at every corner, bitwise equal
     to variance_risk_ratio there, so no case test reads other numbers than
     a corner-by-corner evaluation would.  Cases are tested in order and the
@@ -602,9 +604,13 @@ def verify_saddle(
 ) -> SaddleReport:
     """Sample the ambiguity set and test both sides of the saddle inequality.
 
-    Over the draws (b, rho), H(b*, rho) - r* = kappa*' Sigma(rho) kappa* - r*
-    is linear in rho, one matvec, and H(b, rho*) - r* = b' kappa* - r*.
-    Raises SaddleViolated with the first offending draw, upper side first.
+    The draws (b, rho) come from ambiguity._draws, rho uniform on the PD
+    part of the box: on the full correlation set the onion method proposes
+    PD matrices only, so the check costs about the same at any d; on a
+    box, proposals that fail the PD test are rejected.  Over the draws, H(b*, rho) - r* =
+    kappa*' Sigma(rho) kappa* - r* is linear in rho, one matvec, and
+    H(b, rho*) - r* = b' kappa* - r*.  Raises SaddleViolated with the first
+    offending draw, upper side first.
     """
     kappa_star = variance_risk_ratio(solution.theta_star, params)
     b, rho = amb._draws(spec, samples, seed, params)
@@ -628,6 +634,13 @@ def verify_saddle(
     )
 
 
+def _fallthrough(spec: EllipsoidalSet, params: MarketParams) -> WorstCaseSolution:
+    """numeric_minimize on a box that no closed-form case solved, marked case_fallthrough."""
+    solution = numeric_minimize(spec, params)
+    solution.diagnostics["case_fallthrough"] = True
+    return solution
+
+
 def solve(spec: AmbiguitySpec, params: MarketParams) -> WorstCaseSolution:
     """Route an ambiguity set to its closed form or the numeric fallback.
 
@@ -640,7 +653,10 @@ def solve(spec: AmbiguitySpec, params: MarketParams) -> WorstCaseSolution:
     too close to tied, and raises NoMinimum.  d = 2 keeps its interval
     rule, whose interior case is the same fact.  d >= 4 and three-asset
     boxes where no case fires (marked diagnostics["case_fallthrough"]) go
-    to numeric_minimize.
+    to numeric_minimize.  So do three-asset boxes with a non-PD corner,
+    which void Cases 2-5 but may still hold PD points (also marked
+    case_fallthrough); when the fallback finds no PD point to start from,
+    the corner's BoxNotPositiveDefinite is raised.
 
     Sigma(rho*) is factored once: `_one_asset`'s PD test is that
     factorization, and otherwise it follows the closed form.  The factor
@@ -667,11 +683,16 @@ def solve(spec: AmbiguitySpec, params: MarketParams) -> WorstCaseSolution:
     else:
         if d >= 4:
             return numeric_minimize(spec, params)
-        found = _two_asset(spec, profile) if d == 2 else _three_asset(spec, params, profile)
+        try:
+            found = _two_asset(spec, profile) if d == 2 else _three_asset(spec, params, profile)
+        except BoxNotPositiveDefinite as corner:
+            # A non-PD corner voids Cases 2-5, not the box: it may still hold PD points.
+            try:
+                return _fallthrough(spec, params)
+            except NoFeasiblePoint:
+                raise corner from None
         if found is None:
-            fallback = numeric_minimize(spec, params)
-            fallback.diagnostics["case_fallthrough"] = True
-            return fallback
+            return _fallthrough(spec, params)
         rho_star, label, diagnostics, zero = found
         cov = covariance_from(rho_star, params)
         b_star, r_star = _shrink_at(cov, spec.b_hat, spec.delta)

@@ -246,3 +246,15 @@ STALLED_D4 = dict(
     upper=[-0.23633267108225742, 0.03438538860769919, 0.4753315192482581,
            -0.19701364113469494, 0.49042527387945734, -0.954124611043254],
 )
+
+
+# A d = 3 box (delta = 0) with a non-PD corner, (0.649, -0.47, 0.376), that
+# still holds PD points.  Its minimum, r* = 1.7631990603598477 with all three
+# assets traded, sits at the PD corner (0.228, 0.042, 0.199); grid_oracle(81)
+# gives the same r*.
+NON_PD_CORNER_D3 = dict(
+    sigmas=[0.879, 1.608, 0.722],
+    b_hat=[0.069, -0.193, 0.915],
+    lower=[0.228, -0.47, 0.199],
+    upper=[0.649, 0.042, 0.376],
+)

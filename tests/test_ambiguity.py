@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from robustmv import (
     EllipsoidalSet,
     GammaBox,
+    MarketParams,
     ProductSet,
     SamplingExhausted,
     ThetaPoint,
@@ -20,7 +21,7 @@ from robustmv import (
 from robustmv import ambiguity as amb
 from robustmv.ambiguity import ThetaProcessSchedule, drift_distance, schedule_within
 
-from conftest import random_set_instance
+from conftest import full_ambiguity_spec, random_set_instance
 
 
 @pytest.fixture
@@ -203,6 +204,78 @@ def test_sample_blocks_grow_geometrically(monkeypatch, params2):
     assert len(sample(spec, 150, seed=0, params=params2)) == 150
     assert all(size <= amb.BLOCK_GROWTH * sum(sizes[:i]) for i, size in enumerate(sizes) if i)
     assert sum(sizes) < 2 * 150 * 50
+
+def _full_draws(d, count, seed):
+    params = MarketParams(sigmas=np.linspace(0.5, 2.0, d), horizon_T=1.0, lam=0.5, x0=1.0)
+    spec = full_ambiguity_spec(np.linspace(-0.5, 1.0, d), 0.1)
+    return amb._draws(spec, count, seed, params)[1]
+
+
+def _within_4se(draws, reference_mean, reference_var=0.0, reference_n=1):
+    """Each column's mean is reference_mean within 4 standard errors of the difference."""
+    se = np.sqrt(draws.var(axis=0) / len(draws) + reference_var / reference_n)
+    return np.abs(draws.mean(axis=0) - reference_mean) <= 4.0 * se
+
+
+@pytest.mark.parametrize("d", [3, 4, 5, 6, 7, 8])
+def test_full_set_draws_have_uniform_marginal_variance(d):
+    """Under the uniform law on PD correlation matrices every rho_ij is 2 Beta(d/2, d/2) - 1: E rho_ij^2 = 1/(d+1)."""
+    squares = _full_draws(d, 4000, seed=100 + d) ** 2
+    assert np.all(_within_4se(squares, 1.0 / (d + 1)))
+
+
+@pytest.mark.parametrize("d, cube_draws", [(3, 8000), (4, 30000), (5, 250000)])
+def test_full_set_draws_match_cube_rejection(d, cube_draws):
+    """Pair means and second moments agree with uniform cube draws kept by the PD test."""
+    m = d * (d - 1) // 2
+    rng = np.random.default_rng(200 + d)
+    cube = rng.uniform(-1.0, 1.0, (cube_draws, m))
+    reference = cube[is_positive_definite(cube, d)]
+    rho = _full_draws(d, 4000, seed=300 + d)
+    i, j = np.triu_indices(m)
+
+    def moments(x):
+        return np.concatenate([x, x[:, i] * x[:, j]], axis=1)
+
+    ref = moments(reference)
+    assert len(reference) > 3000
+    assert np.all(_within_4se(moments(rho), ref.mean(axis=0), ref.var(axis=0), len(ref)))
+
+
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_full_set_and_explicit_unit_box_draw_alike(d):
+    """Onion proposals key on the bounds: any box of -1/+1 bounds gives the full set's draws bitwise."""
+    m = d * (d - 1) // 2
+    params = MarketParams(sigmas=np.ones(d), horizon_T=1.0, lam=0.5, x0=1.0)
+    b_hat = np.linspace(0.2, 0.6, d)
+    explicit = GammaBox(lower=[-1.0] * m, upper=[1.0] * m, full_ambiguity=True)
+    full = amb._draws(EllipsoidalSet(b_hat=b_hat, delta=0.1, gamma=GammaBox.full(d)), 300, 9, params)
+    again = amb._draws(EllipsoidalSet(b_hat=b_hat, delta=0.1, gamma=explicit), 300, 9, params)
+    assert all(np.array_equal(x, y) for x, y in zip(full, again))
+    # An ordinary box must lie inside (-1, 1), so it can never take the onion branch.
+    with pytest.raises(ValueError, match="inside"):
+        GammaBox.box([-1.0] * m, [1.0] * m)
+
+
+def test_box_draws_reference_values():
+    # Draws on boxes that are not the full set, recorded before the full set
+    # got its onion proposals; they must not move (numpy 2.4, x86-64).
+    params = MarketParams(sigmas=[1.0, 1.5, 0.8], horizon_T=1.0, lam=0.5, x0=1.0)
+    ellipsoidal = EllipsoidalSet(
+        b_hat=np.array([0.4, 0.2, -0.3]), delta=0.1, gamma=GammaBox.box([-0.5, -0.2, 0.1], [0.8, 0.6, 0.9])
+    )
+    # Corners of [-0.9, 0.9]^3 are not PD, so this one also rejects.
+    product = ProductSet(np.array([0.1, -0.2, 0.0]), np.array([0.4, 0.2, 0.3]), GammaBox.box([-0.9] * 3, [0.9] * 3))
+    expected = {
+        "ellipsoidal": (0.4264187522612189, -0.35382151644817444, 0.446352631789195, 0.8982024679021529,
+                        62.447955349912405, 160.24274995859884),
+        "product": (0.3172924035431327, 0.14141174176832585, 0.5542934215256888, -0.40672482846152225,
+                    80.52905760030833, -12.365183368783772),
+    }
+    for name, spec in (("ellipsoidal", ellipsoidal), ("product", product)):
+        b, rho = amb._draws(spec, 200, 5, params)
+        assert (b[0, 0], b[199, 2], rho[0, 1], rho[199, 2], b.sum(), rho.sum()) == expected[name], name
+
 
 def test_ellipsoid_scaling_invariance(params2):
     # membership depends only on the ratio distance/delta

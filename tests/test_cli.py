@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 from robustmv import cli, solver
 from robustmv.cli import main
 
-from conftest import STALLED_D4
+from conftest import NON_PD_CORNER_D3, STALLED_D4
 
 REFERENCE = {
     "market": {"sigmas": [1.0, 1.0], "horizon_T": 1.0, "lambda": 0.5, "x0": 1.0},
@@ -354,6 +354,26 @@ STALLED = {
         "gamma": {"lower": STALLED_D4["lower"], "upper": STALLED_D4["upper"]},
     },
 }
+
+
+def test_solve_non_pd_corner_box_exits_0(tmp_path, capsys):
+    # A three-asset box with a non-PD corner but PD points is solved, not refused.
+    payload = {
+        "market": {"sigmas": NON_PD_CORNER_D3["sigmas"], "horizon_T": 1.0, "lambda": 0.5, "x0": 1.0},
+        "ambiguity": {
+            "variant": "ellipsoidal",
+            "b_hat": NON_PD_CORNER_D3["b_hat"],
+            "delta": 0.0,
+            "gamma": {"lower": NON_PD_CORNER_D3["lower"], "upper": NON_PD_CORNER_D3["upper"]},
+        },
+    }
+    cfg = write_config(tmp_path, payload)
+    assert main(["solve", "--config", cfg]) == 0
+    out = capsys.readouterr()
+    solution = json.loads(out.out)["solution"]
+    assert solution["case_label"] == "Numeric"
+    assert solution["r_star"] == 1.7631990603598477
+    assert "Traceback" not in out.err
 
 
 def test_stalled_d4_classify_top_asset(tmp_path, capsys):

@@ -1,6 +1,7 @@
 """Closed-form worst cases vs the brute-force oracle, numerics, saddle checks."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -36,6 +37,7 @@ from robustmv.errors import BoxNotPositiveDefinite, GridTooLarge
 
 from conftest import (
     CURATED_THREE_ASSET,
+    NON_PD_CORNER_D3,
     STALLED_D4,
     box_corners_pd,
     curated_three_asset,
@@ -321,6 +323,23 @@ def test_three_asset_fallthrough_goes_numeric(monkeypatch):
     sol = solve(spec, params)
     assert sol.case_label == "Numeric" and sol.diagnostics["case_fallthrough"]
     assert abs(sol.r_star - closed.r_star) <= 1e-9
+
+
+def test_three_asset_non_pd_corner_goes_numeric():
+    # A non-PD corner voids the three-asset cases, not the box: the numeric
+    # fallback finds the minimum at a PD corner, where grid_oracle finds it too.
+    params = MarketParams(sigmas=NON_PD_CORNER_D3["sigmas"], horizon_T=1.0, lam=0.5, x0=1.0)
+    gamma = GammaBox.box(NON_PD_CORNER_D3["lower"], NON_PD_CORNER_D3["upper"])
+    spec = EllipsoidalSet(b_hat=np.array(NON_PD_CORNER_D3["b_hat"]), delta=0.0, gamma=gamma)
+    assert not box_corners_pd(gamma.lower, gamma.upper, 3)
+    sol = solve(spec, params)
+    assert sol.case_label == "Numeric"
+    assert sol.diagnostics["case_fallthrough"] and sol.diagnostics["converged"]
+    assert sol.r_star == 1.7631990603598477
+    assert np.array_equal(sol.theta_star.rho, [0.228, 0.042, 0.199])
+    assert sol.r_star == grid_oracle(spec, params, resolution=81).r_star
+    _assert_one_factor_values(sol, spec, params)
+    verify_saddle(sol, spec, params, samples=500, seed=3)
 
 
 def test_three_asset_rejects_non_pd_box(params3):
@@ -817,6 +836,23 @@ def test_verify_saddle_matches_per_draw_loop(family, seed):
     margins = _saddle_margins(sol, spec, params, 200, seed)
     assert abs(report.worst_upper_margin - max(up for _, up, _ in margins)) <= 1e-12
     assert abs(report.worst_lower_margin - min(low for _, _, low in margins)) <= 1e-12
+
+
+@pytest.mark.parametrize("d", [7, 8])
+def test_verify_saddle_full_set_large_d(d):
+    # The full set's proposals are PD by construction, so the check does not
+    # slow down as the PD share of the correlation cube shrinks with d (it is
+    # about 0.001 at d = 6 and far smaller beyond).
+    rng = np.random.default_rng(d)
+    params = MarketParams(sigmas=rng.uniform(0.5, 2.0, d), horizon_T=1.0, lam=0.5, x0=1.0)
+    b_hat = rng.uniform(-1.0, 1.0, d)
+    b_hat[0] = 3.0
+    spec = full_ambiguity_spec(b_hat, 0.1)
+    sol = solve(spec, params)
+    start = time.perf_counter()
+    report = verify_saddle(sol, spec, params, samples=150, seed=d)
+    assert time.perf_counter() - start < 1.0
+    assert report.ok and report.samples == 150
 
 
 def test_verify_saddle_singleton_margins_zero(params2):
