@@ -28,11 +28,11 @@ class NoMinimum(RobustMVError):
 class BoxNotPositiveDefinite(RobustMVError):
     """A correlation box with a non-PD part in which no PD point was found.
 
-    `solve` raises it for a three-asset box with a non-PD corner (named in
-    ``corner``, in the caller's pair order) when the numeric fallback finds
-    no PD point to start from; a box whose corners fail but which holds PD
-    points is solved numerically.  `grid_oracle` raises it when no grid
-    node is PD (``corner`` is None).
+    `solve` raises it for a two- or three-asset box with no closed form when
+    the numeric fallback finds no PD point to start from, naming the box's
+    first non-PD corner in ``corner`` (in the caller's pair order); a box
+    whose corners fail but which holds PD points is solved.  `grid_oracle`
+    raises it when no grid node is PD (``corner`` is None).
     """
 
     def __init__(self, message, corner=None):

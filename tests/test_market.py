@@ -28,9 +28,8 @@ from robustmv import (
 )
 from robustmv import sample
 from robustmv.market import PD_TOLERANCE, _factor, _factor_stack, correlation_stack, n_pairs, upper_pairs
-from robustmv.solver import _permute_pairs
 
-from conftest import fd_gradient, premium_2x2
+from conftest import fd_gradient, permute_pairs, premium_2x2
 
 
 def test_correlation_matrix_placement():
@@ -319,9 +318,9 @@ def test_pair_layout_round_trip_and_permutation(layout):
         for j in range(i + 1, d):
             a, b = sorted((perm[i], perm[j]))
             expected[position(i, j)] = rho[position(a, b)]
-    permuted = _permute_pairs(rho, perm, d)
+    permuted = permute_pairs(rho, perm, d)
     assert permuted.tobytes() == expected.tobytes()
-    assert _permute_pairs(permuted, np.argsort(perm), d).tobytes() == rho.tobytes()
+    assert permute_pairs(permuted, np.argsort(perm), d).tobytes() == rho.tobytes()
 
 
 @given(st.integers(1, 6), st.integers(0, 2**32 - 1))
