@@ -9,11 +9,12 @@ and never depends on delta; delta only shrinks the drift, b* =
 (1 - delta/s)_+ b_hat with s = sqrt(R(b_hat, rho*)), so r* = (s - delta)_+^2
 and delta >= s means no trade.  `solve` finds rho* by a delta-free closed
 form or by the projected-gradient fallback, then shrinks once.  The closed
-forms: any d when only the top-|Sharpe| asset is traded (`_one_asset`);
-two- and three-asset boxes from one enumeration of the dual bound of R
-(`_dual`), whose winning sign pattern names the case.  Product
-(rectangular) sets go through the same fallback on (b, rho) jointly, and an
-exhaustive grid oracle provides independent ground truth for tests.
+forms: any d when only the top-|Sharpe| asset is traded (`_one_asset`,
+tried first on every set); otherwise two- and three-asset boxes from one
+enumeration of the dual bound of R (`_dual`), whose winning sign pattern
+names the case.  Product (rectangular) sets go through the same fallback
+on (b, rho) jointly, and an exhaustive grid oracle provides independent
+ground truth for tests.
 
 Every solution carries the direction kappa* = Sigma(rho*)^{-1} b* that the
 second step trades, and the invariant is direction == Sigma(rho*)^{-1} b*
@@ -83,7 +84,7 @@ ORACLE = "Oracle"
 
 GRID_BUDGET = 10**8
 
-# Projected descent: iteration budget, and the box residual that counts as converged.
+# Projected descent: iteration budget, and the box residual, relative to f, that counts as converged.
 DESCENT_MAX_ITERS = 5000
 DESCENT_TOL = 1e-8
 
@@ -117,9 +118,14 @@ class WorstCaseSolution:
 
 
 def _shrink(b_hat, s, delta):
-    """(b*, r*) = ((1 - delta/s) b_hat, (s - delta)^2) if s > delta, else (0, 0)."""
+    """(b*, r*) = ((1 - delta/s) b_hat, (s - delta)^2) if s > delta, else (0, 0).
+
+    r* is inf where (s - delta)^2 passes the float range."""
     if s > delta:
-        return (1.0 - delta / s) * b_hat, (s - delta) ** 2
+        try:
+            return (1.0 - delta / s) * b_hat, (s - delta) ** 2
+        except OverflowError:  # raised by a float's **, where numpy would give inf
+            return (1.0 - delta / s) * b_hat, math.inf
     return np.zeros_like(b_hat), 0.0
 
 
@@ -176,37 +182,10 @@ def _one_asset(lower, upper, profile, params: MarketParams):
         return None
 
 
-def _line_box_segment(coef_x, coef_y, const, box_x, box_y):
-    """Endpoints of {coef_x*x + coef_y*y = const} clipped to a rectangle."""
-    lx, ux = box_x
-    ly, uy = box_y
-    scale = max(abs(coef_x), abs(coef_y), abs(const), 1.0)
-    tol = 1e-12 * scale
-    points = []
-    if abs(coef_y) > tol:
-        for x in (lx, ux):
-            y = (const - coef_x * x) / coef_y
-            if ly - 1e-9 <= y <= uy + 1e-9:
-                points.append((x, min(max(y, ly), uy)))
-    if abs(coef_x) > tol:
-        for y in (ly, uy):
-            x = (const - coef_y * y) / coef_x
-            if lx - 1e-9 <= x <= ux + 1e-9:
-                points.append((min(max(x, lx), ux), y))
-    if not points:
-        return None
-    # Order along the line and keep the extreme pair.
-    def along(p):
-        return -coef_y * p[0] + coef_x * p[1]
-
-    points.sort(key=along)
-    return points[0], points[-1]
-
-
 # Closed-form labels of `_dual`, keyed on the winner's signs in the sorted frame,
 # scaled so that the first nonzero one is +1; 0 marks an asset that is not traded.
 _DUAL_LABELS = {
-    (1, 0): TWO_INTERIOR, (1, 1): TWO_UPPER, (1, -1): TWO_LOWER,
+    (1, 1): TWO_UPPER, (1, -1): TWO_LOWER,
     (1, 1, 0): THREE_CASE2I, (1, -1, 0): THREE_CASE2II,
     (1, 0, 1): THREE_CASE3I, (1, 0, -1): THREE_CASE3II,
     (0, 1, 1): THREE_CASE4I, (0, 1, -1): THREE_CASE4II,
@@ -244,18 +223,23 @@ def _dual(lower, upper, profile, d: int):
     where k_i k_j < 0), so with K the support of k* and t its signs,
     k*_K = C_KK(corner of t)^{-1} beta_K with C_KK PD, and min R is the
     largest g over the candidates (K, t), factored as one stack of
-    blockdiag(C_KK, I) with beta masked to K.
+    blockdiag(C_KK, I) with beta masked to K.  beta is scaled by a power of
+    two, exactly, so max |beta| lies in [1/2, 1): rho* and the label do not
+    depend on the scale of b_hat, and g neither overflows nor underflows.
 
-    The winner's rho*: pairs in K at the corner of t; at d = 2 with one
-    asset traded, the proximity q; at d = 3 with |K| = 2, the untraded
-    asset z's row at the midpoint of its segment {sum_k rho_zk k_k = beta_z}
-    in the box, where kappa_z = 0.  Then C(rho*) k = beta and rho* attains
-    the maximum in g, so R(rho*) = g is minimal once rho* passes the
-    caller's PD test.  None when k does not trade exactly K or its signs
-    pick another corner, when one asset wins at d = 3 (a `_one_asset`
-    miss), or when the segment misses the box.
+    This decides only multi-asset winners; one traded asset is
+    `_one_asset`'s answer.  The winner's rho*: pairs in K at the corner of
+    t; at d = 3 with |K| = 2, the untraded asset z's row at the midpoint of
+    its segment {sum_k rho_zk k_k = beta_z} in the box, where kappa_z = 0.
+    Then C(rho*) k = beta and rho* attains the maximum in g, so R(rho*) = g
+    is minimal once rho* passes the caller's PD test.  None when k does not
+    trade exactly K or its signs pick another corner, when one asset wins
+    (a `_one_asset` miss by rounding), or when the segment misses the box
+    by more than 1e-9 in rho.
     """
-    betas, order = profile.betas, profile.order
+    order = profile.order
+    exponent = int(np.frexp(np.max(np.abs(profile.betas)))[1])
+    betas = np.ldexp(profile.betas, -exponent)
     traded, at_upper, at_lower = _candidates(d)
     rows, cols = pair_index(d)
     corners = np.where(at_upper, upper, np.where(at_lower, lower, 0.0))
@@ -280,21 +264,21 @@ def _dual(lower, upper, profile, d: int):
     if label is None:
         return None
     rho = corner.copy()
-    diagnostics = {"order": order.tolist(), "runner_up_margin": float(g[win] - np.sort(g)[-2])}
+    margin = np.ldexp(g[win] - np.sort(g)[-2], 2 * exponent)
+    diagnostics = {"order": order.tolist(), "runner_up_margin": float(margin)}
     untraded = tuple(i for i, t in enumerate(traded.tolist()) if not t)
-    if d == 2:
-        q = float(profile.proximities[0])
-        diagnostics["proximity"] = q
-        if untraded:
-            rho[0] = min(max(q, float(lower[0])), float(upper[0]))
-    elif untraded:
+    if untraded:
         (z,), (j, k) = untraded, np.flatnonzero(traded)
         zj, zk = pair_position(d)[z, j], pair_position(d)[z, k]
-        segment = _line_box_segment(kappa[j], kappa[k], betas[z], (lower[zj], upper[zj]), (lower[zk], upper[zk]))
-        if segment is None:
+        (lx, ux), (ly, uy) = (lower[zj], upper[zj]), (lower[zk], upper[zk])
+        # x = rho_zj on the line kappa_j x + kappa_k y = beta_z with y = rho_zk in [ly, uy].
+        ends = sorted((betas[z] - kappa[k] * y) / kappa[j] for y in (ly, uy))
+        x_lo, x_hi = max(ends[0], lx), min(ends[1], ux)
+        # A miss by e in x is one by e |kappa_j / kappa_k| in y: allow 1e-9 in either.
+        if x_lo - x_hi > 1e-9 * max(1.0, abs(kappa[k] / kappa[j])):
             return None
-        (x0, y0), (x1, y1) = segment
-        rho[[zj, zk]] = x0 + 0.5 * (x1 - x0), y0 + 0.5 * (y1 - y0)
+        x = min(max(x_lo + 0.5 * (x_hi - x_lo), lx), ux)
+        rho[[zj, zk]] = x, min(max((betas[z] - kappa[j] * x) / kappa[k], ly), uy)
     return rho, label, diagnostics, untraded
 
 
@@ -328,6 +312,11 @@ def _projected_descent(value_grad, start, lower, upper):
     returned, and comes back with it.  Barzilai-Borwein steps halve until
     Armijo's test holds or the slope at the candidate is <= 0, which for
     convex f proves a decrease that rounding can hide in f.
+
+    The box residual is the Frank-Wolfe gap, an upper bound on f - min f,
+    so the descent stops once it is below DESCENT_TOL * f: the test reads
+    the same at every scale of f, which R keeps positive (R >= beta_top^2
+    for ellipsoidal sets).
     """
     x = start
     fx, g, aux = value_grad(x)
@@ -335,7 +324,7 @@ def _projected_descent(value_grad, start, lower, upper):
     iterations = 0
     for iterations in range(1, DESCENT_MAX_ITERS + 1):
         residual = _box_residual(g, x, lower, upper)
-        if residual < DESCENT_TOL:
+        if residual < DESCENT_TOL * fx:
             return x, fx, aux, iterations, residual, True
         while True:
             candidate = np.clip(x - eta * g, lower, upper)
@@ -354,7 +343,7 @@ def _projected_descent(value_grad, start, lower, upper):
         eta = float(step @ step) / curvature if curvature > 0.0 else 1.0
         x, fx, g, aux = candidate, f_candidate, g_candidate, aux_candidate
     residual = _box_residual(g, x, lower, upper)
-    return x, fx, aux, iterations, residual, residual < DESCENT_TOL
+    return x, fx, aux, iterations, residual, residual < DESCENT_TOL * fx
 
 
 def numeric_minimize(spec: AmbiguitySpec, params: MarketParams) -> WorstCaseSolution:
@@ -604,20 +593,20 @@ def _fallthrough(spec: EllipsoidalSet, params: MarketParams) -> WorstCaseSolutio
 def solve(spec: AmbiguitySpec, params: MarketParams) -> WorstCaseSolution:
     """Route an ambiguity set to its closed form or the numeric fallback.
 
-    Full ambiguity and every box with d != 2 first try `_one_asset`: when
-    the set holds a PD point whose top-asset row is the Sharpe proximities,
-    only that asset is traded and s = |beta_top| exactly.  The label is
-    FullAmbiguity, OneAsset (d = 1), ThreeAsset.Case1 or TopAsset (d >= 4);
-    only that one point must be PD, so non-PD box corners do not stop it.
-    Under full ambiguity a miss means the top |Sharpe ratio| is tied, or
-    too close to tied, and raises NoMinimum.  d >= 4 boxes go to
-    numeric_minimize.  Two- and three-asset boxes take `_dual`'s winner
-    (d = 2 directly: its one-asset case is TwoAsset.Interior), labelled
-    TwoAsset.* or ThreeAsset.Case2i-Case5iv; non-PD corners only drop
-    candidates.  When `_dual` gives no point, or its point fails the PD
-    test, the box goes to numeric_minimize, marked
-    diagnostics["case_fallthrough"]; when that finds no PD point to start
-    from, BoxNotPositiveDefinite names the first non-PD corner.
+    Every ellipsoidal set first tries `_one_asset`: when the set holds a PD
+    point whose top-asset row is the Sharpe proximities, only that asset is
+    traded and s = |beta_top| exactly.  The label is FullAmbiguity,
+    OneAsset (d = 1), TwoAsset.Interior, ThreeAsset.Case1 or TopAsset
+    (d >= 4); only that one point must be PD, so non-PD box corners do not
+    stop it.  Under full ambiguity a miss means the top |Sharpe ratio| is
+    tied, or too close to tied, and raises NoMinimum.  d >= 4 boxes go to
+    numeric_minimize.  Two- and three-asset boxes take `_dual`'s
+    multi-asset winner, labelled TwoAsset.Upper/Lower or
+    ThreeAsset.Case2i-Case5iv; non-PD corners only drop candidates.  When
+    `_dual` gives no point, or its point fails the PD test, the box goes to
+    numeric_minimize, marked diagnostics["case_fallthrough"]; when that
+    finds no PD point to start from, BoxNotPositiveDefinite names the first
+    non-PD corner.
 
     Sigma(rho*) is factored once: `_one_asset`'s PD test is that
     factorization, and after `_dual` it is the PD test of rho*.  The factor
@@ -631,11 +620,11 @@ def solve(spec: AmbiguitySpec, params: MarketParams) -> WorstCaseSolution:
     profile = sharpe_profile(spec.b_hat, params)
     if profile.zero_drift:
         raise ZeroDrift("all prior expected returns are zero: never trade")
-    found = None if d == 2 and not full else _one_asset(spec.gamma.lower, spec.gamma.upper, profile, params)
+    found = _one_asset(spec.gamma.lower, spec.gamma.upper, profile, params)
     if found is not None:
         rho_star, cov = found
         s = abs(float(profile.betas[profile.order[0]]))
-        label = FULL_AMBIGUITY if full else {1: ONE_ASSET, 3: THREE_CASE1}.get(d, TOP_ASSET)
+        label = FULL_AMBIGUITY if full else {1: ONE_ASSET, 2: TWO_INTERIOR, 3: THREE_CASE1}.get(d, TOP_ASSET)
         diagnostics = {"order": profile.order.tolist(), "top_sharpe": s}
         b_star, r_star = _shrink(spec.b_hat, s, spec.delta)
     elif full:

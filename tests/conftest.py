@@ -274,6 +274,30 @@ STALLED_D4 = dict(
 )
 
 
+# The benchmark's generated d = 4 and d = 5 boxes (`generated_box_market` in
+# perfbench/inputs.py): the whole box is PD, the minimum trades every asset,
+# and `solve` reaches it by the numeric fallback, r* = 1.16080124 (d = 4) and
+# 2.03886024 (d = 5) at delta = 0.
+GENERATED_D4 = dict(
+    sigmas=[1.953921928419367, 1.7206691075957372, 1.439935991972996, 1.2889671277227501],
+    b_hat=[0.6585736485383908, 1.0562568605242302, 0.29599073214276284, -1.1252496473078093],
+    lower=[-0.15077612745125318, -0.11132816248523811, -0.15122470745122005,
+           -0.24826470012839758, -0.011441611307143038, -0.35700168766917817],
+    upper=[0.03971747740179826, 0.03298954629480663, 0.13780637284552918,
+           -0.009201210521085065, 0.2312787798713667, -0.16638983154562062],
+)
+GENERATED_D5 = dict(
+    sigmas=[0.6887391568427671, 1.4090411822474767, 0.6544241113646172, 0.8890908225141119, 0.9089729666344332],
+    b_hat=[0.2719313046708078, 1.1144579518748918, -0.464500263807413, -0.505066370826393, 0.7397649625047369],
+    lower=[-0.18607970413866604, 0.1044569107337987, -0.2518828711053489, -0.2237577635951571,
+           -0.024549684316603655, 0.18879354595266673, 0.011728887377002353, 0.18113173688801693,
+           0.02783730925968289, 0.00590306368372101],
+    upper=[-0.07910946138225244, 0.39808009396229516, 0.06512991502251966, 0.03197179751046264,
+           0.07757027721079657, 0.30637243595222285, 0.11742044835028646, 0.36155457999163726,
+           0.13228048668073197, 0.3562167604151008],
+)
+
+
 # A d = 3 box (delta = 0) with a non-PD corner, (0.649, -0.47, 0.376), that
 # still holds PD points.  Its minimum, r* = 1.7631990603598477 with all three
 # assets traded, sits at the PD corner (0.228, 0.042, 0.199); grid_oracle(81)

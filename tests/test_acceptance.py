@@ -35,7 +35,7 @@ from robustmv import (
     verify_weak_principle,
 )
 from robustmv.ambiguity import ThetaProcessSchedule
-from robustmv.market import n_pairs
+from robustmv.market import n_pairs, sharpe_profile
 
 from conftest import (
     CURATED_THREE_ASSET,
@@ -170,7 +170,7 @@ def test_criterion_2_two_asset_closed_form_vs_oracle(two_asset_batch):
         assert gap <= 1e-3
         # label vs argmin location, for instances away from case boundaries
         lo, hi = spec.gamma.lower[0], spec.gamma.upper[0]
-        q = sol.diagnostics["proximity"]
+        q = float(sharpe_profile(spec.b_hat, params).proximities[0])
         if sol.r_star == 0.0 or min(abs(q - lo), abs(q - hi)) < 1e-3:
             continue
         rho_star = oracle.theta_star.rho[0]

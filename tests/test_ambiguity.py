@@ -23,6 +23,9 @@ from robustmv.ambiguity import ThetaProcessSchedule, drift_distance, schedule_wi
 
 from conftest import full_ambiguity_spec, random_set_instance
 
+# A numpy overflow or invalid operation fails the test instead of hiding in a result.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 @pytest.fixture
 def ell2(params2):

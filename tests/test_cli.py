@@ -167,14 +167,24 @@ def test_growth_overflow_exit_1(tmp_path, capsys, argv):
     "argv", [["solve"], ["classify"], ["simulate", "--paths", "64", "--steps", "2", "--probes", "0"]]
 )
 def test_infinite_growth_exit_1(tmp_path, capsys, argv):
-    # A drift near the float limit makes r* infinite; e^{r* T} = inf is an overflow too.
-    payload = json.loads(json.dumps(REFERENCE))
-    payload["ambiguity"]["b_hat"] = [1e308, 0.2]
-    cfg = write_config(tmp_path, payload)
-    assert main([argv[0], "--config", cfg, *argv[1:]]) == 1
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == "error: e^(r* T) exceeds the float range: r* T = inf\n"
+    # A drift near the float limit makes r* infinite; so does one whose top
+    # Sharpe ratio squared passes the float range in the one-asset closed form
+    # (a box or full ambiguity).  e^{r* T} = inf is an overflow too.
+    cases = [
+        ({}, {"b_hat": [1e308, 0.2]}),
+        ({"sigmas": [1.0, 1.0, 1.0]},
+         {"b_hat": [1e200, 0.2, 0.1], "gamma": {"lower": [-0.5] * 3, "upper": [0.5] * 3}}),
+        ({}, {"b_hat": [1e200, 0.2], "gamma": {"full_ambiguity": True}}),
+    ]
+    for market, ambiguity in cases:
+        payload = json.loads(json.dumps(REFERENCE))
+        payload["market"].update(market)
+        payload["ambiguity"].update(ambiguity)
+        cfg = write_config(tmp_path, payload)
+        assert main([argv[0], "--config", cfg, *argv[1:]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: e^(r* T) exceeds the float range: r* T = inf\n"
 
 
 def test_simulate_nan_objective_exit_2(tmp_path, capsys):

@@ -31,6 +31,9 @@ from robustmv.market import PD_TOLERANCE, _factor, _factor_stack, correlation_st
 
 from conftest import fd_gradient, permute_pairs, premium_2x2
 
+# A numpy overflow or invalid operation fails the test instead of hiding in a result.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def test_correlation_matrix_placement():
     assert np.array_equal(correlation_matrix([0.0], 2), np.eye(2))

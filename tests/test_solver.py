@@ -5,7 +5,7 @@ import time
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from robustmv import (
@@ -37,6 +37,8 @@ from robustmv.errors import BoxNotPositiveDefinite, GridTooLarge
 
 from conftest import (
     CURATED_THREE_ASSET,
+    GENERATED_D4,
+    GENERATED_D5,
     NON_PD_CORNER_D3,
     STALLED_D4,
     box_corners_pd,
@@ -49,6 +51,9 @@ from conftest import (
     random_wide_three_asset_instance,
 )
 from robustmv.strategy import robust_strategy, strategy_report, value_v0
+
+# A numpy overflow or invalid operation fails the test instead of hiding in a result.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 # Frozen from the explicit 2x2 inverse oracle (see conftest.premium_2x2).
 TWO_ASSET_CASE2_RSTAR = 0.095293633286485616
@@ -249,7 +254,8 @@ def test_rho_star_is_delta_free_and_delta_only_shrinks(seed, family):
         spec = full_ambiguity_spec(rng.uniform(-1.0, 1.0, d), rng.uniform(0.0, 1.0))
     base = solve(spec, params)
     rho = base.theta_star.rho
-    if base.case_label in ("FullAmbiguity", "ThreeAsset.Case1"):  # only the top asset is traded
+    # Only the top asset is traded.
+    if base.case_label in ("FullAmbiguity", "TwoAsset.Interior", "ThreeAsset.Case1"):
         s = float(np.max(np.abs(spec.b_hat / params.sigmas)))
     else:
         s = math.sqrt(risk_premium(ThetaPoint(b=spec.b_hat, rho=rho), params))
@@ -450,16 +456,18 @@ def test_three_asset_factorization_count(monkeypatch):
         assert counts == {"scalar": 1, "stacked": 1}, (label, counts)
 
 
-def _stalled_d4():
-    params = MarketParams(sigmas=STALLED_D4["sigmas"], horizon_T=1.0, lam=0.5, x0=1.0)
-    gamma = GammaBox.box(STALLED_D4["lower"], STALLED_D4["upper"])
-    return EllipsoidalSet(b_hat=np.array(STALLED_D4["b_hat"]), delta=0.0, gamma=gamma), params
+def _named_box(raw):
+    """(spec, params) of a named box of conftest at delta = 0."""
+    params = MarketParams(sigmas=raw["sigmas"], horizon_T=1.0, lam=0.5, x0=1.0)
+    gamma = GammaBox.box(raw["lower"], raw["upper"])
+    return EllipsoidalSet(b_hat=np.array(raw["b_hat"]), delta=0.0, gamma=gamma), params
 
 
 def test_one_factorization_per_solved_point(monkeypatch, params2, reference_spec):
     """solve factors Sigma(rho*) once and the solution carries kappa*: robust_strategy,
     classify, value_v0 and strategy_report factor nothing.  Every two- and
-    three-asset box adds the one stack of dual candidates."""
+    three-asset box that `_one_asset` does not solve adds the one stack of
+    dual candidates."""
     counts = {"scalar": 0, "stacked": 0}
 
     def counted(key, fn):
@@ -471,7 +479,7 @@ def test_one_factorization_per_solved_point(monkeypatch, params2, reference_spec
     instances = [
         (reference_spec, params2),
         (full_ambiguity_spec(reference_spec.b_hat, 0.1), params2),
-        _stalled_d4(),
+        _named_box(STALLED_D4),
         curated_three_asset("ThreeAsset.Case5ii"),
         curated_three_asset("ThreeAsset.Case2i"),
     ]
@@ -487,7 +495,7 @@ def test_one_factorization_per_solved_point(monkeypatch, params2, reference_spec
         label = sol.case_label
         seen.append(label)
         assert counts == solved, (label, solved, counts)
-        stacked = label.startswith(("TwoAsset", "ThreeAsset"))
+        stacked = label.startswith(("TwoAsset", "ThreeAsset")) and label != "TwoAsset.Interior"
         assert solved == {"scalar": 1, "stacked": int(stacked)}, (label, solved)
     assert seen == ["TwoAsset.Interior", "FullAmbiguity", "TopAsset", "ThreeAsset.Case5ii", "ThreeAsset.Case2i"]
 
@@ -831,6 +839,51 @@ def test_scale_equivariance(params2):
         assert np.allclose(scaled.theta_star.rho, base.theta_star.rho)
 
 
+def _scaled(spec, k):
+    """spec with b_hat and delta times 2^k, exactly."""
+    return EllipsoidalSet(b_hat=np.ldexp(spec.b_hat, k), delta=float(np.ldexp(spec.delta, k)), gamma=spec.gamma)
+
+
+@settings(max_examples=150)
+@given(
+    st.sampled_from(sorted(CURATED_THREE_ASSET))
+    | st.tuples(st.sampled_from(["d2", "d3"]), st.integers(0, 2**32 - 1)),
+    st.integers(-500, 480),
+)
+def test_closed_forms_scale_by_powers_of_two(source, k):
+    """b_hat and delta times 2^k keep the label and rho* bitwise and give r* * 4^k bitwise:
+    the closed forms read only scale-free quantities of b_hat, and `_dual` scores its
+    candidates on beta scaled to max |beta| in [1/2, 1)."""
+    if isinstance(source, str):
+        spec, params = curated_three_asset(source)
+    else:
+        spec, params = random_set_instance(source[0], np.random.default_rng(source[1]))
+        assume(spec is not None)
+    base = solve(spec, params)
+    assume(base.case_label != "Numeric")
+    # Keep r* * 4^k a normal float, where scaling by a power of two is exact.
+    assume(base.r_star == 0.0 or np.ldexp(base.r_star, 2 * k) >= np.finfo(float).tiny)
+    sol = solve(_scaled(spec, k), params)
+    assert sol.case_label == base.case_label
+    assert sol.theta_star.rho.tobytes() == base.theta_star.rho.tobytes()
+    assert sol.r_star == np.ldexp(base.r_star, 2 * k)
+
+
+@settings(max_examples=30)
+@given(st.sampled_from(["d4", "d5"]), st.integers(-30, 30))
+@example("d4", -13)
+def test_numeric_fallback_scale_invariant(which, k):
+    """The descent on the generated d = 4 and 5 boxes finds the same minimum, up to 4^k,
+    at every scale 2^k of b_hat: its stopping test is relative to R.  With an absolute
+    test, the d = 4 box at b_hat * 2^-13 stopped at its start point after 1 iteration,
+    converged=True and r* 22% too high."""
+    spec, params = _named_box(GENERATED_D4 if which == "d4" else GENERATED_D5)
+    base = solve(spec, params)
+    sol = solve(_scaled(spec, k), params)
+    assert sol.case_label == "Numeric" and sol.diagnostics["converged"]
+    assert math.isclose(np.ldexp(sol.r_star, -2 * k), base.r_star, rel_tol=1e-7)
+
+
 def test_verify_saddle_pass_and_negative_control(params2, reference_spec):
     sol = solve(reference_spec, params2)
     report = verify_saddle(sol, reference_spec, params2, samples=500, seed=21)
@@ -928,7 +981,7 @@ def test_solution_carries_direction_on_named_instances(params2, reference_spec):
     instances = [
         (reference_spec, params2),
         (full_ambiguity_spec(reference_spec.b_hat, 0.1), params2),
-        _stalled_d4(),
+        _named_box(STALLED_D4),
         (fault, fault_params),
         *(curated_three_asset(label) for label in sorted(CURATED_THREE_ASSET)),
     ]

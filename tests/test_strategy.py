@@ -29,6 +29,9 @@ from robustmv.strategy import growth_factor
 
 from conftest import full_ambiguity_spec
 
+# A numpy overflow or invalid operation fails the test instead of hiding in a result.
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
 
 def _reference_solution(params2, reference_spec):
     return solve(reference_spec, params2)
