@@ -17,7 +17,8 @@ full correlation ambiguity uses "gamma": {"full_ambiguity": true}.  An optional
 Exit codes: 0 success, 1 input error (among them a section or "gamma" that
 is not a JSON object, a "sweep" that is not a non-empty list of objects,
 --resolution below 1 and --probes below 0, e^{r* T} beyond the float
-range, and a correlation box in which the solver finds no PD point),
+range, a correlation box in which the solver finds no PD point, and a
+request too large for memory, such as a path count or an oracle grid),
 2 verification failure (a NaN objective estimate included), 3 a flagged
 mathematical condition (no minimizer / zero drift, or a numeric fallback
 that did not converge: solve, classify and sweep still emit their report
@@ -516,6 +517,9 @@ def main(argv=None) -> int:
         return EXIT_VERIFICATION
     except RobustMVError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return EXIT_INPUT
 
 

@@ -8,13 +8,16 @@ For ellipsoidal sets the worst correlation rho* minimizes R(b_hat, rho)
 and never depends on delta; delta only shrinks the drift, b* =
 (1 - delta/s)_+ b_hat with s = sqrt(R(b_hat, rho*)), so r* = (s - delta)_+^2
 and delta >= s means no trade.  `solve` finds rho* by a delta-free closed
-form or by the projected-gradient fallback, then shrinks once.  The closed
-forms: any d when only the top-|Sharpe| asset is traded (`_one_asset`,
-tried first on every set); otherwise two- and three-asset boxes from one
-enumeration of the dual bound of R (`_dual`), whose winning sign pattern
-names the case.  Product (rectangular) sets go through the same fallback
-on (b, rho) jointly, and an exhaustive grid oracle provides independent
-ground truth for tests.
+form or by the numeric fallback, then shrinks once.  The closed forms: any
+d when only the top-|Sharpe| asset is traded (`_one_asset`, tried first on
+every set); otherwise two- and three-asset boxes from one enumeration of
+the dual bound of R (`_dual`), whose winning sign pattern names the case.
+The fallback, `numeric_minimize`, is one projected descent over (b, rho)
+for both families, product (rectangular) sets and ellipsoidal sets alike:
+an ellipsoidal set's b is pinned to b_hat.  It starts at the box centre,
+or at the box point nearest the identity when the centre is not PD.  An
+exhaustive grid oracle, evaluated a chunk of nodes at a time, provides
+independent ground truth for tests.
 
 Every solution carries the direction kappa* = Sigma(rho*)^{-1} b* that the
 second step trades, and the invariant is direction == Sigma(rho*)^{-1} b*
@@ -83,6 +86,8 @@ NUMERIC = "Numeric"
 ORACLE = "Oracle"
 
 GRID_BUDGET = 10**8
+# Grid nodes the oracle evaluates at a time: its memory is bounded by a chunk, not by the grid.
+GRID_CHUNK = 2**16
 
 # Projected descent: iteration budget, and the box residual, relative to f, that counts as converged.
 DESCENT_MAX_ITERS = 5000
@@ -304,103 +309,85 @@ def _box_residual(grad, x, lower, upper) -> float:
     return float(-np.minimum(drop, 0.0).sum())
 
 
-def _projected_descent(value_grad, start, lower, upper):
-    """Projected gradient descent of a convex f over a box.
-
-    value_grad gives (f, gradient, aux) inside f's domain and (inf, None,
-    None) outside it; aux is whatever the caller needs again at the point
-    returned, and comes back with it.  Barzilai-Borwein steps halve until
-    Armijo's test holds or the slope at the candidate is <= 0, which for
-    convex f proves a decrease that rounding can hide in f.
-
-    The box residual is the Frank-Wolfe gap, an upper bound on f - min f,
-    so the descent stops once it is below DESCENT_TOL * f: the test reads
-    the same at every scale of f, which R keeps positive (R >= beta_top^2
-    for ellipsoidal sets).
-    """
-    x = start
-    fx, g, aux = value_grad(x)
-    eta = 1.0
-    iterations = 0
-    for iterations in range(1, DESCENT_MAX_ITERS + 1):
-        residual = _box_residual(g, x, lower, upper)
-        if residual < DESCENT_TOL * fx:
-            return x, fx, aux, iterations, residual, True
-        while True:
-            candidate = np.clip(x - eta * g, lower, upper)
-            step = candidate - x
-            f_candidate, g_candidate, aux_candidate = value_grad(candidate)
-            if g_candidate is not None and (
-                f_candidate <= fx + 1e-4 * float(g @ step) or float(g_candidate @ step) <= 0.0
-            ):
-                break
-            if eta < 1e-14:
-                return x, fx, aux, iterations, residual, False
-            eta *= 0.5
-        if not np.any(step):
-            break
-        curvature = float(step @ (g_candidate - g))
-        eta = float(step @ step) / curvature if curvature > 0.0 else 1.0
-        x, fx, g, aux = candidate, f_candidate, g_candidate, aux_candidate
-    residual = _box_residual(g, x, lower, upper)
-    return x, fx, aux, iterations, residual, residual < DESCENT_TOL * fx
-
-
 def numeric_minimize(spec: AmbiguitySpec, params: MarketParams) -> WorstCaseSolution:
-    """Projected-gradient minimization of the risk premium over the set.
+    """Projected Barzilai-Borwein descent of the risk premium R(b, rho) over the set.
 
-    One descent from the box centre reaches the global minimum: R(b, rho)
-    is a matrix-fractional function of an affine map, hence jointly convex
-    on the PD region (Boyd & Vandenberghe 3.1.7), and box & {C(rho) > 0} is
-    convex.  For ellipsoidal sets the inner minimum over b is closed form,
+    One descent reaches the global minimum: R(b, rho) is a matrix-fractional
+    function of an affine map, hence jointly convex on the PD region (Boyd &
+    Vandenberghe 3.1.7), and box & {C(rho) > 0} is convex.  It runs over z =
+    (b, rho) in one box for both families: a product set's drift box, and
+    for an ellipsoidal set the one-point box [b_hat, b_hat], whose clip pins
+    b.  There the inner minimum over the drift ellipsoid is closed form,
     (sqrt(R(b_hat, rho)) - delta)_+^2, nondecreasing in R: one minimizer of
-    R(b_hat, rho) serves every delta, no-trade answers included.
+    R(b_hat, rho) serves every delta, no-trade answers included, so delta
+    enters once, through _shrink, after the loop.
 
-    Steps clip to the box (its exact projection); points failing the PD
-    test lie outside R's domain.  R blows up toward a singular C(rho) unless
-    b is orthogonal to its null vector, so a minimum on the PD boundary is
-    rare; there the box residual stays positive and converged is False.
+    The start is the box centre when C of its rho is PD, else the box point
+    nearest the identity (rho = 0 clipped to the box) when that is PD; when
+    neither is, raises NoFeasiblePoint.  Steps clip to the box (its exact
+    projection); points failing the PD test lie outside R's domain.
+    Barzilai-Borwein steps halve until Armijo's test holds or the slope at
+    the candidate is <= 0, which for convex R proves a decrease that
+    rounding can hide in R.
+
+    The box residual is the Frank-Wolfe gap, an upper bound on R - min R, so
+    the descent stops once it is below DESCENT_TOL * R: the test reads the
+    same at every scale of R, which stays positive (R >= beta_top^2 for
+    ellipsoidal sets).  R blows up toward a singular C(rho) unless b is
+    orthogonal to its null vector, so a minimum on the PD boundary is rare;
+    there the box residual stays positive and converged is False.
 
     Each evaluation factors Sigma(rho) once: y = L^{-1} b gives R = y'y and
     kappa = L'^{-1} y, hence the gradient; the factor at the point returned
     also gives the solution's direction.
     """
     d = spec.d
-    g_lower, g_upper = spec.gamma.lower, spec.gamma.upper
-    centre_rho = amb.project_rho(spec, 0.5 * (g_lower + g_upper))
-    ellipsoidal = isinstance(spec, EllipsoidalSet)
-    if ellipsoidal:
-        lower, upper, start = g_lower, g_upper, centre_rho
+    product = isinstance(spec, ProductSet)
+    b_lower, b_upper = (spec.delta_lower, spec.delta_upper) if product else (spec.b_hat, spec.b_hat)
+    lower = np.concatenate([b_lower, spec.gamma.lower])
+    upper = np.concatenate([b_upper, spec.gamma.upper])
+    z = 0.5 * (lower + upper)
+    if not is_positive_definite(z[d:], d):
+        z[d:] = np.clip(0.0, spec.gamma.lower, spec.gamma.upper)
+        if not is_positive_definite(z[d:], d):
+            raise NoFeasiblePoint("neither the box centre nor its point nearest 0 is positive definite")
 
-        def theta(rho):
-            return ThetaPoint(b=spec.b_hat, rho=rho)
+    def evaluate(point):
+        """(R, gradient, factor of Sigma(rho)) at point = (b, rho); raises NotPositiveDefinite off R's domain."""
+        cov = covariance_from(point[d:], params)
+        r, kappa = cov.premium_and_direction(point[:d])
+        return r, np.concatenate(_premium_gradients(kappa, params)), cov
 
+    r, grad, cov = evaluate(z)
+    eta = 1.0
+    for iterations in range(1, DESCENT_MAX_ITERS + 1):
+        residual = _box_residual(grad, z, lower, upper)
+        if residual < DESCENT_TOL * r:
+            break
+        stalled = False
+        while not stalled:
+            candidate = np.clip(z - eta * grad, lower, upper)
+            step = candidate - z
+            try:
+                r_new, grad_new, cov_new = evaluate(candidate)
+            except NotPositiveDefinite:
+                pass
+            else:
+                if r_new <= r + 1e-4 * float(grad @ step) or float(grad_new @ step) <= 0.0:
+                    break
+            stalled = eta < 1e-14
+            eta *= 0.5
+        if stalled or not np.any(step):
+            break
+        curvature = float(step @ (grad_new - grad))
+        eta = float(step @ step) / curvature if curvature > 0.0 else 1.0
+        z, r, grad, cov = candidate, r_new, grad_new, cov_new
     else:
-        lower = np.concatenate([spec.delta_lower, g_lower])
-        upper = np.concatenate([spec.delta_upper, g_upper])
-        start = np.concatenate([0.5 * (spec.delta_lower + spec.delta_upper), centre_rho])
-
-        def theta(z):
-            return ThetaPoint(b=z[:d], rho=z[d:])
-
-    def value_grad(x):
-        point = theta(x)
-        try:
-            cov = covariance_from(point.rho, params)
-        except NotPositiveDefinite:
-            return np.inf, None, None
-        r, kappa = cov.premium_and_direction(point.b)
-        grad_b, grad_rho = _premium_gradients(kappa, params)
-        return r, (grad_rho if ellipsoidal else np.concatenate([grad_b, grad_rho])), cov
-
-    x, r_min, cov, iterations, residual, converged = _projected_descent(value_grad, start, lower, upper)
-    if ellipsoidal:
-        b_star, r_star = _shrink(spec.b_hat, math.sqrt(r_min), spec.delta)
-        rho_star = x
-    else:
-        b_star, rho_star, r_star = x[:d], x[d:], r_min
-    diagnostics = {"starts": 1, "iterations": iterations, "residual": residual, "converged": bool(converged)}
-    return _solution(b_star, rho_star, r_star, NUMERIC, cov, diagnostics)
+        residual = _box_residual(grad, z, lower, upper)
+    b_star, r_star = (z[:d], r) if product else _shrink(z[:d], math.sqrt(r), spec.delta)
+    converged = residual < DESCENT_TOL * r
+    diagnostics = {"starts": 1, "iterations": iterations, "residual": residual, "converged": converged}
+    return _solution(b_star, z[d:], r_star, NUMERIC, cov, diagnostics)
 
 
 def _premium_batch(b, rho, sigmas):
@@ -457,6 +444,14 @@ def _premium_batch(b, rho, sigmas):
     return prem, mask
 
 
+def _grid_nodes(axes, first, stop):
+    """Nodes first, ..., stop - 1 of the product grid of axes in C order, one row per node."""
+    if not axes:
+        return np.zeros((stop - first, 0))
+    index = np.unravel_index(np.arange(first, stop), [ax.size for ax in axes])
+    return np.stack([ax[i] for ax, i in zip(axes, index)], axis=1)
+
+
 def grid_oracle(spec: AmbiguitySpec, params: MarketParams, resolution: int) -> WorstCaseSolution:
     """Exhaustive grid minimization used as ground truth in tests.
 
@@ -490,33 +485,32 @@ def grid_oracle(spec: AmbiguitySpec, params: MarketParams, resolution: int) -> W
     if total > GRID_BUDGET:
         raise GridTooLarge(f"grid of {total} nodes exceeds the budget of {GRID_BUDGET}")
 
-    if axes:
-        mesh = np.meshgrid(*axes, indexing="ij")
-        flat = np.stack([m.ravel() for m in mesh], axis=1)
-    else:
-        flat = np.zeros((1, 0))
     n_b = len(b_axes)
-    b_grid = flat[:, :n_b] if n_b else np.asarray(spec.b_hat, dtype=float)
-    rho_grid = flat[:, n_b:]
-
-    prem, mask = _premium_batch(b_grid, rho_grid, params.sigmas)
-    if isinstance(spec, EllipsoidalSet):
-        root = np.sqrt(np.maximum(prem, 0.0))
-        scores = np.where(root > spec.delta, (root - spec.delta) ** 2, 0.0)
-    else:
-        scores = prem
-    scores = np.where(mask, scores, np.inf)
-    k_best = int(np.argmin(scores))
-    if not np.isfinite(scores[k_best]):
+    best, k_best, r_best, feasible = np.inf, 0, 0.0, 0
+    for first in range(0, total, GRID_CHUNK):
+        nodes = _grid_nodes(axes, first, min(first + GRID_CHUNK, total))
+        b_grid = nodes[:, :n_b] if n_b else np.asarray(spec.b_hat, dtype=float)
+        prem, mask = _premium_batch(b_grid, nodes[:, n_b:], params.sigmas)
+        if isinstance(spec, EllipsoidalSet):
+            root = np.sqrt(np.maximum(prem, 0.0))
+            scores = np.where(root > spec.delta, (root - spec.delta) ** 2, 0.0)
+        else:
+            scores = prem
+        scores = np.where(mask, scores, np.inf)
+        k = int(np.argmin(scores))
+        if scores[k] < best:  # strict, so a tie keeps the earlier node, as one argmin over the grid would
+            best, k_best, r_best = scores[k], first + k, float(prem[k])
+        feasible += int(mask.sum())
+    if not np.isfinite(best):
         raise BoxNotPositiveDefinite("no positive-definite node on the grid")
-    rho_star = rho_grid[k_best].copy()
+    node = _grid_nodes(axes, k_best, k_best + 1)[0]
+    rho_star = node[n_b:]
     cov = covariance_from(rho_star, params)
     if isinstance(spec, EllipsoidalSet):
         b_star, r_star = _shrink_at(cov, spec.b_hat, spec.delta)
     else:
-        b_star = b_grid[k_best].copy()
-        r_star = float(prem[k_best])
-    diagnostics = {"resolution": resolution, "nodes": int(total), "feasible_nodes": int(mask.sum())}
+        b_star, r_star = node[:n_b], r_best
+    diagnostics = {"resolution": resolution, "nodes": int(total), "feasible_nodes": feasible}
     return _solution(b_star, rho_star, r_star, ORACLE, cov, diagnostics)
 
 
@@ -581,7 +575,7 @@ def _fallthrough(spec: EllipsoidalSet, params: MarketParams) -> WorstCaseSolutio
     try:
         solution = numeric_minimize(spec, params)
     except NoFeasiblePoint:
-        # The anchor failed, so some corner fails too: the PD region is convex.
+        # The centre failed, so some corner fails too: the PD region is convex.
         corners = np.array(list(itertools.product(*zip(spec.gamma.lower, spec.gamma.upper))))
         corner = tuple(corners[np.argmin(is_positive_definite(corners, params.d))].tolist())
         message = f"correlation box corner {corner} is not positive definite"
@@ -612,7 +606,7 @@ def solve(spec: AmbiguitySpec, params: MarketParams) -> WorstCaseSolution:
     factorization, and after `_dual` it is the PD test of rho*.  The factor
     gives the solution's direction Sigma(rho*)^{-1} b*; after `_dual` also
     s = ||L^{-1} b_hat|| (bitwise sqrt(risk_premium)) and, when an asset is
-    not traded, its residual in Sigma(rho*)^{-1} b_hat.
+    not traded, its entry of Sigma(rho*)^{-1} b_hat relative to the largest.
     """
     if isinstance(spec, ProductSet):
         return solve_product(spec, params)
@@ -642,6 +636,7 @@ def solve(spec: AmbiguitySpec, params: MarketParams) -> WorstCaseSolution:
         rho_star, label, diagnostics, untraded = found
         b_star, r_star = _shrink_at(cov, spec.b_hat, spec.delta)
         if untraded:
-            kappa_hat = cov.solve(spec.b_hat)
-            diagnostics["zero_component_residual"] = max(abs(float(kappa_hat[i])) for i in untraded)
+            # Relative to max |kappa_hat|, the scale classify's ZERO_DIRECTION_RTOL uses: drift-scale free.
+            kappa_hat = np.abs(cov.solve(spec.b_hat))
+            diagnostics["zero_component_residual"] = float(kappa_hat[list(untraded)].max() / kappa_hat.max())
     return _solution(b_star, rho_star, r_star, label, cov, diagnostics)

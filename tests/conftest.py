@@ -274,6 +274,18 @@ STALLED_D4 = dict(
 )
 
 
+# A d = 4 box (delta = 0) whose centre is not PD, while it holds PD points:
+# the identity's nearest box point, rho = (0.8, 0.05, 0, 0, 0, 0), is PD.
+# The numeric fallback starts there and converges to r* = 0.16388888888888895
+# in 15 iterations; grid_oracle(13) gives 0.16388890687723104.
+NON_PD_CENTRE_D4 = dict(
+    sigmas=[1.0, 1.0, 1.0, 1.0],
+    b_hat=[0.4, 0.3, 0.2, 0.1],
+    lower=[0.8, 0.05, -0.1, -0.95, -0.1, -0.1],
+    upper=[0.95, 0.95, 0.1, 0.9, 0.1, 0.1],
+)
+
+
 # The benchmark's generated d = 4 and d = 5 boxes (`generated_box_market` in
 # perfbench/inputs.py): the whole box is PD, the minimum trades every asset,
 # and `solve` reaches it by the numeric fallback, r* = 1.16080124 (d = 4) and

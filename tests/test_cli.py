@@ -216,6 +216,28 @@ def test_config_read_once(tmp_path, capsys, monkeypatch, argv):
     assert calls == [cfg]
 
 
+@pytest.mark.parametrize(
+    "argv, callee",
+    [
+        (["simulate", "--paths", "1000000000", "--steps", "256", "--probes", "0"], "simulate_wealth"),
+        (["oracle", "--resolution", "460"], "grid_oracle"),
+    ],
+)
+def test_out_of_memory_exit_1(tmp_path, capsys, monkeypatch, argv, callee):
+    # The callee raises as numpy does on an allocation it cannot make; nothing is allocated.
+    def unallocatable(*args):
+        raise MemoryError("Unable to allocate 1.87 TiB for an array with shape (257, 1000000000)")
+
+    monkeypatch.setattr(cli, callee, unallocatable)
+    cfg = write_config(tmp_path, REFERENCE)
+    assert main([argv[0], "--config", cfg, *argv[1:]]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: out of memory: Unable to allocate 1.87 TiB for an array with shape (257, 1000000000)\n"
+    )
+
+
 def test_classify_narrative(tmp_path, capsys):
     payload = {
         "market": {"sigmas": [1.0, 1.0, 1.0], "horizon_T": 1.0, "lambda": 0.5, "x0": 1.0},

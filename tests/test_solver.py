@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -39,6 +40,7 @@ from conftest import (
     CURATED_THREE_ASSET,
     GENERATED_D4,
     GENERATED_D5,
+    NON_PD_CENTRE_D4,
     NON_PD_CORNER_D3,
     STALLED_D4,
     box_corners_pd,
@@ -210,11 +212,14 @@ def test_three_asset_curated_cases_match_oracle():
 
 
 def test_three_asset_zeroed_component_vanishes():
-    for label in ("ThreeAsset.Case2i", "ThreeAsset.Case2ii", "ThreeAsset.Case3i",
-                  "ThreeAsset.Case3ii", "ThreeAsset.Case4i", "ThreeAsset.Case4ii"):
-        spec, params = curated_three_asset(label)
-        sol = solve(spec, params)
-        assert sol.diagnostics["zero_component_residual"] < 1e-8, label
+    # The residual is relative to max |Sigma(rho*)^{-1} b_hat|: it reads the same at every drift scale.
+    for scale in (1.0, 2.0**100, 2.0**400, 2.0**-400):
+        for label in ("ThreeAsset.Case2i", "ThreeAsset.Case2ii", "ThreeAsset.Case3i",
+                      "ThreeAsset.Case3ii", "ThreeAsset.Case4i", "ThreeAsset.Case4ii"):
+            spec, params = curated_three_asset(label)
+            spec = EllipsoidalSet(b_hat=spec.b_hat * scale, delta=spec.delta * scale, gamma=spec.gamma)
+            sol = solve(spec, params)
+            assert sol.diagnostics["zero_component_residual"] < 1e-8, (label, scale)
 
 
 def test_three_asset_case_exclusive_away_from_boundaries():
@@ -630,6 +635,55 @@ def test_stalled_d4_one_asset_answer():
     assert report.kind == "anti_diversification" and report.asset == 3
 
 
+def test_non_pd_centre_box_starts_nearest_identity():
+    spec, params = _named_box(NON_PD_CENTRE_D4)
+    assert not is_positive_definite(0.5 * (spec.gamma.lower + spec.gamma.upper), 4)
+    sol = solve(spec, params)
+    assert sol.case_label == "Numeric" and sol.diagnostics["converged"]
+    # Every PD grid node is a point of the set, so the oracle bounds the minimum from above.
+    assert sol.r_star <= grid_oracle(spec, params, 7).r_star
+    assert verify_saddle(sol, spec, params, samples=500, seed=1).ok
+
+
+def test_numeric_minimize_reference_values():
+    # Values recorded from the descent before both families ran one loop over
+    # (b, rho); they must not move (numpy 2.4, x86-64).  ROADMAP item 9
+    # replaces the descent, and these values with it.
+    expected = {
+        "stalled": (1.819709210746853, 166, False, [
+            -0.3354320847265418, -0.21176033900339375, 0.3298866079269125,
+            -0.3913010698296025, 0.2178614531595926, -0.9824198905199736]),
+        "generated_d4": (1.1608012411407276, 6, True, [
+            0.03971747740179826, 0.001151916533352837, -0.15122470745122005,
+            -0.0656983136051001, -0.011441611307143038, -0.2918564383919348]),
+        "generated_d5": (2.0388602380796375, 2, True, [
+            -0.07910946138225244, 0.1044569107337987, -0.2518828711053489, 0.03197179751046264,
+            -0.024549684316603655, 0.18879354595266673, 0.11742044835028646, 0.36155457999163726,
+            0.02783730925968289, 0.00590306368372101]),
+        "product_d4": (0.8630341946109281, 6, True, [
+            0.03971747740179826, 0.006058572881257377, -0.15122470745122005,
+            -0.06639058311597412, -0.011441611307143038, -0.28288314826874966]),
+    }
+    specs = {
+        "stalled": _named_box(STALLED_D4),
+        "generated_d4": _named_box(GENERATED_D4),
+        "generated_d5": _named_box(GENERATED_D5),
+    }
+    box, params = specs["generated_d4"]
+    sigmas, b_hat = np.asarray(GENERATED_D4["sigmas"]), box.b_hat
+    product = ProductSet(delta_lower=b_hat - 0.1 * sigmas, delta_upper=b_hat + 0.1 * sigmas, gamma=box.gamma)
+    specs["product_d4"] = product, params
+    for name, (spec, params) in specs.items():
+        sol = numeric_minimize(spec, params)
+        r_star, iterations, converged, rho = expected[name]
+        assert sol.r_star == r_star, name
+        assert sol.diagnostics["iterations"] == iterations, name
+        assert sol.diagnostics["converged"] is converged, name
+        assert np.array_equal(sol.theta_star.rho, rho), name
+    b_star = numeric_minimize(*specs["product_d4"]).theta_star.b
+    assert np.array_equal(b_star, [0.46318145569645414, 0.8841899497646565, 0.2591460588394077, -0.9963529345355343])
+
+
 def _certified_min_premium(beta, lower, upper, start, iters=5000):
     """Bracket [lo, hi] of min over box & PD of beta' C(rho)^{-1} beta, numpy only.
 
@@ -800,6 +854,22 @@ def test_grid_oracle_semantics(params2):
             MarketParams(sigmas=np.ones(6), horizon_T=1.0, lam=0.5, x0=1.0),
             41,
         )
+
+
+def test_grid_oracle_memory_bounded_by_chunk():
+    # 101^3 nodes: evaluated all at once, their arrays reach a traced peak of about 125 MB.
+    params = MarketParams(sigmas=[1.0, 1.2, 0.8], horizon_T=1.0, lam=0.5, x0=1.0)
+    spec = EllipsoidalSet(
+        b_hat=np.array([0.3, 0.2, 0.1]), delta=0.1, gamma=GammaBox.box([-0.5] * 3, [0.5] * 3)
+    )
+    tracemalloc.start()
+    try:
+        oracle = grid_oracle(spec, params, 101)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert oracle.diagnostics["nodes"] == 101**3
+    assert peak < 32e6
 
 
 def test_grid_oracle_skips_non_pd_nodes(params2):
