@@ -37,7 +37,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .ambiguity import EllipsoidalSet, GammaBox, ProductSet, ThetaProcessSchedule
+from .ambiguity import AmbiguitySpec, EllipsoidalSet, GammaBox, ProductSet, ThetaProcessSchedule
 from .errors import (
     ConfigError,
     NoMinimum,
@@ -236,9 +236,13 @@ def _oracle_tolerance(d: int) -> float:
     return 1e-2
 
 
-def _resolution(args, params: MarketParams) -> int:
-    """Grid oracle resolution: --resolution, else 2001 for d <= 2 and 51 above."""
-    return args.resolution or (2001 if n_pairs(params.d) <= 1 else 51)
+def _resolution(args, spec: AmbiguitySpec) -> int:
+    """Grid oracle resolution: --resolution, else 2001 for a grid of at most one axis and 51 above.
+
+    The axes are the correlation pairs, plus a product set's d drift bounds.
+    """
+    axes = spec.gamma.n_pairs + (spec.d if isinstance(spec, ProductSet) else 0)
+    return args.resolution or (2001 if axes <= 1 else 51)
 
 
 def _flag_unconverged(solutions, exit_code: int) -> int:
@@ -263,7 +267,7 @@ def cmd_solve(args, raw: dict) -> int:
     }
     exit_code = EXIT_OK
     if args.oracle_check:
-        resolution = _resolution(args, params)
+        resolution = _resolution(args, spec)
         oracle = grid_oracle(spec, params, resolution)
         gap = abs(solution.r_star - oracle.r_star)
         tolerance = _oracle_tolerance(params.d)
@@ -358,7 +362,7 @@ def cmd_simulate(args, raw: dict) -> int:
 def cmd_oracle(args, raw: dict) -> int:
     params = parse_market(raw)
     spec = parse_ambiguity(raw, params)
-    oracle = grid_oracle(spec, params, _resolution(args, params))
+    oracle = grid_oracle(spec, params, _resolution(args, spec))
     _emit({"oracle": solution_to_dict(oracle)}, raw)
     return EXIT_OK
 

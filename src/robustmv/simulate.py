@@ -25,15 +25,18 @@ scenarios while the terminal inequality survives.
 Layout: every simulator fills a node-major (n_steps + 1, n_paths) buffer,
 one contiguous row slice per step, and returns its transpose, so paths have
 shape (n_paths, n_steps + 1) in Fortran order and each grid node is one
-contiguous column.  The principle check walks them node by node.
+contiguous column.  The principle check walks them node by node.  Its exact
+strategy probes all write into one such buffer, a whole node row per
+in-place step, so each probe's paths are valid until the next probe runs.
 
 Reproducibility: paths are generated in fixed-size blocks, each block from
 its own counter-based substream keyed by (seed, block index).  Results are
 bitwise identical for a given SimConfig regardless of the worker count;
 the ROBUSTMV_THREADS environment variable only caps parallelism.  The
 principle check draws the exact scheme's normals once per call from those
-same streams and hands them to every exact strategy probe, so each probe's
-paths are bitwise those simulate_wealth would give it alone.
+same streams (threaded like any block loop) and hands them to every exact
+strategy probe, so each probe's paths are bitwise those simulate_wealth
+would give it alone; the probes draw nothing and run on one thread.
 """
 
 from __future__ import annotations
@@ -125,15 +128,22 @@ def _normals(rng, lanes: int, d: int, antithetic: bool) -> np.ndarray:
 def _node_normals(cfg: SimConfig) -> np.ndarray:
     """The exact scheme's normals for cfg as one node-major (n_steps, n_paths) matrix.
 
-    Drawn from the block streams in the order _exact_paths draws them, so
-    the kernel fed this matrix returns bitwise the paths it draws alone.
+    Each block draws its (n_steps, lanes) normals in one call: a stream fills
+    arrays in C order, so this is the sequence the per-step _normals calls of
+    _exact_paths take from it, and the kernel fed this matrix returns bitwise
+    the paths it draws alone.
     """
     normals = np.empty((cfg.n_steps, cfg.n_paths))
 
     def worker(block, start, stop):
         rng = _block_rng(cfg.seed, block)
-        for n in range(cfg.n_steps):
-            normals[n, start:stop] = _normals(rng, stop - start, 1, cfg.antithetic)[:, 0]
+        lanes = stop - start
+        if not cfg.antithetic:
+            normals[:, start:stop] = rng.standard_normal((cfg.n_steps, lanes))
+            return
+        z = rng.standard_normal((cfg.n_steps, (lanes + 1) // 2))
+        normals[:, start:stop:2] = z
+        normals[:, start + 1:stop:2] = -z[:, : lanes // 2]
 
     _run_blocks(cfg.n_paths, worker)
     return normals
@@ -213,7 +223,7 @@ def simulate_wealth(
     params: MarketParams,
     cfg: SimConfig,
     *,
-    _shared_normals=None,
+    _shared_draw=None,
 ):
     """Paths of the wealth process under a feedback rule alpha = rule(t, x).
 
@@ -223,12 +233,14 @@ def simulate_wealth(
     the Euler scheme, called at every step on the current wealths.
     Returns (t_grid, paths) with paths of shape (n_paths, n_steps + 1), the
     transpose of a node-major buffer; wealth is unconstrained and may go
-    negative.  _shared_normals is internal: verify_weak_principle passes
-    its one draw _node_normals(cfg), which an exact rule uses in place of
-    the block streams and Euler ignores.
+    negative.  _shared_draw is internal: verify_weak_principle passes
+    (normals, nodes), its one draw _node_normals(cfg) and one
+    (n_steps + 1, n_paths) buffer.  An exact rule reads the normals in
+    place of the block streams and writes its paths into nodes, which the
+    next such call overwrites; Euler ignores both.
     """
     if _draws_exactly(rule):
-        return _affine_paths(rule, schedule, params, cfg, _shared_normals)
+        return _affine_paths(rule, schedule, params, cfg, _shared_draw)
     dt, drifts, chols = _step_model(schedule, params, cfg.n_steps)
     sqrt_dt = math.sqrt(dt)
     t_grid = np.linspace(0.0, params.horizon_T, cfg.n_steps + 1)
@@ -259,7 +271,7 @@ class MartingaleStats:
     se_ratio: np.ndarray
 
 
-def _exact_paths(direction, y0, geometric, schedule, params, cfg, martingale_stats=False, normals=None):
+def _exact_paths(direction, y0, geometric, schedule, params, cfg, martingale_stats=False, shared=None):
     """Discretization-free wealth paths along one direction u, one normal per path and step.
 
     geometric: Y = xbar - X solves dY = -Y u'(b dt + sigma dW), a geometric
@@ -267,14 +279,18 @@ def _exact_paths(direction, y0, geometric, schedule, params, cfg, martingale_sta
     _exact_step_integrals and y0 = xbar - x0 as the caller computed it.
     Otherwise X is an arithmetic Brownian motion with increments of mean
     u'b dt and variance u' Sigma u dt.  The normals come from the block
-    streams of the Euler scheme, or from normals, the same draw made once
-    by _node_normals(cfg).  With martingale_stats=True (geometric only)
-    also returns per-step statistics of the exponential-martingale ratios,
-    whose mean must be 1.
+    streams of the Euler scheme, or from shared = (normals, nodes): the
+    same draw made once by _node_normals(cfg), and a node-major buffer the
+    paths are written into.  With martingale_stats=True (geometric only,
+    block streams only) also returns per-step statistics of the
+    exponential-martingale ratios, whose mean must be 1.
     """
     drift_int, var_int = _exact_step_integrals(direction, schedule, params, cfg.n_steps, geometric)
     vol_int = np.sqrt(var_int)
     t_grid = np.linspace(0.0, params.horizon_T, cfg.n_steps + 1)
+    if shared is not None:
+        _shared_exact_nodes(*shared, drift_int, vol_int, y0, geometric, params.x0)
+        return t_grid, shared[1].T
     nodes = np.empty((cfg.n_steps + 1, cfg.n_paths))
     # One row of ratio sums per block, added up after all blocks ran, so
     # the statistics do not depend on the order the workers finish in.
@@ -283,15 +299,12 @@ def _exact_paths(direction, y0, geometric, schedule, params, cfg, martingale_sta
     ratio_sq = np.zeros((n_blocks, cfg.n_steps))
 
     def worker(block, start, stop):
-        rng = _block_rng(cfg.seed, block) if normals is None else None
+        rng = _block_rng(cfg.seed, block)
         lanes = stop - start
         acc = np.zeros(lanes)
         nodes[0, start:stop] = params.x0
         for n in range(cfg.n_steps):
-            if normals is None:
-                gaussian = vol_int[n] * _normals(rng, lanes, 1, cfg.antithetic)[:, 0]
-            else:
-                gaussian = vol_int[n] * normals[n, start:stop]
+            gaussian = vol_int[n] * _normals(rng, lanes, 1, cfg.antithetic)[:, 0]
             # The two updates group their sums differently; each order keeps
             # the bits its scheme produced before the schemes shared this loop.
             if geometric:
@@ -314,17 +327,45 @@ def _exact_paths(direction, y0, geometric, schedule, params, cfg, martingale_sta
     return t_grid, nodes.T, MartingaleStats(mean_ratio=mean, se_ratio=np.sqrt(var / n))
 
 
-def _affine_paths(rule: AffineRule, schedule, params, cfg, normals=None):
+def _shared_exact_nodes(normals, nodes, drift_int, vol_int, y0, geometric, x0):
+    """_exact_paths' block loop run node-major over all lanes at once, on drawn normals.
+
+    Every element gets the block loop's operations in the same order (a
+    product or sum with its operands swapped has the same bits), so nodes
+    receives bitwise the paths the block streams give.
+    """
+    acc = np.zeros(nodes.shape[1])
+    gaussian = np.empty_like(acc)
+    nodes[0] = x0
+    for n, row in enumerate(nodes[1:]):
+        np.multiply(normals[n], vol_int[n], out=gaussian)
+        if geometric:
+            acc -= drift_int[n]
+            acc -= gaussian
+            np.exp(acc, out=row)
+            np.subtract(1.0, row, out=row)
+            row *= y0
+            row += x0
+        else:
+            gaussian += drift_int[n]
+            acc += gaussian
+            np.add(acc, x0, out=row)
+
+
+def _affine_paths(rule: AffineRule, schedule, params, cfg, shared=None):
     """Exact paths of an AffineRule with w = 0 (geometric along v) or v = 0 (arithmetic along w).
 
-    v = w = 0 holds no risky asset and stays at x0 exactly.
+    v = w = 0 holds no risky asset and stays at x0 exactly; with shared =
+    (normals, nodes) those x0 fill nodes.
     """
     geometric = bool(rule.v.any())
     if not (geometric or rule.w.any()):
         t_grid = np.linspace(0.0, params.horizon_T, cfg.n_steps + 1)
-        return t_grid, np.full((cfg.n_steps + 1, cfg.n_paths), float(params.x0)).T
+        nodes = np.empty((cfg.n_steps + 1, cfg.n_paths)) if shared is None else shared[1]
+        nodes.fill(float(params.x0))
+        return t_grid, nodes.T
     direction = rule.v if geometric else rule.w
-    return _exact_paths(direction, rule.xbar - params.x0, geometric, schedule, params, cfg, normals=normals)
+    return _exact_paths(direction, rule.xbar - params.x0, geometric, schedule, params, cfg, shared=shared)
 
 
 def simulate_optimal_exact(
@@ -383,8 +424,9 @@ def estimate_objective(paths_or_xt, params: MarketParams) -> ObjectiveEstimate:
     mean = float(np.mean(xt))
     centered = xt - mean
     var = float(centered @ centered) / (n - 1)
-    m3 = float(np.mean(centered**3))
-    m4 = float(np.mean(centered**4))
+    square = centered * centered  # products, not ** 3 and ** 4, which go through pow
+    m3 = float(np.mean(square * centered))
+    m4 = float(np.mean(square * square))
     var_of_var = max(m4 - (n - 3) / (n - 1) * var**2, 0.0) / n
     lam = params.lam
     # lam (lam var_of_var) and lam (2 m3), not lam^2 var_of_var and 2 lam m3, so that a
@@ -529,8 +571,9 @@ def _monotonicity_check(paths, t_grid, coeffs):
     value, prev = np.empty(n), np.empty(n)
     per_path, step = np.empty(n), np.empty(n)
 
+    # x.sum() / n is what x.mean() computes, without its Python-level overhead.
     def node_value(k, out):
-        np.subtract(nodes[k], nodes[k].mean(), out=out)
+        np.subtract(nodes[k], nodes[k].sum() / n, out=out)
         np.square(out, out=out)
         out *= quad[k]
 
@@ -539,7 +582,7 @@ def _monotonicity_check(paths, t_grid, coeffs):
         node_value(k + 1, value)
         np.subtract(value, prev, out=per_path)
         per_path += np.subtract(nodes[k + 1], nodes[k], out=step)
-        mean[k] = per_path.mean()
+        mean[k] = per_path.sum() / n
         per_path -= mean[k]
         sum_sq[k] = per_path @ per_path
         value, prev = prev, value
@@ -572,8 +615,11 @@ def verify_weak_principle(
     Strategy probes run through simulate_wealth: the default ones are
     AffineRules on exact paths, any other callable runs on Euler.  The
     exact probes share one draw of normals (_node_normals), made when the
-    first of them runs, so each gets bitwise the paths simulate_wealth
-    draws for it alone without redrawing them.  The scenario probes read only X_T of the
+    first of them runs, and one (n_steps + 1, n_paths) path buffer, which
+    each fills in turn once the previous probe's paths are checked.  Each
+    gets bitwise the paths simulate_wealth draws for it alone.  They draw
+    nothing, so they run node-major on one thread; ROBUSTMV_THREADS still
+    parallelizes the draw.  The scenario probes read only X_T of the
     optimal rule, so they draw it on the exact scheme with one step over
     [0, T], one normal per path.
     """
@@ -587,11 +633,11 @@ def verify_weak_principle(
     worst_case = ThetaProcessSchedule.constant(solution.theta_star)
 
     monotone, j_upper = [], []
-    normals = None
+    shared = None
     for name, fn in probe_strategies:
-        if normals is None and _draws_exactly(fn):
-            normals = _node_normals(cfg)
-        t_grid, paths = simulate_wealth(fn, worst_case, params, cfg, _shared_normals=normals)
+        if shared is None and _draws_exactly(fn):
+            shared = (_node_normals(cfg), np.empty((cfg.n_steps + 1, cfg.n_paths)))
+        t_grid, paths = simulate_wealth(fn, worst_case, params, cfg, _shared_draw=shared)
         increase, allowance = _monotonicity_check(paths, t_grid, coeffs)
         check = ProbeCheck(name=name, margin=increase, allowance=allowance, ok=increase <= allowance)
         monotone.append(check)
@@ -602,7 +648,7 @@ def verify_weak_principle(
                 margin=increase,
             )
         est = estimate_objective(paths, params)
-        del paths  # free this probe's paths before the next probe fills its own
+        del paths  # frees an Euler probe's paths before the next probe runs
         margin = est.J - v0
         allowance_j = N_SIGMA * est.std_error_J
         check_j = ProbeCheck(name=name, margin=margin, allowance=allowance_j, ok=margin <= allowance_j)

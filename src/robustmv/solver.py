@@ -347,10 +347,6 @@ def numeric_minimize(spec: AmbiguitySpec, params: MarketParams) -> WorstCaseSolu
     lower = np.concatenate([b_lower, spec.gamma.lower])
     upper = np.concatenate([b_upper, spec.gamma.upper])
     z = 0.5 * (lower + upper)
-    if not is_positive_definite(z[d:], d):
-        z[d:] = np.clip(0.0, spec.gamma.lower, spec.gamma.upper)
-        if not is_positive_definite(z[d:], d):
-            raise NoFeasiblePoint("neither the box centre nor its point nearest 0 is positive definite")
 
     def evaluate(point):
         """(R, gradient, factor of Sigma(rho)) at point = (b, rho); raises NotPositiveDefinite off R's domain."""
@@ -358,7 +354,14 @@ def numeric_minimize(spec: AmbiguitySpec, params: MarketParams) -> WorstCaseSolu
         r, kappa = cov.premium_and_direction(point[:d])
         return r, np.concatenate(_premium_gradients(kappa, params)), cov
 
-    r, grad, cov = evaluate(z)
+    try:
+        r, grad, cov = evaluate(z)
+    except NotPositiveDefinite:
+        z[d:] = np.clip(0.0, spec.gamma.lower, spec.gamma.upper)
+        try:
+            r, grad, cov = evaluate(z)
+        except NotPositiveDefinite:
+            raise NoFeasiblePoint("neither the box centre nor its point nearest 0 is positive definite") from None
     eta = 1.0
     for iterations in range(1, DESCENT_MAX_ITERS + 1):
         residual = _box_residual(grad, z, lower, upper)
@@ -483,7 +486,14 @@ def grid_oracle(spec: AmbiguitySpec, params: MarketParams, resolution: int) -> W
     for ax in axes:
         total *= ax.size
     if total > GRID_BUDGET:
-        raise GridTooLarge(f"grid of {total} nodes exceeds the budget of {GRID_BUDGET}")
+        spanned = sum(ax.size > 1 for ax in axes)
+        fits = round(GRID_BUDGET ** (1.0 / spanned))  # the floor of the root, or one above it
+        if fits**spanned > GRID_BUDGET:
+            fits -= 1
+        raise GridTooLarge(
+            f"grid of {total} nodes exceeds the budget of {GRID_BUDGET}; "
+            f"the largest resolution that fits is {fits}"
+        )
 
     n_b = len(b_axes)
     best, k_best, r_best, feasible = np.inf, 0, 0.0, 0

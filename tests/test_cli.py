@@ -77,6 +77,35 @@ def test_solve_oracle_check(tmp_path, capsys):
     assert report["oracle_check"]["gap"] <= 1e-3
 
 
+def test_default_resolution_counts_drift_axes(tmp_path, capsys):
+    # One pair and two drift bounds are three axes: 51 points each, not 2001.
+    payload = dict(REFERENCE, ambiguity={
+        "variant": "product", "delta_lower": [0.1, 0.1], "delta_upper": [0.4, 0.2],
+        "gamma": {"lower": [-0.5], "upper": [0.5]},
+    })
+    cfg = write_config(tmp_path, payload)
+    assert main(["solve", "--config", cfg, "--oracle-check"]) == 0
+    check = json.loads(capsys.readouterr().out)["oracle_check"]
+    assert check["resolution"] == 51 and check["ok"]
+
+
+def test_grid_too_large_names_fitting_resolution(tmp_path, capsys):
+    # Six pairs at the default 51 points are 51^6 nodes; 21^6 <= 1e8 < 22^6.
+    payload = {
+        "market": {"sigmas": [1.0] * 4, "horizon_T": 1.0, "lambda": 0.5, "x0": 1.0},
+        "ambiguity": {"variant": "ellipsoidal", "b_hat": [0.4, 0.3, 0.2, 0.1], "delta": 0.05,
+                      "gamma": {"lower": [-0.2] * 6, "upper": [0.3] * 6}},
+    }
+    cfg = write_config(tmp_path, payload)
+    assert main(["oracle", "--config", cfg]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: grid of 17596287801 nodes exceeds the budget of 100000000; "
+        "the largest resolution that fits is 21\n"
+    )
+
+
 def test_solve_writes_output_file(tmp_path, capsys):
     payload = dict(REFERENCE)
     out = tmp_path / "report.json"

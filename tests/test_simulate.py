@@ -315,7 +315,10 @@ def test_weak_principle_shared_draw_matches_simulate_wealth(params2, reference_s
     cfg = SimConfig(n_paths=5000, n_steps=16, seed=11, antithetic=antithetic)
     checked, streams, runs = [], [], []
     check, block_rng, simulate = sim._monotonicity_check, sim._block_rng, sim.simulate_wealth
-    monkeypatch.setattr(sim, "_monotonicity_check", lambda paths, *rest: checked.append(paths) or check(paths, *rest))
+    # A copy: every exact probe writes into one shared buffer.
+    monkeypatch.setattr(
+        sim, "_monotonicity_check", lambda paths, *rest: checked.append(paths.copy()) or check(paths, *rest)
+    )
     monkeypatch.setattr(sim, "_block_rng", lambda seed, block: streams.append(block) or block_rng(seed, block))
     monkeypatch.setattr(sim, "simulate_wealth", lambda *args, **kw: runs.append(args) or simulate(*args, **kw))
     report = verify_weak_principle(sol, reference_spec, params2, cfg)
@@ -327,6 +330,21 @@ def test_weak_principle_shared_draw_matches_simulate_wealth(params2, reference_s
     assert len(checked) == len(runs) == len(probes)
     for (name, rule), paths in zip(probes, checked):
         assert np.array_equal(paths, simulate_wealth(rule, worst, params2, cfg)[1]), name
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_node_normals_match_per_step_draws(monkeypatch, antithetic, threads):
+    # Two blocks, the last ragged and of odd length: each block's one draw
+    # must be the per-step _normals sequence of its stream, bitwise.
+    monkeypatch.setenv("ROBUSTMV_THREADS", threads)
+    cfg = SimConfig(n_paths=sim.BLOCK + 1001, n_steps=7, seed=5, antithetic=antithetic)
+    expected = np.empty((cfg.n_steps, cfg.n_paths))
+    for block, (start, stop) in enumerate(sim._block_ranges(cfg.n_paths)):
+        rng = sim._block_rng(cfg.seed, block)
+        for n in range(cfg.n_steps):
+            expected[n, start:stop] = sim._normals(rng, stop - start, 1, antithetic)[:, 0]
+    assert sim._node_normals(cfg).tobytes() == expected.tobytes()
 
 
 def test_weak_principle_thread_count_determinism(params2, reference_spec, monkeypatch):
