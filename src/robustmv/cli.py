@@ -37,7 +37,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .ambiguity import AmbiguitySpec, EllipsoidalSet, GammaBox, ProductSet, ThetaProcessSchedule
+from .ambiguity import EllipsoidalSet, GammaBox, ProductSet, ThetaProcessSchedule
 from .errors import (
     ConfigError,
     NoMinimum,
@@ -236,15 +236,6 @@ def _oracle_tolerance(d: int) -> float:
     return 1e-2
 
 
-def _resolution(args, spec: AmbiguitySpec) -> int:
-    """Grid oracle resolution: --resolution, else 2001 for a grid of at most one axis and 51 above.
-
-    The axes are the correlation pairs, plus a product set's d drift bounds.
-    """
-    axes = spec.gamma.n_pairs + (spec.d if isinstance(spec, ProductSet) else 0)
-    return args.resolution or (2001 if axes <= 1 else 51)
-
-
 def _flag_unconverged(solutions, exit_code: int) -> int:
     """Name each numeric-fallback answer that did not converge on stderr; exit 3 if any."""
     flagged = [s.diagnostics for s in solutions if not s.diagnostics.get("converged", True)]
@@ -267,12 +258,11 @@ def cmd_solve(args, raw: dict) -> int:
     }
     exit_code = EXIT_OK
     if args.oracle_check:
-        resolution = _resolution(args, spec)
-        oracle = grid_oracle(spec, params, resolution)
+        oracle = grid_oracle(spec, params, args.resolution)
         gap = abs(solution.r_star - oracle.r_star)
         tolerance = _oracle_tolerance(params.d)
         report["oracle_check"] = {
-            "resolution": resolution,
+            "resolution": oracle.diagnostics["resolution"],
             "r_star_oracle": oracle.r_star,
             "gap": gap,
             "tolerance": tolerance,
@@ -362,7 +352,7 @@ def cmd_simulate(args, raw: dict) -> int:
 def cmd_oracle(args, raw: dict) -> int:
     params = parse_market(raw)
     spec = parse_ambiguity(raw, params)
-    oracle = grid_oracle(spec, params, _resolution(args, spec))
+    oracle = grid_oracle(spec, params, args.resolution)
     _emit({"oracle": solution_to_dict(oracle)}, raw)
     return EXIT_OK
 

@@ -157,35 +157,13 @@ def _factor(matrix: np.ndarray):
     """Attempt L L' = matrix with a pivot-by-pivot tolerance check.
 
     Returns (L, None) on success or (None, k) with k the index of the first
-    pivot at or below PD_TOLERANCE * max(diagonal).  Pivot columns 0 and 1
-    take row products of length 0 and 1, single exact products, so plain
-    float arithmetic gives their BLAS bits; from column 2 on, the length-2+
-    products stay with BLAS, whose ddot may fuse them (x @ x is not always
-    x0 * x0 + x1 * x1).
+    pivot at or below PD_TOLERANCE * max(diagonal).
     """
     a = np.asarray(matrix, dtype=float)
     n = a.shape[0]
     lower = np.zeros_like(a)
-    if not n:
-        return lower, None
-    threshold = PD_TOLERANCE * float(np.max(np.diag(a)))
-    rows = a.tolist()
-    pivot = rows[0][0]
-    if not pivot > threshold:
-        return None, 0
-    root = math.sqrt(pivot)
-    col = [row[0] / root for row in rows]
-    col[0] = root
-    lower[:, 0] = col
-    if n > 1:
-        pivot = rows[1][1] - col[1] * col[1]
-        if not pivot > threshold:
-            return None, 1
-        root = math.sqrt(pivot)
-        lower[1, 1] = root
-        # 0.0 + p: a matmul sums from +0.0, which signs a zero product +0.0.
-        lower[2:, 1] = [(rows[i][1] - (0.0 + col[i] * col[1])) / root for i in range(2, n)]
-    for k in range(2, n):
+    threshold = PD_TOLERANCE * float(np.max(np.diag(a))) if n else 0.0
+    for k in range(n):
         pivot = a[k, k] - lower[k, :k] @ lower[k, :k]
         if not pivot > threshold:
             return None, k
@@ -207,11 +185,9 @@ def _factor_stack(a: np.ndarray):
 
     Returns (L, bad): bad[i] is the index of the first pivot of a[i] at or
     below PD_TOLERANCE * max(diagonal of a[i]), or -1 when every pivot passes; L
-    is zero for the failing matrices.  As in _factor, columns 0 and 1 form
-    their single exact products elementwise; from column 2 on the row
-    products are matmuls over rows laid out as in _factor, so the same BLAS
-    kernels form the pivots.  Verdicts on points bisected onto the PD
-    boundary must match _factor's.
+    is zero for the failing matrices.  The row products are matmuls over
+    rows laid out as in _factor, so the same BLAS kernels form the pivots;
+    verdicts on points bisected onto the PD boundary must match _factor's.
     """
     n, d = a.shape[0], a.shape[-1]
     lower = np.zeros_like(a)
@@ -219,20 +195,13 @@ def _factor_stack(a: np.ndarray):
     threshold = PD_TOLERANCE * np.max(np.diagonal(a, axis1=1, axis2=2), axis=1) if d else 0.0
     for k in range(d):
         row = lower[:, k, None, :k]
-        if k < 2:
-            pivot = a[:, 1, 1] - lower[:, 1, 0] * lower[:, 1, 0] if k else a[:, 0, 0]
-        else:
-            pivot = a[:, k, k] - (row @ row.transpose(0, 2, 1))[:, 0, 0]
+        pivot = a[:, k, k] - (row @ row.transpose(0, 2, 1))[:, 0, 0]
         bad[(bad < 0) & ~(pivot > threshold)] = k
         root = np.sqrt(np.where(bad < 0, pivot, 1.0))
         lower[:, k, k] = root
         if k + 1 < d:
-            if k < 2:
-                # 0.0 + p: a matmul sums from +0.0, which signs a zero product +0.0.
-                below = 0.0 + lower[:, 2:, 0] * lower[:, 1, 0, None] if k else 0.0
-            else:
-                below = (lower[:, k + 1:, :k] @ row.transpose(0, 2, 1))[:, :, 0]
-            lower[:, k + 1:, k] = (a[:, k + 1:, k] - below) / root[:, None]
+            below = lower[:, k + 1:, :k] @ row.transpose(0, 2, 1)
+            lower[:, k + 1:, k] = (a[:, k + 1:, k] - below[:, :, 0]) / root[:, None]
     lower[bad >= 0] = 0.0
     return lower, bad
 

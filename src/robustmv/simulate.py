@@ -25,9 +25,11 @@ scenarios while the terminal inequality survives.
 Layout: every simulator fills a node-major (n_steps + 1, n_paths) buffer,
 one contiguous row slice per step, and returns its transpose, so paths have
 shape (n_paths, n_steps + 1) in Fortran order and each grid node is one
-contiguous column.  The principle check walks them node by node.  Its exact
-strategy probes all write into one such buffer, a whole node row per
-in-place step, so each probe's paths are valid until the next probe runs.
+contiguous column.  The principle check walks them node by node.  The
+exact scheme updates whole node-row slices in place (_exact_nodes), a block
+of paths at a time or, in the principle check, all paths at once; the
+check's exact strategy probes all write into one such buffer, so each
+probe's paths are valid until the next probe runs.
 
 Reproducibility: paths are generated in fixed-size blocks, each block from
 its own counter-based substream keyed by (seed, block index).  Results are
@@ -279,17 +281,18 @@ def _exact_paths(direction, y0, geometric, schedule, params, cfg, martingale_sta
     _exact_step_integrals and y0 = xbar - x0 as the caller computed it.
     Otherwise X is an arithmetic Brownian motion with increments of mean
     u'b dt and variance u' Sigma u dt.  The normals come from the block
-    streams of the Euler scheme, or from shared = (normals, nodes): the
-    same draw made once by _node_normals(cfg), and a node-major buffer the
-    paths are written into.  With martingale_stats=True (geometric only,
-    block streams only) also returns per-step statistics of the
-    exponential-martingale ratios, whose mean must be 1.
+    streams of the Euler scheme, a step at a time, or from shared =
+    (normals, nodes): the same draw made once by _node_normals(cfg), and a
+    node-major buffer the paths are written into.  With
+    martingale_stats=True (geometric only, block streams only) also returns
+    per-step statistics of the exponential-martingale ratios, whose mean
+    must be 1.
     """
     drift_int, var_int = _exact_step_integrals(direction, schedule, params, cfg.n_steps, geometric)
     vol_int = np.sqrt(var_int)
     t_grid = np.linspace(0.0, params.horizon_T, cfg.n_steps + 1)
     if shared is not None:
-        _shared_exact_nodes(*shared, drift_int, vol_int, y0, geometric, params.x0)
+        _exact_nodes(*shared, drift_int, vol_int, y0, geometric, params.x0)
         return t_grid, shared[1].T
     nodes = np.empty((cfg.n_steps + 1, cfg.n_paths))
     # One row of ratio sums per block, added up after all blocks ran, so
@@ -300,23 +303,17 @@ def _exact_paths(direction, y0, geometric, schedule, params, cfg, martingale_sta
 
     def worker(block, start, stop):
         rng = _block_rng(cfg.seed, block)
-        lanes = stop - start
-        acc = np.zeros(lanes)
-        nodes[0, start:stop] = params.x0
-        for n in range(cfg.n_steps):
-            gaussian = vol_int[n] * _normals(rng, lanes, 1, cfg.antithetic)[:, 0]
-            # The two updates group their sums differently; each order keeps
-            # the bits its scheme produced before the schemes shared this loop.
-            if geometric:
-                acc = acc - drift_int[n] - gaussian
-                nodes[n + 1, start:stop] = params.x0 + y0 * (1.0 - np.exp(acc))
-            else:
-                acc = acc + (drift_int[n] + gaussian)
-                nodes[n + 1, start:stop] = params.x0 + acc
-            if martingale_stats:
-                ratios = np.exp(-2.0 * var_int[n] - 2.0 * gaussian)
-                ratio_sum[block, n] = ratios.sum()
-                ratio_sq[block, n] = (ratios**2).sum()
+
+        def draws():  # one step's normals at a time, so no (n_steps, lanes) matrix is held
+            for n in range(cfg.n_steps):
+                z = _normals(rng, stop - start, 1, cfg.antithetic)[:, 0]
+                if martingale_stats:
+                    ratios = np.exp(-2.0 * var_int[n] - 2.0 * (vol_int[n] * z))
+                    ratio_sum[block, n] = ratios.sum()
+                    ratio_sq[block, n] = (ratios**2).sum()
+                yield z
+
+        _exact_nodes(draws(), nodes[:, start:stop], drift_int, vol_int, y0, geometric, params.x0)
 
     _run_blocks(cfg.n_paths, worker)
     if not martingale_stats:
@@ -327,18 +324,18 @@ def _exact_paths(direction, y0, geometric, schedule, params, cfg, martingale_sta
     return t_grid, nodes.T, MartingaleStats(mean_ratio=mean, se_ratio=np.sqrt(var / n))
 
 
-def _shared_exact_nodes(normals, nodes, drift_int, vol_int, y0, geometric, x0):
-    """_exact_paths' block loop run node-major over all lanes at once, on drawn normals.
+def _exact_nodes(normals, nodes, drift_int, vol_int, y0, geometric, x0):
+    """Fill node-major nodes (n_steps + 1 rows) from normals, n_steps rows of the same lanes.
 
-    Every element gets the block loop's operations in the same order (a
-    product or sum with its operands swapped has the same bits), so nodes
-    receives bitwise the paths the block streams give.
+    Node-major with in-place ufuncs: each step is a few calls over a whole
+    row.  The two updates group their sums differently; each order keeps
+    the bits its scheme produced before the schemes shared this kernel.
     """
     acc = np.zeros(nodes.shape[1])
     gaussian = np.empty_like(acc)
     nodes[0] = x0
-    for n, row in enumerate(nodes[1:]):
-        np.multiply(normals[n], vol_int[n], out=gaussian)
+    for n, (row, z) in enumerate(zip(nodes[1:], normals)):
+        np.multiply(z, vol_int[n], out=gaussian)
         if geometric:
             acc -= drift_int[n]
             acc -= gaussian
@@ -616,10 +613,11 @@ def verify_weak_principle(
     AffineRules on exact paths, any other callable runs on Euler.  The
     exact probes share one draw of normals (_node_normals), made when the
     first of them runs, and one (n_steps + 1, n_paths) path buffer, which
-    each fills in turn once the previous probe's paths are checked.  Each
-    gets bitwise the paths simulate_wealth draws for it alone.  They draw
-    nothing, so they run node-major on one thread; ROBUSTMV_THREADS still
-    parallelizes the draw.  The scenario probes read only X_T of the
+    each fills in turn once the previous probe's paths are checked; an
+    Euler probe frees that buffer before it fills its own paths.  Each
+    exact probe gets bitwise the paths simulate_wealth draws for it alone.
+    They draw nothing, so they run node-major on one thread;
+    ROBUSTMV_THREADS still parallelizes the draw.  The scenario probes read only X_T of the
     optimal rule, so they draw it on the exact scheme with one step over
     [0, T], one normal per path.
     """
@@ -633,10 +631,14 @@ def verify_weak_principle(
     worst_case = ThetaProcessSchedule.constant(solution.theta_star)
 
     monotone, j_upper = [], []
-    shared = None
+    normals = nodes = None
     for name, fn in probe_strategies:
-        if shared is None and _draws_exactly(fn):
-            shared = (_node_normals(cfg), np.empty((cfg.n_steps + 1, cfg.n_paths)))
+        if _draws_exactly(fn):
+            normals = _node_normals(cfg) if normals is None else normals
+            nodes = np.empty((cfg.n_steps + 1, cfg.n_paths)) if nodes is None else nodes
+            shared = (normals, nodes)
+        else:
+            shared = nodes = None  # Euler fills its own paths; free the exact probes' buffer first
         t_grid, paths = simulate_wealth(fn, worst_case, params, cfg, _shared_draw=shared)
         increase, allowance = _monotonicity_check(paths, t_grid, coeffs)
         check = ProbeCheck(name=name, margin=increase, allowance=allowance, ok=increase <= allowance)

@@ -86,6 +86,9 @@ NUMERIC = "Numeric"
 ORACLE = "Oracle"
 
 GRID_BUDGET = 10**8
+# grid_oracle's default points per spanned axis: 2001 for one axis; 51 keeps four axes within GRID_BUDGET.
+GRID_RESOLUTION_ONE_AXIS = 2001
+GRID_RESOLUTION = 51
 # Grid nodes the oracle evaluates at a time: its memory is bounded by a chunk, not by the grid.
 GRID_CHUNK = 2**16
 
@@ -455,16 +458,19 @@ def _grid_nodes(axes, first, stop):
     return np.stack([ax[i] for ax, i in zip(axes, index)], axis=1)
 
 
-def grid_oracle(spec: AmbiguitySpec, params: MarketParams, resolution: int) -> WorstCaseSolution:
+def grid_oracle(spec: AmbiguitySpec, params: MarketParams, resolution: int | None = None) -> WorstCaseSolution:
     """Exhaustive grid minimization used as ground truth in tests.
 
     Grids the correlation box (and the drift box for product sets),
     skipping nodes that fail the positive-definite test.  Full correlation
     ambiguity is approximated by the wide box [-0.95, 0.95] per pair.  The
     drift for ellipsoidal sets comes from the fixed-correlation shrinkage
-    map at every node.
+    map at every node.  resolution is the number of points on each axis
+    with lower < upper; by default GRID_RESOLUTION_ONE_AXIS when at most
+    one axis is spanned and GRID_RESOLUTION otherwise.  diagnostics record
+    the resolution used.
     """
-    if resolution < 1:
+    if resolution is not None and resolution < 1:
         raise ValueError("resolution must be >= 1")
     d = params.d
     if spec.gamma.full_ambiguity:
@@ -472,21 +478,19 @@ def grid_oracle(spec: AmbiguitySpec, params: MarketParams, resolution: int) -> W
         g_upper = np.full(spec.gamma.n_pairs, 0.95)
     else:
         g_lower, g_upper = spec.gamma.lower, spec.gamma.upper
-
-    def axis(lo, hi):
-        return np.array([lo]) if lo == hi or resolution == 1 else np.linspace(lo, hi, resolution)
-
-    rho_axes = [axis(lo, hi) for lo, hi in zip(g_lower, g_upper)]
+    bounds = list(zip(g_lower, g_upper))
+    n_b = 0
     if isinstance(spec, ProductSet):
-        b_axes = [axis(lo, hi) for lo, hi in zip(spec.delta_lower, spec.delta_upper)]
-    else:
-        b_axes = []
-    axes = b_axes + rho_axes
+        n_b = d
+        bounds = list(zip(spec.delta_lower, spec.delta_upper)) + bounds
+    spanned = sum(lo != hi for lo, hi in bounds)
+    if resolution is None:
+        resolution = GRID_RESOLUTION_ONE_AXIS if spanned <= 1 else GRID_RESOLUTION
+    axes = [np.array([lo]) if lo == hi or resolution == 1 else np.linspace(lo, hi, resolution) for lo, hi in bounds]
     total = 1
     for ax in axes:
         total *= ax.size
     if total > GRID_BUDGET:
-        spanned = sum(ax.size > 1 for ax in axes)
         fits = round(GRID_BUDGET ** (1.0 / spanned))  # the floor of the root, or one above it
         if fits**spanned > GRID_BUDGET:
             fits -= 1
@@ -495,7 +499,6 @@ def grid_oracle(spec: AmbiguitySpec, params: MarketParams, resolution: int) -> W
             f"the largest resolution that fits is {fits}"
         )
 
-    n_b = len(b_axes)
     best, k_best, r_best, feasible = np.inf, 0, 0.0, 0
     for first in range(0, total, GRID_CHUNK):
         nodes = _grid_nodes(axes, first, min(first + GRID_CHUNK, total))

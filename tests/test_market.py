@@ -1,6 +1,5 @@
 """Correlation algebra, premium, gradients, Sharpe profiles."""
 
-import math
 import os
 import subprocess
 import sys
@@ -362,66 +361,3 @@ def test_factor_stack_matches_factor(d, seed):
             assert not l_stack.any()
         else:
             assert np.allclose(l_stack, l_ref, rtol=1e-15, atol=0.0)
-
-
-def _reference_factor(a):
-    """The pivot loop with BLAS row products in every column, for bitwise comparison."""
-    n = a.shape[0]
-    lower = np.zeros_like(a)
-    threshold = PD_TOLERANCE * float(np.max(np.diag(a))) if n else 0.0
-    for k in range(n):
-        pivot = a[k, k] - lower[k, :k] @ lower[k, :k]
-        if not pivot > threshold:
-            return None, k
-        lower[k, k] = math.sqrt(pivot)
-        if k + 1 < n:
-            lower[k + 1:, k] = (a[k + 1:, k] - lower[k + 1:, :k] @ lower[k, :k]) / lower[k, k]
-    return lower, None
-
-
-def _reference_factor_stack(a):
-    """The stacked pivot loop with matmul row products in every column."""
-    n, d = a.shape[0], a.shape[-1]
-    lower = np.zeros_like(a)
-    bad = np.full(n, -1)
-    threshold = PD_TOLERANCE * np.max(np.diagonal(a, axis1=1, axis2=2), axis=1) if d else 0.0
-    for k in range(d):
-        row = lower[:, k, None, :k]
-        pivot = a[:, k, k] - (row @ row.transpose(0, 2, 1))[:, 0, 0]
-        bad[(bad < 0) & ~(pivot > threshold)] = k
-        root = np.sqrt(np.where(bad < 0, pivot, 1.0))
-        lower[:, k, k] = root
-        if k + 1 < d:
-            below = lower[:, k + 1:, :k] @ row.transpose(0, 2, 1)
-            lower[:, k + 1:, k] = (a[:, k + 1:, k] - below[:, :, 0]) / root[:, None]
-    lower[bad >= 0] = 0.0
-    return lower, bad
-
-
-@given(st.integers(1, 6), st.integers(0, 2**32 - 1))
-def test_factor_pivot_columns_match_reference_loop(d, seed):
-    """Columns 0 and 1 formed elementwise give bitwise the all-BLAS loop's L, signed zeros included."""
-    rng = np.random.default_rng(seed)
-    rhos = rng.uniform(-1.0, 1.0, (20, n_pairs(d)))
-    boundary = []
-    for rho in rhos[:4]:
-        lo, hi = 0.0, 1.0
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            passes = _reference_factor(correlation_matrix(mid * rho, d))[0] is not None
-            lo, hi = (mid, hi) if passes else (lo, mid)
-        boundary += [lo * rho, hi * rho]
-    # Zeroed and sign-flipped entries give products of -0.0 against entries of -0.0.
-    signed = np.where(rng.random(rhos.shape) < 0.3, 0.0, rhos) * np.where(rng.random(rhos.shape) < 0.5, -1.0, 1.0)
-    corr = correlation_stack(np.concatenate([rhos, signed, np.reshape(boundary, (len(boundary), n_pairs(d)))]), d)
-    factors = rng.standard_normal((20, d, int(rng.integers(1, d + 1))))
-    scaled = rng.uniform(0.1, 10.0, (20, d, 1))
-    covariances = corr[:20] * scaled * scaled.transpose(0, 2, 1)
-    stack = np.concatenate([corr, factors @ factors.transpose(0, 2, 1), covariances])
-    lower, bad = _factor_stack(stack)
-    ref_lower, ref_bad = _reference_factor_stack(stack)
-    assert lower.tobytes() == ref_lower.tobytes() and bad.tolist() == ref_bad.tolist()
-    for a in stack:
-        (l_new, k_new), (l_ref, k_ref) = _factor(a), _reference_factor(a)
-        assert k_new == k_ref
-        assert (l_new is None and l_ref is None) or l_new.tobytes() == l_ref.tobytes()

@@ -2,6 +2,7 @@
 
 import math
 import os
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -330,6 +331,24 @@ def test_weak_principle_shared_draw_matches_simulate_wealth(params2, reference_s
     assert len(checked) == len(runs) == len(probes)
     for (name, rule), paths in zip(probes, checked):
         assert np.array_equal(paths, simulate_wealth(rule, worst, params2, cfg)[1]), name
+
+
+def test_weak_principle_frees_shared_buffer_before_euler_probe(params2, reference_spec):
+    # An Euler probe between exact ones fills its own paths: the exact
+    # probes' buffer must be freed first, not held next to them.
+    sol = solve(reference_spec, params2)
+    cfg = SimConfig(n_paths=20000, n_steps=64, seed=3)
+    exact = default_probe_strategies(robust_strategy(sol, params2))[0]
+    euler = ("euler", lambda t, x: exact[1](t, x))
+    buffer = (cfg.n_steps + 1) * cfg.n_paths * 8
+    tracemalloc.start()
+    try:
+        verify_weak_principle(sol, reference_spec, params2, cfg, probe_strategies=[exact, euler, exact])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # The normals and one path buffer, not the normals and two.
+    assert peak < 2.5 * buffer
 
 
 @pytest.mark.parametrize("antithetic", [False, True])

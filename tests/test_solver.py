@@ -856,6 +856,20 @@ def test_grid_oracle_semantics(params2):
         )
 
 
+def test_grid_oracle_default_resolution_counts_spanned_axes(params2):
+    # One spanned pair beside two fixed drift bounds: one axis, so 2001 points.
+    fixed_b = ProductSet(
+        delta_lower=np.array([0.2, 0.1]), delta_upper=np.array([0.2, 0.1]), gamma=GammaBox.box([-0.5], [0.5])
+    )
+    oracle = grid_oracle(fixed_b, params2)
+    assert oracle.diagnostics["resolution"] == 2001 and oracle.diagnostics["nodes"] == 2001
+    # Both drift bounds spanned as well: three axes at 51 points.
+    spanned = ProductSet(
+        delta_lower=np.array([0.1, 0.1]), delta_upper=np.array([0.4, 0.2]), gamma=GammaBox.box([-0.5], [0.5])
+    )
+    assert grid_oracle(spanned, params2).diagnostics["nodes"] == 51**3
+
+
 def test_grid_oracle_memory_bounded_by_chunk():
     # 101^3 nodes: evaluated all at once, their arrays reach a traced peak of about 125 MB.
     params = MarketParams(sigmas=[1.0, 1.2, 0.8], horizon_T=1.0, lam=0.5, x0=1.0)
