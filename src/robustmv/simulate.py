@@ -25,20 +25,22 @@ scenarios while the terminal inequality survives.
 Layout: every simulator fills a node-major (n_steps + 1, n_paths) buffer,
 one contiguous row slice per step, and returns its transpose, so paths have
 shape (n_paths, n_steps + 1) in Fortran order and each grid node is one
-contiguous column.  The principle check walks them node by node.  The
-exact scheme updates whole node-row slices in place (_exact_nodes), a block
-of paths at a time or, in the principle check, all paths at once; the
-check's exact strategy probes all write into one such buffer, so each
-probe's paths are valid until the next probe runs.
+contiguous column.  The exact scheme advances a row of lanes one step at a
+time (_ExactKernel); its block loop writes each step into the node row of
+the block.  The principle check holds no path matrix: it advances all of
+its exact strategy probes together over all paths, one step at a time, and
+feeds each new node row straight into that probe's monotonicity sums
+(_NodeWalk), keeping only the last row for the objective.
 
 Reproducibility: paths are generated in fixed-size blocks, each block from
 its own counter-based substream keyed by (seed, block index).  Results are
 bitwise identical for a given SimConfig regardless of the worker count;
 the ROBUSTMV_THREADS environment variable only caps parallelism.  The
-principle check draws the exact scheme's normals once per call from those
-same streams (threaded like any block loop) and hands them to every exact
-strategy probe, so each probe's paths are bitwise those simulate_wealth
-would give it alone; the probes draw nothing and run on one thread.
+principle check draws one row of normals per step from those same streams,
+block after block (_step_normals), in the order the block loop draws them,
+so each exact probe sees bitwise the paths simulate_wealth would give it
+alone.  Those probes run on one thread; ROBUSTMV_THREADS reaches only the
+check's simulate_wealth calls (Euler probes and the terminal draws).
 """
 
 from __future__ import annotations
@@ -127,28 +129,21 @@ def _normals(rng, lanes: int, d: int, antithetic: bool) -> np.ndarray:
     return out[:lanes]
 
 
-def _node_normals(cfg: SimConfig) -> np.ndarray:
-    """The exact scheme's normals for cfg as one node-major (n_steps, n_paths) matrix.
+def _step_normals(cfg: SimConfig):
+    """The exact scheme's normals for cfg, one (n_paths,) row per step.
 
-    Each block draws its (n_steps, lanes) normals in one call: a stream fills
-    arrays in C order, so this is the sequence the per-step _normals calls of
-    _exact_paths take from it, and the kernel fed this matrix returns bitwise
-    the paths it draws alone.
+    Each block's stream gives its lanes of a row through the same per-step
+    _normals call the block loop of _exact_paths makes, so a kernel fed
+    these rows writes bitwise the paths that loop draws.  The row is one
+    buffer, overwritten by the next step's draw.
     """
-    normals = np.empty((cfg.n_steps, cfg.n_paths))
-
-    def worker(block, start, stop):
-        rng = _block_rng(cfg.seed, block)
-        lanes = stop - start
-        if not cfg.antithetic:
-            normals[:, start:stop] = rng.standard_normal((cfg.n_steps, lanes))
-            return
-        z = rng.standard_normal((cfg.n_steps, (lanes + 1) // 2))
-        normals[:, start:stop:2] = z
-        normals[:, start + 1:stop:2] = -z[:, : lanes // 2]
-
-    _run_blocks(cfg.n_paths, worker)
-    return normals
+    ranges = _block_ranges(cfg.n_paths)
+    rngs = [_block_rng(cfg.seed, block) for block in range(len(ranges))]
+    z = np.empty(cfg.n_paths)
+    for _ in range(cfg.n_steps):
+        for rng, (start, stop) in zip(rngs, ranges):
+            z[start:stop] = _normals(rng, stop - start, 1, cfg.antithetic)[:, 0]
+        yield z
 
 
 @dataclass(frozen=True)
@@ -181,13 +176,16 @@ def _draws_exactly(rule) -> bool:
 
 
 def _step_model(schedule: ThetaProcessSchedule, params: MarketParams, n_steps: int):
-    """Per-step (b, chol) taken from the scenario value at the left node."""
+    """Per-step (b, chol) taken from the scenario value at the left node, factored once per piece."""
     dt = params.horizon_T / n_steps
     drifts, chols = [], []
+    theta = None
     for n in range(n_steps):
-        theta = schedule.value_at(n * dt)
+        value = schedule.value_at(n * dt)
+        if value is not theta:
+            theta, chol = value, covariance_from(value.rho, params).chol
         drifts.append(theta.b)
-        chols.append(covariance_from(theta.rho, params).chol)
+        chols.append(chol)
     return dt, drifts, chols
 
 
@@ -219,14 +217,7 @@ def _exact_step_integrals(direction, schedule, params, n_steps, log_scale):
     return drift_int, var_int
 
 
-def simulate_wealth(
-    rule,
-    schedule: ThetaProcessSchedule,
-    params: MarketParams,
-    cfg: SimConfig,
-    *,
-    _shared_draw=None,
-):
+def simulate_wealth(rule, schedule: ThetaProcessSchedule, params: MarketParams, cfg: SimConfig):
     """Paths of the wealth process under a feedback rule alpha = rule(t, x).
 
     An AffineRule with w = 0 or v = 0 is drawn exactly (_affine_paths).
@@ -235,14 +226,10 @@ def simulate_wealth(
     the Euler scheme, called at every step on the current wealths.
     Returns (t_grid, paths) with paths of shape (n_paths, n_steps + 1), the
     transpose of a node-major buffer; wealth is unconstrained and may go
-    negative.  _shared_draw is internal: verify_weak_principle passes
-    (normals, nodes), its one draw _node_normals(cfg) and one
-    (n_steps + 1, n_paths) buffer.  An exact rule reads the normals in
-    place of the block streams and writes its paths into nodes, which the
-    next such call overwrites; Euler ignores both.
+    negative.
     """
     if _draws_exactly(rule):
-        return _affine_paths(rule, schedule, params, cfg, _shared_draw)
+        return _affine_paths(rule, schedule, params, cfg)
     dt, drifts, chols = _step_model(schedule, params, cfg.n_steps)
     sqrt_dt = math.sqrt(dt)
     t_grid = np.linspace(0.0, params.horizon_T, cfg.n_steps + 1)
@@ -273,7 +260,7 @@ class MartingaleStats:
     se_ratio: np.ndarray
 
 
-def _exact_paths(direction, y0, geometric, schedule, params, cfg, martingale_stats=False, shared=None):
+def _exact_paths(direction, y0, geometric, schedule, params, cfg, martingale_stats=False):
     """Discretization-free wealth paths along one direction u, one normal per path and step.
 
     geometric: Y = xbar - X solves dY = -Y u'(b dt + sigma dW), a geometric
@@ -281,19 +268,13 @@ def _exact_paths(direction, y0, geometric, schedule, params, cfg, martingale_sta
     _exact_step_integrals and y0 = xbar - x0 as the caller computed it.
     Otherwise X is an arithmetic Brownian motion with increments of mean
     u'b dt and variance u' Sigma u dt.  The normals come from the block
-    streams of the Euler scheme, a step at a time, or from shared =
-    (normals, nodes): the same draw made once by _node_normals(cfg), and a
-    node-major buffer the paths are written into.  With
-    martingale_stats=True (geometric only, block streams only) also returns
-    per-step statistics of the exponential-martingale ratios, whose mean
-    must be 1.
+    streams of the Euler scheme, a step at a time.  With
+    martingale_stats=True (geometric only) also returns per-step statistics
+    of the exponential-martingale ratios, whose mean must be 1.
     """
     drift_int, var_int = _exact_step_integrals(direction, schedule, params, cfg.n_steps, geometric)
     vol_int = np.sqrt(var_int)
     t_grid = np.linspace(0.0, params.horizon_T, cfg.n_steps + 1)
-    if shared is not None:
-        _exact_nodes(*shared, drift_int, vol_int, y0, geometric, params.x0)
-        return t_grid, shared[1].T
     nodes = np.empty((cfg.n_steps + 1, cfg.n_paths))
     # One row of ratio sums per block, added up after all blocks ran, so
     # the statistics do not depend on the order the workers finish in.
@@ -303,17 +284,17 @@ def _exact_paths(direction, y0, geometric, schedule, params, cfg, martingale_sta
 
     def worker(block, start, stop):
         rng = _block_rng(cfg.seed, block)
-
-        def draws():  # one step's normals at a time, so no (n_steps, lanes) matrix is held
-            for n in range(cfg.n_steps):
-                z = _normals(rng, stop - start, 1, cfg.antithetic)[:, 0]
-                if martingale_stats:
-                    ratios = np.exp(-2.0 * var_int[n] - 2.0 * (vol_int[n] * z))
-                    ratio_sum[block, n] = ratios.sum()
-                    ratio_sq[block, n] = (ratios**2).sum()
-                yield z
-
-        _exact_nodes(draws(), nodes[:, start:stop], drift_int, vol_int, y0, geometric, params.x0)
+        kernel = _ExactKernel(drift_int, vol_int, y0, geometric, params.x0, np.empty(stop - start))
+        rows = nodes[:, start:stop]
+        rows[0] = params.x0
+        # One step's normals at a time, so no (n_steps, lanes) matrix is held.
+        for n in range(cfg.n_steps):
+            z = _normals(rng, stop - start, 1, cfg.antithetic)[:, 0]
+            if martingale_stats:
+                ratios = np.exp(-2.0 * var_int[n] - 2.0 * (vol_int[n] * z))
+                ratio_sum[block, n] = ratios.sum()
+                ratio_sq[block, n] = (ratios**2).sum()
+            kernel.step(n, z, rows[n + 1])
 
     _run_blocks(cfg.n_paths, worker)
     if not martingale_stats:
@@ -324,45 +305,51 @@ def _exact_paths(direction, y0, geometric, schedule, params, cfg, martingale_sta
     return t_grid, nodes.T, MartingaleStats(mean_ratio=mean, se_ratio=np.sqrt(var / n))
 
 
-def _exact_nodes(normals, nodes, drift_int, vol_int, y0, geometric, x0):
-    """Fill node-major nodes (n_steps + 1 rows) from normals, n_steps rows of the same lanes.
+class _ExactKernel:
+    """The exact scheme's step over a fixed row of lanes, given its per-step integrals.
 
-    Node-major with in-place ufuncs: each step is a few calls over a whole
-    row.  The two updates group their sums differently; each order keeps
-    the bits its scheme produced before the schemes shared this kernel.
+    step(n, z, row) advances every lane over step n on the normals z and
+    writes the wealths into row.  gaussian is a scratch row of the lanes'
+    size for the Gaussian increment; kernels that step one after another
+    may share it.  Node-major with in-place ufuncs: each step is a few calls
+    over a whole row.  The two updates group their sums differently; each
+    order keeps the bits its scheme produced before the schemes shared this
+    kernel.
     """
-    acc = np.zeros(nodes.shape[1])
-    gaussian = np.empty_like(acc)
-    nodes[0] = x0
-    for n, (row, z) in enumerate(zip(nodes[1:], normals)):
-        np.multiply(z, vol_int[n], out=gaussian)
-        if geometric:
-            acc -= drift_int[n]
+
+    def __init__(self, drift_int, vol_int, y0, geometric, x0, gaussian):
+        self.drift_int, self.vol_int = drift_int, vol_int
+        self.y0, self.geometric, self.x0 = y0, geometric, x0
+        self.gaussian = gaussian
+        self.acc = np.zeros_like(gaussian)  # log N (geometric) or X - x0 (arithmetic)
+
+    def step(self, n, z, row):
+        acc, gaussian = self.acc, self.gaussian
+        np.multiply(z, self.vol_int[n], out=gaussian)
+        if self.geometric:
+            acc -= self.drift_int[n]
             acc -= gaussian
             np.exp(acc, out=row)
             np.subtract(1.0, row, out=row)
-            row *= y0
-            row += x0
+            row *= self.y0
+            row += self.x0
         else:
-            gaussian += drift_int[n]
+            gaussian += self.drift_int[n]
             acc += gaussian
-            np.add(acc, x0, out=row)
+            np.add(acc, self.x0, out=row)
 
 
-def _affine_paths(rule: AffineRule, schedule, params, cfg, shared=None):
+def _affine_paths(rule: AffineRule, schedule, params, cfg):
     """Exact paths of an AffineRule with w = 0 (geometric along v) or v = 0 (arithmetic along w).
 
-    v = w = 0 holds no risky asset and stays at x0 exactly; with shared =
-    (normals, nodes) those x0 fill nodes.
+    v = w = 0 holds no risky asset and stays at x0 exactly.
     """
     geometric = bool(rule.v.any())
     if not (geometric or rule.w.any()):
         t_grid = np.linspace(0.0, params.horizon_T, cfg.n_steps + 1)
-        nodes = np.empty((cfg.n_steps + 1, cfg.n_paths)) if shared is None else shared[1]
-        nodes.fill(float(params.x0))
-        return t_grid, nodes.T
+        return t_grid, np.full((cfg.n_steps + 1, cfg.n_paths), float(params.x0)).T
     direction = rule.v if geometric else rule.w
-    return _exact_paths(direction, rule.xbar - params.x0, geometric, schedule, params, cfg, shared=shared)
+    return _exact_paths(direction, rule.xbar - params.x0, geometric, schedule, params, cfg)
 
 
 def simulate_optimal_exact(
@@ -547,48 +534,102 @@ class WeakPrincipleReport:
     ok: bool
 
 
+class _NodeWalk:
+    """The monotonicity check's sums over the grid, fed one node row of wealths at a time.
+
+    feed(row) takes nodes 0, 1, ..., n_steps in order.  It holds the
+    previous row by reference, so a caller must leave that row unchanged
+    until the next feed; last is the row fed most recently.  Three buffers
+    of n_paths values: the quad * (x - mean)^2 of the current node and of
+    the previous one, which then takes the per-path increment, and the
+    wealth step.
+    """
+
+    def __init__(self, t_grid, coeffs, n_paths):
+        self.quad = coeffs.quad_coeff(t_grid)
+        self.offset = coeffs.offset(t_grid)
+        self.mean = np.empty(t_grid.size - 1)
+        self.sum_sq = np.empty_like(self.mean)
+        self.value, self.prev, self.step = np.empty(n_paths), np.empty(n_paths), np.empty(n_paths)
+        self.last = None
+        self.k = 0
+
+    def feed(self, row):
+        k, n = self.k, row.size
+        value, prev = self.value, self.prev
+        # x.sum() / n is what x.mean() computes, without its Python-level overhead.
+        np.subtract(row, row.sum() / n, out=value)
+        np.square(value, out=value)
+        value *= self.quad[k]
+        if k:
+            per_path = np.subtract(value, prev, out=prev)
+            per_path += np.subtract(row, self.last, out=self.step)
+            self.mean[k - 1] = per_path.sum() / n
+            per_path -= self.mean[k - 1]
+            self.sum_sq[k - 1] = per_path @ per_path
+        self.value, self.prev = prev, value
+        self.last = row
+        self.k = k + 1
+
+    def result(self):
+        """(increase, allowance) at the grid increment where E[V_t] rises most beyond its noise."""
+        n = self.value.size
+        diffs = self.mean + np.diff(self.offset)
+        spread = np.sqrt(self.sum_sq / (n - 1))
+        z = NormalDist().inv_cdf(1.0 - NormalDist().cdf(-N_SIGMA) / diffs.size)
+        allowance = z * spread / math.sqrt(n)
+        worst = int(np.argmax(diffs - allowance))
+        return float(diffs[worst]), float(allowance[worst])
+
+
 def _monotonicity_check(paths, t_grid, coeffs):
     """Largest noise-adjusted increase of E[V_t] along the grid.
 
     Uses per-path linearization of consecutive value differences, so the
     standard error accounts for the coupling between grid nodes.  The
     Bonferroni threshold z = Phi^{-1}(1 - Phi(-N_SIGMA) / n_increments)
-    makes N_SIGMA a family-wise level over all increments.  Walks the
-    nodes of paths.T one at a time (contiguous rows for the simulators'
-    Fortran-ordered paths) in four buffers of n_paths values: the
-    quad * (x - mean)^2 of two adjacent nodes, the per-path increment and
-    the wealth step.
+    makes N_SIGMA a family-wise level over all increments.  Feeds the nodes
+    of paths.T to a _NodeWalk one at a time (contiguous rows for the
+    simulators' Fortran-ordered paths).
     """
-    quad = coeffs.quad_coeff(t_grid)
-    offset = coeffs.offset(t_grid)
     nodes = paths.T
-    n = nodes.shape[1]
-    mean = np.empty(nodes.shape[0] - 1)
-    sum_sq = np.empty_like(mean)
-    value, prev = np.empty(n), np.empty(n)
-    per_path, step = np.empty(n), np.empty(n)
+    walk = _NodeWalk(t_grid, coeffs, nodes.shape[1])
+    for row in nodes:
+        walk.feed(row)
+    return walk.result()
 
-    # x.sum() / n is what x.mean() computes, without its Python-level overhead.
-    def node_value(k, out):
-        np.subtract(nodes[k], nodes[k].sum() / n, out=out)
-        np.square(out, out=out)
-        out *= quad[k]
 
-    node_value(0, prev)
-    for k in range(mean.size):
-        node_value(k + 1, value)
-        np.subtract(value, prev, out=per_path)
-        per_path += np.subtract(nodes[k + 1], nodes[k], out=step)
-        mean[k] = per_path.sum() / n
-        per_path -= mean[k]
-        sum_sq[k] = per_path @ per_path
-        value, prev = prev, value
-    diffs = mean + np.diff(offset)
-    spread = np.sqrt(sum_sq / (n - 1))
-    z = NormalDist().inv_cdf(1.0 - NormalDist().cdf(-N_SIGMA) / diffs.size)
-    allowance = z * spread / math.sqrt(n)
-    worst = int(np.argmax(diffs - allowance))
-    return float(diffs[worst]), float(allowance[worst])
+def _exact_probe_walks(rules, schedule, params, cfg, coeffs):
+    """One fed _NodeWalk per exact AffineRule, all run together on one draw.
+
+    Every rule advances over all paths at once, one step at a time on the
+    rows of _step_normals, into two row buffers it alternates between, and
+    each new row goes straight into the rule's walk.  v = w = 0 holds x0:
+    its walk is fed one row of x0 at every node, and draws nothing.  Each
+    walk's last row is the rule's X_T, bitwise that of simulate_wealth.
+    """
+    t_grid = np.linspace(0.0, params.horizon_T, cfg.n_steps + 1)
+    start, gaussian = np.full(cfg.n_paths, float(params.x0)), np.empty(cfg.n_paths)
+    walks, moving = [], []
+    for rule in rules:
+        walk = _NodeWalk(t_grid, coeffs, cfg.n_paths)
+        walk.feed(start)
+        walks.append(walk)
+        geometric = bool(rule.v.any())
+        if not (geometric or rule.w.any()):
+            for _ in range(cfg.n_steps):
+                walk.feed(start)
+            continue
+        direction = rule.v if geometric else rule.w
+        drift_int, var_int = _exact_step_integrals(direction, schedule, params, cfg.n_steps, geometric)
+        kernel = _ExactKernel(drift_int, np.sqrt(var_int), rule.xbar - params.x0, geometric, params.x0, gaussian)
+        moving.append((kernel, walk, (np.empty(cfg.n_paths), np.empty(cfg.n_paths))))
+    if moving:
+        for n, z in enumerate(_step_normals(cfg)):
+            for kernel, walk, rows in moving:
+                kernel.step(n, z, rows[n % 2])
+                walk.feed(rows[n % 2])
+    return walks
 
 
 def verify_weak_principle(
@@ -607,19 +648,17 @@ def verify_weak_principle(
     test has the false-alarm rate of a one-sided N_SIGMA normal event: the
     J margins get N_SIGMA standard errors, and the monotone check holds
     that level family-wise over all grid increments.  Raises
-    PrincipleViolated on the first failure.
+    PrincipleViolated on the first failure, in probe order.
 
-    Strategy probes run through simulate_wealth: the default ones are
-    AffineRules on exact paths, any other callable runs on Euler.  The
-    exact probes share one draw of normals (_node_normals), made when the
-    first of them runs, and one (n_steps + 1, n_paths) path buffer, which
-    each fills in turn once the previous probe's paths are checked; an
-    Euler probe frees that buffer before it fills its own paths.  Each
-    exact probe gets bitwise the paths simulate_wealth draws for it alone.
-    They draw nothing, so they run node-major on one thread;
-    ROBUSTMV_THREADS still parallelizes the draw.  The scenario probes read only X_T of the
-    optimal rule, so they draw it on the exact scheme with one step over
-    [0, T], one normal per path.
+    The default strategy probes are AffineRules drawn exactly: they run
+    first, all together on one draw of normals made a step at a time, and
+    each keeps only its per-node sums and its terminal row
+    (_exact_probe_walks), so no path matrix is held.  Each gets bitwise the
+    paths simulate_wealth draws for it alone, and the draw runs on one
+    thread.  Any other callable runs through simulate_wealth on Euler when
+    its turn comes, after every earlier probe passed.  The scenario probes
+    read only X_T of the optimal rule, so simulate_wealth draws it on the
+    exact scheme with one step over [0, T], one normal per path.
     """
     strategy = robust_strategy(solution, params)
     coeffs = value_coefficients(solution, params)
@@ -629,18 +668,21 @@ def verify_weak_principle(
     if probe_schedules is None:
         probe_schedules = default_probe_schedules(spec, params, solution)
     worst_case = ThetaProcessSchedule.constant(solution.theta_star)
+    exact = [fn for _, fn in probe_strategies if _draws_exactly(fn)]
+    exact_results = iter(
+        [(*walk.result(), estimate_objective(walk.last, params))
+         for walk in _exact_probe_walks(exact, worst_case, params, cfg, coeffs)]
+    )
 
     monotone, j_upper = [], []
-    normals = nodes = None
     for name, fn in probe_strategies:
         if _draws_exactly(fn):
-            normals = _node_normals(cfg) if normals is None else normals
-            nodes = np.empty((cfg.n_steps + 1, cfg.n_paths)) if nodes is None else nodes
-            shared = (normals, nodes)
+            increase, allowance, est = next(exact_results)
         else:
-            shared = nodes = None  # Euler fills its own paths; free the exact probes' buffer first
-        t_grid, paths = simulate_wealth(fn, worst_case, params, cfg, _shared_draw=shared)
-        increase, allowance = _monotonicity_check(paths, t_grid, coeffs)
+            t_grid, paths = simulate_wealth(fn, worst_case, params, cfg)
+            increase, allowance = _monotonicity_check(paths, t_grid, coeffs)
+            est = estimate_objective(paths, params)
+            del paths  # frees an Euler probe's paths before the next probe runs
         check = ProbeCheck(name=name, margin=increase, allowance=allowance, ok=increase <= allowance)
         monotone.append(check)
         if not check.ok:
@@ -649,8 +691,6 @@ def verify_weak_principle(
                 probe=name,
                 margin=increase,
             )
-        est = estimate_objective(paths, params)
-        del paths  # frees an Euler probe's paths before the next probe runs
         margin = est.J - v0
         allowance_j = N_SIGMA * est.std_error_J
         check_j = ProbeCheck(name=name, margin=margin, allowance=allowance_j, ok=margin <= allowance_j)
@@ -666,7 +706,7 @@ def verify_weak_principle(
     optimal = AffineRule(xbar=strategy.xbar, v=kappa, w=np.zeros_like(kappa))
     terminal = []
     for name, sched in probe_schedules:
-        xt = _affine_paths(optimal, sched, params, replace(cfg, n_steps=1))[1][:, -1]
+        xt = simulate_wealth(optimal, sched, params, replace(cfg, n_steps=1))[1][:, -1]
         est = estimate_objective(xt, params)
         margin = est.J - v0  # E[V_T] - V0 since the terminal value is x - lam (x - xbar)^2
         allowance = N_SIGMA * est.std_error_J

@@ -30,10 +30,13 @@ from robustmv import (
     value_v0,
     verify_weak_principle,
 )
+from robustmv import market
 from robustmv import simulate as sim
 from robustmv.ambiguity import ThetaProcessSchedule
 from robustmv.simulate import (
-    _affine_paths,
+    N_SIGMA,
+    ProbeCheck,
+    WeakPrincipleReport,
     _monotonicity_check,
     default_probe_schedules,
     default_probe_strategies,
@@ -44,7 +47,7 @@ from conftest import curated_three_asset
 
 def _terminal_draws(rule, sched, params, cfg):
     """X_T of an AffineRule drawn the way verify_weak_principle draws its scenario probes."""
-    return _affine_paths(rule, sched, params, replace(cfg, n_steps=1))[1][:, -1]
+    return simulate_wealth(rule, sched, params, replace(cfg, n_steps=1))[1][:, -1]
 
 
 @pytest.fixture
@@ -306,36 +309,80 @@ def test_paths_are_node_major(params2, reference):
         assert paths.T.flags.c_contiguous, name
 
 
+def _sequential_principle(sol, spec, params, cfg, probe_strategies=None, probe_schedules=None):
+    """verify_weak_principle's report built probe by probe from the paths simulate_wealth gives each alone."""
+    strat = robust_strategy(sol, params)
+    coeffs, v0 = value_coefficients(sol, params), value_v0(sol, params)
+    worst = ThetaProcessSchedule.constant(sol.theta_star)
+    if probe_strategies is None:
+        probe_strategies = default_probe_strategies(strat)
+    if probe_schedules is None:
+        probe_schedules = default_probe_schedules(spec, params, sol)
+    monotone, upper, terminal = [], [], []
+    for name, rule in probe_strategies:
+        t_grid, paths = simulate_wealth(rule, worst, params, cfg)
+        increase, allowance = _monotonicity_check(paths, t_grid, coeffs)
+        monotone.append(ProbeCheck(name, increase, allowance, increase <= allowance))
+        if not monotone[-1].ok:
+            raise PrincipleViolated("monotone", probe=name, margin=increase)
+        est = estimate_objective(paths, params)
+        margin, allowance = est.J - v0, N_SIGMA * est.std_error_J
+        upper.append(ProbeCheck(name, margin, allowance, margin <= allowance))
+        if not upper[-1].ok:
+            raise PrincipleViolated("upper", probe=name, margin=margin)
+    optimal = dict(default_probe_strategies(strat))["optimal"]
+    for name, sched in probe_schedules:
+        est = estimate_objective(simulate_wealth(optimal, sched, params, replace(cfg, n_steps=1))[1], params)
+        margin, allowance = est.J - v0, N_SIGMA * est.std_error_J
+        terminal.append(ProbeCheck(name, margin, allowance, margin >= -allowance))
+        if not terminal[-1].ok:
+            raise PrincipleViolated("terminal", probe=name, margin=margin)
+    return WeakPrincipleReport(tuple(monotone), tuple(terminal), tuple(upper), v0, True)
+
+
+def _outcome(check, *args, **kw):
+    try:
+        return check(*args, **kw)
+    except PrincipleViolated as exc:
+        return exc.probe, exc.margin
+
+
 @pytest.mark.parametrize("antithetic", [False, True])
 def test_weak_principle_shared_draw_matches_simulate_wealth(params2, reference_spec, monkeypatch, antithetic):
-    # The exact strategy probes share one draw of normals: one set of block
-    # streams, plus one per scenario probe for its terminal draw.  Each probe
-    # still runs through simulate_wealth (the benchmark's trace counts those
-    # calls) and must check bitwise the paths it draws for the probe alone.
+    # The exact strategy probes run together on one per-step draw and hold
+    # no paths; the report must be the one built probe by probe from
+    # simulate_wealth.  Two blocks, the last ragged and of odd length.  A
+    # lying r* fails a scenario probe (1.5), the J bound (0.05) or the
+    # monotone check (0.0); the same probe must fail by the same margin.
     sol = solve(reference_spec, params2)
-    cfg = SimConfig(n_paths=5000, n_steps=16, seed=11, antithetic=antithetic)
-    checked, streams, runs = [], [], []
-    check, block_rng, simulate = sim._monotonicity_check, sim._block_rng, sim.simulate_wealth
-    # A copy: every exact probe writes into one shared buffer.
-    monkeypatch.setattr(
-        sim, "_monotonicity_check", lambda paths, *rest: checked.append(paths.copy()) or check(paths, *rest)
-    )
+    cfg = SimConfig(n_paths=sim.BLOCK + 1001, n_steps=16, seed=11, antithetic=antithetic)
+    euler_calls = []
+    for r_star in (sol.r_star, 1.5, 0.05, 0.0):
+        lying = replace(sol, r_star=r_star)
+        probes = default_probe_strategies(robust_strategy(lying, params2))
+        half = dict(probes)["half"]
+        euler = ("euler", lambda t, x: euler_calls.append(t) or half(t, x))
+        schedules = default_probe_schedules(reference_spec, params2, lying)
+        for kw in (
+            {},
+            dict(probe_strategies=probes[:3], probe_schedules=schedules[:3]),  # the CLI's --probes 3
+            dict(probe_strategies=[probes[0], euler, probes[5], probes[1], euler]),
+        ):
+            expected = _outcome(_sequential_principle, lying, reference_spec, params2, cfg, **kw)
+            del euler_calls[:]
+            assert _outcome(verify_weak_principle, lying, reference_spec, params2, cfg, **kw) == expected
+            if r_star == 0.0:  # the first probe fails, so no Euler probe runs
+                assert expected[0] == "optimal" and not euler_calls
+    # One set of block streams for the strategy probes, plus one per scenario probe.
+    streams, block_rng = [], sim._block_rng
     monkeypatch.setattr(sim, "_block_rng", lambda seed, block: streams.append(block) or block_rng(seed, block))
-    monkeypatch.setattr(sim, "simulate_wealth", lambda *args, **kw: runs.append(args) or simulate(*args, **kw))
     report = verify_weak_principle(sol, reference_spec, params2, cfg)
-    n_blocks = 2
-    assert len(streams) == n_blocks * (1 + len(report.terminal_gain))
-    monkeypatch.undo()
-    worst = ThetaProcessSchedule.constant(sol.theta_star)
-    probes = default_probe_strategies(robust_strategy(sol, params2))
-    assert len(checked) == len(runs) == len(probes)
-    for (name, rule), paths in zip(probes, checked):
-        assert np.array_equal(paths, simulate_wealth(rule, worst, params2, cfg)[1]), name
+    assert report.ok and len(streams) == 2 * (1 + len(report.terminal_gain))
 
 
 def test_weak_principle_frees_shared_buffer_before_euler_probe(params2, reference_spec):
     # An Euler probe between exact ones fills its own paths: the exact
-    # probes' buffer must be freed first, not held next to them.
+    # probes hold no path buffer next to them.
     sol = solve(reference_spec, params2)
     cfg = SimConfig(n_paths=20000, n_steps=64, seed=3)
     exact = default_probe_strategies(robust_strategy(sol, params2))[0]
@@ -347,15 +394,30 @@ def test_weak_principle_frees_shared_buffer_before_euler_probe(params2, referenc
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # The normals and one path buffer, not the normals and two.
-    assert peak < 2.5 * buffer
+    # The Euler probe's own paths, not a second buffer.
+    assert peak < 1.5 * buffer
+
+
+def test_weak_principle_holds_no_path_matrix(params2, reference_spec):
+    # The default check streams its exact probes: a few rows per probe, far
+    # below one (n_steps + 1, n_paths) path buffer.
+    sol = solve(reference_spec, params2)
+    cfg = SimConfig(n_paths=20000, n_steps=256, seed=3)
+    buffer = (cfg.n_steps + 1) * cfg.n_paths * 8
+    tracemalloc.start()
+    try:
+        assert verify_weak_principle(sol, reference_spec, params2, cfg).ok
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.25 * buffer
 
 
 @pytest.mark.parametrize("antithetic", [False, True])
 @pytest.mark.parametrize("threads", ["1", "2"])
 def test_node_normals_match_per_step_draws(monkeypatch, antithetic, threads):
-    # Two blocks, the last ragged and of odd length: each block's one draw
-    # must be the per-step _normals sequence of its stream, bitwise.
+    # Two blocks, the last ragged and of odd length: each step's row must be
+    # the per-step _normals draws of the block streams, bitwise.
     monkeypatch.setenv("ROBUSTMV_THREADS", threads)
     cfg = SimConfig(n_paths=sim.BLOCK + 1001, n_steps=7, seed=5, antithetic=antithetic)
     expected = np.empty((cfg.n_steps, cfg.n_paths))
@@ -363,7 +425,22 @@ def test_node_normals_match_per_step_draws(monkeypatch, antithetic, threads):
         rng = sim._block_rng(cfg.seed, block)
         for n in range(cfg.n_steps):
             expected[n, start:stop] = sim._normals(rng, stop - start, 1, antithetic)[:, 0]
-    assert sim._node_normals(cfg).tobytes() == expected.tobytes()
+    rows = np.array([z.copy() for z in sim._step_normals(cfg)])
+    assert rows.tobytes() == expected.tobytes()
+
+
+def test_euler_factors_once_per_piece(params2, reference, monkeypatch):
+    _, strat, sched = reference
+    switch = ThetaProcessSchedule(
+        breakpoints=np.array([0.0, 0.5]), values=(sched.values[0], ThetaPoint(b=[0.44, 0.22], rho=[0.0]))
+    )
+    calls, factor = [], market._factor
+    monkeypatch.setattr(market, "_factor", lambda matrix: calls.append(matrix) or factor(matrix))
+    cfg = SimConfig(n_paths=64, n_steps=256, seed=1)
+    for schedule, count in ((sched, 1), (switch, 2)):
+        del calls[:]
+        simulate_wealth(strat, schedule, params2, cfg)
+        assert len(calls) == count
 
 
 def test_weak_principle_thread_count_determinism(params2, reference_spec, monkeypatch):
@@ -621,16 +698,19 @@ def test_weak_principle_flipped_offset_fails(params2, reference_spec, monkeypatc
         verify_weak_principle(sol, reference_spec, params2, cfg)
 
 
-def test_weak_principle_callable_probe_runs_euler(params2, reference_spec):
+def test_weak_principle_callable_probe_runs_euler(params2, reference_spec, monkeypatch):
     sol = solve(reference_spec, params2)
     rule = dict(default_probe_strategies(robust_strategy(sol, params2)))["optimal"]
-    calls = []
+    calls, streams, block_rng = [], [], sim._block_rng
 
     def spy(t, x):
         calls.append(t)
         return rule(t, x)
 
+    monkeypatch.setattr(sim, "_block_rng", lambda seed, block: streams.append(block) or block_rng(seed, block))
     cfg = SimConfig(n_paths=5000, n_steps=16, seed=1)
     report = verify_weak_principle(sol, reference_spec, params2, cfg, probe_strategies=[("spy", spy)])
     assert report.ok and [c.name for c in report.monotone_under_worst_case] == ["spy"]
     assert len(calls) == 2 * cfg.n_steps  # two blocks, one call per Euler step
+    # No exact strategy probe, so no draw for them: the Euler probe's streams and the terminal draws'.
+    assert len(streams) == 2 * (1 + len(report.terminal_gain))
