@@ -27,10 +27,15 @@ one contiguous row slice per step, and returns its transpose, so paths have
 shape (n_paths, n_steps + 1) in Fortran order and each grid node is one
 contiguous column.  The exact scheme advances a row of lanes one step at a
 time (_ExactKernel); its block loop writes each step into the node row of
-the block.  The principle check holds no path matrix: it advances all of
-its exact strategy probes together over all paths, one step at a time, and
-feeds each new node row straight into that probe's monotonicity sums
-(_NodeWalk), keeping only the last row for the objective.
+the block.  The Euler step works asset-major too: it calls the rule on a
+read-only view of the block's previous node row, takes alpha in Fortran
+order (the rules here return the transpose of a (d, lanes) buffer, so no
+copy is made), forms the shocks as the (d, lanes) product L z', and writes
+the new wealths in place into the next node row.  The principle check
+holds no path matrix: it advances all of its exact strategy probes
+together over all paths, one step at a time, and feeds each new node row
+straight into that probe's monotonicity sums (_NodeWalk), keeping only
+the last row for the objective.
 
 Reproducibility: paths are generated in fixed-size blocks, each block from
 its own counter-based substream keyed by (seed, block index).  Results are
@@ -151,8 +156,9 @@ class AffineRule:
     """Wealth-affine rule alpha(t, x) = w + (xbar - x) v, amounts per asset.
 
     Called like any probe rule: a scalar x gives a length-d vector, a vector
-    of wealths an (n, d) array.  simulate_wealth draws the rule exactly when
-    w = 0 or v = 0, and by Euler otherwise.
+    of wealths an (n, d) array, the transpose of an asset-major (d, n)
+    buffer.  simulate_wealth draws the rule exactly when w = 0 or v = 0, and
+    by Euler otherwise.
     """
 
     xbar: float
@@ -167,7 +173,9 @@ class AffineRule:
         x = np.asarray(x, dtype=float)
         if x.ndim == 0:
             return self.w + (self.xbar - float(x)) * self.v
-        return self.w[None, :] + (self.xbar - x)[:, None] * self.v[None, :]
+        alpha = self.v[:, None] * (self.xbar - x)[None, :]
+        alpha += self.w[:, None]
+        return alpha.T
 
 
 def _draws_exactly(rule) -> bool:
@@ -223,7 +231,8 @@ def simulate_wealth(rule, schedule: ThetaProcessSchedule, params: MarketParams, 
     An AffineRule with w = 0 or v = 0 is drawn exactly (_affine_paths).
     Any other rule (a FeedbackStrategy, an AffineRule with w and v both
     nonzero, any callable returning an (n, d) array for n wealths) runs on
-    the Euler scheme, called at every step on the current wealths.
+    the Euler scheme, called at every step on a read-only view of the
+    current wealths; a rule that writes into it raises ValueError.
     Returns (t_grid, paths) with paths of shape (n_paths, n_steps + 1), the
     transpose of a node-major buffer; wealth is unconstrained and may go
     negative.
@@ -238,15 +247,23 @@ def simulate_wealth(rule, schedule: ThetaProcessSchedule, params: MarketParams, 
 
     def worker(block, start, stop):
         rng = _block_rng(cfg.seed, block)
-        lanes = stop - start
-        x = np.full(lanes, float(params.x0))
-        nodes[0, start:stop] = x
+        rows = nodes[:, start:stop]
+        rows[0] = params.x0
+        # The rule reads the previous node row through a read-only view, so it
+        # cannot write into the stored paths.
+        wealth = rows.view()
+        wealth.flags.writeable = False
         for n in range(cfg.n_steps):
-            z = _normals(rng, lanes, d, cfg.antithetic)
-            alpha = np.atleast_2d(rule(t_grid[n], x))
-            shock = z @ chols[n].T
-            x = x + (alpha @ drifts[n]) * dt + sqrt_dt * np.einsum("ij,ij->i", alpha, shock)
-            nodes[n + 1, start:stop] = x
+            z = _normals(rng, stop - start, d, cfg.antithetic)
+            # Fortran order makes the sums below independent of the rule's layout.
+            alpha = np.asfortranarray(np.atleast_2d(rule(t_grid[n], wealth[n])))
+            drift = alpha @ drifts[n]
+            drift *= dt
+            shock = chols[n] @ z.T  # (d, lanes)
+            noise = np.einsum("ij,ji->i", alpha, shock)
+            noise *= sqrt_dt
+            np.add(rows[n], drift, out=rows[n + 1])
+            rows[n + 1] += noise
 
     _run_blocks(cfg.n_paths, worker)
     return t_grid, nodes.T
@@ -371,15 +388,18 @@ def simulate_optimal_exact(
 
 
 def summarize_paths(t_grid, paths):
-    """Per-node summary rows (t, mean, var, se), ready for CSV emission."""
+    """Per-node summary rows (t, mean, var, se), ready for CSV emission.
+
+    Each node's moments come from its own column, contiguous in the
+    simulators' Fortran-ordered paths, so the variance's centred temporary
+    is one column rather than a second full-size matrix.
+    """
     n = paths.shape[0]
-    means = paths.mean(axis=0)
-    variances = paths.var(axis=0, ddof=1)
-    ses = np.sqrt(variances / n)
-    return [
-        {"t": float(t), "mean": float(m), "var": float(v), "se": float(s)}
-        for t, m, v, s in zip(t_grid, means, variances, ses)
-    ]
+    rows = []
+    for t, column in zip(t_grid, paths.T):
+        var = float(column.var(ddof=1))
+        rows.append({"t": float(t), "mean": float(column.mean()), "var": var, "se": math.sqrt(var / n)})
+    return rows
 
 
 @dataclass(frozen=True)

@@ -60,7 +60,9 @@ class FeedbackStrategy:
 
     xbar = x0 + e^{r* T} / (2 lam) is the target wealth; robust_strategy
     computes it once.  Called like any rule: a scalar x gives a length-d
-    vector, a vector of wealths an (n, d) array.  t only enters through x;
+    vector, a vector of wealths an (n, d) array, the transpose of an
+    asset-major (d, n) buffer, which the Euler step reads without a copy.
+    t only enters through x;
     it is accepted so the interface survives time-dependent extensions.
     """
 
@@ -77,7 +79,7 @@ class FeedbackStrategy:
         mult = self.xbar - np.asarray(x)
         if np.ndim(mult) == 0:
             return float(mult) * self.allocation_direction
-        return mult[:, None] * self.allocation_direction[None, :]
+        return (self.allocation_direction[:, None] * mult[None, :]).T
 
 
 def robust_strategy(solution: WorstCaseSolution, params: MarketParams) -> FeedbackStrategy:

@@ -40,9 +40,12 @@ from robustmv.simulate import (
     _monotonicity_check,
     default_probe_schedules,
     default_probe_strategies,
+    summarize_paths,
 )
 
 from conftest import curated_three_asset
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def _terminal_draws(rule, sched, params, cfg):
@@ -714,3 +717,121 @@ def test_weak_principle_callable_probe_runs_euler(params2, reference_spec, monke
     assert len(calls) == 2 * cfg.n_steps  # two blocks, one call per Euler step
     # No exact strategy probe, so no draw for them: the Euler probe's streams and the terminal draws'.
     assert len(streams) == 2 * (1 + len(report.terminal_gain))
+
+
+# -- the Euler step at d = 3
+
+
+@pytest.fixture
+def three_asset():
+    """Case5ii, every asset traded: the optimal rule, the market, its worst-case and two-piece schedules."""
+    spec, params = curated_three_asset("ThreeAsset.Case5ii")
+    sol = solve(spec, params)
+    centre = ThetaPoint(b=spec.b_hat, rho=0.5 * (spec.gamma.lower + spec.gamma.upper))
+    schedules = {
+        "constant": ThetaProcessSchedule.constant(sol.theta_star),
+        "two_piece": ThetaProcessSchedule(breakpoints=np.array([0.0, 0.5]), values=(sol.theta_star, centre)),
+    }
+    return robust_strategy(sol, params), params, schedules
+
+
+def _row_major_euler(rule, schedule, params, cfg):
+    """The Euler step as it ran before it went asset-major: C-ordered alpha, z @ L.T, einsum over rows."""
+    dt, drifts, chols = sim._step_model(schedule, params, cfg.n_steps)
+    sqrt_dt = math.sqrt(dt)
+    t_grid = np.linspace(0.0, params.horizon_T, cfg.n_steps + 1)
+    paths = np.empty((cfg.n_paths, cfg.n_steps + 1))
+    for block, (start, stop) in enumerate(sim._block_ranges(cfg.n_paths)):
+        rng = sim._block_rng(cfg.seed, block)
+        x = np.full(stop - start, float(params.x0))
+        paths[start:stop, 0] = x
+        for n in range(cfg.n_steps):
+            z = sim._normals(rng, stop - start, params.d, cfg.antithetic)
+            alpha = np.ascontiguousarray(rule(t_grid[n], x))
+            shock = z @ chols[n].T
+            x = x + (alpha @ drifts[n]) * dt + sqrt_dt * np.einsum("ij,ij->i", alpha, shock)
+            paths[start:stop, n + 1] = x
+    return paths
+
+
+def test_euler_paths_depend_only_on_rule_values(three_asset):
+    # A C-ordered copy of the optimal rule's alpha gives its paths bitwise,
+    # and a rule cannot write into the stored wealths it is called on.
+    strat, params, schedules = three_asset
+    cfg = SimConfig(n_paths=sim.BLOCK + 101, n_steps=16, seed=5)
+    sched = schedules["two_piece"]
+    _, expected = simulate_wealth(strat, sched, params, cfg)
+    assert strat(0.0, np.ones(5)).flags.f_contiguous
+
+    def c_order(t, x):
+        alpha = np.ascontiguousarray(strat(t, x))
+        assert alpha.flags.c_contiguous
+        return alpha
+
+    assert simulate_wealth(c_order, sched, params, cfg)[1].tobytes() == expected.tobytes()
+
+    refused = []
+
+    def meddler(t, x):
+        try:
+            x += 1.0
+        except ValueError:
+            refused.append(t)
+        return strat(t, x)
+
+    _, paths = simulate_wealth(meddler, sched, params, cfg)
+    assert len(refused) == 2 * cfg.n_steps  # two blocks, every write refused
+    assert paths.tobytes() == expected.tobytes()
+    with pytest.raises(ValueError, match="read-only"):
+        simulate_wealth(lambda t, x: np.add(x, 1.0, out=x), sched, params, cfg)
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_determinism_across_worker_counts_three_assets(three_asset, monkeypatch, antithetic):
+    # Four blocks, the last ragged: the optimal rule and an AffineRule with
+    # v and w both nonzero, both on Euler.
+    strat, params, schedules = three_asset
+    kappa = strat.allocation_direction
+    affine = AffineRule(xbar=strat.xbar, v=0.5 * kappa, w=kappa[::-1].copy())
+    cfg = SimConfig(n_paths=3 * sim.BLOCK + 17, n_steps=16, seed=9, antithetic=antithetic)
+    runs = {}
+    for threads in ("1", "4"):
+        monkeypatch.setenv("ROBUSTMV_THREADS", threads)
+        runs[threads] = [simulate_wealth(rule, schedules["two_piece"], params, cfg)[1] for rule in (strat, affine)]
+    for serial, threaded in zip(runs["1"], runs["4"]):
+        assert serial.tobytes() == threaded.tobytes()
+
+
+def test_euler_step_matches_row_major_reference(params2, reference, three_asset):
+    # At d = 2 the asset-major step gives the row-major one's bits; at d = 3
+    # its sums over the assets add up in another order, a rounding-level move
+    # (largest measured: 2.6e-15 absolute, under the two-piece schedule).
+    _, strat2, sched2 = reference
+    cfg = SimConfig(n_paths=5000, n_steps=64, seed=7)
+    expected = _row_major_euler(strat2, sched2, params2, cfg)
+    assert simulate_wealth(strat2, sched2, params2, cfg)[1].tobytes() == expected.tobytes()
+    strat, params, schedules = three_asset
+    for name, sched in schedules.items():
+        expected = _row_major_euler(strat, sched, params, cfg)
+        _, paths = simulate_wealth(strat, sched, params, cfg)
+        bound = 1e-12 * max(1.0, float(np.abs(expected).max()))
+        assert np.abs(paths - expected).max() <= bound, name
+
+
+def test_summarize_paths_matches_axis_reductions():
+    # Column by column on a Fortran-ordered matrix gives axis=0's bits, and
+    # holds no second matrix of the paths' size.
+    paths = np.asfortranarray(np.random.default_rng(3).normal(1.0, 0.5, (100_000, 65)))
+    t_grid = np.linspace(0.0, 1.0, paths.shape[1])
+    tracemalloc.start()
+    try:
+        rows = summarize_paths(t_grid, paths)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 0.1 * paths.nbytes
+    var = paths.var(axis=0, ddof=1)
+    assert [row["t"] for row in rows] == t_grid.tolist()
+    assert [row["mean"] for row in rows] == paths.mean(axis=0).tolist()
+    assert [row["var"] for row in rows] == var.tolist()
+    assert [row["se"] for row in rows] == np.sqrt(var / paths.shape[0]).tolist()
