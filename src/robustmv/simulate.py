@@ -39,20 +39,25 @@ the last row for the objective.
 
 Reproducibility: paths are generated in fixed-size blocks, each block from
 its own counter-based substream keyed by (seed, block index).  Results are
-bitwise identical for a given SimConfig regardless of the worker count;
-the ROBUSTMV_THREADS environment variable only caps parallelism.  The
-principle check draws one row of normals per step from those same streams,
-block after block (_step_normals), in the order the block loop draws them,
-so each exact probe sees bitwise the paths simulate_wealth would give it
-alone.  Those probes run on one thread; ROBUSTMV_THREADS reaches only the
-check's simulate_wealth calls (Euler probes and the terminal draws).
+bitwise identical for a given SimConfig regardless of the worker count.
+The blocks are filled on one worker thread per CPU the process may run on
+(its affinity set), never more than there are blocks; the ROBUSTMV_THREADS
+environment variable, when set, replaces that count (1 unless it is a
+positive integer).  A callable rule is therefore called concurrently, one
+block per thread: a rule with shared mutable state must lock it, or run
+with ROBUSTMV_THREADS=1.  The principle check draws one row of normals per
+step from those same streams, block after block (_step_normals), in the
+order the block loop draws them, so each exact probe sees bitwise the
+paths simulate_wealth would give it alone.  Those probes run on one
+thread; the workers reach only the check's simulate_wealth calls (Euler
+probes and the terminal draws).
 """
 
 from __future__ import annotations
 
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, as_completed
 from dataclasses import dataclass, replace
 from statistics import NormalDist
 
@@ -98,8 +103,18 @@ def _block_ranges(n_paths: int):
     return [(start, min(start + BLOCK, n_paths)) for start in range(0, n_paths, BLOCK)]
 
 
+def _cpu_count() -> int:
+    """CPUs this process may run on: its affinity set where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _n_workers() -> int:
-    raw = os.environ.get("ROBUSTMV_THREADS", "1")
+    """Worker threads per block loop: _cpu_count(), or ROBUSTMV_THREADS when set (1 unless a positive integer)."""
+    raw = os.environ.get("ROBUSTMV_THREADS")
+    if raw is None:
+        return _cpu_count()
     try:
         return max(1, int(raw))
     except ValueError:
@@ -107,19 +122,25 @@ def _n_workers() -> int:
 
 
 def _run_blocks(n_paths: int, worker):
-    """Apply worker(block_index, start, stop) to every block, optionally threaded."""
+    """Apply worker(block_index, start, stop) to every block, on at most one thread per block.
+
+    The first block to raise stops the run, as does an interrupt while
+    waiting: blocks not yet started are dropped, the running ones finish,
+    and the exception propagates.
+    """
     ranges = _block_ranges(n_paths)
-    workers = _n_workers()
-    if workers == 1 or len(ranges) == 1:
+    workers = min(_n_workers(), len(ranges))
+    if workers == 1:
         for k, (start, stop) in enumerate(ranges):
             worker(k, start, stop)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(worker, k, start, stop) for k, (start, stop) in enumerate(ranges)
-            ]
-            for f in futures:
-                f.result()
+        return
+    pool = ThreadPoolExecutor(max_workers=workers)
+    try:
+        futures = [pool.submit(worker, k, start, stop) for k, (start, stop) in enumerate(ranges)]
+        for future in as_completed(futures):
+            future.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _normals(rng, lanes: int, d: int, antithetic: bool) -> np.ndarray:
@@ -236,6 +257,11 @@ def simulate_wealth(rule, schedule: ThetaProcessSchedule, params: MarketParams, 
     Returns (t_grid, paths) with paths of shape (n_paths, n_steps + 1), the
     transpose of a node-major buffer; wealth is unconstrained and may go
     negative.
+
+    Blocks of paths run on one worker thread per available CPU by default,
+    or on ROBUSTMV_THREADS of them, so rule may be called from several
+    threads at once, one block each; the paths do not depend on the count.
+    The first exception a block raises stops the run and propagates.
     """
     if _draws_exactly(rule):
         return _affine_paths(rule, schedule, params, cfg)

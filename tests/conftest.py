@@ -1,6 +1,7 @@
 """Shared fixtures: reference instances, random-instance factories, oracles."""
 
 import itertools
+import os
 
 import numpy as np
 import pytest
@@ -16,11 +17,29 @@ from robustmv import (
     risk_premium,
 )
 from robustmv.market import pair_index, pair_position
+from robustmv.simulate import _cpu_count, _n_workers
 
 # Property tests replay the same examples on every run and write no example
 # database, so the suite stays deterministic.
 settings.register_profile("deterministic", derandomize=True, database=None, deadline=None)
 settings.load_profile("deterministic")
+
+
+def _thread_setting():
+    setting = os.environ.get("ROBUSTMV_THREADS", "unset")
+    return (f"robustmv: up to {_n_workers()} worker threads per simulation "
+            f"({_cpu_count()} CPUs available, ROBUSTMV_THREADS={setting})")
+
+
+def pytest_report_header(config):
+    """Record the thread setting the run used: the Monte-Carlo worker count and where it comes from."""
+    return _thread_setting()
+
+
+def pytest_terminal_summary(terminalreporter, config):
+    # -q drops the header; the thread setting then closes the log instead.
+    if config.get_verbosity() < 0:
+        terminalreporter.write_line(_thread_setting())
 
 
 def fd_gradient(theta, params, step=1e-6):

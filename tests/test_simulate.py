@@ -2,7 +2,9 @@
 
 import math
 import os
+import threading
 import tracemalloc
+from concurrent.futures import Future
 from dataclasses import replace
 
 import numpy as np
@@ -800,6 +802,130 @@ def test_determinism_across_worker_counts_three_assets(three_asset, monkeypatch,
         runs[threads] = [simulate_wealth(rule, schedules["two_piece"], params, cfg)[1] for rule in (strat, affine)]
     for serial, threaded in zip(runs["1"], runs["4"]):
         assert serial.tobytes() == threaded.tobytes()
+
+
+def test_default_worker_count_matches_one_thread(params2, reference, reference_spec, three_asset, monkeypatch):
+    # ROBUSTMV_THREADS unset runs one worker per CPU the process may use: every
+    # path, statistic and report must be bitwise that of one thread.
+    sol, strat, sched = reference
+    strat3, params3, schedules = three_asset
+    probes = dict(default_probe_strategies(strat))
+    cfg = SimConfig(n_paths=3 * sim.BLOCK + 17, n_steps=16, seed=7)
+
+    def run():
+        _, exact, stats = simulate_optimal_exact(sol, sched, params2, cfg, martingale_stats=True)
+        arrays = [
+            simulate_wealth(strat, sched, params2, cfg)[1],
+            simulate_wealth(strat3, schedules["two_piece"], params3, cfg)[1],
+            exact,
+            stats.mean_ratio,
+            stats.se_ratio,
+            *(simulate_wealth(probes[name], sched, params2, cfg)[1] for name in ("half", "static")),
+            _terminal_draws(probes["optimal"], sched, params2, cfg),
+        ]
+        return arrays, verify_weak_principle(sol, reference_spec, params2, cfg)
+
+    monkeypatch.setenv("ROBUSTMV_THREADS", "1")
+    serial, serial_report = run()
+    monkeypatch.delenv("ROBUSTMV_THREADS")
+    default, default_report = run()
+    assert default_report == serial_report
+    for a, b in zip(serial, default):
+        assert a.tobytes() == b.tobytes()
+
+
+def test_worker_count_rule(monkeypatch):
+    # Pinned without starting a thread: the stand-in pool records its size
+    # and runs each block inline.
+    sizes = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def submit(self, fn, *args):
+            future = Future()
+            future.set_result(fn(*args))
+            return future
+
+        def shutdown(self, cancel_futures):
+            pass
+
+    def pool_size(n_blocks):
+        del sizes[:]
+        blocks = []
+        sim._run_blocks(n_blocks * sim.BLOCK - 1, lambda k, start, stop: blocks.append(k))
+        assert blocks == list(range(n_blocks))
+        return sizes[0] if sizes else 1  # one worker runs the blocks without a pool
+
+    monkeypatch.setattr(sim, "ThreadPoolExecutor", InlinePool)
+    monkeypatch.setattr(sim.os, "sched_getaffinity", lambda pid: {0, 2, 5}, raising=False)
+    monkeypatch.delenv("ROBUSTMV_THREADS", raising=False)
+    assert sim._n_workers() == 3
+    assert [pool_size(n) for n in (1, 2, 3, 8)] == [1, 2, 3, 3]
+    for raw, workers in (("3", 3), ("1", 1), ("0", 1), ("-2", 1), ("abc", 1), ("100000", 100000)):
+        monkeypatch.setenv("ROBUSTMV_THREADS", raw)
+        assert sim._n_workers() == workers
+    assert [pool_size(n) for n in (1, 2, 8)] == [1, 2, 8]  # never more workers than blocks
+    monkeypatch.setenv("ROBUSTMV_THREADS", "3")
+    assert [pool_size(n) for n in (2, 8)] == [2, 3]
+    # Without an affinity set, the CPU count, else one.
+    monkeypatch.delenv("ROBUSTMV_THREADS")
+    monkeypatch.delattr(sim.os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: 7)
+    assert sim._n_workers() == 7
+    monkeypatch.setattr(sim.os, "cpu_count", lambda: None)
+    assert sim._n_workers() == 1
+
+
+class _RuleFailed(Exception):
+    pass
+
+
+def _counting_rule(rule, fail_first):
+    """rule with a call count taken under a lock; with fail_first its first call raises _RuleFailed."""
+    lock, calls = threading.Lock(), [0]
+
+    def counted(t, x):
+        with lock:
+            calls[0] += 1
+            first = calls[0] == 1
+        if fail_first and first:
+            raise _RuleFailed
+        return rule(t, x)
+
+    return counted, calls
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_first_failing_block_stops_the_run(params2, reference, monkeypatch, threads):
+    # 16 blocks and a rule whose first call raises: the blocks not yet started
+    # are dropped, so the rule runs through a few blocks, not the other 15.
+    _, strat, sched = reference
+    monkeypatch.setenv("ROBUSTMV_THREADS", threads)
+    cfg = SimConfig(n_paths=16 * sim.BLOCK, n_steps=64, seed=1)
+    rule, calls = _counting_rule(strat, fail_first=True)
+    with pytest.raises(_RuleFailed):
+        simulate_wealth(rule, sched, params2, cfg)
+    assert calls[0] < 4 * cfg.n_steps
+
+
+def test_interrupt_while_waiting_drops_pending_blocks(params2, reference, monkeypatch):
+    # An interrupt in the thread that waits on the blocks (Ctrl-C in CLI
+    # simulate) cancels the blocks not yet started and propagates.
+    _, strat, sched = reference
+    monkeypatch.setenv("ROBUSTMV_THREADS", "2")
+
+    def interrupted(futures):
+        raise KeyboardInterrupt
+        yield
+
+    monkeypatch.setattr(sim, "as_completed", interrupted)
+    cfg = SimConfig(n_paths=16 * sim.BLOCK, n_steps=64, seed=1)
+    rule, calls = _counting_rule(strat, fail_first=False)
+    with pytest.raises(KeyboardInterrupt):
+        simulate_wealth(rule, sched, params2, cfg)
+    assert calls[0] < 4 * cfg.n_steps
 
 
 def test_euler_step_matches_row_major_reference(params2, reference, three_asset):
