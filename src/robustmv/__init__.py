@@ -44,6 +44,7 @@ from .simulate import (
     AffineRule,
     ObjectiveEstimate,
     SimConfig,
+    affine_moments,
     estimate_objective,
     monotonicity_counterexample,
     simulate_optimal_exact,

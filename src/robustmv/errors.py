@@ -62,7 +62,13 @@ class SaddleViolated(RobustMVError):
 
 
 class PrincipleViolated(RobustMVError):
-    """A probe broke one of the optimality-principle conditions beyond tolerance."""
+    """A probe broke an optimality-principle condition, or the simulator missed its closed form.
+
+    probe names the probe strategy or scenario, margin is the signed margin
+    that crossed its allowance: a rounding tolerance where the probe is
+    decided in closed form, N_SIGMA standard errors (family-wise where
+    several are tested) where it is sampled.
+    """
 
     def __init__(self, message, probe=None, margin=None):
         super().__init__(message)

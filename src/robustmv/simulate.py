@@ -1,4 +1,4 @@
-"""Monte-Carlo verification of the wealth dynamics and optimality conditions.
+"""Monte-Carlo simulation of the wealth dynamics, and checks of the optimality conditions.
 
 Simulators for the self-financed wealth process dX = alpha'(b dt +
 sigma(rho) dW) under piecewise-constant parameter scenarios:
@@ -15,27 +15,29 @@ sigma(rho) dW) under piecewise-constant parameter scenarios:
   v = 0), and the terminal draws of the scenario probes (one step over
   [0, T]).
 
-On top of those: the mean-variance objective estimator with a delta-method
-standard error, a sampled check of the two optimality-principle conditions
-(the value process built from the solved instance must drift the right way
-under probe strategies and probe scenarios), and the closed-form table
-showing that the one-sided monotonicity genuinely fails for distant drift
-scenarios while the terminal inequality survives.
+For the same wealth-affine rules, affine_moments gives E[X_t] and Var X_t
+at every grid node in closed form.  On top of those: the mean-variance
+objective estimator with a delta-method standard error, the check of the
+two optimality-principle conditions (the value process built from the
+solved instance must drift the right way under probe strategies and probe
+scenarios), and the closed-form table showing that the one-sided
+monotonicity genuinely fails for distant drift scenarios while the
+terminal inequality survives.  The principle check decides every
+wealth-affine probe from affine_moments, without sampling; Monte-Carlo
+there runs only the probes that are other callables (on Euler), and the
+scenario probes' one-step terminal draws, which cross-check the exact
+scheme against the closed forms.
 
 Layout: every simulator fills a node-major (n_steps + 1, n_paths) buffer,
 one contiguous row slice per step, and returns its transpose, so paths have
 shape (n_paths, n_steps + 1) in Fortran order and each grid node is one
-contiguous column.  The exact scheme advances a row of lanes one step at a
-time (_ExactKernel); its block loop writes each step into the node row of
-the block.  The Euler step works asset-major too: it calls the rule on a
-read-only view of the block's previous node row, takes alpha in Fortran
-order (the rules here return the transpose of a (d, lanes) buffer, so no
-copy is made), forms the shocks as the (d, lanes) product L z', and writes
-the new wealths in place into the next node row.  The principle check
-holds no path matrix: it advances all of its exact strategy probes
-together over all paths, one step at a time, and feeds each new node row
-straight into that probe's monotonicity sums (_NodeWalk), keeping only
-the last row for the objective.
+contiguous column.  The exact scheme's block loop advances the block's
+lanes one step at a time with in-place ufuncs, writing each step into the
+block's node row.  The Euler step works asset-major too: it calls the rule
+on a read-only view of the block's previous node row, takes alpha in
+Fortran order (the rules here return the transpose of a (d, lanes) buffer,
+so no copy is made), forms the shocks as the (d, lanes) product L z', and
+writes the new wealths in place into the next node row.
 
 Reproducibility: paths are generated in fixed-size blocks, each block from
 its own counter-based substream keyed by (seed, block index).  Results are
@@ -45,12 +47,7 @@ The blocks are filled on one worker thread per CPU the process may run on
 environment variable, when set, replaces that count (1 unless it is a
 positive integer).  A callable rule is therefore called concurrently, one
 block per thread: a rule with shared mutable state must lock it, or run
-with ROBUSTMV_THREADS=1.  The principle check draws one row of normals per
-step from those same streams, block after block (_step_normals), in the
-order the block loop draws them, so each exact probe sees bitwise the
-paths simulate_wealth would give it alone.  Those probes run on one
-thread; the workers reach only the check's simulate_wealth calls (Euler
-probes and the terminal draws).
+with ROBUSTMV_THREADS=1.
 """
 
 from __future__ import annotations
@@ -74,6 +71,15 @@ from .strategy import value_coefficients, value_v0
 BLOCK = 4096
 # Noise level of every Monte-Carlo check: margins get N_SIGMA standard errors.
 N_SIGMA = 3.0
+# Tolerance of every closed-form margin, relative to the magnitudes the
+# margin is the difference of, so it does not depend on the drift's scale.
+# Those margins are a few dozen float64 operations per node plus a
+# cumulative sum over the grid's steps: their rounding grows like
+# n_steps * eps, measured at most 4.4e-16 at 256 steps and 4.2e-15 at
+# 4,096 on the README and Case5ii instances, and below 2.1e-14 at 65,536.
+# A 1% error in r* moves the J margins there by 5e-4 to 1e-3 relative, and
+# E[V_t] by about as much over [0, T], shared among the increments.
+ROUNDING_RTOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -153,23 +159,6 @@ def _normals(rng, lanes: int, d: int, antithetic: bool) -> np.ndarray:
     out[0::2] = z
     out[1::2] = -z
     return out[:lanes]
-
-
-def _step_normals(cfg: SimConfig):
-    """The exact scheme's normals for cfg, one (n_paths,) row per step.
-
-    Each block's stream gives its lanes of a row through the same per-step
-    _normals call the block loop of _exact_paths makes, so a kernel fed
-    these rows writes bitwise the paths that loop draws.  The row is one
-    buffer, overwritten by the next step's draw.
-    """
-    ranges = _block_ranges(cfg.n_paths)
-    rngs = [_block_rng(cfg.seed, block) for block in range(len(ranges))]
-    z = np.empty(cfg.n_paths)
-    for _ in range(cfg.n_steps):
-        for rng, (start, stop) in zip(rngs, ranges):
-            z[start:stop] = _normals(rng, stop - start, 1, cfg.antithetic)[:, 0]
-        yield z
 
 
 @dataclass(frozen=True)
@@ -327,17 +316,32 @@ def _exact_paths(direction, y0, geometric, schedule, params, cfg, martingale_sta
 
     def worker(block, start, stop):
         rng = _block_rng(cfg.seed, block)
-        kernel = _ExactKernel(drift_int, vol_int, y0, geometric, params.x0, np.empty(stop - start))
         rows = nodes[:, start:stop]
         rows[0] = params.x0
+        acc = np.zeros(stop - start)  # log N (geometric) or X - x0 (arithmetic)
+        gaussian = np.empty(stop - start)
         # One step's normals at a time, so no (n_steps, lanes) matrix is held.
+        # In-place ufuncs over the block's row; the two updates group their
+        # sums differently, each in the order that fixed its scheme's bits.
         for n in range(cfg.n_steps):
             z = _normals(rng, stop - start, 1, cfg.antithetic)[:, 0]
+            np.multiply(z, vol_int[n], out=gaussian)
             if martingale_stats:
-                ratios = np.exp(-2.0 * var_int[n] - 2.0 * (vol_int[n] * z))
+                ratios = np.exp(-2.0 * var_int[n] - 2.0 * gaussian)
                 ratio_sum[block, n] = ratios.sum()
                 ratio_sq[block, n] = (ratios**2).sum()
-            kernel.step(n, z, rows[n + 1])
+            row = rows[n + 1]
+            if geometric:
+                acc -= drift_int[n]
+                acc -= gaussian
+                np.exp(acc, out=row)
+                np.subtract(1.0, row, out=row)
+                row *= y0
+                row += params.x0
+            else:
+                gaussian += drift_int[n]
+                acc += gaussian
+                np.add(acc, params.x0, out=row)
 
     _run_blocks(cfg.n_paths, worker)
     if not martingale_stats:
@@ -346,40 +350,6 @@ def _exact_paths(direction, y0, geometric, schedule, params, cfg, martingale_sta
     mean = ratio_sum.sum(axis=0) / n
     var = np.maximum(ratio_sq.sum(axis=0) / n - mean**2, 0.0) * n / (n - 1)
     return t_grid, nodes.T, MartingaleStats(mean_ratio=mean, se_ratio=np.sqrt(var / n))
-
-
-class _ExactKernel:
-    """The exact scheme's step over a fixed row of lanes, given its per-step integrals.
-
-    step(n, z, row) advances every lane over step n on the normals z and
-    writes the wealths into row.  gaussian is a scratch row of the lanes'
-    size for the Gaussian increment; kernels that step one after another
-    may share it.  Node-major with in-place ufuncs: each step is a few calls
-    over a whole row.  The two updates group their sums differently; each
-    order keeps the bits its scheme produced before the schemes shared this
-    kernel.
-    """
-
-    def __init__(self, drift_int, vol_int, y0, geometric, x0, gaussian):
-        self.drift_int, self.vol_int = drift_int, vol_int
-        self.y0, self.geometric, self.x0 = y0, geometric, x0
-        self.gaussian = gaussian
-        self.acc = np.zeros_like(gaussian)  # log N (geometric) or X - x0 (arithmetic)
-
-    def step(self, n, z, row):
-        acc, gaussian = self.acc, self.gaussian
-        np.multiply(z, self.vol_int[n], out=gaussian)
-        if self.geometric:
-            acc -= self.drift_int[n]
-            acc -= gaussian
-            np.exp(acc, out=row)
-            np.subtract(1.0, row, out=row)
-            row *= self.y0
-            row += self.x0
-        else:
-            gaussian += self.drift_int[n]
-            acc += gaussian
-            np.add(acc, self.x0, out=row)
 
 
 def _affine_paths(rule: AffineRule, schedule, params, cfg):
@@ -393,6 +363,32 @@ def _affine_paths(rule: AffineRule, schedule, params, cfg):
         return t_grid, np.full((cfg.n_steps + 1, cfg.n_paths), float(params.x0)).T
     direction = rule.v if geometric else rule.w
     return _exact_paths(direction, rule.xbar - params.x0, geometric, schedule, params, cfg)
+
+
+def affine_moments(rule: AffineRule, schedule, params, t_grid):
+    """Closed-form E[X_t] and Var X_t at the nodes of an AffineRule's exact wealth.
+
+    t_grid is the simulators' grid np.linspace(0, T, n_steps + 1); the rule
+    has w = 0 or v = 0.  With A(t) and C(t) the integrals up to t of the
+    rates u'b and u' Sigma u (Kloeden & Platen 1992, ch. 4):
+
+    * w = 0, u = v: Y = xbar - X is a geometric Brownian motion, so
+      E[X_t] = x0 + Y0 (1 - e^{-A}) and Var X_t = Y0^2 e^{-2A} (e^C - 1);
+    * v = 0, u = w: X is an arithmetic one, E[X_t] = x0 + A, Var X_t = C
+      (x0 and 0 for the rule holding nothing).
+    """
+    if not _draws_exactly(rule):
+        raise ValueError("affine_moments needs an AffineRule with w = 0 or v = 0")
+    t_grid = np.asarray(t_grid, dtype=float)
+    if t_grid.size < 2 or not np.array_equal(t_grid, np.linspace(0.0, params.horizon_T, t_grid.size)):
+        raise ValueError("t_grid must be np.linspace(0, T, n_steps + 1)")
+    geometric = bool(rule.v.any())
+    steps = _exact_step_integrals(rule.v if geometric else rule.w, schedule, params, t_grid.size - 1, False)
+    drift, var = (np.concatenate(([0.0], np.cumsum(integral))) for integral in steps)
+    if not geometric:
+        return params.x0 + drift, var
+    y0 = rule.xbar - params.x0
+    return params.x0 - y0 * np.expm1(-drift), (y0 * np.exp(-drift)) ** 2 * np.expm1(var)
 
 
 def simulate_optimal_exact(
@@ -562,120 +558,75 @@ class ProbeCheck:
 
 @dataclass(frozen=True)
 class WeakPrincipleReport:
-    """Sampled verification of the two optimality-principle conditions.
+    """Verification of the two optimality-principle conditions, probe by probe.
 
     monotone_under_worst_case: for each probe strategy, the largest upward
     step of t -> E[V_t] under the worst-case scenario (must not exceed its
-    noise allowance).  terminal_gain: for each probe scenario, E[V_T] - V0
-    = J - V0 (must not fall below minus its allowance), the lower side of
-    the saddle property at the objective level.  objective_upper: for each
-    probe strategy under the worst case, J - V0 (must not exceed its
-    allowance), the upper side.
+    allowance).  terminal_gain: for each probe scenario, E[V_T] - V0 = J -
+    V0 of the optimal rule (must not fall below minus its allowance), the
+    lower side of the saddle property at the objective level.
+    objective_upper: for each probe strategy under the worst case, J - V0
+    (must not exceed its allowance), the upper side.  simulator_check: for
+    each probe scenario, the J estimated from the optimal rule's simulated
+    terminal wealth minus its closed form (must stay within its allowance
+    on both sides).
     """
 
     monotone_under_worst_case: tuple
     terminal_gain: tuple
     objective_upper: tuple
+    simulator_check: tuple
     value_v0: float
     ok: bool
 
 
-class _NodeWalk:
-    """The monotonicity check's sums over the grid, fed one node row of wealths at a time.
+def _familywise_z(m: int) -> float:
+    """N_SIGMA's normal quantile held family-wise over m tests by Bonferroni.
 
-    feed(row) takes nodes 0, 1, ..., n_steps in order.  It holds the
-    previous row by reference, so a caller must leave that row unchanged
-    until the next feed; last is the row fed most recently.  Three buffers
-    of n_paths values: the quad * (x - mean)^2 of the current node and of
-    the previous one, which then takes the per-path increment, and the
-    wealth step.
+    z = Phi^{-1}(1 - Phi(-N_SIGMA) / m): each of m one-sided tests at level
+    Phi(-N_SIGMA) / m, or each of m two-sided ones at 2 Phi(-N_SIGMA) / m,
+    so the family has the false-alarm rate of one N_SIGMA event.
     """
-
-    def __init__(self, t_grid, coeffs, n_paths):
-        self.quad = coeffs.quad_coeff(t_grid)
-        self.offset = coeffs.offset(t_grid)
-        self.mean = np.empty(t_grid.size - 1)
-        self.sum_sq = np.empty_like(self.mean)
-        self.value, self.prev, self.step = np.empty(n_paths), np.empty(n_paths), np.empty(n_paths)
-        self.last = None
-        self.k = 0
-
-    def feed(self, row):
-        k, n = self.k, row.size
-        value, prev = self.value, self.prev
-        # x.sum() / n is what x.mean() computes, without its Python-level overhead.
-        np.subtract(row, row.sum() / n, out=value)
-        np.square(value, out=value)
-        value *= self.quad[k]
-        if k:
-            per_path = np.subtract(value, prev, out=prev)
-            per_path += np.subtract(row, self.last, out=self.step)
-            self.mean[k - 1] = per_path.sum() / n
-            per_path -= self.mean[k - 1]
-            self.sum_sq[k - 1] = per_path @ per_path
-        self.value, self.prev = prev, value
-        self.last = row
-        self.k = k + 1
-
-    def result(self):
-        """(increase, allowance) at the grid increment where E[V_t] rises most beyond its noise."""
-        n = self.value.size
-        diffs = self.mean + np.diff(self.offset)
-        spread = np.sqrt(self.sum_sq / (n - 1))
-        z = NormalDist().inv_cdf(1.0 - NormalDist().cdf(-N_SIGMA) / diffs.size)
-        allowance = z * spread / math.sqrt(n)
-        worst = int(np.argmax(diffs - allowance))
-        return float(diffs[worst]), float(allowance[worst])
+    return NormalDist().inv_cdf(1.0 - NormalDist().cdf(-N_SIGMA) / m)
 
 
 def _monotonicity_check(paths, t_grid, coeffs):
-    """Largest noise-adjusted increase of E[V_t] along the grid.
+    """Largest noise-adjusted increase of E[V_t] along the grid, from sampled paths.
 
     Uses per-path linearization of consecutive value differences, so the
-    standard error accounts for the coupling between grid nodes.  The
-    Bonferroni threshold z = Phi^{-1}(1 - Phi(-N_SIGMA) / n_increments)
-    makes N_SIGMA a family-wise level over all increments.  Feeds the nodes
-    of paths.T to a _NodeWalk one at a time (contiguous rows for the
-    simulators' Fortran-ordered paths).
+    standard error accounts for the coupling between grid nodes; the
+    allowance holds N_SIGMA family-wise over all increments.  Walks the
+    nodes of paths.T (contiguous rows for the simulators' Fortran-ordered
+    paths) with three row buffers: quad * (x - mean)^2 at the current node
+    and at the previous one, which then takes the per-path increment, and
+    the wealth step.
     """
     nodes = paths.T
-    walk = _NodeWalk(t_grid, coeffs, nodes.shape[1])
-    for row in nodes:
-        walk.feed(row)
-    return walk.result()
+    n = nodes.shape[1]
+    quad = coeffs.quad_coeff(t_grid)
+    mean, sum_sq = np.empty(t_grid.size - 1), np.empty(t_grid.size - 1)
+    value, prev, step = np.empty(n), np.empty(n), np.empty(n)
+    for k, row in enumerate(nodes):
+        # x.sum() / n is what x.mean() computes, without its Python-level overhead.
+        np.subtract(row, row.sum() / n, out=value)
+        np.square(value, out=value)
+        value *= quad[k]
+        if k:
+            per_path = np.subtract(value, prev, out=prev)
+            per_path += np.subtract(row, nodes[k - 1], out=step)
+            mean[k - 1] = per_path.sum() / n
+            per_path -= mean[k - 1]
+            sum_sq[k - 1] = per_path @ per_path
+        value, prev = prev, value
+    diffs = mean + np.diff(coeffs.offset(t_grid))
+    allowance = _familywise_z(diffs.size) * np.sqrt(sum_sq / (n - 1)) / math.sqrt(n)
+    worst = int(np.argmax(diffs - allowance))
+    return float(diffs[worst]), float(allowance[worst])
 
 
-def _exact_probe_walks(rules, schedule, params, cfg, coeffs):
-    """One fed _NodeWalk per exact AffineRule, all run together on one draw.
-
-    Every rule advances over all paths at once, one step at a time on the
-    rows of _step_normals, into two row buffers it alternates between, and
-    each new row goes straight into the rule's walk.  v = w = 0 holds x0:
-    its walk is fed one row of x0 at every node, and draws nothing.  Each
-    walk's last row is the rule's X_T, bitwise that of simulate_wealth.
-    """
-    t_grid = np.linspace(0.0, params.horizon_T, cfg.n_steps + 1)
-    start, gaussian = np.full(cfg.n_paths, float(params.x0)), np.empty(cfg.n_paths)
-    walks, moving = [], []
-    for rule in rules:
-        walk = _NodeWalk(t_grid, coeffs, cfg.n_paths)
-        walk.feed(start)
-        walks.append(walk)
-        geometric = bool(rule.v.any())
-        if not (geometric or rule.w.any()):
-            for _ in range(cfg.n_steps):
-                walk.feed(start)
-            continue
-        direction = rule.v if geometric else rule.w
-        drift_int, var_int = _exact_step_integrals(direction, schedule, params, cfg.n_steps, geometric)
-        kernel = _ExactKernel(drift_int, np.sqrt(var_int), rule.xbar - params.x0, geometric, params.x0, gaussian)
-        moving.append((kernel, walk, (np.empty(cfg.n_paths), np.empty(cfg.n_paths))))
-    if moving:
-        for n, z in enumerate(_step_normals(cfg)):
-            for kernel, walk, rows in moving:
-                kernel.step(n, z, rows[n % 2])
-                walk.feed(rows[n % 2])
-    return walks
+def _closed_form_objective(mean, var, v0, lam):
+    """J = E[X_T] - lam Var X_T from affine_moments' last node, and the tolerance of J - V0."""
+    return float(mean[-1] - lam * var[-1]), ROUNDING_RTOL * float(abs(mean[-1]) + lam * var[-1] + abs(v0))
 
 
 def verify_weak_principle(
@@ -686,25 +637,29 @@ def verify_weak_principle(
     probe_strategies=None,
     probe_schedules=None,
 ) -> WeakPrincipleReport:
-    """Monte-Carlo check of the optimality-principle conditions.
+    """Check of the optimality-principle conditions on probe strategies and scenarios.
 
     Condition (monotone): under the worst-case scenario, t -> E[V_t] is
-    nonincreasing for every probe strategy.  Condition (terminal): under
-    every probe scenario, the optimal rule satisfies E[V_T] >= V0.  Each
-    test has the false-alarm rate of a one-sided N_SIGMA normal event: the
-    J margins get N_SIGMA standard errors, and the monotone check holds
-    that level family-wise over all grid increments.  Raises
-    PrincipleViolated on the first failure, in probe order.
+    nonincreasing for every probe strategy, and its J stays at most V0.
+    Condition (terminal): under every probe scenario, the optimal rule
+    satisfies E[V_T] = J >= V0.  Raises PrincipleViolated on the first
+    failure, in probe order.
 
-    The default strategy probes are AffineRules drawn exactly: they run
-    first, all together on one draw of normals made a step at a time, and
-    each keeps only its per-node sums and its terminal row
-    (_exact_probe_walks), so no path matrix is held.  Each gets bitwise the
-    paths simulate_wealth draws for it alone, and the draw runs on one
-    thread.  Any other callable runs through simulate_wealth on Euler when
-    its turn comes, after every earlier probe passed.  The scenario probes
-    read only X_T of the optimal rule, so simulate_wealth draws it on the
-    exact scheme with one step over [0, T], one normal per path.
+    A probe strategy drawn exactly (an AffineRule with w = 0 or v = 0, as
+    every default probe is) is decided without sampling, from its
+    affine_moments on cfg's grid: E[V_t] = quad(t) Var X_t + E[X_t] +
+    offset(t) must not rise between nodes, and J - V0 must not be positive,
+    each up to ROUNDING_RTOL of the magnitudes the margin is the difference
+    of.  Any other callable runs through simulate_wealth on Euler when its
+    turn comes; its monotone check holds a one-sided N_SIGMA level
+    family-wise over the grid increments, and its J margin gets N_SIGMA
+    standard errors.  The terminal condition is decided in closed form too,
+    for the optimal rule as AffineRule(xbar, kappa*, 0).  The check then
+    draws that rule's X_T under each scenario probe on the exact scheme,
+    one step over [0, T] through simulate_wealth, and the estimated J must
+    match the closed form two-sidedly, at N_SIGMA family-wise over the
+    scenario probes (simulator_check): that tests the simulator, not the
+    principle.
     """
     strategy = robust_strategy(solution, params)
     coeffs = value_coefficients(solution, params)
@@ -714,21 +669,23 @@ def verify_weak_principle(
     if probe_schedules is None:
         probe_schedules = default_probe_schedules(spec, params, solution)
     worst_case = ThetaProcessSchedule.constant(solution.theta_star)
-    exact = [fn for _, fn in probe_strategies if _draws_exactly(fn)]
-    exact_results = iter(
-        [(*walk.result(), estimate_objective(walk.last, params))
-         for walk in _exact_probe_walks(exact, worst_case, params, cfg, coeffs)]
-    )
+    t_grid = np.linspace(0.0, params.horizon_T, cfg.n_steps + 1)
+    quad, offset = coeffs.quad_coeff(t_grid), coeffs.offset(t_grid)
 
     monotone, j_upper = [], []
     for name, fn in probe_strategies:
         if _draws_exactly(fn):
-            increase, allowance, est = next(exact_results)
+            mean, var = affine_moments(fn, worst_case, params, t_grid)
+            quad_var = quad * var
+            increase = float(np.max(np.diff(quad_var + mean + offset)))
+            allowance = ROUNDING_RTOL * float(np.max(np.abs(quad_var) + np.abs(mean) + np.abs(offset)))
+            j, allowance_j = _closed_form_objective(mean, var, v0, params.lam)
         else:
-            t_grid, paths = simulate_wealth(fn, worst_case, params, cfg)
+            _, paths = simulate_wealth(fn, worst_case, params, cfg)
             increase, allowance = _monotonicity_check(paths, t_grid, coeffs)
             est = estimate_objective(paths, params)
             del paths  # frees an Euler probe's paths before the next probe runs
+            j, allowance_j = est.J, N_SIGMA * est.std_error_J
         check = ProbeCheck(name=name, margin=increase, allowance=allowance, ok=increase <= allowance)
         monotone.append(check)
         if not check.ok:
@@ -737,8 +694,7 @@ def verify_weak_principle(
                 probe=name,
                 margin=increase,
             )
-        margin = est.J - v0
-        allowance_j = N_SIGMA * est.std_error_J
+        margin = j - v0
         check_j = ProbeCheck(name=name, margin=margin, allowance=allowance_j, ok=margin <= allowance_j)
         j_upper.append(check_j)
         if not check_j.ok:
@@ -750,25 +706,38 @@ def verify_weak_principle(
 
     kappa = strategy.allocation_direction
     optimal = AffineRule(xbar=strategy.xbar, v=kappa, w=np.zeros_like(kappa))
-    terminal = []
+    ends = t_grid[[0, -1]]
+    z = _familywise_z(max(len(probe_schedules), 1))
+    terminal, simulator = [], []
     for name, sched in probe_schedules:
-        xt = simulate_wealth(optimal, sched, params, replace(cfg, n_steps=1))[1][:, -1]
-        est = estimate_objective(xt, params)
-        margin = est.J - v0  # E[V_T] - V0 since the terminal value is x - lam (x - xbar)^2
-        allowance = N_SIGMA * est.std_error_J
-        check = ProbeCheck(name=name, margin=margin, allowance=allowance, ok=margin >= -allowance)
+        j, tolerance = _closed_form_objective(*affine_moments(optimal, sched, params, ends), v0, params.lam)
+        margin = j - v0  # E[V_T] - V0 since the terminal value is x - lam (x - xbar)^2
+        check = ProbeCheck(name=name, margin=margin, allowance=tolerance, ok=margin >= -tolerance)
         terminal.append(check)
         if not check.ok:
             raise PrincipleViolated(
-                f"E[V_T] - V0 = {margin:.3e} < -{allowance:.3e} under probe scenario {name!r}",
+                f"E[V_T] - V0 = {margin:.3e} < -{tolerance:.3e} under probe scenario {name!r}",
                 probe=name,
                 margin=margin,
+            )
+        xt = simulate_wealth(optimal, sched, params, replace(cfg, n_steps=1))[1][:, -1]
+        est = estimate_objective(xt, params)
+        gap, allowance = est.J - j, z * est.std_error_J
+        check = ProbeCheck(name=name, margin=gap, allowance=allowance, ok=abs(gap) <= allowance)
+        simulator.append(check)
+        if not check.ok:
+            raise PrincipleViolated(
+                f"simulated J misses its closed form by {gap:.3e} (beyond {allowance:.3e}) "
+                f"under probe scenario {name!r}",
+                probe=name,
+                margin=gap,
             )
 
     return WeakPrincipleReport(
         monotone_under_worst_case=tuple(monotone),
         terminal_gain=tuple(terminal),
         objective_upper=tuple(j_upper),
+        simulator_check=tuple(simulator),
         value_v0=v0,
         ok=True,
     )

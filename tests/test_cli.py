@@ -332,15 +332,42 @@ def test_simulate_small_run(tmp_path, capsys):
     code = main(["simulate", "--config", cfg, "--paths", "4000", "--steps", "64", "--seed", "42"])
     report = json.loads(capsys.readouterr().out)
     assert code == 0
-    assert report["gap_to_V0"] <= report["allowance"]
+    assert report["schedule_within_set"] and abs(report["gap_to_exact_J"]) <= report["allowance"]
+    assert report["exact_J"] == pytest.approx(report["V0"], rel=1e-12)
     principle = report["weak_principle"]
     assert principle["ok"]
     assert len(principle["monotone"]) == 8
     upper = principle["objective_upper"]
     assert [c["name"] for c in upper] == [c["name"] for c in principle["monotone"]]
     assert all(c["ok"] and c["margin"] <= c["allowance"] for c in upper)
+    simulator = principle["simulator"]
+    assert [c["name"] for c in simulator] == [c["name"] for c in principle["terminal"]]
+    assert all(c["ok"] and abs(c["margin"]) <= c["allowance"] for c in simulator)
     zero = upper[[c["name"] for c in upper].index("zero")]
     assert zero["margin"] == pytest.approx(REFERENCE["market"]["x0"] - report["V0"], rel=1e-12)
+
+
+@pytest.mark.parametrize("b, within", [([0.45, 0.2], True), ([2.0, 0.2], False)], ids=["in-set", "out-of-set"])
+def test_simulate_holds_estimate_to_exact_j_under_schedule(tmp_path, capsys, monkeypatch, b, within):
+    # Under a schedule other than the worst case the estimate is compared
+    # with the rule's exact J there, which exceeds V0 by far more than the
+    # allowance; J >= V0 is checked only inside the set.  Default size.
+    payload = json.loads(json.dumps(REFERENCE))
+    payload["schedule"] = {"breakpoints": [0.0], "values": [{"b": b, "rho": [0.15]}]}
+    cfg = write_config(tmp_path, payload)
+    assert main(["simulate", "--config", cfg, "--probes", "0"]) == 0
+    captured = capsys.readouterr()
+    report = json.loads(captured.out)
+    assert report["schedule_within_set"] is within and "failure" not in report
+    assert abs(report["gap_to_exact_J"]) <= report["allowance"]
+    assert report["exact_J_minus_V0"] > 5.0 * report["allowance"]
+    assert ("leaves the ambiguity set" in captured.err) is not within
+    # A V0 above the exact J fails inside the set only.
+    value_v0 = cli.value_v0
+    monkeypatch.setattr(cli, "value_v0", lambda sol, params: value_v0(sol, params) + 1.0)
+    assert main(["simulate", "--config", cfg, "--probes", "0"]) == (2 if within else 0)
+    report = json.loads(capsys.readouterr().out)
+    assert ("below V0" in report.get("failure", "")) is within
 
 
 def test_simulate_tiny_sample_allowed(tmp_path, capsys):

@@ -20,6 +20,7 @@ from robustmv import (
     SimConfig,
     ThetaPoint,
     ValueCoefficients,
+    affine_moments,
     correlation_matrix,
     estimate_objective,
     mean_wealth_path,
@@ -37,8 +38,6 @@ from robustmv import simulate as sim
 from robustmv.ambiguity import ThetaProcessSchedule
 from robustmv.simulate import (
     N_SIGMA,
-    ProbeCheck,
-    WeakPrincipleReport,
     _monotonicity_check,
     default_probe_schedules,
     default_probe_strategies,
@@ -314,80 +313,9 @@ def test_paths_are_node_major(params2, reference):
         assert paths.T.flags.c_contiguous, name
 
 
-def _sequential_principle(sol, spec, params, cfg, probe_strategies=None, probe_schedules=None):
-    """verify_weak_principle's report built probe by probe from the paths simulate_wealth gives each alone."""
-    strat = robust_strategy(sol, params)
-    coeffs, v0 = value_coefficients(sol, params), value_v0(sol, params)
-    worst = ThetaProcessSchedule.constant(sol.theta_star)
-    if probe_strategies is None:
-        probe_strategies = default_probe_strategies(strat)
-    if probe_schedules is None:
-        probe_schedules = default_probe_schedules(spec, params, sol)
-    monotone, upper, terminal = [], [], []
-    for name, rule in probe_strategies:
-        t_grid, paths = simulate_wealth(rule, worst, params, cfg)
-        increase, allowance = _monotonicity_check(paths, t_grid, coeffs)
-        monotone.append(ProbeCheck(name, increase, allowance, increase <= allowance))
-        if not monotone[-1].ok:
-            raise PrincipleViolated("monotone", probe=name, margin=increase)
-        est = estimate_objective(paths, params)
-        margin, allowance = est.J - v0, N_SIGMA * est.std_error_J
-        upper.append(ProbeCheck(name, margin, allowance, margin <= allowance))
-        if not upper[-1].ok:
-            raise PrincipleViolated("upper", probe=name, margin=margin)
-    optimal = dict(default_probe_strategies(strat))["optimal"]
-    for name, sched in probe_schedules:
-        est = estimate_objective(simulate_wealth(optimal, sched, params, replace(cfg, n_steps=1))[1], params)
-        margin, allowance = est.J - v0, N_SIGMA * est.std_error_J
-        terminal.append(ProbeCheck(name, margin, allowance, margin >= -allowance))
-        if not terminal[-1].ok:
-            raise PrincipleViolated("terminal", probe=name, margin=margin)
-    return WeakPrincipleReport(tuple(monotone), tuple(terminal), tuple(upper), v0, True)
-
-
-def _outcome(check, *args, **kw):
-    try:
-        return check(*args, **kw)
-    except PrincipleViolated as exc:
-        return exc.probe, exc.margin
-
-
-@pytest.mark.parametrize("antithetic", [False, True])
-def test_weak_principle_shared_draw_matches_simulate_wealth(params2, reference_spec, monkeypatch, antithetic):
-    # The exact strategy probes run together on one per-step draw and hold
-    # no paths; the report must be the one built probe by probe from
-    # simulate_wealth.  Two blocks, the last ragged and of odd length.  A
-    # lying r* fails a scenario probe (1.5), the J bound (0.05) or the
-    # monotone check (0.0); the same probe must fail by the same margin.
-    sol = solve(reference_spec, params2)
-    cfg = SimConfig(n_paths=sim.BLOCK + 1001, n_steps=16, seed=11, antithetic=antithetic)
-    euler_calls = []
-    for r_star in (sol.r_star, 1.5, 0.05, 0.0):
-        lying = replace(sol, r_star=r_star)
-        probes = default_probe_strategies(robust_strategy(lying, params2))
-        half = dict(probes)["half"]
-        euler = ("euler", lambda t, x: euler_calls.append(t) or half(t, x))
-        schedules = default_probe_schedules(reference_spec, params2, lying)
-        for kw in (
-            {},
-            dict(probe_strategies=probes[:3], probe_schedules=schedules[:3]),  # the CLI's --probes 3
-            dict(probe_strategies=[probes[0], euler, probes[5], probes[1], euler]),
-        ):
-            expected = _outcome(_sequential_principle, lying, reference_spec, params2, cfg, **kw)
-            del euler_calls[:]
-            assert _outcome(verify_weak_principle, lying, reference_spec, params2, cfg, **kw) == expected
-            if r_star == 0.0:  # the first probe fails, so no Euler probe runs
-                assert expected[0] == "optimal" and not euler_calls
-    # One set of block streams for the strategy probes, plus one per scenario probe.
-    streams, block_rng = [], sim._block_rng
-    monkeypatch.setattr(sim, "_block_rng", lambda seed, block: streams.append(block) or block_rng(seed, block))
-    report = verify_weak_principle(sol, reference_spec, params2, cfg)
-    assert report.ok and len(streams) == 2 * (1 + len(report.terminal_gain))
-
-
 def test_weak_principle_frees_shared_buffer_before_euler_probe(params2, reference_spec):
-    # An Euler probe between exact ones fills its own paths: the exact
-    # probes hold no path buffer next to them.
+    # An Euler probe between exact ones fills its own paths: nothing else
+    # holds a path buffer next to them.
     sol = solve(reference_spec, params2)
     cfg = SimConfig(n_paths=20000, n_steps=64, seed=3)
     exact = default_probe_strategies(robust_strategy(sol, params2))[0]
@@ -404,8 +332,8 @@ def test_weak_principle_frees_shared_buffer_before_euler_probe(params2, referenc
 
 
 def test_weak_principle_holds_no_path_matrix(params2, reference_spec):
-    # The default check streams its exact probes: a few rows per probe, far
-    # below one (n_steps + 1, n_paths) path buffer.
+    # The default check decides its strategy probes in closed form and draws
+    # only terminal wealth: far below one (n_steps + 1, n_paths) path buffer.
     sol = solve(reference_spec, params2)
     cfg = SimConfig(n_paths=20000, n_steps=256, seed=3)
     buffer = (cfg.n_steps + 1) * cfg.n_paths * 8
@@ -416,22 +344,6 @@ def test_weak_principle_holds_no_path_matrix(params2, reference_spec):
     finally:
         tracemalloc.stop()
     assert peak < 0.25 * buffer
-
-
-@pytest.mark.parametrize("antithetic", [False, True])
-@pytest.mark.parametrize("threads", ["1", "2"])
-def test_node_normals_match_per_step_draws(monkeypatch, antithetic, threads):
-    # Two blocks, the last ragged and of odd length: each step's row must be
-    # the per-step _normals draws of the block streams, bitwise.
-    monkeypatch.setenv("ROBUSTMV_THREADS", threads)
-    cfg = SimConfig(n_paths=sim.BLOCK + 1001, n_steps=7, seed=5, antithetic=antithetic)
-    expected = np.empty((cfg.n_steps, cfg.n_paths))
-    for block, (start, stop) in enumerate(sim._block_ranges(cfg.n_paths)):
-        rng = sim._block_rng(cfg.seed, block)
-        for n in range(cfg.n_steps):
-            expected[n, start:stop] = sim._normals(rng, stop - start, 1, antithetic)[:, 0]
-    rows = np.array([z.copy() for z in sim._step_normals(cfg)])
-    assert rows.tobytes() == expected.tobytes()
 
 
 def test_euler_factors_once_per_piece(params2, reference, monkeypatch):
@@ -556,6 +468,17 @@ def _moment_z(paths, mean, var):
     return np.abs(paths.mean(axis=0) - mean) / se_mean, np.abs(sample_var - var) / se_var
 
 
+SCALINGS = ((0.5, "half"), (1.0, "optimal"), (1.5, "one_and_half"), (2.0, "double"), (-1.0, "contrarian"))
+
+
+def _scaled_moments(c, r, x0, y0, t):
+    """Mean and variance at times t of the probe v = c kappa* under the worst case, Y0 = y0."""
+    xbar = x0 + y0
+    mean = xbar - y0 * np.exp(-c * r * t)
+    var = y0**2 * (np.exp((c * c - 2.0 * c) * r * t) - np.exp(-2.0 * c * r * t))
+    return mean, var
+
+
 @pytest.mark.parametrize("name, sol, params", _instances())
 def test_affine_exact_moments(name, sol, params):
     strat = robust_strategy(sol, params)
@@ -564,13 +487,10 @@ def test_affine_exact_moments(name, sol, params):
     cfg = SimConfig(n_paths=20000, n_steps=32, seed=61)
     r, x0 = sol.r_star, params.x0
     y0 = math.exp(r * params.horizon_T) / (2.0 * params.lam)
-    xbar = x0 + y0
-    for c, probe in ((0.5, "half"), (1.0, "optimal"), (1.5, "one_and_half"), (2.0, "double"), (-1.0, "contrarian")):
+    for c, probe in SCALINGS:
         t, paths = simulate_wealth(probes[probe], sched, params, cfg)
         assert np.all(paths[:, 0] == x0)
-        mean = xbar - y0 * np.exp(-c * r * t[1:])
-        var = y0**2 * (np.exp((c * c - 2.0 * c) * r * t[1:]) - np.exp(-2.0 * c * r * t[1:]))
-        z_mean, z_var = _moment_z(paths[:, 1:], mean, var)
+        z_mean, z_var = _moment_z(paths[:, 1:], *_scaled_moments(c, r, x0, y0, t[1:]))
         assert z_mean.max() < 4.0 and z_var.max() < 4.0, (name, probe)
     # static: alpha = kappa*, so X is Brownian with drift and variance rate r*
     t, paths = simulate_wealth(probes["static"], sched, params, cfg)
@@ -580,16 +500,148 @@ def test_affine_exact_moments(name, sol, params):
     assert np.all(zero == x0)
 
 
-def _terminal_moments(sched, kappa, params, y0):
-    """Closed-form mean and variance of X_T = x0 + y0 (1 - N_T), log N_T Gaussian."""
+def _terminal_moments(sched, u, params, y0, geometric=True):
+    """Closed-form mean and variance of X_T.
+
+    geometric: alpha = (xbar - x) u, so X_T = x0 + y0 (1 - N_T) with log N_T
+    Gaussian; otherwise alpha = u and X_T is Gaussian.
+    """
     drift = var = 0.0
     for t0, t1, theta in sched.pieces(params.horizon_T):
         sigma = np.outer(params.sigmas, params.sigmas) * correlation_matrix(theta.rho, params.d)
-        rate = float(kappa @ sigma @ kappa)
-        drift += (float(theta.b @ kappa) + 0.5 * rate) * (t1 - t0)
+        rate = float(u @ sigma @ u)
+        drift += (float(theta.b @ u) + (0.5 * rate if geometric else 0.0)) * (t1 - t0)
         var += rate * (t1 - t0)
+    if not geometric:
+        return params.x0 + drift, var
     mean_n = math.exp(-drift + 0.5 * var)
     return params.x0 + y0 * (1.0 - mean_n), y0**2 * mean_n**2 * math.expm1(var)
+
+
+def _assert_rounding_close(actual, expected):
+    """Closed-form (mean, var) arrays that agree to rounding."""
+    for got, want in zip(actual, expected):
+        np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-15)
+
+
+@pytest.mark.parametrize("name, sol, params", _instances())
+def test_affine_moments_closed_forms(name, sol, params, reference_spec):
+    # affine_moments against the tests' own formulas, node by node: every
+    # default probe under the worst case, and the geometric and arithmetic
+    # rules under the two-piece switch, whose breakpoint T/2 falls inside a
+    # step of the grid.
+    strat = robust_strategy(sol, params)
+    probes = dict(default_probe_strategies(strat))
+    worst = ThetaProcessSchedule.constant(sol.theta_star)
+    r, x0 = sol.r_star, params.x0
+    y0 = math.exp(r * params.horizon_T) / (2.0 * params.lam)
+    t = np.linspace(0.0, params.horizon_T, 33)
+    for c, probe in SCALINGS:
+        _assert_rounding_close(affine_moments(probes[probe], worst, params, t), _scaled_moments(c, r, x0, y0, t))
+    _assert_rounding_close(affine_moments(probes["static"], worst, params, t), (x0 + r * t, r * t))
+    mean, var = affine_moments(probes["zero"], worst, params, t)
+    assert np.all(mean == x0) and np.all(var == 0.0)
+    spec = reference_spec if name == "readme" else curated_three_asset("ThreeAsset.Case5ii")[0]
+    switch = dict(default_probe_schedules(spec, params, sol))["switch_mid_horizon"]
+    t = np.linspace(0.0, params.horizon_T, 8)
+    kappa = strat.allocation_direction
+    for probe, geometric in (("optimal", True), ("static", False)):
+        nodes = [_terminal_moments(switch, kappa, replace(params, horizon_T=tk), y0, geometric) for tk in t[1:]]
+        expected = np.array([(x0, 0.0), *nodes])
+        _assert_rounding_close(affine_moments(probes[probe], switch, params, t), expected.T)
+        _assert_rounding_close(affine_moments(probes[probe], switch, params, t[[0, -1]]), expected[[0, -1]].T)
+    mean, var = affine_moments(probes["zero"], switch, params, t)
+    assert np.all(mean == x0) and np.all(var == 0.0)
+
+
+def test_affine_moments_rejects_other_rules_and_grids(params2, reference):
+    _, strat, sched = reference
+    kappa = strat.allocation_direction
+    optimal = AffineRule(xbar=strat.xbar, v=kappa, w=np.zeros_like(kappa))
+    t = np.linspace(0.0, params2.horizon_T, 5)
+    for rule in (AffineRule(xbar=strat.xbar, v=kappa, w=kappa), strat):
+        with pytest.raises(ValueError, match="w = 0 or v = 0"):
+            affine_moments(rule, sched, params2, t)
+    for grid in (t[:1], t[1:], 2.0 * t, t**2):
+        with pytest.raises(ValueError, match="linspace"):
+            affine_moments(optimal, sched, params2, grid)
+
+
+def _first_failure(sol, spec, params, cfg, **kw):
+    """(probe, margin) of the PrincipleViolated the check raises, or None when it passes."""
+    try:
+        verify_weak_principle(sol, spec, params, cfg, **kw)
+    except PrincipleViolated as exc:
+        return exc.probe, exc.margin
+    return None
+
+
+@pytest.mark.parametrize("name, sol, params", _instances())
+def test_weak_principle_catches_one_percent_r_star_error(name, sol, params, reference_spec):
+    # The strategy probes and the terminal condition are decided in closed
+    # form, so a 1% error in r* fails at a tiny size, by a margin that does
+    # not depend on the paths.  Too low, the optimal probe's E[V_t] rises;
+    # too high, J under the worst case falls short of V0.  An Euler probe
+    # after a failing probe never runs.
+    spec = reference_spec if name == "readme" else curated_three_asset("ThreeAsset.Case5ii")[0]
+    calls = []
+    for seed in (1, 2):
+        cfg = SimConfig(n_paths=1000, n_steps=16, seed=seed)
+        assert _first_failure(sol, spec, params, cfg) is None
+        low = replace(sol, r_star=0.99 * sol.r_star)
+        optimal = default_probe_strategies(robust_strategy(low, params))[0]
+        euler = ("euler", lambda t, x: calls.append(t) or optimal[1](t, x))
+        failures = [
+            _first_failure(low, spec, params, cfg),
+            _first_failure(low, spec, params, cfg, probe_strategies=[optimal, euler]),
+            _first_failure(replace(sol, r_star=1.01 * sol.r_star), spec, params, cfg),
+        ]
+        if seed == 1:
+            expected = failures
+        assert failures == expected
+    (probe_low, rise), euler_low, (probe_high, shortfall) = expected
+    assert probe_low == "optimal" and rise > 1e-5 and euler_low == expected[0] and not calls
+    assert probe_high == "worst_case" and shortfall < -4e-4
+
+
+def test_weak_principle_simulator_check(params2, reference_spec, monkeypatch):
+    # At the true r* each scenario probe's simulated J matches its closed
+    # form within the family-wise allowance, wider than N_SIGMA standard
+    # errors; terminal wealths shifted by 0.05 fail at the first probe.
+    sol = solve(reference_spec, params2)
+    cfg = SimConfig(n_paths=20000, n_steps=16, seed=5)
+    report = verify_weak_principle(sol, reference_spec, params2, cfg)
+    names = [c.name for c in report.terminal_gain]
+    assert [c.name for c in report.simulator_check] == names and len(names) == 8
+    for check in report.simulator_check:
+        assert check.ok and abs(check.margin) <= check.allowance
+    optimal = dict(default_probe_strategies(robust_strategy(sol, params2)))["optimal"]
+    worst = ThetaProcessSchedule.constant(sol.theta_star)
+    est = estimate_objective(_terminal_draws(optimal, worst, params2, cfg), params2)
+    assert report.simulator_check[0].allowance == pytest.approx(sim._familywise_z(8) * est.std_error_J, rel=1e-12)
+    assert sim._familywise_z(8) > N_SIGMA
+    simulate = sim.simulate_wealth
+
+    def shifted(*args):
+        t_grid, paths = simulate(*args)
+        return t_grid, paths + 0.05
+
+    monkeypatch.setattr(sim, "simulate_wealth", shifted)
+    with pytest.raises(PrincipleViolated, match="simulated J misses its closed form") as exc:
+        verify_weak_principle(sol, reference_spec, params2, cfg)
+    assert exc.value.probe == names[0]
+    assert exc.value.margin == pytest.approx(report.simulator_check[0].margin + 0.05, rel=1e-9)
+
+
+def test_weak_principle_draws_only_terminal_wealth(params2, reference_spec, monkeypatch):
+    # The default strategy probes draw nothing: the block streams opened are
+    # those of the scenario probes' terminal draws, two blocks each.
+    sol = solve(reference_spec, params2)
+    streams, block_rng = [], sim._block_rng
+    monkeypatch.setattr(sim, "_block_rng", lambda seed, block: streams.append(block) or block_rng(seed, block))
+    cfg = SimConfig(n_paths=sim.BLOCK + 1001, n_steps=16, seed=11)
+    report = verify_weak_principle(sol, reference_spec, params2, cfg)
+    assert report.ok and len(streams) == 2 * len(report.terminal_gain)
 
 
 @pytest.mark.parametrize("name, sol, params", _instances())
