@@ -28,26 +28,30 @@ there runs only the probes that are other callables (on Euler), and the
 scenario probes' one-step terminal draws, which cross-check the exact
 scheme against the closed forms.
 
-Layout: every simulator fills a node-major (n_steps + 1, n_paths) buffer,
-one contiguous row slice per step, and returns its transpose, so paths have
+Layout: every simulator fills a node-major (n_steps + 1, n_paths) buffer
+in one block loop (_fill_paths) and returns its transpose, so paths have
 shape (n_paths, n_steps + 1) in Fortran order and each grid node is one
-contiguous column.  The exact scheme's block loop advances the block's
-lanes one step at a time with in-place ufuncs, writing each step into the
-block's node row.  The Euler step works asset-major too: it calls the rule
-on a read-only view of the block's previous node row, takes alpha in
-Fortran order (the rules here return the transpose of a (d, lanes) buffer,
-so no copy is made), forms the shocks as the (d, lanes) product L z', and
-writes the new wealths in place into the next node row.
+contiguous column.  The loop hands each step's normals to a per-block
+stepper, which writes the block's slice of the next node row.  The exact
+scheme's stepper advances the block's lanes with in-place ufuncs.  The
+Euler stepper works asset-major: it calls the rule on a read-only view of
+the block's previous node row, takes alpha in Fortran order (the rules
+here return the transpose of a (d, lanes) buffer, so no copy is made),
+forms the shocks as the (d, lanes) product L z', and writes the new
+wealths in place into the next node row.
 
 Reproducibility: paths are generated in fixed-size blocks, each block from
 its own counter-based substream keyed by (seed, block index).  Results are
 bitwise identical for a given SimConfig regardless of the worker count.
-The blocks are filled on one worker thread per CPU the process may run on
-(its affinity set), never more than there are blocks; the ROBUSTMV_THREADS
-environment variable, when set, replaces that count (1 unless it is a
-positive integer).  A callable rule is therefore called concurrently, one
-block per thread: a rule with shared mutable state must lock it, or run
-with ROBUSTMV_THREADS=1.
+The blocks of a run of THREADED_MIN_STEPS steps or more are filled on one
+worker thread per CPU the process may run on (its affinity set), never
+more than there are blocks; the ROBUSTMV_THREADS environment variable,
+when set, replaces that count (1 unless it is a positive integer).  Shorter
+runs, such as the principle check's one-step terminal draws, stay on the
+calling thread, where starting a pool costs more than the threads gain.  A
+callable rule is therefore called concurrently, one block per thread: a
+rule with shared mutable state must lock it, or run with
+ROBUSTMV_THREADS=1.
 """
 
 from __future__ import annotations
@@ -69,6 +73,12 @@ from .strategy import FeedbackStrategy, growth_factor, robust_strategy
 from .strategy import value_coefficients, value_v0
 
 BLOCK = 4096
+# Runs of fewer steps fill their blocks on the calling thread, where a pool
+# costs more than it gains.  Measured on 2 vCPUs, best of 40: a 20,000-path
+# one-step exact draw took 0.6 ms inline and 1.3 ms on a pool; on 8,192 and
+# 20,000 paths the pool lost at 1 to 4 steps, was about even at 8 and won
+# from 16.
+THREADED_MIN_STEPS = 16
 # Noise level of every Monte-Carlo check: margins get N_SIGMA standard errors.
 N_SIGMA = 3.0
 # Tolerance of every closed-form margin, relative to the magnitudes the
@@ -127,15 +137,16 @@ def _n_workers() -> int:
         return 1
 
 
-def _run_blocks(n_paths: int, worker):
+def _run_blocks(n_paths: int, n_steps: int, worker):
     """Apply worker(block_index, start, stop) to every block, on at most one thread per block.
 
-    The first block to raise stops the run, as does an interrupt while
-    waiting: blocks not yet started are dropped, the running ones finish,
-    and the exception propagates.
+    A run of fewer than THREADED_MIN_STEPS steps stays on the calling
+    thread.  The first block to raise stops the run, as does an interrupt
+    while waiting: blocks not yet started are dropped, the running ones
+    finish, and the exception propagates.
     """
     ranges = _block_ranges(n_paths)
-    workers = min(_n_workers(), len(ranges))
+    workers = min(_n_workers(), len(ranges)) if n_steps >= THREADED_MIN_STEPS else 1
     if workers == 1:
         for k, (start, stop) in enumerate(ranges):
             worker(k, start, stop)
@@ -159,6 +170,29 @@ def _normals(rng, lanes: int, d: int, antithetic: bool) -> np.ndarray:
     out[0::2] = z
     out[1::2] = -z
     return out[:lanes]
+
+
+def _fill_paths(cfg: SimConfig, params: MarketParams, width: int, start):
+    """Paths from one block loop: (t_grid, paths), paths the transpose of a node-major buffer.
+
+    For each block, start(rows) receives the block's (n_steps + 1, lanes)
+    slice of the buffer, row 0 already x0, and returns a stepper; step(n, z)
+    gets step n's (lanes, width) normals from the block's stream and writes
+    row n + 1.
+    """
+    t_grid = np.linspace(0.0, params.horizon_T, cfg.n_steps + 1)
+    nodes = np.empty((cfg.n_steps + 1, cfg.n_paths))
+
+    def worker(block, lo, hi):
+        rng = _block_rng(cfg.seed, block)
+        rows = nodes[:, lo:hi]
+        rows[0] = params.x0
+        step = start(rows)
+        for n in range(cfg.n_steps):
+            step(n, _normals(rng, hi - lo, width, cfg.antithetic))
+
+    _run_blocks(cfg.n_paths, cfg.n_steps, worker)
+    return t_grid, nodes.T
 
 
 @dataclass(frozen=True)
@@ -189,7 +223,7 @@ class AffineRule:
 
 
 def _draws_exactly(rule) -> bool:
-    """True for an AffineRule with w = 0 or v = 0, whose paths _affine_paths draws exactly."""
+    """True for an AffineRule with w = 0 or v = 0, whose paths _exact_paths draws."""
     return isinstance(rule, AffineRule) and not (rule.v.any() and rule.w.any())
 
 
@@ -216,60 +250,55 @@ def _exact_step_integrals(direction, schedule, params, n_steps, log_scale):
     integrated piecewise so steps may straddle breakpoints; n_steps = 1
     gives the totals over [0, T].
     """
-    pieces = []
+    nodes = np.arange(n_steps + 1) * (params.horizon_T / n_steps)
+    drift_int, var_int = np.zeros(n_steps), np.zeros(n_steps)
     for t0, t1, theta in schedule.pieces(params.horizon_T):
         sigma = covariance_from(theta.rho, params).matrix
         var_rate = float(direction @ sigma @ direction)
         drift_rate = float(theta.b @ direction) + (0.5 * var_rate if log_scale else 0.0)
-        pieces.append((t0, t1, drift_rate, var_rate))
-    dt = params.horizon_T / n_steps
-    drift_int = np.zeros(n_steps)
-    var_int = np.zeros(n_steps)
-    for n in range(n_steps):
-        a, b = n * dt, (n + 1) * dt
-        for t0, t1, drift_rate, var_rate in pieces:
-            overlap = max(0.0, min(b, t1) - max(a, t0))
-            if overlap > 0.0:
-                drift_int[n] += drift_rate * overlap
-                var_int[n] += var_rate * overlap
+        overlap = np.minimum(nodes[1:], t1) - np.maximum(nodes[:-1], t0)
+        # Added only where the piece overlaps a step, so a non-finite rate
+        # leaves the other steps as they are.
+        hit = overlap > 0.0
+        drift_int[hit] += drift_rate * overlap[hit]
+        var_int[hit] += var_rate * overlap[hit]
     return drift_int, var_int
 
 
 def simulate_wealth(rule, schedule: ThetaProcessSchedule, params: MarketParams, cfg: SimConfig):
     """Paths of the wealth process under a feedback rule alpha = rule(t, x).
 
-    An AffineRule with w = 0 or v = 0 is drawn exactly (_affine_paths).
-    Any other rule (a FeedbackStrategy, an AffineRule with w and v both
-    nonzero, any callable returning an (n, d) array for n wealths) runs on
-    the Euler scheme, called at every step on a read-only view of the
-    current wealths; a rule that writes into it raises ValueError.
-    Returns (t_grid, paths) with paths of shape (n_paths, n_steps + 1), the
+    An AffineRule with w = 0 or v = 0 is drawn exactly (_exact_paths, along
+    v when it is nonzero, else along w; v = w = 0 stays at x0).  Any other
+    rule (a FeedbackStrategy, an AffineRule with w and v both nonzero, any
+    callable returning an (n, d) array for n wealths) runs on the Euler
+    scheme, called at every step on a read-only view of the current
+    wealths; a rule that writes into it raises ValueError.  Returns
+    (t_grid, paths) with paths of shape (n_paths, n_steps + 1), the
     transpose of a node-major buffer; wealth is unconstrained and may go
     negative.
 
-    Blocks of paths run on one worker thread per available CPU by default,
-    or on ROBUSTMV_THREADS of them, so rule may be called from several
-    threads at once, one block each; the paths do not depend on the count.
-    The first exception a block raises stops the run and propagates.
+    Runs of THREADED_MIN_STEPS steps or more fill their blocks on one
+    worker thread per available CPU, or on ROBUSTMV_THREADS of them, so
+    rule may be called from several threads at once, one block each; the
+    paths do not depend on the count.  The first exception a block raises
+    stops the run and propagates.
     """
     if _draws_exactly(rule):
-        return _affine_paths(rule, schedule, params, cfg)
+        geometric = bool(rule.v.any())
+        direction = rule.v if geometric else rule.w
+        return _exact_paths(direction, rule.xbar - params.x0, geometric, schedule, params, cfg)
     dt, drifts, chols = _step_model(schedule, params, cfg.n_steps)
     sqrt_dt = math.sqrt(dt)
     t_grid = np.linspace(0.0, params.horizon_T, cfg.n_steps + 1)
-    nodes = np.empty((cfg.n_steps + 1, cfg.n_paths))
-    d = params.d
 
-    def worker(block, start, stop):
-        rng = _block_rng(cfg.seed, block)
-        rows = nodes[:, start:stop]
-        rows[0] = params.x0
+    def start(rows):
         # The rule reads the previous node row through a read-only view, so it
         # cannot write into the stored paths.
         wealth = rows.view()
         wealth.flags.writeable = False
-        for n in range(cfg.n_steps):
-            z = _normals(rng, stop - start, d, cfg.antithetic)
+
+        def step(n, z):
             # Fortran order makes the sums below independent of the rule's layout.
             alpha = np.asfortranarray(np.atleast_2d(rule(t_grid[n], wealth[n])))
             drift = alpha @ drifts[n]
@@ -280,89 +309,47 @@ def simulate_wealth(rule, schedule: ThetaProcessSchedule, params: MarketParams, 
             np.add(rows[n], drift, out=rows[n + 1])
             rows[n + 1] += noise
 
-    _run_blocks(cfg.n_paths, worker)
-    return t_grid, nodes.T
+        return step
+
+    return _fill_paths(cfg, params, params.d, start)
 
 
-@dataclass(frozen=True)
-class MartingaleStats:
-    """Per-step sample mean and standard error of the exponential-factor ratios."""
-
-    mean_ratio: np.ndarray
-    se_ratio: np.ndarray
-
-
-def _exact_paths(direction, y0, geometric, schedule, params, cfg, martingale_stats=False):
+def _exact_paths(direction, y0, geometric, schedule, params, cfg):
     """Discretization-free wealth paths along one direction u, one normal per path and step.
 
     geometric: Y = xbar - X solves dY = -Y u'(b dt + sigma dW), a geometric
     Brownian motion, so X_t = x0 + y0 (1 - N_t) with the lognormal N of
     _exact_step_integrals and y0 = xbar - x0 as the caller computed it.
     Otherwise X is an arithmetic Brownian motion with increments of mean
-    u'b dt and variance u' Sigma u dt.  The normals come from the block
-    streams of the Euler scheme, a step at a time.  With
-    martingale_stats=True (geometric only) also returns per-step statistics
-    of the exponential-martingale ratios, whose mean must be 1.
+    u'b dt and variance u' Sigma u dt; u = 0 stays at x0.
     """
     drift_int, var_int = _exact_step_integrals(direction, schedule, params, cfg.n_steps, geometric)
     vol_int = np.sqrt(var_int)
-    t_grid = np.linspace(0.0, params.horizon_T, cfg.n_steps + 1)
-    nodes = np.empty((cfg.n_steps + 1, cfg.n_paths))
-    # One row of ratio sums per block, added up after all blocks ran, so
-    # the statistics do not depend on the order the workers finish in.
-    n_blocks = len(_block_ranges(cfg.n_paths))
-    ratio_sum = np.zeros((n_blocks, cfg.n_steps))
-    ratio_sq = np.zeros((n_blocks, cfg.n_steps))
 
-    def worker(block, start, stop):
-        rng = _block_rng(cfg.seed, block)
-        rows = nodes[:, start:stop]
-        rows[0] = params.x0
-        acc = np.zeros(stop - start)  # log N (geometric) or X - x0 (arithmetic)
-        gaussian = np.empty(stop - start)
-        # One step's normals at a time, so no (n_steps, lanes) matrix is held.
+    def start(rows):
+        acc = np.zeros(rows.shape[1])  # log N (geometric) or X - x0 (arithmetic)
+        gaussian = np.empty(rows.shape[1])
+
         # In-place ufuncs over the block's row; the two updates group their
         # sums differently, each in the order that fixed its scheme's bits.
-        for n in range(cfg.n_steps):
-            z = _normals(rng, stop - start, 1, cfg.antithetic)[:, 0]
-            np.multiply(z, vol_int[n], out=gaussian)
-            if martingale_stats:
-                ratios = np.exp(-2.0 * var_int[n] - 2.0 * gaussian)
-                ratio_sum[block, n] = ratios.sum()
-                ratio_sq[block, n] = (ratios**2).sum()
+        def step(n, z):
+            np.multiply(z[:, 0], vol_int[n], out=gaussian)
             row = rows[n + 1]
             if geometric:
-                acc -= drift_int[n]
-                acc -= gaussian
+                np.subtract(acc, drift_int[n], out=acc)
+                np.subtract(acc, gaussian, out=acc)
                 np.exp(acc, out=row)
                 np.subtract(1.0, row, out=row)
                 row *= y0
                 row += params.x0
             else:
-                gaussian += drift_int[n]
-                acc += gaussian
+                np.add(gaussian, drift_int[n], out=gaussian)
+                np.add(acc, gaussian, out=acc)
                 np.add(acc, params.x0, out=row)
 
-    _run_blocks(cfg.n_paths, worker)
-    if not martingale_stats:
-        return t_grid, nodes.T
-    n = cfg.n_paths
-    mean = ratio_sum.sum(axis=0) / n
-    var = np.maximum(ratio_sq.sum(axis=0) / n - mean**2, 0.0) * n / (n - 1)
-    return t_grid, nodes.T, MartingaleStats(mean_ratio=mean, se_ratio=np.sqrt(var / n))
+        return step
 
-
-def _affine_paths(rule: AffineRule, schedule, params, cfg):
-    """Exact paths of an AffineRule with w = 0 (geometric along v) or v = 0 (arithmetic along w).
-
-    v = w = 0 holds no risky asset and stays at x0 exactly.
-    """
-    geometric = bool(rule.v.any())
-    if not (geometric or rule.w.any()):
-        t_grid = np.linspace(0.0, params.horizon_T, cfg.n_steps + 1)
-        return t_grid, np.full((cfg.n_steps + 1, cfg.n_paths), float(params.x0)).T
-    direction = rule.v if geometric else rule.w
-    return _exact_paths(direction, rule.xbar - params.x0, geometric, schedule, params, cfg)
+    return _fill_paths(cfg, params, 1, start)
 
 
 def affine_moments(rule: AffineRule, schedule, params, t_grid):
@@ -396,17 +383,15 @@ def simulate_optimal_exact(
     schedule: ThetaProcessSchedule,
     params: MarketParams,
     cfg: SimConfig,
-    martingale_stats: bool = False,
 ):
     """Discretization-free paths of the optimal wealth process.
 
     The optimal wealth is x0 + e^{r* T}/(2 lam) (1 - N_t) where log N has
-    exact Gaussian increments under any piecewise-constant scenario.  With
-    martingale_stats=True also returns per-step statistics of the
-    associated exponential-martingale ratios, whose mean must be 1.
+    exact Gaussian increments under any piecewise-constant scenario; its
+    node moments are affine_moments' for AffineRule(xbar, direction, 0).
     """
     factor = growth_factor(solution.r_star, params.horizon_T) / (2.0 * params.lam)
-    return _exact_paths(solution.direction, factor, True, schedule, params, cfg, martingale_stats)
+    return _exact_paths(solution.direction, factor, True, schedule, params, cfg)
 
 
 def summarize_paths(t_grid, paths):
@@ -629,6 +614,13 @@ def _closed_form_objective(mean, var, v0, lam):
     return float(mean[-1] - lam * var[-1]), ROUNDING_RTOL * float(abs(mean[-1]) + lam * var[-1] + abs(v0))
 
 
+def _record(checks, name, margin, allowance, ok, message):
+    """Append a probe's ProbeCheck to checks; raise PrincipleViolated with message when it failed."""
+    checks.append(ProbeCheck(name=name, margin=margin, allowance=allowance, ok=ok))
+    if not ok:
+        raise PrincipleViolated(message, probe=name, margin=margin)
+
+
 def verify_weak_principle(
     solution: WorstCaseSolution,
     spec: AmbiguitySpec,
@@ -686,23 +678,11 @@ def verify_weak_principle(
             est = estimate_objective(paths, params)
             del paths  # frees an Euler probe's paths before the next probe runs
             j, allowance_j = est.J, N_SIGMA * est.std_error_J
-        check = ProbeCheck(name=name, margin=increase, allowance=allowance, ok=increase <= allowance)
-        monotone.append(check)
-        if not check.ok:
-            raise PrincipleViolated(
-                f"E[V_t] increases by {increase:.3e} (> {allowance:.3e}) under probe strategy {name!r}",
-                probe=name,
-                margin=increase,
-            )
+        _record(monotone, name, increase, allowance, increase <= allowance,
+                f"E[V_t] increases by {increase:.3e} (> {allowance:.3e}) under probe strategy {name!r}")
         margin = j - v0
-        check_j = ProbeCheck(name=name, margin=margin, allowance=allowance_j, ok=margin <= allowance_j)
-        j_upper.append(check_j)
-        if not check_j.ok:
-            raise PrincipleViolated(
-                f"J({name}, worst case) exceeds V0 by {margin:.3e} (> {allowance_j:.3e})",
-                probe=name,
-                margin=margin,
-            )
+        _record(j_upper, name, margin, allowance_j, margin <= allowance_j,
+                f"J({name}, worst case) exceeds V0 by {margin:.3e} (> {allowance_j:.3e})")
 
     kappa = strategy.allocation_direction
     optimal = AffineRule(xbar=strategy.xbar, v=kappa, w=np.zeros_like(kappa))
@@ -712,26 +692,14 @@ def verify_weak_principle(
     for name, sched in probe_schedules:
         j, tolerance = _closed_form_objective(*affine_moments(optimal, sched, params, ends), v0, params.lam)
         margin = j - v0  # E[V_T] - V0 since the terminal value is x - lam (x - xbar)^2
-        check = ProbeCheck(name=name, margin=margin, allowance=tolerance, ok=margin >= -tolerance)
-        terminal.append(check)
-        if not check.ok:
-            raise PrincipleViolated(
-                f"E[V_T] - V0 = {margin:.3e} < -{tolerance:.3e} under probe scenario {name!r}",
-                probe=name,
-                margin=margin,
-            )
+        _record(terminal, name, margin, tolerance, margin >= -tolerance,
+                f"E[V_T] - V0 = {margin:.3e} < -{tolerance:.3e} under probe scenario {name!r}")
         xt = simulate_wealth(optimal, sched, params, replace(cfg, n_steps=1))[1][:, -1]
         est = estimate_objective(xt, params)
         gap, allowance = est.J - j, z * est.std_error_J
-        check = ProbeCheck(name=name, margin=gap, allowance=allowance, ok=abs(gap) <= allowance)
-        simulator.append(check)
-        if not check.ok:
-            raise PrincipleViolated(
+        _record(simulator, name, gap, allowance, abs(gap) <= allowance,
                 f"simulated J misses its closed form by {gap:.3e} (beyond {allowance:.3e}) "
-                f"under probe scenario {name!r}",
-                probe=name,
-                margin=gap,
-            )
+                f"under probe scenario {name!r}")
 
     return WeakPrincipleReport(
         monotone_under_worst_case=tuple(monotone),

@@ -1,7 +1,6 @@
 """Monte-Carlo engine: determinism, statistical agreement, principle checks."""
 
 import math
-import os
 import threading
 import tracemalloc
 from concurrent.futures import Future
@@ -129,14 +128,6 @@ def test_euler_vs_exact_within_se(params2, reference):
     assert abs(e1.mean_XT - e2.mean_XT) < 3 * combined
 
 
-def test_martingale_ratio_stats(params2, reference):
-    sol, _, sched = reference
-    cfg = SimConfig(n_paths=50000, n_steps=32, seed=31)
-    _, _, stats = simulate_optimal_exact(sol, sched, params2, cfg, martingale_stats=True)
-    z = np.abs(stats.mean_ratio - 1.0) / stats.se_ratio
-    assert z.max() < 3.5
-
-
 def test_determinism_bitwise(params2, reference):
     _, strat, sched = reference
     cfg = SimConfig(n_paths=3000, n_steps=32, seed=123)
@@ -145,25 +136,19 @@ def test_determinism_bitwise(params2, reference):
     assert np.array_equal(a, b)
 
 
-def test_determinism_across_worker_counts(params2, reference):
+def test_determinism_across_worker_counts(params2, reference, monkeypatch):
     sol, strat, sched = reference
     cfg = SimConfig(n_paths=10000, n_steps=16, seed=7)
+    probes = dict(default_probe_strategies(strat))
     runs = {}
-    old = os.environ.get("ROBUSTMV_THREADS")
-    try:
-        for threads in ("1", "4"):
-            os.environ["ROBUSTMV_THREADS"] = threads
-            _, euler = simulate_wealth(strat, sched, params2, cfg)
-            _, exact, stats = simulate_optimal_exact(sol, sched, params2, cfg, martingale_stats=True)
-            probes = dict(default_probe_strategies(strat))
-            affine = [simulate_wealth(probes[name], sched, params2, cfg)[1] for name in ("half", "static")]
-            terminal = _terminal_draws(probes["optimal"], sched, params2, cfg)
-            runs[threads] = (euler, exact, stats.mean_ratio, stats.se_ratio, *affine, terminal)
-    finally:
-        if old is None:
-            os.environ.pop("ROBUSTMV_THREADS", None)
-        else:
-            os.environ["ROBUSTMV_THREADS"] = old
+    for threads in ("1", "4"):
+        monkeypatch.setenv("ROBUSTMV_THREADS", threads)
+        runs[threads] = (
+            simulate_wealth(strat, sched, params2, cfg)[1],
+            simulate_optimal_exact(sol, sched, params2, cfg)[1],
+            *(simulate_wealth(probes[name], sched, params2, cfg)[1] for name in ("half", "static")),
+            _terminal_draws(probes["optimal"], sched, params2, cfg),
+        )
     for serial, threaded in zip(runs["1"], runs["4"]):
         assert np.array_equal(serial, threaded)
 
@@ -361,12 +346,16 @@ def test_euler_factors_once_per_piece(params2, reference, monkeypatch):
 
 
 def test_weak_principle_thread_count_determinism(params2, reference_spec, monkeypatch):
+    # The one-step terminal draws stay on the calling thread; a 16-step Euler
+    # probe next to the default probes runs threaded.
     sol = solve(reference_spec, params2)
+    probes = default_probe_strategies(robust_strategy(sol, params2))
+    euler = ("euler", lambda t, x: probes[0][1](t, x))
     cfg = SimConfig(n_paths=3 * 4096 + 17, n_steps=16, seed=8)
     reports = []
     for threads in ("1", "4"):
         monkeypatch.setenv("ROBUSTMV_THREADS", threads)
-        reports.append(verify_weak_principle(sol, reference_spec, params2, cfg))
+        reports.append(verify_weak_principle(sol, reference_spec, params2, cfg, probe_strategies=probes + [euler]))
     assert reports[0] == reports[1]
 
 
@@ -567,6 +556,74 @@ def test_affine_moments_rejects_other_rules_and_grids(params2, reference):
             affine_moments(optimal, sched, params2, grid)
 
 
+def test_exact_paths_match_affine_moments_per_node(params2, reference_spec):
+    # The exact scheme against affine_moments at every node after the first:
+    # the optimal wealth (geometric) and the static probe (arithmetic), under
+    # the worst case and the mid-horizon switch.  Sample means and variances
+    # hold family-wise over each path set's 2 x 16 tests; against the moments
+    # of the rule with v and w scaled by 1.02, the same paths fail.
+    sol = solve(reference_spec, params2)
+    probes = dict(default_probe_strategies(robust_strategy(sol, params2)))
+    schedules = dict(default_probe_schedules(reference_spec, params2, sol))
+    cfg = SimConfig(n_paths=50_000, n_steps=16, seed=65)
+    limit = sim._familywise_z(2 * cfg.n_steps)
+    static = probes["static"]
+
+    def worst_z(rule, sched, t, paths):
+        mean, var = affine_moments(rule, sched, params2, t)
+        return max(z.max() for z in _moment_z(paths[:, 1:], mean[1:], var[1:]))
+
+    for name in ("worst_case", "switch_mid_horizon"):
+        sched = schedules[name]
+        runs = ((probes["optimal"], simulate_optimal_exact(sol, sched, params2, cfg)),
+                (static, simulate_wealth(static, sched, params2, cfg)))
+        for rule, (t, paths) in runs:
+            perturbed = AffineRule(xbar=rule.xbar, v=1.02 * rule.v, w=1.02 * rule.w)
+            true_z, perturbed_z = worst_z(rule, sched, t, paths), worst_z(perturbed, sched, t, paths)
+            assert true_z < limit < perturbed_z, (name, true_z, perturbed_z)
+
+
+def _per_step_integrals(direction, schedule, params, n_steps, log_scale):
+    """_exact_step_integrals as it was written before: each step's overlap with every piece."""
+    pieces = []
+    for t0, t1, theta in schedule.pieces(params.horizon_T):
+        sigma = market.covariance_from(theta.rho, params).matrix
+        var_rate = float(direction @ sigma @ direction)
+        drift_rate = float(theta.b @ direction) + (0.5 * var_rate if log_scale else 0.0)
+        pieces.append((t0, t1, drift_rate, var_rate))
+    dt = params.horizon_T / n_steps
+    drift_int, var_int = np.zeros(n_steps), np.zeros(n_steps)
+    for n in range(n_steps):
+        a, b = n * dt, (n + 1) * dt
+        for t0, t1, drift_rate, var_rate in pieces:
+            overlap = max(0.0, min(b, t1) - max(a, t0))
+            if overlap > 0.0:
+                drift_int[n] += drift_rate * overlap
+                var_int[n] += var_rate * overlap
+    return drift_int, var_int
+
+
+def test_exact_step_integrals_match_per_step_loop(params2, reference):
+    # Bitwise the per-step loop's sums, breakpoints on and off the grid and
+    # one beyond T; with an overflowing rate every step is inf and none NaN.
+    sol, strat, sched = reference
+    values = (sol.theta_star, ThetaPoint(b=[0.44, 0.22], rho=[0.0]), sol.theta_star)
+    schedules = [sched] + [
+        ThetaProcessSchedule(breakpoints=np.array(points), values=values[: len(points)])
+        for points in ([0.0, 0.5], [0.0, 0.3141, 0.77], [0.0, 0.6, 1.5])
+    ]
+    kappa = strat.allocation_direction
+    for schedule in schedules:
+        for n_steps in (1, 2, 3, 7, 16, 256):
+            for log_scale in (False, True):
+                args = (kappa, schedule, params2, n_steps, log_scale)
+                for got, want in zip(sim._exact_step_integrals(*args), _per_step_integrals(*args)):
+                    assert got.tobytes() == want.tobytes(), (schedule.breakpoints, n_steps, log_scale)
+        with np.errstate(over="ignore"):
+            drift_int, var_int = sim._exact_step_integrals(np.full(2, 1e200), schedule, params2, 7, True)
+        assert np.all(drift_int == np.inf) and np.all(var_int == np.inf)
+
+
 def _first_failure(sol, spec, params, cfg, **kw):
     """(probe, margin) of the PrincipleViolated the check raises, or None when it passes."""
     try:
@@ -707,14 +764,11 @@ def test_optimal_exact_reference_values(params2, reference):
     # its step integrals; they must not move (numpy 2.4, x86-64).
     sol, _, sched = reference
     cfg = SimConfig(n_paths=10000, n_steps=16, seed=7)
-    _, paths, stats = simulate_optimal_exact(sol, sched, params2, cfg, martingale_stats=True)
+    _, paths = simulate_optimal_exact(sol, sched, params2, cfg)
     assert paths[0, -1] == 0.033188384305799956
     assert paths[9999, 8] == 1.1967926839778944
     assert paths[5000, 3] == 1.227760579002348
     assert paths[:, -1].sum() == 10937.577489480873
-    assert stats.mean_ratio[0] == 1.0005980191297765
-    assert stats.mean_ratio[-1] == 1.0008322968245122
-    assert stats.se_ratio[-1] == 0.0015087257576744317
     switch = ThetaProcessSchedule(
         breakpoints=np.array([0.0, 0.5]), values=(sol.theta_star, ThetaPoint(b=[0.44, 0.22], rho=[0.0]))
     )
@@ -858,20 +912,17 @@ def test_determinism_across_worker_counts_three_assets(three_asset, monkeypatch,
 
 def test_default_worker_count_matches_one_thread(params2, reference, reference_spec, three_asset, monkeypatch):
     # ROBUSTMV_THREADS unset runs one worker per CPU the process may use: every
-    # path, statistic and report must be bitwise that of one thread.
+    # path and report must be bitwise that of one thread.
     sol, strat, sched = reference
     strat3, params3, schedules = three_asset
     probes = dict(default_probe_strategies(strat))
     cfg = SimConfig(n_paths=3 * sim.BLOCK + 17, n_steps=16, seed=7)
 
     def run():
-        _, exact, stats = simulate_optimal_exact(sol, sched, params2, cfg, martingale_stats=True)
         arrays = [
             simulate_wealth(strat, sched, params2, cfg)[1],
             simulate_wealth(strat3, schedules["two_piece"], params3, cfg)[1],
-            exact,
-            stats.mean_ratio,
-            stats.se_ratio,
+            simulate_optimal_exact(sol, sched, params2, cfg)[1],
             *(simulate_wealth(probes[name], sched, params2, cfg)[1] for name in ("half", "static")),
             _terminal_draws(probes["optimal"], sched, params2, cfg),
         ]
@@ -903,10 +954,10 @@ def test_worker_count_rule(monkeypatch):
         def shutdown(self, cancel_futures):
             pass
 
-    def pool_size(n_blocks):
+    def pool_size(n_blocks, n_steps=sim.THREADED_MIN_STEPS):
         del sizes[:]
         blocks = []
-        sim._run_blocks(n_blocks * sim.BLOCK - 1, lambda k, start, stop: blocks.append(k))
+        sim._run_blocks(n_blocks * sim.BLOCK - 1, n_steps, lambda k, start, stop: blocks.append(k))
         assert blocks == list(range(n_blocks))
         return sizes[0] if sizes else 1  # one worker runs the blocks without a pool
 
@@ -915,12 +966,16 @@ def test_worker_count_rule(monkeypatch):
     monkeypatch.delenv("ROBUSTMV_THREADS", raising=False)
     assert sim._n_workers() == 3
     assert [pool_size(n) for n in (1, 2, 3, 8)] == [1, 2, 3, 3]
+    # Runs shorter than 16 steps start no pool, however many blocks they have.
+    assert sim.THREADED_MIN_STEPS == 16
+    assert [pool_size(8, n_steps) for n_steps in (1, 8, 15, 16, 256)] == [1, 1, 1, 3, 3]
     for raw, workers in (("3", 3), ("1", 1), ("0", 1), ("-2", 1), ("abc", 1), ("100000", 100000)):
         monkeypatch.setenv("ROBUSTMV_THREADS", raw)
         assert sim._n_workers() == workers
     assert [pool_size(n) for n in (1, 2, 8)] == [1, 2, 8]  # never more workers than blocks
     monkeypatch.setenv("ROBUSTMV_THREADS", "3")
     assert [pool_size(n) for n in (2, 8)] == [2, 3]
+    assert pool_size(8, n_steps=1) == 1
     # Without an affinity set, the CPU count, else one.
     monkeypatch.delenv("ROBUSTMV_THREADS")
     monkeypatch.delattr(sim.os, "sched_getaffinity", raising=False)
