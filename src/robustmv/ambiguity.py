@@ -60,7 +60,10 @@ class GammaBox:
         object.__setattr__(self, "upper", _frozen(self.upper))
         if self.lower.shape != self.upper.shape:
             raise ValueError("lower/upper bounds must have equal length")
-        if not self.full_ambiguity:
+        if self.full_ambiguity:
+            if np.any(self.lower != -1.0) or np.any(self.upper != 1.0):
+                raise ValueError("full ambiguity takes the bounds -1 and +1 on every pair")
+        else:
             _require_finite(lower=self.lower, upper=self.upper)
             if np.any(self.lower > self.upper):
                 raise ValueError("lower bounds must not exceed upper bounds")
@@ -137,9 +140,6 @@ class EllipsoidalSet:
     @property
     def d(self) -> int:
         return self.b_hat.size
-
-    def is_singleton(self) -> bool:
-        return self.delta == 0.0 and self.gamma.is_singleton()
 
 
 AmbiguitySpec = ProductSet | EllipsoidalSet

@@ -16,9 +16,11 @@ full correlation ambiguity uses "gamma": {"full_ambiguity": true}.  An optional
 
 Exit codes: 0 success, 1 input error (among them a section or "gamma" that
 is not a JSON object, a "sweep" that is not a non-empty list of objects,
---resolution below 1 and --probes below 0, e^{r* T} beyond the float
-range, a correlation box in which the solver finds no PD point, and a
-request too large for memory, such as a path count or an oracle grid),
+--resolution below 1 and --probes below 0, a number beyond the float range,
+a nested list where a vector belongs, a schedule of another dimension, an
+output path that is not a string, e^{r* T} beyond the float range, a
+correlation box in which the solver finds no PD point, and a request too
+large for memory or the address space, such as a path count or an oracle grid),
 2 verification failure (a NaN objective estimate included), 3 a flagged
 mathematical condition (no minimizer / zero drift, or a numeric fallback
 that did not converge: solve, classify and sweep still emit their report
@@ -28,6 +30,7 @@ and name the iterations and residual on stderr).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import copy
 import csv
 import io
@@ -98,7 +101,8 @@ def load_config(path: str) -> dict:
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     _require(isinstance(raw, dict), "config root must be a JSON object")
-    _section(raw, "output", {})  # read only once the work is done, so checked up front
+    # Read only once the work is done, so checked up front.
+    _require(isinstance(_section(raw, "output", {}).get("path") or "", str), "'output.path' must be a string")
     if "sweep" in raw:
         sweep = raw["sweep"]
         _require(
@@ -108,30 +112,37 @@ def load_config(path: str) -> dict:
     return raw
 
 
-def parse_market(raw: dict) -> MarketParams:
-    m = _section(raw, "market")
-    for key in ("sigmas", "horizon_T", "lambda", "x0"):
-        _require(key in m, f"market section missing '{key}'")
+@contextlib.contextmanager
+def _bad(what: str):
+    """Turn an error raised while building a library object from config values into ConfigError."""
     try:
+        yield
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad {what}: {exc}") from exc
+
+
+def _fields(section: dict, where: str, keys) -> list:
+    """section[key] for each key; every key is required."""
+    for key in keys:
+        _require(key in section, f"{where} missing '{key}'")
+    return [section[key] for key in keys]
+
+
+def parse_market(raw: dict) -> MarketParams:
+    market = _section(raw, "market")
+    sigmas, horizon, lam, x0 = _fields(market, "market section", ("sigmas", "horizon_T", "lambda", "x0"))
+    with _bad("market parameters"):
         return MarketParams(
-            sigmas=np.asarray(m["sigmas"], dtype=float),
-            horizon_T=float(m["horizon_T"]),
-            lam=float(m["lambda"]),
-            x0=float(m["x0"]),
+            sigmas=np.asarray(sigmas, dtype=float), horizon_T=float(horizon), lam=float(lam), x0=float(x0)
         )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad market parameters: {exc}") from exc
 
 
 def parse_gamma(raw: dict, d: int) -> GammaBox:
     if raw.get("full_ambiguity"):
         return GammaBox.full(d)
-    for key in ("lower", "upper"):
-        _require(key in raw, f"gamma section missing '{key}'")
-    try:
-        box = GammaBox.box(raw["lower"], raw["upper"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad correlation bounds: {exc}") from exc
+    lower, upper = _fields(raw, "gamma section", ("lower", "upper"))
+    with _bad("correlation bounds"):
+        box = GammaBox.box(lower, upper)
     _require(box.n_pairs == n_pairs(d), f"gamma bounds must have length {n_pairs(d)} for d={d}")
     return box
 
@@ -141,94 +152,75 @@ def parse_ambiguity(raw: dict, params: MarketParams):
     variant = a.get("variant")
     _require(variant in ("product", "ellipsoidal"), "ambiguity variant must be 'product' or 'ellipsoidal'")
     gamma = parse_gamma(_section(a, "gamma", {}), params.d)
-    try:
-        if variant == "product":
-            for key in ("delta_lower", "delta_upper"):
-                _require(key in a, f"product ambiguity missing '{key}'")
+    if variant == "product":
+        lower, upper = _fields(a, "product ambiguity", ("delta_lower", "delta_upper"))
+        with _bad("ambiguity parameters"):
             spec = ProductSet(
-                delta_lower=np.asarray(a["delta_lower"], dtype=float),
-                delta_upper=np.asarray(a["delta_upper"], dtype=float),
-                gamma=gamma,
+                delta_lower=np.asarray(lower, dtype=float), delta_upper=np.asarray(upper, dtype=float), gamma=gamma
             )
-        else:
-            for key in ("b_hat", "delta"):
-                _require(key in a, f"ellipsoidal ambiguity missing '{key}'")
-            spec = EllipsoidalSet(
-                b_hat=np.asarray(a["b_hat"], dtype=float),
-                delta=float(a["delta"]),
-                gamma=gamma,
-            )
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad ambiguity parameters: {exc}") from exc
+    else:
+        b_hat, delta = _fields(a, "ellipsoidal ambiguity", ("b_hat", "delta"))
+        with _bad("ambiguity parameters"):
+            spec = EllipsoidalSet(b_hat=np.asarray(b_hat, dtype=float), delta=float(delta), gamma=gamma)
     _require(spec.d == params.d, "ambiguity dimension inconsistent with market")
     return spec
 
 
 def parse_sim_config(raw: dict, overrides) -> SimConfig:
     s = dict(_section(raw, "simulate", {}))
-    for key, value in overrides.items():
-        if value is not None:
-            s[key] = value
-    try:
+    s.update((key, value) for key, value in overrides.items() if value is not None)
+    with _bad("simulate parameters"):
         return SimConfig(
             n_paths=int(s.get("n_paths", 20000)),
             n_steps=int(s.get("n_steps", 256)),
             seed=int(s.get("seed", 0)),
             antithetic=bool(s.get("antithetic", False)),
         )
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise ConfigError(f"bad simulate parameters: {exc}") from exc
 
 
 def parse_schedule(raw: dict, params: MarketParams):
     if "schedule" not in raw:
         return None
     s = raw["schedule"]
-    try:
+    with _bad("schedule"):
         values = tuple(
             ThetaPoint(b=np.asarray(v["b"], dtype=float), rho=np.asarray(v["rho"], dtype=float))
             for v in s["values"]
         )
-        return ThetaProcessSchedule(
-            breakpoints=np.asarray(s["breakpoints"], dtype=float), values=values
-        )
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"bad schedule: {exc}") from exc
-
-
-def _jsonable(value):
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    if isinstance(value, (np.floating, np.integer)):
-        return value.item()
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    return value
+        schedule = ThetaProcessSchedule(breakpoints=np.asarray(s["breakpoints"], dtype=float), values=values)
+    _require(all(v.d == params.d for v in values), "schedule dimension inconsistent with market")
+    return schedule
 
 
 def solution_to_dict(solution) -> dict:
     return {
-        "theta_star": {
-            "b": solution.theta_star.b.tolist(),
-            "rho": solution.theta_star.rho.tolist(),
-        },
+        "theta_star": {"b": solution.theta_star.b.tolist(), "rho": solution.theta_star.rho.tolist()},
         "r_star": solution.r_star,
         "case_label": solution.case_label,
         "no_trade": solution.no_trade,
-        "diagnostics": _jsonable(solution.diagnostics),
+        "diagnostics": solution.diagnostics,
     }
 
 
-def _emit(report: dict, raw_config: dict) -> None:
-    text = json.dumps(report, indent=2)
-    out = raw_config.get("output", {})
-    path = out.get("path")
+def _json(report: dict) -> str:
+    return json.dumps(report, indent=2) + "\n"
+
+
+def _csv(rows, fieldnames) -> str:
+    buffer = io.StringIO()
+    writer = csv.DictWriter(buffer, fieldnames=fieldnames)
+    writer.writeheader()
+    writer.writerows(rows)
+    return buffer.getvalue()
+
+
+def _emit(text: str, raw: dict, file_text: str | None = None) -> None:
+    """Write file_text (text by default) to output.path when one is set, then print text."""
+    path = raw.get("output", {}).get("path")
     if path:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    print(text)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text if file_text is None else file_text)
+    print(text, end="")
 
 
 def _oracle_tolerance(d: int) -> float:
@@ -255,10 +247,7 @@ def cmd_solve(args, raw: dict) -> int:
     params = parse_market(raw)
     spec = parse_ambiguity(raw, params)
     solution = solve(spec, params)
-    report = {
-        "solution": solution_to_dict(solution),
-        "strategy": strategy_report(solution, params),
-    }
+    report = {"solution": solution_to_dict(solution), "strategy": strategy_report(solution, params)}
     exit_code = EXIT_OK
     if args.oracle_check:
         oracle = grid_oracle(spec, params, args.resolution)
@@ -273,7 +262,7 @@ def cmd_solve(args, raw: dict) -> int:
         }
         if gap > tolerance:
             exit_code = EXIT_VERIFICATION
-    _emit(report, raw)
+    _emit(_json(report), raw)
     return _flag_unconverged([solution], exit_code)
 
 
@@ -282,7 +271,7 @@ def cmd_classify(args, raw: dict) -> int:
     spec = parse_ambiguity(raw, params)
     solution = solve(spec, params)
     report = strategy_report(solution, params)
-    _emit(report, raw)
+    _emit(_json(report), raw)
     print(report["narrative"], file=sys.stderr)
     return _flag_unconverged([solution], EXIT_OK)
 
@@ -291,9 +280,7 @@ def cmd_simulate(args, raw: dict) -> int:
     params = parse_market(raw)
     spec = parse_ambiguity(raw, params)
     solution = solve(spec, params)
-    cfg = parse_sim_config(
-        raw, {"n_paths": args.paths, "n_steps": args.steps, "seed": args.seed}
-    )
+    cfg = parse_sim_config(raw, {"n_paths": args.paths, "n_steps": args.steps, "seed": args.seed})
     schedule = parse_schedule(raw, params)
     if schedule is None:
         schedule = ThetaProcessSchedule.constant(solution.theta_star)
@@ -301,8 +288,7 @@ def cmd_simulate(args, raw: dict) -> int:
     t_grid, paths = simulate_wealth(strategy, schedule, params, cfg)
     estimate = estimate_objective(paths, params)
     out = raw.get("output", {})
-    csv_path = out.get("path") if out.get("format") == "csv" else None
-    summary = summarize_paths(t_grid, paths) if csv_path else None
+    summary = summarize_paths(t_grid, paths) if out.get("path") and out.get("format") == "csv" else None
     del paths  # the probes below simulate their own paths; do not hold these through them
     v0 = value_v0(solution, params)
     # The strategy as an AffineRule, for the closed-form J under the schedule.
@@ -356,14 +342,7 @@ def cmd_simulate(args, raw: dict) -> int:
         except PrincipleViolated as exc:
             report["weak_principle"] = {"ok": False, "probe": exc.probe, "margin": exc.margin}
             exit_code = EXIT_VERIFICATION
-    if csv_path:
-        with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.DictWriter(fh, fieldnames=["t", "mean", "var", "se"])
-            writer.writeheader()
-            writer.writerows(summary)
-        print(json.dumps(report, indent=2))
-    else:
-        _emit(report, raw)
+    _emit(_json(report), raw, None if summary is None else _csv(summary, ["t", "mean", "var", "se"]))
     return exit_code
 
 
@@ -371,7 +350,7 @@ def cmd_oracle(args, raw: dict) -> int:
     params = parse_market(raw)
     spec = parse_ambiguity(raw, params)
     oracle = grid_oracle(spec, params, args.resolution)
-    _emit({"oracle": solution_to_dict(oracle)}, raw)
+    _emit(_json({"oracle": solution_to_dict(oracle)}), raw)
     return EXIT_OK
 
 
@@ -381,35 +360,22 @@ def cmd_gradcheck(args, raw: dict) -> int:
     d = params.d
     m = n_pairs(d)
     worst = 0.0
-    checked = 0
-    skipped = 0
+    checked = skipped = 0
     step = 1e-6
+
+    def premium(z):
+        return risk_premium(ThetaPoint(b=z[:d], rho=z[d:]), params)
+
     while checked < args.samples and skipped < 100 * max(args.samples, 1):
         rho = rng.uniform(-0.7, 0.7, size=m)
         b = rng.uniform(-1.0, 1.0, size=d)
-        theta = ThetaPoint(b=b, rho=rho)
         try:
-            grad_b, grad_rho = risk_premium_gradients(theta, params)
+            grad_b, grad_rho = risk_premium_gradients(ThetaPoint(b=b, rho=rho), params)
         except RobustMVError:
             skipped += 1
             continue
-        fd = np.zeros(d + m)
-        for k in range(d):
-            bp, bm = b.copy(), b.copy()
-            bp[k] += step
-            bm[k] -= step
-            fd[k] = (
-                risk_premium(ThetaPoint(b=bp, rho=rho), params)
-                - risk_premium(ThetaPoint(b=bm, rho=rho), params)
-            ) / (2 * step)
-        for k in range(m):
-            rp, rm = rho.copy(), rho.copy()
-            rp[k] += step
-            rm[k] -= step
-            fd[d + k] = (
-                risk_premium(ThetaPoint(b=b, rho=rp), params)
-                - risk_premium(ThetaPoint(b=b, rho=rm), params)
-            ) / (2 * step)
+        z = np.concatenate([b, rho])
+        fd = np.array([(premium(z + e) - premium(z - e)) / (2 * step) for e in step * np.eye(d + m)])
         analytic = np.concatenate([grad_b, grad_rho])
         err = np.linalg.norm(analytic - fd) / max(np.linalg.norm(analytic), 1e-12)
         worst = max(worst, err)
@@ -451,16 +417,7 @@ def cmd_sweep(raw: dict) -> int:
             "converged": bool(solution.diagnostics.get("converged", True)),
         })
         rows.append(row)
-    buffer = io.StringIO()
-    writer = csv.DictWriter(buffer, fieldnames=list(rows[0].keys()))
-    writer.writeheader()
-    writer.writerows(rows)
-    text = buffer.getvalue()
-    path = raw.get("output", {}).get("path")
-    if path:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    print(text, end="")
+    _emit(_csv(rows, list(rows[0])), raw)
     return _flag_unconverged(solutions, EXIT_OK)
 
 

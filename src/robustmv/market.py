@@ -85,8 +85,10 @@ def as_rho(entries, d: int) -> np.ndarray:
 
 
 def _frozen(values) -> np.ndarray:
-    """Read-only float copy; the caller's own array stays writeable."""
+    """Read-only float copy of one vector (a scalar is one entry); the caller's own array stays writeable."""
     arr = np.atleast_1d(np.array(values, dtype=float))
+    if arr.ndim != 1:
+        raise ValueError(f"expected a vector, got an array of shape {arr.shape}")
     arr.flags.writeable = False
     return arr
 
@@ -116,7 +118,7 @@ class MarketParams:
     def __post_init__(self):
         object.__setattr__(self, "sigmas", _frozen(self.sigmas))
         _require_finite(sigmas=self.sigmas, horizon_T=self.horizon_T, lam=self.lam, x0=self.x0)
-        if self.sigmas.ndim != 1 or self.sigmas.size < 1:
+        if self.sigmas.size < 1:
             raise ValueError("sigmas must be a non-empty vector")
         if not np.all(self.sigmas > 0):
             raise ValueError("all volatilities must be strictly positive")
@@ -315,18 +317,15 @@ def saddle_value(b, rho, theta_star: ThetaPoint, params: MarketParams) -> float:
 
 @dataclass(frozen=True)
 class SharpeProfile:
-    """Per-asset Sharpe ratios and their pairwise proximities.
+    """Per-asset Sharpe ratios in their descending-|beta| order.
 
     betas        b_i / sigma_i in input order
     order        permutation sorting |beta| in stable descending order
-    proximities  beta_sorted[j] / beta_sorted[i] for pairs i < j in the
-                 sorted frame (0 whenever the denominator beta is 0)
     zero_drift   True when every beta is zero
     """
 
     betas: np.ndarray
     order: np.ndarray
-    proximities: np.ndarray
     zero_drift: bool
 
 
@@ -337,16 +336,6 @@ def sharpe_profile(b_hat, params: MarketParams) -> SharpeProfile:
         raise ValueError(f"b_hat must have length {params.d}")
     betas = b_hat / params.sigmas
     order = np.argsort(-np.abs(betas), kind="stable")
-    sorted_betas = betas[order]
-    rows, cols = pair_index(params.d)
-    leading = sorted_betas[rows]
-    prox = np.divide(sorted_betas[cols], leading, out=np.zeros(rows.size), where=leading != 0.0)
     betas.flags.writeable = False
     order.flags.writeable = False
-    prox.flags.writeable = False
-    return SharpeProfile(
-        betas=betas,
-        order=order,
-        proximities=prox,
-        zero_drift=bool(np.all(betas == 0.0)),
-    )
+    return SharpeProfile(betas=betas, order=order, zero_drift=bool(np.all(betas == 0.0)))

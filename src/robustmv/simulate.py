@@ -108,6 +108,8 @@ class SimConfig:
             raise ValueError("n_steps must be at least 1")
         if self.seed < 0:
             raise ValueError("seed must be a nonnegative integer")
+        if int(self.n_paths) * (int(self.n_steps) + 1) * 8 > np.iinfo(np.intp).max:
+            raise ValueError("an n_paths x (n_steps + 1) float64 path buffer exceeds the address space")
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:

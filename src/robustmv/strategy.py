@@ -132,8 +132,6 @@ class ValueCoefficients:
             4.0 * self.lam
         )
 
-    linear_coeff = 1.0
-
 
 def value_coefficients(solution: WorstCaseSolution, params: MarketParams) -> ValueCoefficients:
     return ValueCoefficients(r_star=solution.r_star, lam=params.lam, horizon_T=params.horizon_T)
@@ -166,58 +164,31 @@ def classify(solution: WorstCaseSolution, params: MarketParams) -> Diversificati
     direction = solution.direction
     scale = float(np.max(np.abs(direction))) if direction.size else 0.0
     if scale == 0.0 or solution.no_trade:
-        signs = tuple(0 for _ in range(params.d))
-        return DiversificationReport(
-            kind=NO_TRADE,
-            asset=None,
-            excluded=tuple(range(params.d)),
-            mode=None,
-            signs=signs,
-            case_label=solution.case_label,
-            narrative="no trade: the worst-case drift is zero, hold only the risk-free asset",
-        )
-    zero = np.abs(direction) < ZERO_DIRECTION_RTOL * scale
+        zero = np.full(params.d, True)
+    else:
+        zero = np.abs(direction) < ZERO_DIRECTION_RTOL * scale
     signs = tuple(0 if z else (1 if v > 0 else -1) for z, v in zip(zero, direction))
     live = [i for i, z in enumerate(zero) if not z]
     excluded = tuple(i for i, z in enumerate(zero) if z)
     mode = None
     if len(live) == 2:
         mode = DIRECTIONAL if signs[live[0]] == signs[live[1]] else SPREAD
-    if len(live) == 1:
-        asset = live[0]
+    asset = live[0] if len(live) == 1 else None
+    if not live:
+        kind, narrative = NO_TRADE, "no trade: the worst-case drift is zero, hold only the risk-free asset"
+    elif asset is not None:
         side = "long" if signs[asset] > 0 else "short"
-        return DiversificationReport(
-            kind=ANTI_DIVERSIFIED,
-            asset=asset,
-            excluded=excluded,
-            mode=None,
-            signs=signs,
-            case_label=solution.case_label,
-            narrative=f"anti-diversification: invest only in asset {asset + 1} ({side})",
-        )
-    if excluded:
+        kind, narrative = ANTI_DIVERSIFIED, f"anti-diversification: invest only in asset {asset + 1} ({side})"
+    elif excluded:
         names = ", ".join(str(i + 1) for i in excluded)
         kind_txt = f" ({mode} trade in the remaining assets)" if mode else ""
-        return DiversificationReport(
-            kind=UNDER_DIVERSIFIED,
-            asset=None,
-            excluded=excluded,
-            mode=mode,
-            signs=signs,
-            case_label=solution.case_label,
-            narrative=f"under-diversification: no investment in asset {names}{kind_txt}",
-        )
-    sign_txt = "".join("+" if s > 0 else "-" for s in signs)
-    mode_txt = f", {mode} trade" if mode else ""
-    return DiversificationReport(
-        kind=WELL_DIVERSIFIED,
-        asset=None,
-        excluded=(),
-        mode=mode,
-        signs=signs,
-        case_label=solution.case_label,
-        narrative=f"well-diversified: positions in every asset, signs {sign_txt}{mode_txt}",
-    )
+        kind, narrative = UNDER_DIVERSIFIED, f"under-diversification: no investment in asset {names}{kind_txt}"
+    else:
+        sign_txt = "".join("+" if s > 0 else "-" for s in signs)
+        mode_txt = f", {mode} trade" if mode else ""
+        kind = WELL_DIVERSIFIED
+        narrative = f"well-diversified: positions in every asset, signs {sign_txt}{mode_txt}"
+    return DiversificationReport(kind, asset, excluded, mode, signs, solution.case_label, narrative)
 
 
 def strategy_report(solution: WorstCaseSolution, params: MarketParams) -> dict:

@@ -171,7 +171,8 @@ def test_criterion_2_two_asset_closed_form_vs_oracle(two_asset_batch):
         assert gap <= 1e-3
         # label vs argmin location, for instances away from case boundaries
         lo, hi = spec.gamma.lower[0], spec.gamma.upper[0]
-        q = float(sharpe_profile(spec.b_hat, params).proximities[0])
+        profile = sharpe_profile(spec.b_hat, params)
+        q = float(profile.betas[profile.order[1]] / profile.betas[profile.order[0]])
         if sol.r_star == 0.0 or min(abs(q - lo), abs(q - hi)) < 1e-3:
             continue
         rho_star = oracle.theta_star.rho[0]

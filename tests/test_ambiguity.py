@@ -260,6 +260,14 @@ def test_full_set_and_explicit_unit_box_draw_alike(d):
         GammaBox.box([-1.0] * m, [1.0] * m)
 
 
+@pytest.mark.parametrize("lower, upper", [([-2.0], [5.0]), ([0.3], [0.5]), ([-1.0], [0.9]), ([np.nan], [1.0])])
+def test_full_ambiguity_takes_unit_bounds_only(lower, upper):
+    # Under the flag solve labels the set FullAmbiguity and grid_oracle grids
+    # [-0.95, 0.95], whatever the bounds: any bounds but -1/+1 would disagree.
+    with pytest.raises(ValueError, match="full ambiguity"):
+        GammaBox(lower=lower, upper=upper, full_ambiguity=True)
+
+
 def test_box_draws_reference_values():
     # Draws on boxes that are not the full set, recorded before the full set
     # got its onion proposals; they must not move (numpy 2.4, x86-64).

@@ -416,6 +416,37 @@ def test_simulate_nan_breakpoint_exit_1(tmp_path, capsys):
     assert "breakpoints must be finite" in err and "Traceback" not in err
 
 
+SCHEDULE = {"breakpoints": [0.0], "values": [{"b": [0.4, 0.2], "rho": [0.5]}]}
+
+
+@pytest.mark.parametrize(
+    "path, value",
+    [
+        (("market", "horizon_T"), 10**400),
+        (("market", "sigmas"), [10**400, 1]),
+        (("ambiguity", "gamma", "lower"), [10**400]),
+        (("ambiguity", "b_hat"), [[0.4, 0.2]]),
+        (("schedule", "values", 0, "b"), [[0.4, 0.2]]),
+        (("schedule", "values", 0), {"b": [0.4, 0.2, 0.1], "rho": [0.1, 0.1, 0.1]}),
+        (("simulate", "n_paths"), 10**19),
+        (("output", "path"), ["report.json"]),
+    ],
+    ids=["horizon-beyond-float", "sigma-beyond-float", "gamma-beyond-float", "nested-b-hat", "nested-schedule-b",
+         "three-asset-schedule", "unallocatable-paths", "path-not-a-string"],
+)
+def test_out_of_range_and_non_vector_values_exit_1(tmp_path, capsys, path, value):
+    # Integers beyond the float range, nested lists where a vector belongs, a
+    # schedule of another dimension, a path buffer larger than the address
+    # space and a report path that is not a string are config errors.
+    base = {**REFERENCE, "schedule": SCHEDULE, "simulate": {"n_paths": 64, "n_steps": 2}, "output": {"format": "json"}}
+    payload = replaced(base, path, value)
+    cfg = write_config(tmp_path, payload)
+    assert main(["simulate", "--config", cfg, "--probes", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("config error:") and "Traceback" not in captured.err
+
+
 def test_oracle_subcommand(tmp_path, capsys):
     cfg = write_config(tmp_path, REFERENCE)
     assert main(["oracle", "--config", cfg, "--resolution", "501"]) == 0
@@ -589,7 +620,7 @@ def _fuzz_paths(node, prefix=()):
             yield from _fuzz_paths(value, path)
 
 
-FUZZ_VALUES = [None, [], {}, "x", 1, 1.5, True, math.nan, math.inf, 1e308]
+FUZZ_VALUES = [None, [], {}, "x", 1, 1.5, True, math.nan, math.inf, 1e308, 10**400, [[1.0, 2.0]]]
 FUZZ_COMMANDS = [["solve"], ["classify"], ["simulate", "--paths", "64", "--steps", "2", "--probes", "0"]]
 
 

@@ -236,13 +236,13 @@ def test_sharpe_profile_examples():
     p = MarketParams(sigmas=[1.0, 1.0], horizon_T=1.0, lam=0.5, x0=1.0)
     prof = sharpe_profile([0.2, 0.4], p)
     assert prof.order.tolist() == [1, 0]
-    assert np.isclose(prof.proximities[0], 0.5)
+    assert np.isclose(prof.betas[prof.order[1]] / prof.betas[prof.order[0]], 0.5)
 
     p21 = MarketParams(sigmas=[2.0, 1.0], horizon_T=1.0, lam=0.5, x0=1.0)
     prof = sharpe_profile([0.8, 0.3], p21)
     assert np.allclose(prof.betas, [0.4, 0.3])
     assert prof.order.tolist() == [0, 1]
-    assert np.isclose(prof.proximities[0], 0.75)
+    assert np.isclose(prof.betas[prof.order[1]] / prof.betas[prof.order[0]], 0.75)
 
     prof = sharpe_profile([0.0, 0.0], p)
     assert prof.zero_drift

@@ -334,6 +334,36 @@ def test_three_asset_minimizer_is_midpoint(source):
     assert abs(forward - backward) <= 1e-9 * max(forward + backward, 1e-12)
 
 
+def test_diagnostics_hold_plain_python_values(monkeypatch, params2, reference_spec):
+    # The CLI writes diagnostics to JSON as they are, so every solver path
+    # stores int, float, bool, str or lists of them: never a numpy scalar.
+    def ell2(lo, hi):
+        return EllipsoidalSet(b_hat=np.array([0.4, 0.2]), delta=0.1, gamma=GammaBox.box([lo], [hi]))
+
+    box = GammaBox.box([-0.3], [0.6])
+    solutions = [solve(reference_spec, params2), solve(ell2(-0.5, 0.3), params2), solve(ell2(0.6, 0.8), params2),
+                 solve(full_ambiguity_spec([0.4, 0.2], 0.1), params2),
+                 solve(ProductSet(np.array([0.3, 0.2]), np.array([0.3, 0.2]), GammaBox.singleton([0.2])), params2),
+                 solve(ProductSet(np.array([-0.2, -0.1]), np.array([0.5, 0.3]), box), params2),
+                 solve(ProductSet(np.array([0.2, 0.1]), np.array([0.5, 0.3]), box), params2),
+                 grid_oracle(reference_spec, params2, 21)]
+    solutions += [solve(*curated_three_asset(label)) for label in CURATED_THREE_ASSET]
+    stalled_box = GammaBox.box(STALLED_D4["lower"], STALLED_D4["upper"])
+    stalled = EllipsoidalSet(np.array(STALLED_D4["b_hat"]), 0.0, stalled_box)
+    solutions.append(numeric_minimize(stalled, MarketParams(STALLED_D4["sigmas"], 1.0, 0.5, 1.0)))
+    monkeypatch.setattr(solver_mod, "_dual", lambda *args: None)
+    solutions.append(solve(*curated_three_asset("ThreeAsset.Case5i")))
+    labels = {sol.case_label for sol in solutions}
+    assert {"Singleton", "Product.NoTrade", "Numeric", "Oracle", "FullAmbiguity", "TwoAsset.Interior",
+            "TwoAsset.Upper", "TwoAsset.Lower", "ThreeAsset.Case1", "ThreeAsset.Case5iv"} <= labels
+    assert solutions[-1].diagnostics["case_fallthrough"]
+    plain = (int, float, bool, str)
+    for sol in solutions:
+        for key, value in sol.diagnostics.items():
+            items = value if type(value) is list else [value]
+            assert all(type(v) in plain for v in items), (sol.case_label, key, type(value))
+
+
 def test_three_asset_fallthrough_goes_numeric(monkeypatch):
     spec, params = curated_three_asset("ThreeAsset.Case5i")
     closed = solve(spec, params)

@@ -150,7 +150,6 @@ def test_value_coefficients_terminal_and_ode(params2, reference_spec):
     T = params2.horizon_T
     assert np.isclose(coeffs.quad_coeff(T), -params2.lam, rtol=1e-15)
     assert coeffs.offset(T) == 0.0
-    assert coeffs.linear_coeff == 1.0
     assert np.all(coeffs.quad_coeff(np.linspace(0, T, 11)) < 0)
     # finite-difference check of the defining ODEs
     h = 1e-6
