@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NoFeasiblePoint, SamplingExhausted
+from .errors import NoFeasiblePoint, NotPositiveDefinite, SamplingExhausted
 from .market import (
     MarketParams,
     ThetaPoint,
@@ -147,20 +147,25 @@ AmbiguitySpec = ProductSet | EllipsoidalSet
 
 def drift_distance(b, b_hat, rho, params: MarketParams) -> float:
     """||sigma(rho)^{-1} (b - b_hat)||_2 for positive-definite rho."""
-    cov = covariance_from(rho, params)
+    return _drift_distance(b, b_hat, covariance_from(rho, params))
+
+
+def _drift_distance(b, b_hat, cov) -> float:
     y = cov.half_solve(np.asarray(b, dtype=float) - b_hat)
     return float(np.sqrt(y @ y))
 
 
 def contains(spec: AmbiguitySpec, theta: ThetaPoint, params: MarketParams) -> bool:
-    """Membership test with boundary-inclusive comparisons."""
+    """Membership test with boundary-inclusive comparisons; the factor of Sigma(rho) is the PD test."""
     if not spec.gamma.rho_in_box(theta.rho):
         return False
-    if not is_positive_definite(theta.rho, params.d):
+    try:
+        cov = covariance_from(theta.rho, params)
+    except NotPositiveDefinite:
         return False
     if isinstance(spec, ProductSet):
         return bool(np.all(theta.b >= spec.delta_lower) and np.all(theta.b <= spec.delta_upper))
-    return drift_distance(theta.b, spec.b_hat, theta.rho, params) <= spec.delta + MEMBERSHIP_TOL
+    return _drift_distance(theta.b, spec.b_hat, cov) <= spec.delta + MEMBERSHIP_TOL
 
 
 def project_rho(spec: AmbiguitySpec, rho) -> np.ndarray:
@@ -196,12 +201,17 @@ def project_rho(spec: AmbiguitySpec, rho) -> np.ndarray:
 
 def project_b(spec: AmbiguitySpec, b, rho, params: MarketParams) -> np.ndarray:
     """Nearest feasible drift given rho (exact projection for both families)."""
+    return _project_b(spec, b, rho, params, covariance_from)
+
+
+def _project_b(spec, b, rho, params, factor) -> np.ndarray:
+    """project_b with Sigma(rho) from factor(rho, params), which only an ellipsoid with delta > 0 needs."""
     b = np.asarray(b, dtype=float)
     if isinstance(spec, ProductSet):
         return np.clip(b, spec.delta_lower, spec.delta_upper)
     if spec.delta == 0.0:
         return spec.b_hat.copy()
-    dist = drift_distance(b, spec.b_hat, rho, params)
+    dist = _drift_distance(b, spec.b_hat, factor(rho, params))
     if dist <= spec.delta:
         return b
     return spec.b_hat + (spec.delta / dist) * (b - spec.b_hat)

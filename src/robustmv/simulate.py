@@ -12,8 +12,8 @@ sigma(rho) dW) under piecewise-constant parameter scenarios:
   per path and step.  It serves the optimal wealth
   (simulate_optimal_exact, u = Sigma(rho*)^{-1} b*), the wealth-affine
   probe rules (simulate_wealth picks it for an AffineRule with w = 0 or
-  v = 0), and the terminal draws of the scenario probes (one step over
-  [0, T]).
+  v = 0), and the scenario probes' terminal wealth: one step over [0, T]
+  whose normals are drawn once and mapped through every probe's update.
 
 For the same wealth-affine rules, affine_moments gives E[X_t] and Var X_t
 at every grid node in closed form.  On top of those: the mean-variance
@@ -24,9 +24,12 @@ scenarios), and the closed-form table showing that the one-sided
 monotonicity genuinely fails for distant drift scenarios while the
 terminal inequality survives.  The principle check decides every
 wealth-affine probe from affine_moments, without sampling; Monte-Carlo
-there runs only the probes that are other callables (on Euler), and the
-scenario probes' one-step terminal draws, which cross-check the exact
-scheme against the closed forms.
+there runs only the probes that are other callables (on Euler), and one
+shared one-step draw of the scenario probes' terminal wealth, which
+cross-checks the exact scheme against the closed forms.  Each schedule
+piece's Sigma(rho) is factored once (_pieces) and serves every step and
+closed form on it; the check shares one factor per probe correlation
+among its pieces, drift projections and closed forms.
 
 Layout: every simulator fills a node-major (n_steps + 1, n_paths) buffer
 in one block loop (_fill_paths) and returns its transpose, so paths have
@@ -47,7 +50,7 @@ The blocks of a run of THREADED_MIN_STEPS steps or more are filled on one
 worker thread per CPU the process may run on (its affinity set), never
 more than there are blocks; the ROBUSTMV_THREADS environment variable,
 when set, replaces that count (1 unless it is a positive integer).  Shorter
-runs, such as the principle check's one-step terminal draws, stay on the
+runs, such as the principle check's shared one-step draw, stay on the
 calling thread, where starting a pool costs more than the threads gain.  A
 callable rule is therefore called concurrently, one block per thread: a
 rule with shared mutable state must lock it, or run with
@@ -65,7 +68,7 @@ from statistics import NormalDist
 import numpy as np
 
 from .ambiguity import AmbiguitySpec, EllipsoidalSet, ThetaProcessSchedule
-from .ambiguity import contains, project_b, project_rho
+from .ambiguity import _project_b, contains, project_rho
 from .errors import PrincipleViolated
 from .market import MarketParams, ThetaPoint, _frozen, covariance_from, risk_premium
 from .solver import WorstCaseSolution
@@ -229,35 +232,38 @@ def _draws_exactly(rule) -> bool:
     return isinstance(rule, AffineRule) and not (rule.v.any() and rule.w.any())
 
 
-def _step_model(schedule: ThetaProcessSchedule, params: MarketParams, n_steps: int):
-    """Per-step (b, chol) taken from the scenario value at the left node, factored once per piece."""
-    dt = params.horizon_T / n_steps
-    drifts, chols = [], []
-    theta = None
-    for n in range(n_steps):
-        value = schedule.value_at(n * dt)
-        if value is not theta:
-            theta, chol = value, covariance_from(value.rho, params).chol
-        drifts.append(theta.b)
-        chols.append(chol)
-    return dt, drifts, chols
+def _pieces(schedule: ThetaProcessSchedule, params: MarketParams, factor=covariance_from):
+    """(t0, t1, b, Sigma) for each piece of the schedule over [0, T], Sigma = factor(rho, params) once per piece."""
+    return [(t0, t1, theta.b, factor(theta.rho, params)) for t0, t1, theta in schedule.pieces(params.horizon_T)]
 
 
-def _exact_step_integrals(direction, schedule, params, n_steps, log_scale):
+def _covariance_memo():
+    """covariance_from for one market that factors each distinct rho once, for as long as it is held."""
+    memo = {}
+
+    def factor(rho, params):
+        key = rho.tobytes()
+        if key not in memo:
+            memo[key] = covariance_from(rho, params)
+        return memo[key]
+
+    return factor
+
+
+def _exact_step_integrals(direction, pieces, params, n_steps, log_scale):
     """Exact per-step integrals of the drift and variance rates along a direction.
 
     For a position u the rates are b'u and u' Sigma u under each scenario
-    piece.  With log_scale the drift is that of log N for the lognormal
-    factor dN = -N u'(b dt + sigma dW), b'u + u' Sigma u / 2.  Rates are
-    integrated piecewise so steps may straddle breakpoints; n_steps = 1
-    gives the totals over [0, T].
+    piece (from _pieces).  With log_scale the drift is that of log N for
+    the lognormal factor dN = -N u'(b dt + sigma dW), b'u + u' Sigma u / 2.
+    Rates are integrated piecewise so steps may straddle breakpoints;
+    n_steps = 1 gives the totals over [0, T].
     """
     nodes = np.arange(n_steps + 1) * (params.horizon_T / n_steps)
     drift_int, var_int = np.zeros(n_steps), np.zeros(n_steps)
-    for t0, t1, theta in schedule.pieces(params.horizon_T):
-        sigma = covariance_from(theta.rho, params).matrix
-        var_rate = float(direction @ sigma @ direction)
-        drift_rate = float(theta.b @ direction) + (0.5 * var_rate if log_scale else 0.0)
+    for t0, t1, b, cov in pieces:
+        var_rate = float(direction @ cov.matrix @ direction)
+        drift_rate = float(b @ direction) + (0.5 * var_rate if log_scale else 0.0)
         overlap = np.minimum(nodes[1:], t1) - np.maximum(nodes[:-1], t0)
         # Added only where the piece overlaps a step, so a non-finite rate
         # leaves the other steps as they are.
@@ -290,7 +296,10 @@ def simulate_wealth(rule, schedule: ThetaProcessSchedule, params: MarketParams, 
         geometric = bool(rule.v.any())
         direction = rule.v if geometric else rule.w
         return _exact_paths(direction, rule.xbar - params.x0, geometric, schedule, params, cfg)
-    dt, drifts, chols = _step_model(schedule, params, cfg.n_steps)
+    dt = params.horizon_T / cfg.n_steps
+    # Step n runs on piece[n] of pieces, the one holding the scenario value at its left node n dt.
+    piece = np.searchsorted(schedule.breakpoints, np.arange(cfg.n_steps) * dt, side="right") - 1
+    pieces = _pieces(schedule, params)
     sqrt_dt = math.sqrt(dt)
     t_grid = np.linspace(0.0, params.horizon_T, cfg.n_steps + 1)
 
@@ -303,9 +312,10 @@ def simulate_wealth(rule, schedule: ThetaProcessSchedule, params: MarketParams, 
         def step(n, z):
             # Fortran order makes the sums below independent of the rule's layout.
             alpha = np.asfortranarray(np.atleast_2d(rule(t_grid[n], wealth[n])))
-            drift = alpha @ drifts[n]
+            _, _, b, cov = pieces[piece[n]]
+            drift = alpha @ b
             drift *= dt
-            shock = chols[n] @ z.T  # (d, lanes)
+            shock = cov.chol @ z.T  # (d, lanes)
             noise = np.einsum("ij,ji->i", alpha, shock)
             noise *= sqrt_dt
             np.add(rows[n], drift, out=rows[n + 1])
@@ -325,33 +335,64 @@ def _exact_paths(direction, y0, geometric, schedule, params, cfg):
     Otherwise X is an arithmetic Brownian motion with increments of mean
     u'b dt and variance u' Sigma u dt; u = 0 stays at x0.
     """
-    drift_int, var_int = _exact_step_integrals(direction, schedule, params, cfg.n_steps, geometric)
+    drift_int, var_int = _exact_step_integrals(direction, _pieces(schedule, params), params, cfg.n_steps, geometric)
     vol_int = np.sqrt(var_int)
 
     def start(rows):
         acc = np.zeros(rows.shape[1])  # log N (geometric) or X - x0 (arithmetic)
         gaussian = np.empty(rows.shape[1])
-
-        # In-place ufuncs over the block's row; the two updates group their
-        # sums differently, each in the order that fixed its scheme's bits.
-        def step(n, z):
-            np.multiply(z[:, 0], vol_int[n], out=gaussian)
-            row = rows[n + 1]
-            if geometric:
-                np.subtract(acc, drift_int[n], out=acc)
-                np.subtract(acc, gaussian, out=acc)
-                np.exp(acc, out=row)
-                np.subtract(1.0, row, out=row)
-                row *= y0
-                row += params.x0
-            else:
-                np.add(gaussian, drift_int[n], out=gaussian)
-                np.add(acc, gaussian, out=acc)
-                np.add(acc, params.x0, out=row)
-
-        return step
+        return lambda n, z: _exact_step(acc, gaussian, z[:, 0], drift_int[n], vol_int[n], y0, params.x0, geometric,
+                                        rows[n + 1])
 
     return _fill_paths(cfg, params, 1, start)
+
+
+def _exact_step(acc, gaussian, z, drift, vol, y0, x0, geometric, row):
+    """One exact step: acc (log N, or X - x0) takes its step of drift and vol z, row the wealths.
+
+    In-place ufuncs over a row of lanes; gaussian is scratch, and row may be
+    acc.  The two updates group their sums differently, each in the order
+    that fixed its scheme's bits.
+    """
+    np.multiply(z, vol, out=gaussian)
+    if geometric:
+        np.subtract(acc, drift, out=acc)
+        np.subtract(acc, gaussian, out=acc)
+        np.exp(acc, out=row)
+        np.subtract(1.0, row, out=row)
+        row *= y0
+        row += x0
+    else:
+        np.add(gaussian, drift, out=gaussian)
+        np.add(acc, gaussian, out=acc)
+        np.add(acc, x0, out=row)
+
+
+def _shared_normals(cfg):
+    """Each path's normal z, from the block streams every one-step draw under cfg uses.
+
+    The exact one-step X_T of a unit position in a driftless market of one
+    asset with unit volatility, over a unit horizon from no wealth, is
+    bitwise z (z * 1 + 0 + 0, then + x0 = 0).  Drawing it through
+    simulate_wealth rather than from the streams directly keeps every draw
+    in one block loop, and visible to perfbench's trace.
+    """
+    unit = MarketParams(sigmas=[1.0], horizon_T=1.0, lam=1.0, x0=0.0)
+    scenario = ThetaProcessSchedule.constant(ThetaPoint(b=[0.0], rho=[]))
+    paths = simulate_wealth(AffineRule(xbar=0.0, v=[0.0], w=[1.0]), scenario, unit, replace(cfg, n_steps=1))[1]
+    return paths[:, -1].copy()  # frees the x0 column
+
+
+def _terminal_wealth(direction, y0, pieces, z, params):
+    """X_T of the geometric exact rule along direction under a scenario's _pieces, from _shared_normals' z.
+
+    Bitwise simulate_wealth's one-step X_T for the rule: the same exact step
+    applied to the same normals.
+    """
+    drift_int, var_int = _exact_step_integrals(direction, pieces, params, 1, True)
+    xt = np.zeros(z.size)  # log N's accumulator, then X_T: one step needs no log N afterwards
+    _exact_step(xt, np.empty(z.size), z, drift_int[0], np.sqrt(var_int)[0], y0, params.x0, True, xt)
+    return xt
 
 
 def affine_moments(rule: AffineRule, schedule, params, t_grid):
@@ -371,8 +412,13 @@ def affine_moments(rule: AffineRule, schedule, params, t_grid):
     t_grid = np.asarray(t_grid, dtype=float)
     if t_grid.size < 2 or not np.array_equal(t_grid, np.linspace(0.0, params.horizon_T, t_grid.size)):
         raise ValueError("t_grid must be np.linspace(0, T, n_steps + 1)")
+    return _affine_moments(rule, _pieces(schedule, params), params, t_grid.size - 1)
+
+
+def _affine_moments(rule, pieces, params, n_steps):
+    """affine_moments on the grid of n_steps steps, from the schedule's _pieces."""
     geometric = bool(rule.v.any())
-    steps = _exact_step_integrals(rule.v if geometric else rule.w, schedule, params, t_grid.size - 1, False)
+    steps = _exact_step_integrals(rule.v if geometric else rule.w, pieces, params, n_steps, False)
     drift, var = (np.concatenate(([0.0], np.cumsum(integral))) for integral in steps)
     if not geometric:
         return params.x0 + drift, var
@@ -485,12 +531,17 @@ def default_probe_schedules(
     solution: WorstCaseSolution,
 ):
     """Eight named scenario probes: worst case, center, extreme corners, a switch."""
+    return _probe_schedules(spec, params, solution, covariance_from)
+
+
+def _probe_schedules(spec, params, solution, factor):
+    """default_probe_schedules with every Sigma(rho) from factor(rho, params)."""
     lower, upper = spec.gamma.lower, spec.gamma.upper
     mid_rho = project_rho(spec, 0.5 * (lower + upper))
     corner_rhos = [("low_corr", project_rho(spec, lower)), ("high_corr", project_rho(spec, upper))]
 
     def feasible_b(b, rho):
-        return project_b(spec, b, rho, params)
+        return _project_b(spec, b, rho, params, factor)
 
     if isinstance(spec, EllipsoidalSet):
         center_b = spec.b_hat.copy()
@@ -529,7 +580,9 @@ def default_probe_schedules(
         )
     )
     probes.append(("revisit_worst", ThetaProcessSchedule.constant(solution.theta_star)))
-    feasible = [(name, sched) for name, sched in probes if all(contains(spec, th, params) for th in sched.values)]
+    values = {id(th): th for _, sched in probes for th in sched.values}  # tested once each
+    member = {key: contains(spec, th, params) for key, th in values.items()}
+    feasible = [(name, sched) for name, sched in probes if all(member[id(th)] for th in sched.values)]
     return feasible[:8]
 
 
@@ -649,27 +702,29 @@ def verify_weak_principle(
     family-wise over the grid increments, and its J margin gets N_SIGMA
     standard errors.  The terminal condition is decided in closed form too,
     for the optimal rule as AffineRule(xbar, kappa*, 0).  The check then
-    draws that rule's X_T under each scenario probe on the exact scheme,
-    one step over [0, T] through simulate_wealth, and the estimated J must
-    match the closed form two-sidedly, at N_SIGMA family-wise over the
-    scenario probes (simulator_check): that tests the simulator, not the
-    principle.
+    draws that rule's X_T under every scenario probe on the exact scheme
+    from one shared one-step draw over [0, T], each probe's X_T bitwise its
+    own simulate_wealth draw, and the estimated J must match the closed
+    form two-sidedly, at N_SIGMA family-wise over the scenario probes
+    (simulator_check): that tests the simulator, not the principle.
     """
     strategy = robust_strategy(solution, params)
     coeffs = value_coefficients(solution, params)
     v0 = value_v0(solution, params)
+    factor = _covariance_memo()
     if probe_strategies is None:
         probe_strategies = default_probe_strategies(strategy)
     if probe_schedules is None:
-        probe_schedules = default_probe_schedules(spec, params, solution)
+        probe_schedules = _probe_schedules(spec, params, solution, factor)
     worst_case = ThetaProcessSchedule.constant(solution.theta_star)
+    worst_pieces = _pieces(worst_case, params, factor)
     t_grid = np.linspace(0.0, params.horizon_T, cfg.n_steps + 1)
     quad, offset = coeffs.quad_coeff(t_grid), coeffs.offset(t_grid)
 
     monotone, j_upper = [], []
     for name, fn in probe_strategies:
         if _draws_exactly(fn):
-            mean, var = affine_moments(fn, worst_case, params, t_grid)
+            mean, var = _affine_moments(fn, worst_pieces, params, cfg.n_steps)
             quad_var = quad * var
             increase = float(np.max(np.diff(quad_var + mean + offset)))
             allowance = ROUNDING_RTOL * float(np.max(np.abs(quad_var) + np.abs(mean) + np.abs(offset)))
@@ -688,15 +743,16 @@ def verify_weak_principle(
 
     kappa = strategy.allocation_direction
     optimal = AffineRule(xbar=strategy.xbar, v=kappa, w=np.zeros_like(kappa))
-    ends = t_grid[[0, -1]]
+    normals = _shared_normals(cfg) if probe_schedules else None
     z = _familywise_z(max(len(probe_schedules), 1))
     terminal, simulator = [], []
     for name, sched in probe_schedules:
-        j, tolerance = _closed_form_objective(*affine_moments(optimal, sched, params, ends), v0, params.lam)
+        pieces = _pieces(sched, params, factor)
+        j, tolerance = _closed_form_objective(*_affine_moments(optimal, pieces, params, 1), v0, params.lam)
         margin = j - v0  # E[V_T] - V0 since the terminal value is x - lam (x - xbar)^2
         _record(terminal, name, margin, tolerance, margin >= -tolerance,
                 f"E[V_T] - V0 = {margin:.3e} < -{tolerance:.3e} under probe scenario {name!r}")
-        xt = simulate_wealth(optimal, sched, params, replace(cfg, n_steps=1))[1][:, -1]
+        xt = _terminal_wealth(kappa, strategy.xbar - params.x0, pieces, normals, params)
         est = estimate_objective(xt, params)
         gap, allowance = est.J - j, z * est.std_error_J
         _record(simulator, name, gap, allowance, abs(gap) <= allowance,

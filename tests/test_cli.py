@@ -4,6 +4,7 @@ import csv
 import json
 import math
 import os
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -216,6 +217,9 @@ def test_infinite_growth_exit_1(tmp_path, capsys, argv):
         assert captured.err == "error: e^(r* T) exceeds the float range: r* T = inf\n"
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
 def test_simulate_nan_objective_exit_2(tmp_path, capsys):
     # A volatility near the float limit turns the paths into NaN; a NaN J is no match for V0.
     payload = json.loads(json.dumps(REFERENCE))
@@ -224,6 +228,22 @@ def test_simulate_nan_objective_exit_2(tmp_path, capsys):
     assert main(["simulate", "--config", cfg, "--paths", "64", "--steps", "2", "--probes", "0"]) == 2
     report = json.loads(capsys.readouterr().out)
     assert math.isnan(report["objective"]["J"]) and "failure" in report
+
+
+def test_simulate_huge_step_count_fails_fast(tmp_path):
+    # The Euler set-up maps steps to schedule pieces with one array, so
+    # 10^11 steps fail on allocating it instead of spinning in a per-step
+    # loop; the address space is capped so that the refusal does not depend
+    # on the host's overcommit policy.
+    cfg = write_config(tmp_path, REFERENCE)
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(robustmv.__file__)), OPENBLAS_NUM_THREADS="1")
+    run = subprocess.run(
+        [sys.executable, "-m", "robustmv.cli", "simulate", "--config", cfg, "--steps", "100000000000", "--paths", "64"],
+        preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)),
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert run.returncode == 1, run.stderr
+    assert run.stdout == "" and run.stderr.startswith("error: out of memory: ")
 
 
 @pytest.mark.parametrize(
@@ -624,6 +644,13 @@ FUZZ_VALUES = [None, [], {}, "x", 1, 1.5, True, math.nan, math.inf, 1e308, 10**4
 FUZZ_COMMANDS = [["solve"], ["classify"], ["simulate", "--paths", "64", "--steps", "2", "--probes", "0"]]
 
 
+# The overflows that a volatility (sigmas) or initial wealth (x0) near the
+# float limit sets off on its way to a typed error; any other fails the run.
+@pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow encountered in reduce:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:overflow encountered in scalar add:RuntimeWarning")
 @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     path=st.sampled_from(list(_fuzz_paths(FUZZ_BASE))),

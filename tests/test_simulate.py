@@ -346,8 +346,8 @@ def test_euler_factors_once_per_piece(params2, reference, monkeypatch):
 
 
 def test_weak_principle_thread_count_determinism(params2, reference_spec, monkeypatch):
-    # The one-step terminal draws stay on the calling thread; a 16-step Euler
-    # probe next to the default probes runs threaded.
+    # The shared one-step terminal draw stays on the calling thread; a 16-step
+    # Euler probe next to the default probes runs threaded.
     sol = solve(reference_spec, params2)
     probes = default_probe_strategies(robust_strategy(sol, params2))
     euler = ("euler", lambda t, x: probes[0][1](t, x))
@@ -616,11 +616,13 @@ def test_exact_step_integrals_match_per_step_loop(params2, reference):
     for schedule in schedules:
         for n_steps in (1, 2, 3, 7, 16, 256):
             for log_scale in (False, True):
-                args = (kappa, schedule, params2, n_steps, log_scale)
-                for got, want in zip(sim._exact_step_integrals(*args), _per_step_integrals(*args)):
+                pieces = sim._pieces(schedule, params2)
+                integrals = sim._exact_step_integrals(kappa, pieces, params2, n_steps, log_scale)
+                for got, want in zip(integrals, _per_step_integrals(kappa, schedule, params2, n_steps, log_scale)):
                     assert got.tobytes() == want.tobytes(), (schedule.breakpoints, n_steps, log_scale)
         with np.errstate(over="ignore"):
-            drift_int, var_int = sim._exact_step_integrals(np.full(2, 1e200), schedule, params2, 7, True)
+            drift_int, var_int = sim._exact_step_integrals(np.full(2, 1e200), sim._pieces(schedule, params2), params2,
+                                                           7, True)
         assert np.all(drift_int == np.inf) and np.all(var_int == np.inf)
 
 
@@ -661,10 +663,26 @@ def test_weak_principle_catches_one_percent_r_star_error(name, sol, params, refe
     assert probe_high == "worst_case" and shortfall < -4e-4
 
 
+# (margin, allowance) of each scenario probe's simulator check on the README
+# instance at 20,000 x 16, seed 5, as the check gave them when it drew every
+# probe's X_T through its own simulate_wealth call.
+README_SIMULATOR_CHECK_SEED5 = {
+    "worst_case": (0.0012065882234770786, 0.009089776698734267),
+    "center": (0.0011605736018185375, 0.00877759465873859),
+    "low_corr_outer_drift": (0.001131519023302996, 0.008579760064587456),
+    "low_corr_inner_drift": (0.001190469336684874, 0.00898057409390704),
+    "high_corr_outer_drift": (0.001121082719255595, 0.008508558380056503),
+    "high_corr_inner_drift": (0.0012016347684888906, 0.009056235361437988),
+    "switch_mid_horizon": (0.0011406361254640007, 0.008641900359591432),
+    "revisit_worst": (0.0012065882234770786, 0.009089776698734267),
+}
+
+
 def test_weak_principle_simulator_check(params2, reference_spec, monkeypatch):
     # At the true r* each scenario probe's simulated J matches its closed
     # form within the family-wise allowance, wider than N_SIGMA standard
-    # errors; terminal wealths shifted by 0.05 fail at the first probe.
+    # errors, with the margins pinned bitwise; terminal wealths shifted by
+    # 0.05 in the shared draw fail at the first probe.
     sol = solve(reference_spec, params2)
     cfg = SimConfig(n_paths=20000, n_steps=16, seed=5)
     report = verify_weak_principle(sol, reference_spec, params2, cfg)
@@ -672,18 +690,14 @@ def test_weak_principle_simulator_check(params2, reference_spec, monkeypatch):
     assert [c.name for c in report.simulator_check] == names and len(names) == 8
     for check in report.simulator_check:
         assert check.ok and abs(check.margin) <= check.allowance
+    assert {c.name: (c.margin, c.allowance) for c in report.simulator_check} == README_SIMULATOR_CHECK_SEED5
     optimal = dict(default_probe_strategies(robust_strategy(sol, params2)))["optimal"]
     worst = ThetaProcessSchedule.constant(sol.theta_star)
     est = estimate_objective(_terminal_draws(optimal, worst, params2, cfg), params2)
     assert report.simulator_check[0].allowance == pytest.approx(sim._familywise_z(8) * est.std_error_J, rel=1e-12)
     assert sim._familywise_z(8) > N_SIGMA
-    simulate = sim.simulate_wealth
-
-    def shifted(*args):
-        t_grid, paths = simulate(*args)
-        return t_grid, paths + 0.05
-
-    monkeypatch.setattr(sim, "simulate_wealth", shifted)
+    terminal_wealth = sim._terminal_wealth
+    monkeypatch.setattr(sim, "_terminal_wealth", lambda *args: terminal_wealth(*args) + 0.05)
     with pytest.raises(PrincipleViolated, match="simulated J misses its closed form") as exc:
         verify_weak_principle(sol, reference_spec, params2, cfg)
     assert exc.value.probe == names[0]
@@ -691,14 +705,48 @@ def test_weak_principle_simulator_check(params2, reference_spec, monkeypatch):
 
 
 def test_weak_principle_draws_only_terminal_wealth(params2, reference_spec, monkeypatch):
-    # The default strategy probes draw nothing: the block streams opened are
-    # those of the scenario probes' terminal draws, two blocks each.
+    # The default strategy probes draw nothing, and the scenario probes share
+    # one terminal draw: the block streams opened are its two blocks.
     sol = solve(reference_spec, params2)
     streams, block_rng = [], sim._block_rng
     monkeypatch.setattr(sim, "_block_rng", lambda seed, block: streams.append(block) or block_rng(seed, block))
     cfg = SimConfig(n_paths=sim.BLOCK + 1001, n_steps=16, seed=11)
     report = verify_weak_principle(sol, reference_spec, params2, cfg)
-    assert report.ok and len(streams) == 2 * len(report.terminal_gain)
+    assert report.ok and len(report.terminal_gain) == 8 and streams == [0, 1]
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("n_paths", [sim.BLOCK + 1001, 2])
+@pytest.mark.parametrize("name, sol, params", _instances())
+def test_shared_terminal_draw_matches_simulate_wealth(name, sol, params, reference_spec, n_paths, antithetic):
+    # One draw mapped through every default scenario probe's exact step is,
+    # row by row, bitwise the probe's own one-step simulate_wealth X_T.
+    spec = reference_spec if name == "readme" else curated_three_asset("ThreeAsset.Case5ii")[0]
+    optimal = dict(default_probe_strategies(robust_strategy(sol, params)))["optimal"]
+    schedules = default_probe_schedules(spec, params, sol)
+    cfg = SimConfig(n_paths=n_paths, n_steps=16, seed=3, antithetic=antithetic)
+    normals = sim._shared_normals(cfg)
+    assert len(schedules) == 8
+    for probe, sched in schedules:
+        xt = sim._terminal_wealth(optimal.v, optimal.xbar - params.x0, sim._pieces(sched, params), normals, params)
+        assert xt.tobytes() == _terminal_draws(optimal, sched, params, cfg).tobytes(), probe
+
+
+@pytest.mark.parametrize("name, sol, params", _instances())
+def test_weak_principle_factorization_count(name, sol, params, reference_spec, monkeypatch):
+    # The check factors each probe correlation once for all its pieces,
+    # projections and closed forms (54 scalar factorizations when each use
+    # factored its own).  Of the 16 left, 11 are inside the public calls that
+    # build the scenario probes (project_rho 3, risk_premium 2, contains 6)
+    # and one is the unit market of the shared draw.
+    spec = reference_spec if name == "readme" else curated_three_asset("ThreeAsset.Case5ii")[0]
+    calls, factor = [], market._factor
+    monkeypatch.setattr(market, "_factor", lambda matrix: calls.append(matrix) or factor(matrix))
+    for antithetic in (False, True):
+        del calls[:]
+        cfg = SimConfig(n_paths=1000, n_steps=256, seed=1, antithetic=antithetic)
+        assert verify_weak_principle(sol, spec, params, cfg).ok
+        assert len(calls) <= 16
 
 
 @pytest.mark.parametrize("name, sol, params", _instances())
@@ -823,8 +871,8 @@ def test_weak_principle_callable_probe_runs_euler(params2, reference_spec, monke
     report = verify_weak_principle(sol, reference_spec, params2, cfg, probe_strategies=[("spy", spy)])
     assert report.ok and [c.name for c in report.monotone_under_worst_case] == ["spy"]
     assert len(calls) == 2 * cfg.n_steps  # two blocks, one call per Euler step
-    # No exact strategy probe, so no draw for them: the Euler probe's streams and the terminal draws'.
-    assert len(streams) == 2 * (1 + len(report.terminal_gain))
+    # No exact strategy probe, so no draw for them: the Euler probe's streams and the shared terminal draw's.
+    assert len(streams) == 2 * (1 + 1)
 
 
 # -- the Euler step at d = 3
@@ -844,8 +892,12 @@ def three_asset():
 
 
 def _row_major_euler(rule, schedule, params, cfg):
-    """The Euler step as it ran before it went asset-major: C-ordered alpha, z @ L.T, einsum over rows."""
-    dt, drifts, chols = sim._step_model(schedule, params, cfg.n_steps)
+    """The Euler step as it ran before it went asset-major: C-ordered alpha, z @ L.T, einsum over rows.
+
+    Each step looks up its scenario value at its left node and factors it, as
+    the step model did before it went per piece.
+    """
+    dt = params.horizon_T / cfg.n_steps
     sqrt_dt = math.sqrt(dt)
     t_grid = np.linspace(0.0, params.horizon_T, cfg.n_steps + 1)
     paths = np.empty((cfg.n_paths, cfg.n_steps + 1))
@@ -856,8 +908,9 @@ def _row_major_euler(rule, schedule, params, cfg):
         for n in range(cfg.n_steps):
             z = sim._normals(rng, stop - start, params.d, cfg.antithetic)
             alpha = np.ascontiguousarray(rule(t_grid[n], x))
-            shock = z @ chols[n].T
-            x = x + (alpha @ drifts[n]) * dt + sqrt_dt * np.einsum("ij,ij->i", alpha, shock)
+            theta = schedule.value_at(n * dt)
+            shock = z @ market.covariance_from(theta.rho, params).chol.T
+            x = x + (alpha @ theta.b) * dt + sqrt_dt * np.einsum("ij,ij->i", alpha, shock)
             paths[start:stop, n + 1] = x
     return paths
 
@@ -1039,10 +1092,14 @@ def test_euler_step_matches_row_major_reference(params2, reference, three_asset)
     # At d = 2 the asset-major step gives the row-major one's bits; at d = 3
     # its sums over the assets add up in another order, a rounding-level move
     # (largest measured: 2.6e-15 absolute, under the two-piece schedule).
+    # The three-piece schedule has one breakpoint off the grid and one on it.
     _, strat2, sched2 = reference
     cfg = SimConfig(n_paths=5000, n_steps=64, seed=7)
-    expected = _row_major_euler(strat2, sched2, params2, cfg)
-    assert simulate_wealth(strat2, sched2, params2, cfg)[1].tobytes() == expected.tobytes()
+    theta_star, other = sched2.values[0], ThetaPoint(b=[0.44, 0.22], rho=[0.0])
+    pieces = ThetaProcessSchedule(breakpoints=np.array([0.0, 0.3141, 0.5]), values=(theta_star, other, theta_star))
+    for sched in (sched2, pieces):
+        expected = _row_major_euler(strat2, sched, params2, cfg)
+        assert simulate_wealth(strat2, sched, params2, cfg)[1].tobytes() == expected.tobytes()
     strat, params, schedules = three_asset
     for name, sched in schedules.items():
         expected = _row_major_euler(strat, sched, params, cfg)
