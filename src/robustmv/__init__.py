@@ -20,6 +20,7 @@ from .errors import (
     NoFeasiblePoint,
     NoMinimum,
     NotPositiveDefinite,
+    PremiumOverflow,
     PrincipleViolated,
     RobustMVError,
     SaddleViolated,

@@ -44,6 +44,10 @@ class NoFeasiblePoint(RobustMVError):
     """No positive-definite point could be located inside the correlation box."""
 
 
+class PremiumOverflow(RobustMVError):
+    """The risk premium R or its gradient is not finite at a point of the numeric descent."""
+
+
 class SamplingExhausted(RobustMVError):
     """Rejection sampling gave up after too many consecutive infeasible proposals."""
 

@@ -75,10 +75,10 @@ def upper_pairs(matrix) -> np.ndarray:
 
 def as_rho(entries, d: int) -> np.ndarray:
     """Validate and freeze a copy of a rho vector of length d(d-1)/2."""
-    rho = np.atleast_1d(np.array(entries, dtype=float))
+    rho = np.array(entries, dtype=float, ndmin=1)
     if rho.shape != (n_pairs(d),):
         raise ValueError(f"rho must have length {n_pairs(d)} for d={d}, got shape {rho.shape}")
-    if np.any(np.abs(rho) > 1.0) or not np.all(np.isfinite(rho)):
+    if not (np.abs(rho) <= 1.0).all():  # NaN and inf fail it too
         raise ValueError("rho entries must lie in [-1, 1]")
     rho.flags.writeable = False
     return rho
@@ -96,7 +96,7 @@ def _frozen(values) -> np.ndarray:
 def _require_finite(**values) -> None:
     """Raise ValueError naming the first argument with a NaN or infinite entry."""
     for name, value in values.items():
-        if not np.all(np.isfinite(value)):
+        if not np.isfinite(value).all():
             raise ValueError(f"{name} must be finite")
 
 
@@ -152,7 +152,7 @@ class ThetaPoint:
 
 def correlation_matrix(rho, d: int) -> np.ndarray:
     """Dense symmetric C(rho) with unit diagonal; exactly symmetric bitwise."""
-    return np.append(as_rho(rho, d), 1.0)[pair_position(d)]
+    return np.concatenate((as_rho(rho, d), (1.0,)))[pair_position(d)]
 
 
 def _factor(matrix: np.ndarray):
@@ -163,15 +163,16 @@ def _factor(matrix: np.ndarray):
     """
     a = np.asarray(matrix, dtype=float)
     n = a.shape[0]
-    lower = np.zeros_like(a)
-    threshold = PD_TOLERANCE * float(np.max(np.diag(a))) if n else 0.0
+    lower = np.zeros((n, n))
+    threshold = PD_TOLERANCE * float(a.diagonal().max()) if n else 0.0
     for k in range(n):
-        pivot = a[k, k] - lower[k, :k] @ lower[k, :k]
+        # At k = 0 the products are empty, and x - 0.0 is x bitwise: skip them.
+        pivot = a[k, k] - lower[k, :k] @ lower[k, :k] if k else a[0, 0]
         if not pivot > threshold:
             return None, k
-        lower[k, k] = math.sqrt(pivot)
+        root = lower[k, k] = math.sqrt(pivot)
         if k + 1 < n:
-            lower[k + 1:, k] = (a[k + 1:, k] - lower[k + 1:, :k] @ lower[k, :k]) / lower[k, k]
+            lower[k + 1:, k] = (a[k + 1:, k] - lower[k + 1:, :k] @ lower[k, :k] if k else a[1:, 0]) / root
     return lower, None
 
 
@@ -188,8 +189,8 @@ def _factor_stack(a: np.ndarray):
     Returns (L, bad): bad[i] is the index of the first pivot of a[i] at or
     below PD_TOLERANCE * max(diagonal of a[i]), or -1 when every pivot passes; L
     is zero for the failing matrices.  The row products are matmuls over
-    rows laid out as in _factor, so the same BLAS kernels form the pivots;
-    verdicts on points bisected onto the PD boundary must match _factor's.
+    rows laid out as in _factor, so the same BLAS kernels form the pivots:
+    L and the verdicts, on the PD boundary too, must be _factor's bitwise.
     """
     n, d = a.shape[0], a.shape[-1]
     lower = np.zeros_like(a)
@@ -197,13 +198,13 @@ def _factor_stack(a: np.ndarray):
     threshold = PD_TOLERANCE * np.max(np.diagonal(a, axis1=1, axis2=2), axis=1) if d else 0.0
     for k in range(d):
         row = lower[:, k, None, :k]
-        pivot = a[:, k, k] - (row @ row.transpose(0, 2, 1))[:, 0, 0]
+        pivot = a[:, k, k] - (row @ row.transpose(0, 2, 1))[:, 0, 0] if k else a[:, 0, 0]
         bad[(bad < 0) & ~(pivot > threshold)] = k
         root = np.sqrt(np.where(bad < 0, pivot, 1.0))
         lower[:, k, k] = root
         if k + 1 < d:
-            below = lower[:, k + 1:, :k] @ row.transpose(0, 2, 1)
-            lower[:, k + 1:, k] = (a[:, k + 1:, k] - below[:, :, 0]) / root[:, None]
+            column = a[:, k + 1:, k] - (lower[:, k + 1:, :k] @ row.transpose(0, 2, 1))[:, :, 0] if k else a[:, 1:, 0]
+            lower[:, k + 1:, k] = column / root[:, None]
     lower[bad >= 0] = 0.0
     return lower, bad
 
@@ -254,18 +255,17 @@ def covariance_from(rho, params: MarketParams) -> CovMatrix:
     Raises NotPositiveDefinite (carrying the failing pivot index) when
     C(rho) fails the tolerance test.
     """
-    d = params.d
-    corr = correlation_matrix(rho, d)
+    corr = correlation_matrix(rho, params.d)
     lower_c, bad = _factor(corr)
     if lower_c is None:
-        raise NotPositiveDefinite(
-            f"correlation matrix is not positive definite (pivot {bad})", pivot_index=bad
-        )
-    scale = params.sigmas
-    sigma = corr * np.outer(scale, scale)
-    chol = lower_c * scale[:, None]  # (S L)(S L)' = S C S
-    sigma.flags.writeable = False
-    chol.flags.writeable = False
+        raise NotPositiveDefinite(f"correlation matrix is not positive definite (pivot {bad})", pivot_index=bad)
+    return _covariance(corr, lower_c, params.sigmas)
+
+
+def _covariance(corr: np.ndarray, lower_c: np.ndarray, scale: np.ndarray) -> CovMatrix:
+    """CovMatrix of Sigma = S C S, S = diag(scale), from C and its factor L: (S L)(S L)' = S C S."""
+    sigma, chol = corr * (scale[:, None] * scale), lower_c * scale[:, None]
+    sigma.flags.writeable = chol.flags.writeable = False
     return CovMatrix(matrix=sigma, chol=chol)
 
 

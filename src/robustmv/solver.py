@@ -23,7 +23,8 @@ Every solution carries the direction kappa* = Sigma(rho*)^{-1} b* that the
 second step trades, and the invariant is direction == Sigma(rho*)^{-1} b*
 bitwise, the value variance_risk_ratio(theta_star) gives.  One factor of
 Sigma(rho*) yields both s (where no closed form gives it exactly) and
-kappa*, so nothing downstream factors again.
+kappa*, so nothing downstream factors again; when `_dual`'s winner trades
+every asset, it is the factor of that corner in `_dual`'s candidate stack.
 """
 
 from __future__ import annotations
@@ -43,12 +44,14 @@ from .errors import (
     NoFeasiblePoint,
     NoMinimum,
     NotPositiveDefinite,
+    PremiumOverflow,
     SaddleViolated,
     ZeroDrift,
 )
 from .market import (
     MarketParams,
     ThetaPoint,
+    _covariance,
     _frozen,
     _factor_stack,
     _premium_gradients,
@@ -219,8 +222,8 @@ def _candidates(d: int):
     return masks
 
 
-def _dual(lower, upper, profile, d: int):
-    """(rho*, label, diagnostics, untraded assets) of a d = 2 or 3 box from the dual bound, or None.
+def _dual(lower, upper, profile, params: MarketParams):
+    """(rho*, label, diagnostics, untraded assets, CovMatrix of rho*) of a d = 2 or 3 box from the dual, or None.
 
     Weak duality (Boyd & Vandenberghe 3.1.7, the matrix-fractional
     function): for every k and every PD rho in the box, R(b_hat, rho) >=
@@ -240,19 +243,21 @@ def _dual(lower, upper, profile, d: int):
     t; at d = 3 with |K| = 2, the untraded asset z's row at the midpoint of
     its segment {sum_k rho_zk k_k = beta_z} in the box, where kappa_z = 0.
     Then C(rho*) k = beta and rho* attains the maximum in g, so R(rho*) = g
-    is minimal once rho* passes the caller's PD test.  None when k does not
-    trade exactly K or its signs pick another corner, when one asset wins
-    (a `_one_asset` miss by rounding), or when the segment misses the box
-    by more than 1e-9 in rho.
+    is minimal once rho* passes the PD test, the factorization of Sigma(rho*)
+    returned: the stack's, bitwise _factor's, when rho* is the winning corner.
+    None when rho* fails it, when k does not trade exactly K or its signs pick
+    another corner, when one asset wins (a `_one_asset` miss by rounding), or
+    when the segment misses the box by more than 1e-9 in rho.
     """
-    order = profile.order
+    order, d = profile.order, params.d
     exponent = int(np.frexp(np.max(np.abs(profile.betas)))[1])
     betas = np.ldexp(profile.betas, -exponent)
     traded, at_upper, at_lower = _candidates(d)
     rows, cols = pair_index(d)
     corners = np.where(at_upper, upper, np.where(at_lower, lower, 0.0))
     blocks = correlation_stack(corners, d)
-    dropped = _factor_stack(blocks)[1] >= 0
+    factors, bad = _factor_stack(blocks)
+    dropped = bad >= 0
     # One LU solve for all candidates; the identity stands in for the dropped ones.
     blocks = np.where(dropped[:, None, None], np.eye(d), blocks)
     kappas = np.linalg.solve(blocks, (betas * traded)[:, :, None])[:, :, 0]
@@ -287,7 +292,12 @@ def _dual(lower, upper, profile, d: int):
             return None
         x = min(max(x_lo + 0.5 * (x_hi - x_lo), lx), ux)
         rho[[zj, zk]] = x, min(max((betas[z] - kappa[j] * x) / kappa[k], ly), uy)
-    return rho, label, diagnostics, untraded
+        try:
+            return rho, label, diagnostics, untraded, covariance_from(rho, params)
+        except NotPositiveDefinite:
+            return None
+    # rho* is the winning corner, never a dropped one: those score -inf, every one-asset candidate more.
+    return rho, label, diagnostics, untraded, _covariance(blocks[win], factors[win], params.sigmas)
 
 
 def solve_product(spec: ProductSet, params: MarketParams) -> WorstCaseSolution:
@@ -327,11 +337,12 @@ def numeric_minimize(spec: AmbiguitySpec, params: MarketParams) -> WorstCaseSolu
 
     The start is the box centre when C of its rho is PD, else the box point
     nearest the identity (rho = 0 clipped to the box) when that is PD; when
-    neither is, raises NoFeasiblePoint.  Steps clip to the box (its exact
-    projection); points failing the PD test lie outside R's domain.
-    Barzilai-Borwein steps halve until Armijo's test holds or the slope at
-    the candidate is <= 0, which for convex R proves a decrease that
-    rounding can hide in R.
+    neither is, raises NoFeasiblePoint; where R or its gradient is not finite,
+    at the start or at a candidate, raises PremiumOverflow.  Steps clip to
+    the box (its exact projection); points failing the PD test lie outside
+    R's domain.  Barzilai-Borwein steps halve until Armijo's test holds or
+    the slope at the candidate is <= 0, which for convex R proves a decrease
+    that rounding can hide in R.
 
     The box residual is the Frank-Wolfe gap, an upper bound on R - min R, so
     the descent stops once it is below DESCENT_TOL * R: the test reads the
@@ -355,7 +366,10 @@ def numeric_minimize(spec: AmbiguitySpec, params: MarketParams) -> WorstCaseSolu
         """(R, gradient, factor of Sigma(rho)) at point = (b, rho); raises NotPositiveDefinite off R's domain."""
         cov = covariance_from(point[d:], params)
         r, kappa = cov.premium_and_direction(point[:d])
-        return r, np.concatenate(_premium_gradients(kappa, params)), cov
+        grad = np.concatenate(_premium_gradients(kappa, params))
+        if not (math.isfinite(r) and all(map(math.isfinite, grad.tolist()))):
+            raise PremiumOverflow(f"the risk premium or its gradient is not finite at b = {point[:d].tolist()}")
+        return r, grad, cov
 
     try:
         r, grad, cov = evaluate(z)
@@ -383,7 +397,7 @@ def numeric_minimize(spec: AmbiguitySpec, params: MarketParams) -> WorstCaseSolu
                     break
             stalled = eta < 1e-14
             eta *= 0.5
-        if stalled or not np.any(step):
+        if stalled or not step.any():
             break
         curvature = float(step @ (grad_new - grad))
         eta = float(step @ step) / curvature if curvature > 0.0 else 1.0
@@ -616,7 +630,8 @@ def solve(spec: AmbiguitySpec, params: MarketParams) -> WorstCaseSolution:
     non-PD corner.
 
     Sigma(rho*) is factored once: `_one_asset`'s PD test is that
-    factorization, and after `_dual` it is the PD test of rho*.  The factor
+    factorization, and after `_dual` it is the PD test of rho*, made in
+    `_dual`'s candidate stack when every asset is traded.  The factor
     gives the solution's direction Sigma(rho*)^{-1} b*; after `_dual` also
     s = ||L^{-1} b_hat|| (bitwise sqrt(risk_premium)) and, when an asset is
     not traded, its entry of Sigma(rho*)^{-1} b_hat relative to the largest.
@@ -639,14 +654,10 @@ def solve(spec: AmbiguitySpec, params: MarketParams) -> WorstCaseSolution:
     elif d >= 4:
         return numeric_minimize(spec, params)
     else:
-        found = _dual(spec.gamma.lower, spec.gamma.upper, profile, d)
-        try:
-            cov = None if found is None else covariance_from(found[0], params)
-        except NotPositiveDefinite:
-            cov = None
-        if cov is None:
+        found = _dual(spec.gamma.lower, spec.gamma.upper, profile, params)
+        if found is None:
             return _fallthrough(spec, params)
-        rho_star, label, diagnostics, untraded = found
+        rho_star, label, diagnostics, untraded, cov = found
         b_star, r_star = _shrink_at(cov, spec.b_hat, spec.delta)
         if untraded:
             # Relative to max |kappa_hat|, the scale classify's ZERO_DIRECTION_RTOL uses: drift-scale free.

@@ -217,6 +217,22 @@ def test_infinite_growth_exit_1(tmp_path, capsys, argv):
         assert captured.err == "error: e^(r* T) exceeds the float range: r* T = inf\n"
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+@pytest.mark.parametrize("index", [0, 1])
+def test_product_drift_bound_near_float_limit_exit_1(tmp_path, capsys, index):
+    # ambiguity.delta_upper.0 or .1 at 1e308: R is not finite where the numeric descent starts.
+    payload = json.loads(json.dumps(REFERENCE))
+    payload["ambiguity"] = {"variant": "product", "delta_lower": [0.2, 0.1], "delta_upper": [0.4, 0.3],
+                            "gamma": {"lower": [-0.3], "upper": [0.6]}}
+    payload["ambiguity"]["delta_upper"][index] = 1e308
+    cfg = write_config(tmp_path, payload)
+    for command in ("solve", "classify"):
+        assert main([command, "--config", cfg]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the risk premium or its gradient is not finite at b = ")
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")

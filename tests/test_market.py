@@ -1,5 +1,6 @@
 """Correlation algebra, premium, gradients, Sharpe profiles."""
 
+import math
 import os
 import subprocess
 import sys
@@ -360,4 +361,81 @@ def test_factor_stack_matches_factor(d, seed):
         if l_ref is None:
             assert not l_stack.any()
         else:
-            assert np.allclose(l_stack, l_ref, rtol=1e-15, atol=0.0)
+            assert np.array_equal(l_stack, l_ref)
+
+
+def _factor_loop(matrix):
+    """_factor with every product formed, the empty ones at k = 0 too: the bitwise reference."""
+    a = np.asarray(matrix, dtype=float)
+    n = a.shape[0]
+    lower = np.zeros_like(a)
+    threshold = PD_TOLERANCE * float(np.max(np.diag(a))) if n else 0.0
+    for k in range(n):
+        pivot = a[k, k] - lower[k, :k] @ lower[k, :k]
+        if not pivot > threshold:
+            return None, k
+        lower[k, k] = math.sqrt(pivot)
+        if k + 1 < n:
+            lower[k + 1:, k] = (a[k + 1:, k] - lower[k + 1:, :k] @ lower[k, :k]) / lower[k, k]
+    return lower, None
+
+
+def _factor_stack_loop(a):
+    """_factor_stack with every product formed, the empty ones at k = 0 too: the bitwise reference."""
+    n, d = a.shape[0], a.shape[-1]
+    lower = np.zeros_like(a)
+    bad = np.full(n, -1)
+    threshold = PD_TOLERANCE * np.max(np.diagonal(a, axis1=1, axis2=2), axis=1) if d else 0.0
+    for k in range(d):
+        row = lower[:, k, None, :k]
+        pivot = a[:, k, k] - (row @ row.transpose(0, 2, 1))[:, 0, 0]
+        bad[(bad < 0) & ~(pivot > threshold)] = k
+        root = np.sqrt(np.where(bad < 0, pivot, 1.0))
+        lower[:, k, k] = root
+        if k + 1 < d:
+            below = lower[:, k + 1:, :k] @ row.transpose(0, 2, 1)
+            lower[:, k + 1:, k] = (a[:, k + 1:, k] - below[:, :, 0]) / root[:, None]
+    lower[bad >= 0] = 0.0
+    return lower, bad
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_factor_matches_reference_loop_bitwise(d):
+    """_factor and _factor_stack give the reference loops' L, verdict and failing pivot, bit for bit."""
+    rng = np.random.default_rng(100 + d)
+    m = n_pairs(d)
+    rhos = rng.uniform(-1.0, 1.0, (400, m)) * rng.uniform(0.0, 1.0, (400, 1))
+    # The last PD point and the first non-PD one of project_rho's bisection toward the origin.
+    boundary = []
+    for rho in rhos[:40]:
+        if is_positive_definite(rho, d):
+            continue
+        lo, hi = 0.0, 1.0
+        for _ in range(60):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if is_positive_definite(mid * rho, d) else (lo, mid)
+        boundary += [lo * rho, hi * rho]
+    rhos = np.concatenate([rhos, np.reshape(boundary, (len(boundary), m))])
+    gram = rng.standard_normal((200, d, d))
+    deficient = rng.standard_normal((200, d, int(rng.integers(1, d + 1))))
+    exact = np.tile(np.eye(d), (d, 1, 1))  # one diagonal entry exactly PD_TOLERANCE * max(diagonal)
+    exact[np.arange(d), np.arange(d), np.arange(d)] = PD_TOLERANCE
+    # NaN and infinite entries, off the diagonal (placed symmetrically) and on it.
+    broken = np.tile(correlation_stack(rhos[:1], d), (8, 1, 1))
+    i, j = (0, d - 1) if d > 1 else (0, 0)
+    for k, value in enumerate((np.nan, np.inf, -np.inf, 1e308)):
+        broken[k, i, j] = broken[k, j, i] = value
+        broken[4 + k, d - 1, d - 1] = value
+    stack = np.concatenate([
+        correlation_stack(rhos, d), gram @ gram.transpose(0, 2, 1), deficient @ deficient.transpose(0, 2, 1),
+        exact, broken,
+    ])
+    with np.errstate(all="ignore"):
+        lower, bad = _factor_stack(stack)
+        lower_ref, bad_ref = _factor_stack_loop(stack)
+        assert lower.tobytes() == lower_ref.tobytes() and bad.tolist() == bad_ref.tolist()
+        for a in stack:
+            (l_new, k_new), (l_ref, k_ref) = _factor(a), _factor_loop(a)
+            assert k_new == k_ref
+            assert (l_new is None) == (l_ref is None)
+            assert l_new is None or l_new.tobytes() == l_ref.tobytes()

@@ -34,7 +34,7 @@ from robustmv import (
 )
 from robustmv import market as market_mod
 from robustmv import solver as solver_mod
-from robustmv.errors import BoxNotPositiveDefinite, GridTooLarge
+from robustmv.errors import BoxNotPositiveDefinite, GridTooLarge, PremiumOverflow
 
 from conftest import (
     CURATED_THREE_ASSET,
@@ -470,10 +470,12 @@ def test_three_asset_label_signs_are_classify_signs(instance):
 
 
 def test_three_asset_factorization_count(monkeypatch):
-    """A three-asset solve factors its 13 dual candidates as one stack and
-    makes exactly 1 scalar factorization: the one factor of Sigma(rho*), which
-    is also rho*'s PD test.  Case 1 makes only the PD test of the one-asset
-    completion, which is that factor."""
+    """A three-asset solve factors its 13 dual candidates as one stack.  When
+    the winner trades every asset (Case 5), rho* is its corner and the stack
+    already holds the factor of Sigma(rho*): no scalar factorization.  Cases
+    2-4 make exactly 1, the one factor of Sigma(rho*), which is also rho*'s PD
+    test.  Case 1 makes only the PD test of the one-asset completion, which is
+    that factor."""
     counts = {}
     factor, stack = market_mod._factor, solver_mod._factor_stack
 
@@ -488,7 +490,8 @@ def test_three_asset_factorization_count(monkeypatch):
         if label == "ThreeAsset.Case1":
             assert counts == {"scalar": 1, "stacked": 0}, counts
             continue
-        assert counts == {"scalar": 1, "stacked": 1}, (label, counts)
+        scalar = 0 if label.startswith("ThreeAsset.Case5") else 1
+        assert counts == {"scalar": scalar, "stacked": 1}, (label, counts)
 
 
 def _named_box(raw):
@@ -499,10 +502,12 @@ def _named_box(raw):
 
 
 def test_one_factorization_per_solved_point(monkeypatch, params2, reference_spec):
-    """solve factors Sigma(rho*) once and the solution carries kappa*: robust_strategy,
-    classify, value_v0 and strategy_report factor nothing.  Every two- and
-    three-asset box that `_one_asset` does not solve adds the one stack of
-    dual candidates."""
+    """solve factors Sigma(rho*) at most once and the solution carries kappa*:
+    robust_strategy, classify, value_v0 and strategy_report factor nothing.
+    Every two- and three-asset box that `_one_asset` does not solve adds the
+    one stack of dual candidates; when the dual winner trades every asset
+    (TwoAsset.Upper/Lower, ThreeAsset.Case5*), that stack holds the factor of
+    Sigma(rho*) and no scalar factorization is made."""
     counts = {"scalar": 0, "stacked": 0}
 
     def counted(key, fn):
@@ -517,6 +522,8 @@ def test_one_factorization_per_solved_point(monkeypatch, params2, reference_spec
         _named_box(STALLED_D4),
         curated_three_asset("ThreeAsset.Case5ii"),
         curated_three_asset("ThreeAsset.Case2i"),
+        (EllipsoidalSet(b_hat=np.array([0.4, 0.2]), delta=0.1, gamma=GammaBox.box([-0.5], [0.3])), params2),
+        (EllipsoidalSet(b_hat=np.array([0.4, 0.2]), delta=0.1, gamma=GammaBox.box([0.6], [0.8])), params2),
     ]
     seen = []
     for spec, params in instances:
@@ -531,8 +538,10 @@ def test_one_factorization_per_solved_point(monkeypatch, params2, reference_spec
         seen.append(label)
         assert counts == solved, (label, solved, counts)
         stacked = label.startswith(("TwoAsset", "ThreeAsset")) and label != "TwoAsset.Interior"
-        assert solved == {"scalar": 1, "stacked": int(stacked)}, (label, solved)
-    assert seen == ["TwoAsset.Interior", "FullAmbiguity", "TopAsset", "ThreeAsset.Case5ii", "ThreeAsset.Case2i"]
+        scalar = 0 if label.startswith(("TwoAsset.Upper", "TwoAsset.Lower", "ThreeAsset.Case5")) else 1
+        assert solved == {"scalar": scalar, "stacked": int(stacked)}, (label, solved)
+    assert seen == ["TwoAsset.Interior", "FullAmbiguity", "TopAsset", "ThreeAsset.Case5ii", "ThreeAsset.Case2i",
+                    "TwoAsset.Upper", "TwoAsset.Lower"]
 
 
 def test_three_asset_permutation_equivariance():
@@ -650,6 +659,15 @@ def test_numeric_no_trade_below_threshold(delta):
     assert sol.diagnostics["iterations"] <= 100
 
 
+@pytest.mark.parametrize("delta_upper", [[1e308, 0.3], [0.4, 1e308]])
+def test_numeric_refuses_non_finite_premium(params2, delta_upper):
+    # A drift bound near the float limit puts R past the float range at the box
+    # centre; the descent refuses it instead of stepping to a NaN rho.
+    spec = ProductSet(delta_lower=[0.2, 0.1], delta_upper=delta_upper, gamma=GammaBox.box([-0.3], [0.6]))
+    with np.errstate(over="ignore"), pytest.raises(PremiumOverflow, match="gradient is not finite at b = "):
+        solve(spec, params2)
+
+
 def test_stalled_d4_one_asset_answer():
     params = MarketParams(sigmas=STALLED_D4["sigmas"], horizon_T=1.0, lam=0.5, x0=1.0)
     spec = EllipsoidalSet(
@@ -712,6 +730,137 @@ def test_numeric_minimize_reference_values():
         assert np.array_equal(sol.theta_star.rho, rho), name
     b_star = numeric_minimize(*specs["product_d4"]).theta_star.b
     assert np.array_equal(b_star, [0.46318145569645414, 0.8841899497646565, 0.2591460588394077, -0.9963529345355343])
+
+
+def test_solve_reference_values(params2):
+    # Every output of solve recorded as literals (numpy 2.4, x86-64): the d x d
+    # kernel's speed-ups and the reuse of `_dual`'s stacked factor for rho* must
+    # not move a bit.  (label, r*, b*, rho*, direction, diagnostics) per instance.
+    expected = {
+    "ThreeAsset.Case1": ("ThreeAsset.Case1", 1.0282170415032814,
+        [-0.16403189927667364, 0.7912507983500715, -0.03970489351328181],
+        [-0.0811195736851446, 0.003933815570017412, -0.04849403653532526],
+        [-1.629037797254331e-17, 1.2994831014987096, -1.2299461075700453e-17],
+        {"order": [1, 0, 2], "top_sharpe": 1.1442883155763586}),
+    "ThreeAsset.Case2i": ("ThreeAsset.Case2i", 0.09017629928068087,
+        [-0.3684421211177547, -0.4502328966798774, 0.07172233793154115],
+        [0.41846349080479484, 0.1976643325932727, -0.34779357813142425],
+        [-0.09431414270167643, -0.12310738931118592, 9.32550156480306e-19],
+        {"order": [1, 0, 2], "runner_up_margin": 0.07583235061672383, "zero_component_residual":
+         2.760778502666142e-17}),
+    "ThreeAsset.Case2ii": ("ThreeAsset.Case2ii", 0.002192944512564475,
+        [-0.026879528251039907, 0.05382503572115966, 0.028942697257482726],
+        [-0.1842514802362044, -0.5813292561458255, 0.026689168963954405],
+        [-0.02591678649621389, 0.027799582438086397, -3.822827867172515e-18],
+        {"order": [1, 0, 2], "runner_up_margin": 0.031634643361907244, "zero_component_residual":
+         1.2788921885241408e-16}),
+    "ThreeAsset.Case3i": ("ThreeAsset.Case3i", 0.3156987798131595,
+        [-0.22271670964160292, 0.5002418907565876, 0.2299268906951302],
+        [-0.11215769344807744, -0.3621298565267453, -0.5061905917753773],
+        [-7.23749470574777e-17, 0.4703856315513559, 0.3496423661370389],
+        {"order": [1, 0, 2], "runner_up_margin": 0.030059953203749323, "zero_component_residual":
+         1.251802894545617e-17}),
+    "ThreeAsset.Case3ii": ("ThreeAsset.Case3ii", 1.421875973042603,
+        [0.6551292527521214, 0.08571843700119315, -0.7256528391359531],
+        [0.4127316827535164, -0.21035463624382272, 0.11752867066829287],
+        [4.0518940519422723e-17, 0.14064516072473088, -1.942829978274727],
+        {"order": [2, 0, 1], "runner_up_margin": 0.05158502977162538, "zero_component_residual":
+         3.8741682907772353e-17}),
+    "ThreeAsset.Case4i": ("ThreeAsset.Case4i", 0.2223046895444764,
+        [0.231740807101983, 0.3970581272749309, -0.4913453980132978],
+        [-0.4436512488218161, 0.07272819723325213, -0.8436133025553965],
+        [0.1951215261586493, 0.44599784622184935, -4.886802824568995e-16],
+        {"order": [2, 1, 0], "runner_up_margin": 0.0036112914991563994, "zero_component_residual":
+         1.0698156480925384e-15}),
+    "ThreeAsset.Case4ii": ("ThreeAsset.Case4ii", 0.21037432191316038,
+        [0.4400426200245894, -0.3323004093981753, -0.4254991290469792],
+        [0.5521524615324174, -0.5685988799937605, 0.04383017296705231],
+        [0.2984255631677948, -0.2379002642749211, 3.445945941127269e-17],
+        {"order": [2, 0, 1], "runner_up_margin": 0.02526381521310761, "zero_component_residual":
+         1.6448498697513793e-16}),
+    "ThreeAsset.Case5i": ("ThreeAsset.Case5i", 0.09554396097465734,
+        [0.006934424273840921, 0.18265641818113096, 0.25862123205287013],
+        [-0.1303956663057866, -0.12920676980789636, 0.3655811418608158],
+        [0.044881723235635024, 0.270627647749182, 0.17709626893891997],
+        {"order": [1, 2, 0], "runner_up_margin": 0.003672272555760067}),
+    "ThreeAsset.Case5ii": ("ThreeAsset.Case5ii", 0.1736151338672473,
+        [-0.38164031192905684, 0.30976688172940137, -0.370565763535546],
+        [-0.5732894147730245, 0.7404260681359771, -0.08291832550722991],
+        [-0.15745227936090142, 0.34134933273863843, -0.021011866829961985],
+        {"order": [1, 0, 2], "runner_up_margin": 0.001035779667372727}),
+    "ThreeAsset.Case5iii": ("ThreeAsset.Case5iii", 0.0003638108251809723,
+        [0.016666522174745707, -0.009021754607662653, -0.022722043733266816],
+        [-0.2413813256338876, -0.3011395137085166, 0.3721045464433815],
+        [0.0045732774346223005, -0.008985204690335228, -0.009089318109505213],
+        {"order": [2, 1, 0], "runner_up_margin": 0.01635742119796496}),
+    "ThreeAsset.Case5iv": ("ThreeAsset.Case5iv", 0.1765618341283445,
+        [0.3662337823121596, -0.3841665805328831, -0.37927349218326606],
+        [0.46989963045529803, 0.3086508414732476, 0.6282928992120834],
+        [0.23372920605925634, -0.14726151462823622, -0.09067164235407538],
+        {"order": [2, 0, 1], "runner_up_margin": 0.07560883280802022}),
+    "readme_box": ("TwoAsset.Interior", 0.09000000000000002,
+        [0.30000000000000004, 0.15000000000000002],
+        [0.5],
+        [0.30000000000000004, 0.0],
+        {"order": [0, 1], "top_sharpe": 0.4}),
+    "readme_full": ("FullAmbiguity", 0.09000000000000002,
+        [0.30000000000000004, 0.15000000000000002],
+        [0.5],
+        [0.30000000000000004, 0.0],
+        {"order": [0, 1], "top_sharpe": 0.4}),
+    "two_upper": ("TwoAsset.Upper", 0.09529363328648562,
+        [0.30212790301408143, 0.15106395150704072],
+        [0.3],
+        [0.2822073819362299, 0.06640173692617175],
+        {"order": [0, 1], "runner_up_margin": 0.007032967032967047}),
+    "two_lower": ("TwoAsset.Lower", 0.0918774225170145,
+        [0.30077221232863327, 0.15038610616431664],
+        [0.6],
+        [0.32896960723444263, -0.04699565817634893],
+        {"order": [0, 1], "runner_up_margin": 0.0024999999999999467}),
+    "stalled_d4": ("TopAsset", 1.7992453691272077,
+        [-0.6525571749734564, -0.43333718928349585, 0.9234185497588847, -0.9484174148090769],
+        [-0.23633267108225742, -0.40964992748220125, 0.41866618253397386, -0.21654680404451035,
+         0.22131292527370638, -0.9784643340496196],
+        [2.4687131461962974e-17, 3.954993670590895e-18, -2.1210945197166257e-15, -1.897102837877993],
+        {"order": [3, 2, 0, 1], "top_sharpe": 1.3413595226959876}),
+    "fault_d4_0.51": ("Numeric", 0.0,
+        [0.0, 0.0, 0.0, 0.0],
+        [0.14971931, 0.15503296, -0.09224831, 0.56504943, 0.36582844, 0.42024193],
+        [0.0, 0.0, 0.0, 0.0],
+        {"starts": 1, "iterations": 4, "residual": -0.0, "converged": True}),
+    "fault_d4_0.49364341": ("Numeric", 0.0,
+        [0.0, 0.0, 0.0, 0.0],
+        [0.14971931, 0.15503296, -0.09224831, 0.56504943, 0.36582844, 0.42024193],
+        [0.0, 0.0, 0.0, 0.0],
+        {"starts": 1, "iterations": 4, "residual": -0.0, "converged": True}),
+    "product_d2": ("Numeric", 0.013333333333333336,
+        [0.1, 0.1],
+        [0.5],
+        [0.06666666666666667, 0.06666666666666668],
+        {"starts": 1, "iterations": 4, "residual": -0.0, "converged": True}),
+
+    }
+    b_hat = np.array([0.4, 0.2])
+    instances = {label: curated_three_asset(label) for label in sorted(CURATED_THREE_ASSET)}
+    instances["readme_box"] = EllipsoidalSet(b_hat, 0.1, GammaBox.box([-0.5], [0.8])), params2
+    instances["readme_full"] = full_ambiguity_spec(b_hat, 0.1), params2
+    instances["two_upper"] = EllipsoidalSet(b_hat, 0.1, GammaBox.box([-0.5], [0.3])), params2
+    instances["two_lower"] = EllipsoidalSet(b_hat, 0.1, GammaBox.box([0.6], [0.8])), params2
+    instances["stalled_d4"] = _named_box(STALLED_D4)
+    for delta in (0.51, 0.49364341):
+        spec, params = _named_box(FAULT_D4)
+        instances[f"fault_d4_{delta}"] = EllipsoidalSet(spec.b_hat, delta, spec.gamma), params
+    instances["product_d2"] = ProductSet([0.1, 0.1], [0.4, 0.2], GammaBox.box([-0.5], [0.5])), params2
+    assert instances.keys() == expected.keys()
+    for name, (spec, params) in instances.items():
+        sol = solve(spec, params)
+        label, r_star, b_star, rho_star, direction, diagnostics = expected[name]
+        assert (sol.case_label, sol.r_star) == (label, r_star), name
+        assert sol.theta_star.b.tolist() == b_star, name
+        assert sol.theta_star.rho.tolist() == rho_star, name
+        assert sol.direction.tolist() == direction, name
+        assert sol.diagnostics == diagnostics, name
 
 
 def _certified_min_premium(beta, lower, upper, start, iters=5000):
