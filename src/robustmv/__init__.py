@@ -25,6 +25,7 @@ from .errors import (
     RobustMVError,
     SaddleViolated,
     SamplingExhausted,
+    WealthOverflow,
     ZeroDrift,
 )
 from .market import (

@@ -84,5 +84,9 @@ class GrowthOverflow(RobustMVError):
     """e^{r* T}, the wealth growth factor of the optimal rule, exceeds the float range."""
 
 
+class WealthOverflow(RobustMVError):
+    """Finite terminal wealths whose mean, variance, objective J or its standard error exceeds the float range."""
+
+
 class ConfigError(RobustMVError):
     """The model configuration file is missing, malformed, or inconsistent."""

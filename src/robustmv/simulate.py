@@ -44,7 +44,7 @@ forms the shocks as the (d, lanes) product L z', and writes the new
 wealths in place into the next node row.
 
 Reproducibility: paths are generated in fixed-size blocks, each block from
-its own counter-based substream keyed by (seed, block index).  Results are
+its own SFC64 substream keyed by (seed, block index).  Results are
 bitwise identical for a given SimConfig regardless of the worker count.
 The blocks of a run of THREADED_MIN_STEPS steps or more are filled on one
 worker thread per CPU the process may run on (its affinity set), never
@@ -69,7 +69,7 @@ import numpy as np
 
 from .ambiguity import AmbiguitySpec, EllipsoidalSet, ThetaProcessSchedule
 from .ambiguity import _project_b, contains, project_rho
-from .errors import PrincipleViolated
+from .errors import PrincipleViolated, WealthOverflow
 from .market import MarketParams, ThetaPoint, _frozen, covariance_from, risk_premium
 from .solver import WorstCaseSolution
 from .strategy import FeedbackStrategy, growth_factor, robust_strategy
@@ -77,10 +77,10 @@ from .strategy import value_coefficients, value_v0
 
 BLOCK = 4096
 # Runs of fewer steps fill their blocks on the calling thread, where a pool
-# costs more than it gains.  Measured on 2 vCPUs, best of 40: a 20,000-path
-# one-step exact draw took 0.6 ms inline and 1.3 ms on a pool; on 8,192 and
-# 20,000 paths the pool lost at 1 to 4 steps, was about even at 8 and won
-# from 16.
+# costs more than it gains.  Measured on 2 vCPUs with SFC64 streams, best of
+# 40 to 200: a 20,000-path one-step exact draw took 0.4 ms inline and 0.8 ms
+# on a pool; on 8,192 and 20,000 paths the pool lost at 1 to 4 steps, was
+# about even at 8 and won at 16 in 7 of 8 timings.
 THREADED_MIN_STEPS = 16
 # Noise level of every Monte-Carlo check: margins get N_SIGMA standard errors.
 N_SIGMA = 3.0
@@ -116,8 +116,12 @@ class SimConfig:
 
 
 def _block_rng(seed: int, block: int) -> np.random.Generator:
-    """Independent substream for one block of paths; layout is fixed by (seed, block)."""
-    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(block,))))
+    """Independent substream for one block of paths; layout is fixed by (seed, block).
+
+    SeedSequence spawns the key the same way for any bit generator; SFC64 is
+    the fastest numpy offers, and the normal draws dominate both path kernels.
+    """
+    return np.random.Generator(np.random.SFC64(np.random.SeedSequence(entropy=seed, spawn_key=(block,))))
 
 
 def _block_ranges(n_paths: int):
@@ -473,31 +477,32 @@ def estimate_objective(paths_or_xt, params: MarketParams) -> ObjectiveEstimate:
 
     The SE combines the errors of the mean and variance estimators, and
     their covariance m3/n, with J's gradient (1, -lam):
-    Var(J) = var/n + lam^2 Var(var) - 2 lam m3/n.
+    Var(J) = var/n + lam^2 Var(var) - 2 lam m3/n.  Finite wealths whose
+    mean, variance, J or SE leaves the float range raise WealthOverflow,
+    with no warning; wealths that are not finite give an estimate that is not.
     """
     arr = np.asarray(paths_or_xt, dtype=float)
     xt = arr[:, -1] if arr.ndim == 2 else arr
     n = xt.size
     if n < 2:
         raise ValueError("need at least two paths")
-    mean = float(np.mean(xt))
-    centered = xt - mean
-    var = float(centered @ centered) / (n - 1)
-    square = centered * centered  # products, not ** 3 and ** 4, which go through pow
-    m3 = float(np.mean(square * centered))
-    m4 = float(np.mean(square * square))
-    var_of_var = max(m4 - (n - 3) / (n - 1) * var**2, 0.0) / n
+    with np.errstate(over="ignore", invalid="ignore"):  # a result beyond the float range is refused below
+        mean = float(np.mean(xt))
+        centered = xt - mean
+        var = float(centered @ centered) / (n - 1)
+        square = centered * centered  # products, not ** 3 and ** 4, which go through pow
+        m3 = float(np.mean(square * centered))
+        m4 = float(np.mean(square * square))
+        # np.float64's ** 2 is the float's pow, bit for bit, but overflows to inf instead of raising.
+        var_of_var = float(max(m4 - (n - 3) / (n - 1) * np.float64(var) ** 2, 0.0)) / n
     lam = params.lam
     # lam (lam var_of_var) and lam (2 m3), not lam^2 var_of_var and 2 lam m3, so that a
     # huge lam times a zero moment is 0 rather than inf * 0 = NaN.
     se = math.sqrt(max(var / n + lam * (lam * var_of_var) - lam * (2.0 * m3) / n, 0.0))
-    return ObjectiveEstimate(
-        mean_XT=mean,
-        var_XT=var,
-        J=mean - params.lam * var,
-        std_error_J=se,
-        n_paths=n,
-    )
+    j = mean - lam * var
+    if not all(map(math.isfinite, (mean, var, j, se))) and np.isfinite(xt).all():
+        raise WealthOverflow(f"terminal wealth's moments leave the float range: mean {mean:g}, variance {var:g}")
+    return ObjectiveEstimate(mean_XT=mean, var_XT=var, J=j, std_error_J=se, n_paths=n)
 
 
 def default_probe_strategies(strategy: FeedbackStrategy):

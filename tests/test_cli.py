@@ -246,6 +246,20 @@ def test_simulate_nan_objective_exit_2(tmp_path, capsys):
     assert math.isnan(report["objective"]["J"]) and "failure" in report
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize("probes", ["0", "8"])
+def test_simulate_wealth_beyond_float_range_exit_1(tmp_path, capsys, probes):
+    # x0 = 1e308 leaves every path finite, but their mean sums to inf: a
+    # one-line error and no report, with or without probes, and no warning.
+    payload = json.loads(json.dumps(REFERENCE))
+    payload["market"]["x0"] = 1e308
+    cfg = write_config(tmp_path, payload)
+    assert main(["simulate", "--config", cfg, "--paths", "64", "--steps", "2", "--probes", probes]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: terminal wealth's moments leave the float range: mean inf, variance inf\n"
+
+
 def test_simulate_huge_step_count_fails_fast(tmp_path):
     # The Euler set-up maps steps to schedule pieces with one array, so
     # 10^11 steps fail on allocating it instead of spinning in a per-step
@@ -660,13 +674,11 @@ FUZZ_VALUES = [None, [], {}, "x", 1, 1.5, True, math.nan, math.inf, 1e308, 10**4
 FUZZ_COMMANDS = [["solve"], ["classify"], ["simulate", "--paths", "64", "--steps", "2", "--probes", "0"]]
 
 
-# The overflows that a volatility (sigmas) or initial wealth (x0) near the
-# float limit sets off on its way to a typed error; any other fails the run.
+# The overflows that a volatility (sigmas) near the float limit sets off on
+# its way to a typed error or a NaN estimate; any other fails the run.
 @pytest.mark.filterwarnings("ignore:overflow encountered in multiply:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:overflow encountered in matmul:RuntimeWarning")
 @pytest.mark.filterwarnings("ignore:invalid value encountered in matmul:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:overflow encountered in reduce:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:overflow encountered in scalar add:RuntimeWarning")
 @settings(max_examples=150, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(
     path=st.sampled_from(list(_fuzz_paths(FUZZ_BASE))),

@@ -19,6 +19,7 @@ from robustmv import (
     SimConfig,
     ThetaPoint,
     ValueCoefficients,
+    WealthOverflow,
     affine_moments,
     correlation_matrix,
     estimate_objective,
@@ -136,6 +137,25 @@ def test_determinism_bitwise(params2, reference):
     assert np.array_equal(a, b)
 
 
+def test_block_stream_contract():
+    # Each block's draws depend only on (seed, block), from an SFC64 bit
+    # generator.  The first-step normals of a 65,536-path run's 16 blocks
+    # are each block's own stream; pooled they have N(0, 1)'s mean and
+    # variance, and adjacent blocks are uncorrelated, each within 5 SE.
+    assert np.array_equal(sim._block_rng(3, 1).standard_normal(8), sim._block_rng(3, 1).standard_normal(8))
+    assert type(sim._block_rng(3, 1).bit_generator) is np.random.SFC64
+    firsts = {sim._block_rng(seed, block).standard_normal() for seed in range(4) for block in range(16)}
+    assert len(firsts) == 4 * 16
+    cfg = SimConfig(n_paths=16 * sim.BLOCK, n_steps=1, seed=2)
+    z = sim._shared_normals(cfg).reshape(16, sim.BLOCK)
+    assert np.array_equal(z[5], sim._block_rng(cfg.seed, 5).standard_normal(sim.BLOCK))
+    n = z.size
+    assert abs(z.mean()) < 5.0 / math.sqrt(n)
+    assert abs(z.var(ddof=1) - 1.0) < 5.0 * math.sqrt(2.0 / (n - 1))
+    adjacent = np.corrcoef(z[:-1].ravel(), z[1:].ravel())[0, 1]
+    assert abs(adjacent) < 5.0 / math.sqrt(z[1:].size)
+
+
 def test_determinism_across_worker_counts(params2, reference, monkeypatch):
     sol, strat, sched = reference
     cfg = SimConfig(n_paths=10000, n_steps=16, seed=7)
@@ -197,6 +217,19 @@ def test_estimate_objective_se_skewed_sample():
     # without the -2 lam m3/n term it is about 1.6 times too large here.
     spread = np.std([e.J for e in estimates], ddof=1)
     assert 0.8 <= spread / np.mean([e.std_error_J for e in estimates]) <= 1.25
+
+
+def test_estimate_objective_beyond_float_range_raises():
+    # Finite wealths whose mean (1e308), variance (1e160), fourth moment
+    # (1e100) or squared variance (1e77) overflows raise the typed error,
+    # with no warning (the module turns warnings into errors); wealths that
+    # are not finite still give an estimate that is not.
+    params = MarketParams(sigmas=[1.0], horizon_T=1.0, lam=0.5, x0=1.0)
+    for xt in ([1e308, 1e308], [1e160, -1e160], [1e100, -1e100], [1e77, -1e77]):
+        with pytest.raises(WealthOverflow, match="terminal wealth's moments leave the float range"):
+            estimate_objective(xt, params)
+    assert math.isnan(estimate_objective([math.nan, 1.0], params).J)
+    assert math.isfinite(estimate_objective([1e76, -1e76], params).std_error_J)
 
 
 def test_objective_near_v0(params2, reference):
@@ -663,9 +696,20 @@ def test_weak_principle_catches_one_percent_r_star_error(name, sol, params, refe
     assert probe_high == "worst_case" and shortfall < -4e-4
 
 
+def _philox_block_rng(seed, block):
+    """The block streams before they moved to SFC64, keyed by the same SeedSequence."""
+    return np.random.Generator(np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(block,))))
+
+
+# Block streams of the reference-value tests.  Their Philox literals were
+# recorded before the streams moved to SFC64; reproducing them under the old
+# stream shows that the step arithmetic did not move with it.
+STREAMS = {"philox": _philox_block_rng, "sfc64": sim._block_rng}
+
 # (margin, allowance) of each scenario probe's simulator check on the README
-# instance at 20,000 x 16, seed 5, as the check gave them when it drew every
-# probe's X_T through its own simulate_wealth call.
+# instance at 20,000 x 16, seed 5, on Philox streams as the check gave them
+# when it drew every probe's X_T through its own simulate_wealth call, and on
+# the SFC64 streams.
 README_SIMULATOR_CHECK_SEED5 = {
     "worst_case": (0.0012065882234770786, 0.009089776698734267),
     "center": (0.0011605736018185375, 0.00877759465873859),
@@ -676,21 +720,33 @@ README_SIMULATOR_CHECK_SEED5 = {
     "switch_mid_horizon": (0.0011406361254640007, 0.008641900359591432),
     "revisit_worst": (0.0012065882234770786, 0.009089776698734267),
 }
+README_SIMULATOR_CHECK_SEED5_SFC64 = {
+    "worst_case": (-0.0005443551843404837, 0.009180375178628042),
+    "center": (-0.0005191531382735537, 0.008864498248719483),
+    "low_corr_outer_drift": (-0.0005033497599287173, 0.008664336923276747),
+    "low_corr_inner_drift": (-0.0005355031136824451, 0.009069876889514255),
+    "high_corr_outer_drift": (-0.0004976945149162137, 0.008592300705872127),
+    "high_corr_inner_drift": (-0.0005416321766131826, 0.009146435512805426),
+    "switch_mid_horizon": (-0.0005082994113074779, 0.008727206793257164),
+    "revisit_worst": (-0.0005443551843404837, 0.009180375178628042),
+}
 
 
 def test_weak_principle_simulator_check(params2, reference_spec, monkeypatch):
     # At the true r* each scenario probe's simulated J matches its closed
     # form within the family-wise allowance, wider than N_SIGMA standard
-    # errors, with the margins pinned bitwise; terminal wealths shifted by
-    # 0.05 in the shared draw fail at the first probe.
+    # errors, with the margins pinned bitwise on both streams; terminal
+    # wealths shifted by 0.05 in the shared draw fail at the first probe.
     sol = solve(reference_spec, params2)
     cfg = SimConfig(n_paths=20000, n_steps=16, seed=5)
-    report = verify_weak_principle(sol, reference_spec, params2, cfg)
-    names = [c.name for c in report.terminal_gain]
-    assert [c.name for c in report.simulator_check] == names and len(names) == 8
-    for check in report.simulator_check:
-        assert check.ok and abs(check.margin) <= check.allowance
-    assert {c.name: (c.margin, c.allowance) for c in report.simulator_check} == README_SIMULATOR_CHECK_SEED5
+    for stream, expected in (("philox", README_SIMULATOR_CHECK_SEED5), ("sfc64", README_SIMULATOR_CHECK_SEED5_SFC64)):
+        monkeypatch.setattr(sim, "_block_rng", STREAMS[stream])
+        report = verify_weak_principle(sol, reference_spec, params2, cfg)
+        names = [c.name for c in report.terminal_gain]
+        assert [c.name for c in report.simulator_check] == names and len(names) == 8
+        for check in report.simulator_check:
+            assert check.ok and abs(check.margin) <= check.allowance
+        assert {c.name: (c.margin, c.allowance) for c in report.simulator_check} == expected
     optimal = dict(default_probe_strategies(robust_strategy(sol, params2)))["optimal"]
     worst = ThetaProcessSchedule.constant(sol.theta_star)
     est = estimate_objective(_terminal_draws(optimal, worst, params2, cfg), params2)
@@ -807,44 +863,62 @@ def test_affine_antithetic_pairs(params2, reference):
     assert np.allclose(log_nt[0::2] + log_nt[1::2], -3.0 * sol.r_star, rtol=0.0, atol=1e-12)
 
 
-def test_optimal_exact_reference_values(params2, reference):
-    # Values recorded from the exact simulator before the affine rules shared
-    # its step integrals; they must not move (numpy 2.4, x86-64).
+def test_optimal_exact_reference_values(params2, reference, monkeypatch):
+    # Philox values recorded from the exact simulator before the affine rules
+    # shared its step integrals, and SFC64 values recorded on the same
+    # arithmetic; they must not move (numpy 2.4, x86-64).
     sol, _, sched = reference
-    cfg = SimConfig(n_paths=10000, n_steps=16, seed=7)
-    _, paths = simulate_optimal_exact(sol, sched, params2, cfg)
-    assert paths[0, -1] == 0.033188384305799956
-    assert paths[9999, 8] == 1.1967926839778944
-    assert paths[5000, 3] == 1.227760579002348
-    assert paths[:, -1].sum() == 10937.577489480873
     switch = ThetaProcessSchedule(
         breakpoints=np.array([0.0, 0.5]), values=(sol.theta_star, ThetaPoint(b=[0.44, 0.22], rho=[0.0]))
     )
-    cfg = SimConfig(n_paths=5000, n_steps=64, seed=3, antithetic=True)
-    _, paths = simulate_optimal_exact(sol, switch, params2, cfg)
-    assert paths[0, -1] == 0.9915946635223639
-    assert paths[4999, 32] == 1.1568965036097476
-    assert paths[:, -1].sum() == 5565.572108390377
+    expected = {
+        "philox": (
+            (0.033188384305799956, 1.1967926839778944, 1.227760579002348, 10937.577489480873),
+            (0.9915946635223639, 1.1568965036097476, 5565.572108390377),
+        ),
+        "sfc64": (
+            (1.3736651986044437, 1.0895494592061414, 1.270213983788851, 10967.874589130279),
+            (0.2998607252128319, 0.7810406751843241, 5577.14889036992),
+        ),
+    }
+    for stream, (constant, two_piece) in expected.items():
+        monkeypatch.setattr(sim, "_block_rng", STREAMS[stream])
+        cfg = SimConfig(n_paths=10000, n_steps=16, seed=7)
+        _, paths = simulate_optimal_exact(sol, sched, params2, cfg)
+        assert (paths[0, -1], paths[9999, 8], paths[5000, 3], paths[:, -1].sum()) == constant
+        cfg = SimConfig(n_paths=5000, n_steps=64, seed=3, antithetic=True)
+        _, paths = simulate_optimal_exact(sol, switch, params2, cfg)
+        assert (paths[0, -1], paths[4999, 32], paths[:, -1].sum()) == two_piece
 
 
-def test_euler_reference_values(params2, reference):
-    # Euler paths of the optimal rule on the README instance, pinned bitwise:
-    # the rule's arithmetic and the Euler step must not move them (numpy 2.4,
-    # x86-64).
+def test_euler_reference_values(params2, reference, monkeypatch):
+    # Euler paths of the optimal rule on the README instance, pinned bitwise
+    # on both streams: the rule's arithmetic and the Euler step must not move
+    # them (numpy 2.4, x86-64).
     sol, strat, sched = reference
     switch = ThetaProcessSchedule(
         breakpoints=np.array([0.0, 0.5]), values=(sol.theta_star, ThetaPoint(b=[0.44, 0.22], rho=[0.0]))
     )
     expected = {
-        (False, False): (1.1968770532020023, 1.1697203184298532, 0.9422087084680746, 5473.575316467989),
-        (False, True): (0.6788229649118871, 0.7310741146462844, 1.0032704333331723, 5469.759044578163),
-        (True, False): (1.215722220781384, 1.1697203184298532, 0.9422087084680746, 5577.60083894114),
-        (True, True): (0.7083378712769313, 0.7310741146462844, 1.0032704333331723, 5573.859884858727),
+        "philox": {
+            (False, False): (1.1968770532020023, 1.1697203184298532, 0.9422087084680746, 5473.575316467989),
+            (False, True): (0.6788229649118871, 0.7310741146462844, 1.0032704333331723, 5469.759044578163),
+            (True, False): (1.215722220781384, 1.1697203184298532, 0.9422087084680746, 5577.60083894114),
+            (True, True): (0.7083378712769313, 0.7310741146462844, 1.0032704333331723, 5573.859884858727),
+        },
+        "sfc64": {
+            (False, False): (1.5680121954572739, 0.9929097859420969, 1.0799029213195341, 5484.456550260724),
+            (False, True): (1.3124164801514866, 0.5441837835569054, 0.9788498105195685, 5463.54424683857),
+            (True, False): (1.5791263117563625, 0.9929097859420969, 1.0799029213195341, 5588.266605183052),
+            (True, True): (1.3286616778594766, 0.5441837835569054, 0.9788498105195685, 5567.778877043791),
+        },
     }
-    for (two_piece, antithetic), values in expected.items():
-        cfg = SimConfig(n_paths=5000, n_steps=64, seed=7, antithetic=antithetic)
-        _, paths = simulate_wealth(strat, switch if two_piece else sched, params2, cfg)
-        assert (paths[0, -1], paths[4999, 32], paths[2500, 7], paths[:, -1].sum()) == values
+    for stream, runs in expected.items():
+        monkeypatch.setattr(sim, "_block_rng", STREAMS[stream])
+        for (two_piece, antithetic), values in runs.items():
+            cfg = SimConfig(n_paths=5000, n_steps=64, seed=7, antithetic=antithetic)
+            _, paths = simulate_wealth(strat, switch if two_piece else sched, params2, cfg)
+            assert (paths[0, -1], paths[4999, 32], paths[2500, 7], paths[:, -1].sum()) == values
 
 
 def test_weak_principle_flipped_offset_fails(params2, reference_spec, monkeypatch):
