@@ -27,6 +27,7 @@ from .market import (
     MarketParams,
     ThetaPoint,
     _frozen,
+    _half_solve_stack,
     _require_finite,
     covariance_factor_stack,
     covariance_from,
@@ -252,8 +253,8 @@ def _draws(spec: AmbiguitySpec, count: int, seed: int, params: MarketParams):
     correlation matrices and nearly nothing is rejected.  Either way each
     block of proposals is filtered with one stacked PD test (pivot
     tolerance) and the box test, then with the drift test of `contains`
-    (the drift box, or ||L^{-1}(b - b_hat)|| <= delta + MEMBERSHIP_TOL
-    with L the covariance factor), so the rho draws are uniform on the
+    (the drift box, or ||L^{-1}(b - b_hat)|| <= delta + MEMBERSHIP_TOL by
+    substitution on the block's covariance factors L), so the rho draws are uniform on the
     box's PD part (within tolerance).  Misses are counted in draw order across blocks,
     so SamplingExhausted fires after exactly MAX_REJECTIONS consecutive
     rejections.  Blocks are sized from the acceptance rate seen so far,
@@ -289,9 +290,7 @@ def _draws(spec: AmbiguitySpec, count: int, seed: int, params: MarketParams):
             chol = covariance_factor_stack(rho[ok], params.sigmas)[0]
             ball = (radius[ok] / norm[ok])[:, None] * z[ok]
             b[ok] = spec.b_hat + spec.delta * (chol @ ball[:, :, None])[:, :, 0]
-            # Explicit trailing axis: numpy >= 2 reads an (n, d) right-hand side
-            # as one matrix, numpy < 2 as n vectors; (n, d, 1) means n vectors in both.
-            y = np.linalg.solve(chol, (b[ok] - spec.b_hat)[:, :, None])[:, :, 0]
+            y = _half_solve_stack(chol, b[ok] - spec.b_hat)
             ok[ok] = np.sqrt(np.sum(y * y, axis=1)) <= spec.delta + MEMBERSHIP_TOL
         hits = np.flatnonzero(ok)[:need]
         ends = hits if hits.size == need else np.append(hits, size)

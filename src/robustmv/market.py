@@ -209,6 +209,18 @@ def _factor_stack(a: np.ndarray):
     return lower, bad
 
 
+def _half_solve_stack(lower: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """L^{-1} r by forward substitution for lower-triangular L, shape (n, d, d), and rows r, shape (n, d).
+
+    Row products are matmuls as in _factor_stack, so each row is bitwise y_k = (r_k - L[k, :k] @ y[:k]) / L[k, k].
+    """
+    y = np.empty_like(rhs)
+    for k in range(rhs.shape[1]):
+        dot = (lower[:, k, None, :k] @ y[:, :k, None])[:, 0, 0] if k else 0.0  # x - 0.0 is x bitwise
+        y[:, k] = (rhs[:, k] - dot) / lower[:, k, k]
+    return y
+
+
 def covariance_factor_stack(rhos, sigmas: np.ndarray):
     """_factor_stack's (L, bad) of C(rho) for a stack of rho rows, L scaled to diag(sigma) L."""
     lower, bad = _factor_stack(correlation_stack(rhos, sigmas.size))

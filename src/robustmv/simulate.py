@@ -671,7 +671,15 @@ def _monotonicity_check(paths, t_grid, coeffs):
 
 def _closed_form_objective(mean, var, v0, lam):
     """J = E[X_T] - lam Var X_T from affine_moments' last node, and the tolerance of J - V0."""
-    return float(mean[-1] - lam * var[-1]), ROUNDING_RTOL * float(abs(mean[-1]) + lam * var[-1] + abs(v0))
+    # Python floats round as numpy's scalars do, but go to inf past the float range with no warning.
+    mean, var, v0, lam = float(mean[-1]), float(var[-1]), float(v0), float(lam)
+    return mean - lam * var, ROUNDING_RTOL * (abs(mean) + lam * var + abs(v0))
+
+
+def _in_float_range(probe, *values):
+    """Raise WealthOverflow naming the probe when a closed-form margin or allowance is not finite."""
+    if not all(map(math.isfinite, values)):
+        raise WealthOverflow(f"the closed-form moments under probe {probe!r} leave the float range")
 
 
 def _record(checks, name, margin, allowance, ok, message):
@@ -711,7 +719,9 @@ def verify_weak_principle(
     from one shared one-step draw over [0, T], each probe's X_T bitwise its
     own simulate_wealth draw, and the estimated J must match the closed
     form two-sidedly, at N_SIGMA family-wise over the scenario probes
-    (simulator_check): that tests the simulator, not the principle.
+    (simulator_check): that tests the simulator, not the principle.  A
+    closed-form margin or allowance beyond the float range, as from an x0
+    near 1e308, raises WealthOverflow naming the probe.
     """
     strategy = robust_strategy(solution, params)
     coeffs = value_coefficients(solution, params)
@@ -734,6 +744,7 @@ def verify_weak_principle(
             increase = float(np.max(np.diff(quad_var + mean + offset)))
             allowance = ROUNDING_RTOL * float(np.max(np.abs(quad_var) + np.abs(mean) + np.abs(offset)))
             j, allowance_j = _closed_form_objective(mean, var, v0, params.lam)
+            _in_float_range(name, increase, allowance, j - v0, allowance_j)
         else:
             _, paths = simulate_wealth(fn, worst_case, params, cfg)
             increase, allowance = _monotonicity_check(paths, t_grid, coeffs)
@@ -755,6 +766,7 @@ def verify_weak_principle(
         pieces = _pieces(sched, params, factor)
         j, tolerance = _closed_form_objective(*_affine_moments(optimal, pieces, params, 1), v0, params.lam)
         margin = j - v0  # E[V_T] - V0 since the terminal value is x - lam (x - xbar)^2
+        _in_float_range(name, margin, tolerance)
         _record(terminal, name, margin, tolerance, margin >= -tolerance,
                 f"E[V_T] - V0 = {margin:.3e} < -{tolerance:.3e} under probe scenario {name!r}")
         xt = _terminal_wealth(kappa, strategy.xbar - params.x0, pieces, normals, params)

@@ -23,8 +23,9 @@ Every solution carries the direction kappa* = Sigma(rho*)^{-1} b* that the
 second step trades, and the invariant is direction == Sigma(rho*)^{-1} b*
 bitwise, the value variance_risk_ratio(theta_star) gives.  One factor of
 Sigma(rho*) yields both s (where no closed form gives it exactly) and
-kappa*, so nothing downstream factors again; when `_dual`'s winner trades
-every asset, it is the factor of that corner in `_dual`'s candidate stack.
+kappa*, so nothing downstream factors again, verify_saddle included; when
+`_dual`'s winner trades every asset, it is the factor of that corner in
+`_dual`'s candidate stack.
 """
 
 from __future__ import annotations
@@ -62,7 +63,6 @@ from .market import (
     pair_position,
     sharpe_profile,
     upper_pairs,
-    variance_risk_ratio,
 )
 
 # Case labels reported in WorstCaseSolution.case_label.
@@ -569,8 +569,12 @@ def verify_saddle(
     kappa*' Sigma(rho) kappa* - r* is linear in rho, one matvec, and
     H(b, rho*) - r* = b' kappa* - r*.  Raises SaddleViolated with the first
     offending draw, upper side first.
+
+    kappa* is solution.direction: a hand-built solution must keep direction = Sigma(rho*)^{-1} b*.
+    A call makes no scalar factorization: a proposal block takes one stacked PD test and, for
+    an ellipsoidal set, one stacked factor, on which the drift test substitutes forward.
     """
-    kappa_star = variance_risk_ratio(solution.theta_star, params)
+    kappa_star = solution.direction
     b, rho = amb._draws(spec, samples, seed, params)
     scaled = params.sigmas * kappa_star
     rows, cols = pair_index(params.d)
@@ -632,9 +636,10 @@ def solve(spec: AmbiguitySpec, params: MarketParams) -> WorstCaseSolution:
     Sigma(rho*) is factored once: `_one_asset`'s PD test is that
     factorization, and after `_dual` it is the PD test of rho*, made in
     `_dual`'s candidate stack when every asset is traded.  The factor
-    gives the solution's direction Sigma(rho*)^{-1} b*; after `_dual` also
-    s = ||L^{-1} b_hat|| (bitwise sqrt(risk_premium)) and, when an asset is
-    not traded, its entry of Sigma(rho*)^{-1} b_hat relative to the largest.
+    gives the solution's direction Sigma(rho*)^{-1} b*; after `_dual`, one
+    half solve y = L^{-1} b_hat also gives s = ||y|| (bitwise
+    sqrt(risk_premium)) and, when an asset is not traded, its entry of
+    Sigma(rho*)^{-1} b_hat = L'^{-1} y relative to the largest.
     """
     if isinstance(spec, ProductSet):
         return solve_product(spec, params)
@@ -658,9 +663,10 @@ def solve(spec: AmbiguitySpec, params: MarketParams) -> WorstCaseSolution:
         if found is None:
             return _fallthrough(spec, params)
         rho_star, label, diagnostics, untraded, cov = found
-        b_star, r_star = _shrink_at(cov, spec.b_hat, spec.delta)
+        y = cov.half_solve(spec.b_hat)
+        b_star, r_star = _shrink(spec.b_hat, math.sqrt(float(y @ y)), spec.delta)
         if untraded:
             # Relative to max |kappa_hat|, the scale classify's ZERO_DIRECTION_RTOL uses: drift-scale free.
-            kappa_hat = np.abs(cov.solve(spec.b_hat))
+            kappa_hat = np.abs(np.linalg.solve(cov.chol.T, y))
             diagnostics["zero_component_residual"] = float(kappa_hat[list(untraded)].max() / kappa_hat.max())
     return _solution(b_star, rho_star, r_star, label, cov, diagnostics)

@@ -94,6 +94,12 @@ def full_ambiguity_spec(b_hat, delta):
     return EllipsoidalSet(b_hat=b_hat, delta=delta, gamma=GammaBox.full(b_hat.size))
 
 
+def lu_half_solve_stack(lower, rhs):
+    """The sampler's ellipsoid membership step as it was, frozen: numpy's batched general LU
+    solve on the lower-triangular covariance stack, where `_half_solve_stack` substitutes."""
+    return np.linalg.solve(lower, rhs[:, :, None])[:, :, 0]
+
+
 def premium_2x2(b1, b2, s1, s2, rho):
     """Independent closed-form premium for d=2 via the explicit inverse."""
     be1, be2 = b1 / s1, b2 / s2

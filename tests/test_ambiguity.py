@@ -20,8 +20,9 @@ from robustmv import (
 )
 from robustmv import ambiguity as amb
 from robustmv.ambiguity import ThetaProcessSchedule, drift_distance, schedule_within
+from robustmv.market import _half_solve_stack, covariance_factor_stack
 
-from conftest import full_ambiguity_spec, random_set_instance
+from conftest import full_ambiguity_spec, lu_half_solve_stack, random_set_instance
 
 # A numpy overflow or invalid operation fails the test instead of hiding in a result.
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -286,6 +287,56 @@ def test_box_draws_reference_values():
     for name, spec in (("ellipsoidal", ellipsoidal), ("product", product)):
         b, rho = amb._draws(spec, 200, 5, params)
         assert (b[0, 0], b[199, 2], rho[0, 1], rho[199, 2], b.sum(), rho.sum()) == expected[name], name
+
+
+def _half_solve_rows(lower, rhs):
+    """Forward substitution one row and one entry at a time: the bitwise reference of _half_solve_stack."""
+    y = np.zeros_like(rhs)
+    for i in range(rhs.shape[0]):
+        for k in range(rhs.shape[1]):
+            y[i, k] = (rhs[i, k] - lower[i, k, :k] @ y[i, :k]) / lower[i, k, k]
+    return y
+
+
+def _membership_instance(rng):
+    """Random ellipsoidal set at d = 2-6 with delta in [1e-6, 1e6]: the full set, a box, or a
+    narrow box around an equicorrelation 1 - eps, eps in [1e-7, 1e-2], whose Sigma is near singular."""
+    d = int(rng.integers(2, 7))
+    m = d * (d - 1) // 2
+    params = MarketParams(sigmas=10.0 ** rng.uniform(-1.0, 1.0, d), horizon_T=1.0, lam=0.5, x0=1.0)
+    kind = int(rng.integers(3))
+    if kind == 0:
+        gamma = GammaBox.full(d)
+    elif kind == 1:
+        lower = rng.uniform(-0.4, 0.2, m)
+        gamma = GammaBox.box(lower, lower + rng.uniform(0.0, 0.3, m))
+    else:
+        # Off-diagonal spread below eps / 4 keeps every eigenvalue of C within eps / 4 of its
+        # equicorrelation value, the smallest of which is eps: near singular, yet PD.
+        eps = 10.0 ** rng.uniform(-7.0, -2.0)
+        gamma = GammaBox.box(np.full(m, 1.0 - eps - eps / (4 * d)), np.full(m, 1.0 - eps + eps / (4 * d)))
+    return EllipsoidalSet(b_hat=rng.uniform(-1.0, 1.0, d), delta=10.0 ** rng.uniform(-6.0, 6.0), gamma=gamma), params
+
+
+def test_membership_substitution_keeps_draws(monkeypatch):
+    """The sampler's ellipsoid test solves L y = b - b_hat by forward substitution on the
+    factor stack it has just built, where it ran a general LU solve: the draws are the
+    LU step's bitwise.  The substitution is a per-row scalar substitution bitwise and
+    agrees with the LU solve to 1e-12 relative, near-singular Sigma included."""
+    rng = np.random.default_rng(20261020)
+    for i in range(150):
+        spec, params = _membership_instance(rng)
+        b, rho = amb._draws(spec, 100, i, params)
+        with monkeypatch.context() as patch:
+            patch.setattr(amb, "_half_solve_stack", lu_half_solve_stack)
+            b_lu, rho_lu = amb._draws(spec, 100, i, params)
+        assert b.tobytes() == b_lu.tobytes() and rho.tobytes() == rho_lu.tobytes(), i
+        chol = covariance_factor_stack(rho, params.sigmas)[0]
+        rhs = b - spec.b_hat
+        y, y_lu = _half_solve_stack(chol, rhs), lu_half_solve_stack(chol, rhs)
+        assert y.tobytes() == _half_solve_rows(chol, rhs).tobytes(), i
+        gap = np.linalg.norm(y - y_lu, axis=1) / np.linalg.norm(y_lu, axis=1)
+        assert gap.max() <= 1e-12, (i, gap.max())
 
 
 def test_ellipsoid_scaling_invariance(params2):

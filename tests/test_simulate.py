@@ -267,6 +267,21 @@ def test_weak_principle_reference(params2, reference_spec):
     assert abs(worst.margin) <= worst.allowance
 
 
+@pytest.mark.parametrize(
+    "probes, probe",
+    [({"probe_schedules": []}, "optimal"), ({}, "optimal"), ({"probe_strategies": []}, "worst_case")],
+    ids=["no-scenario-probes", "default-probes", "no-strategy-probes"],
+)
+def test_weak_principle_beyond_float_range_raises(reference_spec, probes, probe):
+    """At x0 = 1e308 the closed-form allowances |E[X_T]| + |V0| overflow: the check
+    raises WealthOverflow at the first probe, with no warning (the module turns
+    warnings into errors), instead of passing every probe on an infinite allowance."""
+    params = MarketParams(sigmas=[1.0, 1.0], horizon_T=1.0, lam=0.5, x0=1e308)
+    sol = solve(reference_spec, params)
+    with pytest.raises(WealthOverflow, match=f"under probe '{probe}' leave the float range"):
+        verify_weak_principle(sol, reference_spec, params, SimConfig(64, 4, 1), **probes)
+
+
 def test_weak_principle_reference_fine_grid(params2, reference_spec):
     # 256 increments of a flat E[V_t]: with a 3-SE allowance per increment and
     # no correction for testing all of them, this seed raised PrincipleViolated.

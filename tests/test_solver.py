@@ -32,6 +32,7 @@ from robustmv import (
     variance_risk_ratio,
     verify_saddle,
 )
+from robustmv import ambiguity as amb_mod
 from robustmv import market as market_mod
 from robustmv import solver as solver_mod
 from robustmv.errors import BoxNotPositiveDefinite, GridTooLarge, PremiumOverflow
@@ -46,6 +47,7 @@ from conftest import (
     box_corners_pd,
     curated_three_asset,
     full_ambiguity_spec,
+    lu_half_solve_stack,
     permute_pairs,
     random_set_instance,
     random_three_asset_instance,
@@ -1222,6 +1224,70 @@ def test_verify_saddle_singleton_margins_zero(params2):
     report = verify_saddle(sol, spec, params2, samples=50, seed=1)
     assert abs(report.worst_upper_margin) < 1e-12
     assert abs(report.worst_lower_margin) < 1e-12
+
+
+def _saddle_outcome(solution, spec, params):
+    """verify_saddle's report, or its raised draw and margin, as bytes and float hex: bitwise comparable."""
+    try:
+        report = verify_saddle(solution, spec, params, samples=150, seed=4)
+    except SaddleViolated as raised:
+        return raised.theta.b.tobytes(), raised.theta.rho.tobytes(), raised.margin.hex()
+    return report.samples, report.tol, report.worst_upper_margin.hex(), report.worst_lower_margin.hex(), report.ok
+
+
+def test_verify_saddle_factors_nothing(monkeypatch, params2, reference_spec):
+    """verify_saddle takes kappa* from the solution's direction: it makes no scalar
+    factorization, and its report, or its raised draw and margin, is bitwise the one of
+    kappa* = variance_risk_ratio(theta*) with the sampler's LU membership step, on every
+    kind of solution, those whose factor came from the dual's candidate stack
+    (TwoAsset.Upper, ThreeAsset.Case5*) included.  r* moved past the worst sampled
+    margin of either side makes that side raise."""
+    singleton = ProductSet(np.array([0.3, 0.2]), np.array([0.3, 0.2]), GammaBox.singleton([0.2]))
+    product = ProductSet(np.array([0.1, -0.2]), np.array([0.4, 0.3]), GammaBox.box([-0.5], [0.6]))
+    no_trade = ProductSet(np.array([-0.1, -0.2]), np.array([0.4, 0.3]), GammaBox.box([-0.5], [0.6]))
+    instances = [
+        (EllipsoidalSet(b_hat=np.array([0.4, 0.2]), delta=0.1, gamma=GammaBox.box([-0.5], [0.3])), params2),
+        *(curated_three_asset(f"ThreeAsset.Case5{case}") for case in ("i", "ii", "iii", "iv")),
+        _named_box(GENERATED_D4),
+        (product, params2),
+        (no_trade, params2),
+        (singleton, params2),
+        (full_ambiguity_spec(reference_spec.b_hat, 0.1), params2),
+    ]
+    counts = {}
+
+    def counted(key, fn):
+        return lambda *args: counts.update({key: counts[key] + 1}) or fn(*args)
+
+    seen = []
+    for spec, params in instances:
+        sol = solve(spec, params)
+        seen.append(sol.case_label)
+        old_direction = variance_risk_ratio(sol.theta_star, params)
+        assert sol.direction.tobytes() == old_direction.tobytes(), sol.case_label
+        report = verify_saddle(sol, spec, params, samples=150, seed=4)
+        # r* past the sampled worst margins by 1e-7, above or below: each makes its side raise.
+        lifted, lowered = sol.r_star + report.worst_lower_margin + 1e-7, sol.r_star + report.worst_upper_margin - 1e-7
+        for r_star, side in ((sol.r_star, None), (lifted, -1.0), (lowered, 1.0)):
+            new = solver_mod.WorstCaseSolution(sol.theta_star, r_star, sol.case_label, sol.direction)
+            old = solver_mod.WorstCaseSolution(sol.theta_star, r_star, sol.case_label, old_direction)
+            with monkeypatch.context() as patch:
+                patch.setattr(amb_mod, "_half_solve_stack", lu_half_solve_stack)
+                expected = _saddle_outcome(old, spec, params)
+            with monkeypatch.context() as patch:
+                counts.update(scalar=0, covariance=0)
+                patch.setattr(market_mod, "_factor", counted("scalar", market_mod._factor))
+                for module in (market_mod, solver_mod, amb_mod):
+                    patch.setattr(module, "covariance_from", counted("covariance", module.covariance_from))
+                outcome = _saddle_outcome(new, spec, params)
+            assert counts == {"scalar": 0, "covariance": 0}, (sol.case_label, counts)
+            assert outcome == expected, (sol.case_label, r_star)
+            if side is None:
+                assert outcome[-1] is True, sol.case_label
+            else:  # the raised margin: negative on the lower side, positive on the upper one
+                assert math.copysign(1.0, float.fromhex(outcome[-1])) == side, (sol.case_label, r_star)
+    assert seen == ["TwoAsset.Upper", "ThreeAsset.Case5i", "ThreeAsset.Case5ii", "ThreeAsset.Case5iii",
+                    "ThreeAsset.Case5iv", "Numeric", "Numeric", "Product.NoTrade", "Singleton", "FullAmbiguity"]
 
 
 def _assert_one_factor_values(sol, spec, params):
