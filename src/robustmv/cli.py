@@ -1,4 +1,4 @@
-"""Command-line interface: solve / classify / simulate / oracle / gradcheck.
+"""Command-line interface: solve / classify / simulate / oracle.
 
 One JSON config describes one instance:
 
@@ -12,13 +12,17 @@ One JSON config describes one instance:
 
 Product sets use {"variant": "product", "delta_lower": [...], "delta_upper": [...]},
 full correlation ambiguity uses "gamma": {"full_ambiguity": true}.  An optional
-"sweep" list of {dotted.key: value} overrides produces one CSV row per entry.
+"sweep" list of {dotted.key: value} overrides makes solve and classify emit one
+CSV row per entry; simulate and oracle run the base instance and ignore it.
 
-Exit codes: 0 success, 1 input error (among them a section or "gamma" that
+Exit codes: 0 success (--help and --version too), 1 input error (among them a
+usage error such as a missing or malformed flag or an unknown command,
+--oracle-check on a sweep config, a section or "gamma" that
 is not a JSON object, a "sweep" that is not a non-empty list of objects,
 --resolution below 1 and --probes below 0, a number beyond the float range,
 a nested list where a vector belongs, a schedule of another dimension, an
-output path that is not a string, e^{r* T} beyond the float range, a
+output path that is not a string, e^{r* T}, a Sharpe ratio or the target
+wealth beyond the float range, a horizon too short to halve, a
 correlation box in which the solver finds no PD point, and a request too
 large for memory or the address space, such as a path count or an oracle grid),
 2 verification failure (a NaN objective estimate included), 3 a flagged
@@ -49,13 +53,7 @@ from .errors import (
     SaddleViolated,
     ZeroDrift,
 )
-from .market import (
-    MarketParams,
-    ThetaPoint,
-    n_pairs,
-    risk_premium_gradients,
-    risk_premium,
-)
+from .market import MarketParams, ThetaPoint, n_pairs
 from .simulate import (
     N_SIGMA,
     AffineRule,
@@ -354,37 +352,6 @@ def cmd_oracle(args, raw: dict) -> int:
     return EXIT_OK
 
 
-def cmd_gradcheck(args, raw: dict) -> int:
-    params = parse_market(raw)
-    rng = np.random.default_rng(args.seed)
-    d = params.d
-    m = n_pairs(d)
-    worst = 0.0
-    checked = skipped = 0
-    step = 1e-6
-
-    def premium(z):
-        return risk_premium(ThetaPoint(b=z[:d], rho=z[d:]), params)
-
-    while checked < args.samples and skipped < 100 * max(args.samples, 1):
-        rho = rng.uniform(-0.7, 0.7, size=m)
-        b = rng.uniform(-1.0, 1.0, size=d)
-        try:
-            grad_b, grad_rho = risk_premium_gradients(ThetaPoint(b=b, rho=rho), params)
-        except RobustMVError:
-            skipped += 1
-            continue
-        z = np.concatenate([b, rho])
-        fd = np.array([(premium(z + e) - premium(z - e)) / (2 * step) for e in step * np.eye(d + m)])
-        analytic = np.concatenate([grad_b, grad_rho])
-        err = np.linalg.norm(analytic - fd) / max(np.linalg.norm(analytic), 1e-12)
-        worst = max(worst, err)
-        checked += 1
-    report = {"samples": checked, "skipped": skipped, "worst_relative_error": worst, "threshold": 1e-5}
-    print(json.dumps(report, indent=2))
-    return EXIT_OK if worst < 1e-5 else EXIT_VERIFICATION
-
-
 def _set_dotted(config: dict, dotted: str, value):
     node = config
     keys = dotted.split(".")
@@ -421,8 +388,15 @@ def cmd_sweep(raw: dict) -> int:
     return _flag_unconverged(solutions, EXIT_OK)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors are input errors for main, not an exit of its own."""
+
+    def error(self, message):
+        raise RobustMVError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="robustmv", description=__doc__.splitlines()[0])
+    parser = _Parser(prog="robustmv", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"robustmv {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -449,12 +423,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle.add_argument("--config", required=True)
     p_oracle.add_argument("--resolution", type=int, default=None)
     p_oracle.set_defaults(handler=cmd_oracle)
-
-    p_grad = sub.add_parser("gradcheck", help="finite-difference gradient verification")
-    p_grad.add_argument("--config", required=True)
-    p_grad.add_argument("--samples", type=int, default=100)
-    p_grad.add_argument("--seed", type=int, default=0)
-    p_grad.set_defaults(handler=cmd_gradcheck)
     return parser
 
 
@@ -467,12 +435,12 @@ def _check_flags(args) -> None:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _check_flags(args)
         raw = load_config(args.config)
         if "sweep" in raw and args.command in ("solve", "classify"):
+            _require(not getattr(args, "oracle_check", False), "--oracle-check does not apply to a sweep config")
             return cmd_sweep(raw)
         return args.handler(args, raw)
     except ConfigError as exc:

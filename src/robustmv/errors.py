@@ -45,7 +45,7 @@ class NoFeasiblePoint(RobustMVError):
 
 
 class PremiumOverflow(RobustMVError):
-    """The risk premium R or its gradient is not finite at a point of the numeric descent."""
+    """The risk premium R or its gradient is not finite: a Sharpe ratio, or a point of the numeric descent."""
 
 
 class SamplingExhausted(RobustMVError):
@@ -85,7 +85,8 @@ class GrowthOverflow(RobustMVError):
 
 
 class WealthOverflow(RobustMVError):
-    """Finite terminal wealths whose mean, variance, objective J or its standard error exceeds the float range."""
+    """A wealth beyond the float range: the target wealth xbar or V0, or the mean, variance,
+    objective J or its standard error of finite terminal wealths."""
 
 
 class ConfigError(RobustMVError):

@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NotPositiveDefinite
+from .errors import NotPositiveDefinite, PremiumOverflow
 
 # A correlation candidate counts as positive definite when every pivot of
 # the symmetric triangular factorization exceeds this fraction of the
@@ -342,12 +342,19 @@ class SharpeProfile:
 
 
 def sharpe_profile(b_hat, params: MarketParams) -> SharpeProfile:
-    """Sharpe ratios of b_hat with the descending-|beta| sort applied."""
+    """Sharpe ratios of b_hat with the descending-|beta| sort applied.
+
+    A ratio beyond the float range, as under a volatility near 5e-324,
+    raises PremiumOverflow: R >= beta_i^2 is then not finite either.
+    """
     b_hat = np.atleast_1d(np.asarray(b_hat, dtype=float))
     if b_hat.shape != (params.d,):
         raise ValueError(f"b_hat must have length {params.d}")
-    betas = b_hat / params.sigmas
+    with np.errstate(over="ignore"):
+        betas = b_hat / params.sigmas
     order = np.argsort(-np.abs(betas), kind="stable")
+    if not math.isfinite(betas[order[0]]):  # the largest |beta|
+        raise PremiumOverflow(f"a Sharpe ratio b_i / sigma_i exceeds the float range: {betas.tolist()}")
     betas.flags.writeable = False
     order.flags.writeable = False
     return SharpeProfile(betas=betas, order=order, zero_drift=bool(np.all(betas == 0.0)))

@@ -69,7 +69,7 @@ import numpy as np
 
 from .ambiguity import AmbiguitySpec, EllipsoidalSet, ThetaProcessSchedule
 from .ambiguity import _project_b, contains, project_rho
-from .errors import PrincipleViolated, WealthOverflow
+from .errors import PrincipleViolated, RobustMVError, WealthOverflow
 from .market import MarketParams, ThetaPoint, _frozen, covariance_from, risk_premium
 from .solver import WorstCaseSolution
 from .strategy import FeedbackStrategy, growth_factor, robust_strategy
@@ -535,7 +535,11 @@ def default_probe_schedules(
     params: MarketParams,
     solution: WorstCaseSolution,
 ):
-    """Eight named scenario probes: worst case, center, extreme corners, a switch."""
+    """Eight named scenario probes: worst case, center, extreme corners, a switch.
+
+    The switch happens at T/2; a horizon too short to halve in floating
+    point (T = 5e-324) raises RobustMVError.
+    """
     return _probe_schedules(spec, params, solution, covariance_from)
 
 
@@ -575,6 +579,8 @@ def _probe_schedules(spec, params, solution, factor):
         probes.append((f"{name}_outer_drift", ThetaProcessSchedule.constant(ThetaPoint(b=outer, rho=rho))))
         probes.append((f"{name}_inner_drift", ThetaProcessSchedule.constant(ThetaPoint(b=inner, rho=rho))))
     switch_target = probes[-2][1].values[0]
+    if not params.horizon_T / 2.0 > 0.0:
+        raise RobustMVError(f"the horizon T = {params.horizon_T} is too short to switch scenarios at T/2")
     probes.append(
         (
             "switch_mid_horizon",
@@ -737,44 +743,47 @@ def verify_weak_principle(
     quad, offset = coeffs.quad_coeff(t_grid), coeffs.offset(t_grid)
 
     monotone, j_upper = [], []
-    for name, fn in probe_strategies:
-        if _draws_exactly(fn):
-            mean, var = _affine_moments(fn, worst_pieces, params, cfg.n_steps)
-            quad_var = quad * var
-            increase = float(np.max(np.diff(quad_var + mean + offset)))
-            allowance = ROUNDING_RTOL * float(np.max(np.abs(quad_var) + np.abs(mean) + np.abs(offset)))
-            j, allowance_j = _closed_form_objective(mean, var, v0, params.lam)
-            _in_float_range(name, increase, allowance, j - v0, allowance_j)
-        else:
-            _, paths = simulate_wealth(fn, worst_case, params, cfg)
-            increase, allowance = _monotonicity_check(paths, t_grid, coeffs)
-            est = estimate_objective(paths, params)
-            del paths  # frees an Euler probe's paths before the next probe runs
-            j, allowance_j = est.J, N_SIGMA * est.std_error_J
-        _record(monotone, name, increase, allowance, increase <= allowance,
-                f"E[V_t] increases by {increase:.3e} (> {allowance:.3e}) under probe strategy {name!r}")
-        margin = j - v0
-        _record(j_upper, name, margin, allowance_j, margin <= allowance_j,
-                f"J({name}, worst case) exceeds V0 by {margin:.3e} (> {allowance_j:.3e})")
+    # Closed-form moments beyond the float range are refused by _in_float_range, with no warning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        for name, fn in probe_strategies:
+            if _draws_exactly(fn):
+                mean, var = _affine_moments(fn, worst_pieces, params, cfg.n_steps)
+                quad_var = quad * var
+                increase = float(np.max(np.diff(quad_var + mean + offset)))
+                allowance = ROUNDING_RTOL * float(np.max(np.abs(quad_var) + np.abs(mean) + np.abs(offset)))
+                j, allowance_j = _closed_form_objective(mean, var, v0, params.lam)
+                _in_float_range(name, increase, allowance, j - v0, allowance_j)
+            else:
+                _, paths = simulate_wealth(fn, worst_case, params, cfg)
+                increase, allowance = _monotonicity_check(paths, t_grid, coeffs)
+                est = estimate_objective(paths, params)
+                del paths  # frees an Euler probe's paths before the next probe runs
+                j, allowance_j = est.J, N_SIGMA * est.std_error_J
+            _record(monotone, name, increase, allowance, increase <= allowance,
+                    f"E[V_t] increases by {increase:.3e} (> {allowance:.3e}) under probe strategy {name!r}")
+            margin = j - v0
+            _record(j_upper, name, margin, allowance_j, margin <= allowance_j,
+                    f"J({name}, worst case) exceeds V0 by {margin:.3e} (> {allowance_j:.3e})")
 
     kappa = strategy.allocation_direction
     optimal = AffineRule(xbar=strategy.xbar, v=kappa, w=np.zeros_like(kappa))
     normals = _shared_normals(cfg) if probe_schedules else None
     z = _familywise_z(max(len(probe_schedules), 1))
     terminal, simulator = [], []
-    for name, sched in probe_schedules:
-        pieces = _pieces(sched, params, factor)
-        j, tolerance = _closed_form_objective(*_affine_moments(optimal, pieces, params, 1), v0, params.lam)
-        margin = j - v0  # E[V_T] - V0 since the terminal value is x - lam (x - xbar)^2
-        _in_float_range(name, margin, tolerance)
-        _record(terminal, name, margin, tolerance, margin >= -tolerance,
-                f"E[V_T] - V0 = {margin:.3e} < -{tolerance:.3e} under probe scenario {name!r}")
-        xt = _terminal_wealth(kappa, strategy.xbar - params.x0, pieces, normals, params)
-        est = estimate_objective(xt, params)
-        gap, allowance = est.J - j, z * est.std_error_J
-        _record(simulator, name, gap, allowance, abs(gap) <= allowance,
-                f"simulated J misses its closed form by {gap:.3e} (beyond {allowance:.3e}) "
-                f"under probe scenario {name!r}")
+    with np.errstate(over="ignore", invalid="ignore"):  # as above
+        for name, sched in probe_schedules:
+            pieces = _pieces(sched, params, factor)
+            j, tolerance = _closed_form_objective(*_affine_moments(optimal, pieces, params, 1), v0, params.lam)
+            margin = j - v0  # E[V_T] - V0 since the terminal value is x - lam (x - xbar)^2
+            _in_float_range(name, margin, tolerance)
+            _record(terminal, name, margin, tolerance, margin >= -tolerance,
+                    f"E[V_T] - V0 = {margin:.3e} < -{tolerance:.3e} under probe scenario {name!r}")
+            xt = _terminal_wealth(kappa, strategy.xbar - params.x0, pieces, normals, params)
+            est = estimate_objective(xt, params)
+            gap, allowance = est.J - j, z * est.std_error_J
+            _record(simulator, name, gap, allowance, abs(gap) <= allowance,
+                    f"simulated J misses its closed form by {gap:.3e} (beyond {allowance:.3e}) "
+                    f"under probe scenario {name!r}")
 
     return WeakPrincipleReport(
         monotone_under_worst_case=tuple(monotone),

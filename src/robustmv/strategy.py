@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GrowthOverflow
+from .errors import GrowthOverflow, WealthOverflow
 from .market import MarketParams, ThetaPoint, _frozen, covariance_from
 from .solver import SINGLETON, WorstCaseSolution
 
@@ -52,6 +52,13 @@ def growth_factor(r_star: float, horizon: float) -> float:
     if growth == math.inf:
         raise GrowthOverflow(f"e^(r* T) exceeds the float range: r* T = {exponent:.6g}")
     return growth
+
+
+def _finite(value: float, what: str) -> float:
+    """value; WealthOverflow naming what when it is beyond the float range, as under a lam near 5e-324."""
+    if not math.isfinite(value):
+        raise WealthOverflow(f"{what} exceeds the float range")
+    return value
 
 
 @dataclass(frozen=True)
@@ -83,13 +90,17 @@ class FeedbackStrategy:
 
 
 def robust_strategy(solution: WorstCaseSolution, params: MarketParams) -> FeedbackStrategy:
-    """Optimal robust rule for a solved instance; GrowthOverflow when e^{r* T} leaves the float range."""
+    """Optimal robust rule for a solved instance.
+
+    GrowthOverflow when e^{r* T} leaves the float range, WealthOverflow when xbar does.
+    """
+    xbar = params.x0 + growth_factor(solution.r_star, params.horizon_T) / (2.0 * params.lam)
     return FeedbackStrategy(
         theta_star=solution.theta_star,
         allocation_direction=solution.direction,
         r_star=solution.r_star,
         x0=params.x0,
-        xbar=params.x0 + growth_factor(solution.r_star, params.horizon_T) / (2.0 * params.lam),
+        xbar=_finite(xbar, "the target wealth xbar = x0 + e^(r* T) / (2 lam)"),
     )
 
 
@@ -100,8 +111,9 @@ def classical_strategy(theta0: ThetaPoint, params: MarketParams) -> FeedbackStra
 
 
 def value_v0(solution: WorstCaseSolution, params: MarketParams) -> float:
-    """Initial value of the robust mean-variance objective."""
-    return params.x0 + (growth_factor(solution.r_star, params.horizon_T) - 1.0) / (4.0 * params.lam)
+    """Initial value of the robust mean-variance objective; WealthOverflow when it leaves the float range."""
+    v0 = params.x0 + (growth_factor(solution.r_star, params.horizon_T) - 1.0) / (4.0 * params.lam)
+    return _finite(v0, "V0 = x0 + (e^(r* T) - 1) / (4 lam)")
 
 
 def mean_wealth_path(strategy: FeedbackStrategy, t_grid) -> np.ndarray:

@@ -1,9 +1,11 @@
 """CLI subcommands, exit codes, JSON round-trip, sweep CSV."""
 
+import argparse
 import csv
 import json
 import math
 import os
+import re
 import resource
 import subprocess
 import sys
@@ -260,6 +262,36 @@ def test_simulate_wealth_beyond_float_range_exit_1(tmp_path, capsys, probes):
     assert captured.err == "error: terminal wealth's moments leave the float range: mean inf, variance inf\n"
 
 
+_V0_OVERFLOW = "error: V0 = x0 + (e^(r* T) - 1) / (4 lam) exceeds the float range\n"
+_XBAR_OVERFLOW = "error: the target wealth xbar = x0 + e^(r* T) / (2 lam) exceeds the float range\n"
+_TINY_CASES = [
+    pytest.param({"horizon_T": 5e-324}, "simulate",
+                 "error: the horizon T = 5e-324 is too short to switch scenarios at T/2\n", id="horizon-simulate"),
+    pytest.param({"lambda": 1e-308, "horizon_T": 100.0}, "simulate", _XBAR_OVERFLOW, id="lambda-1e-308-simulate"),
+    *(pytest.param({"lambda": 5e-324}, command, message, id=f"lambda-{command}")
+      for command, message in [("solve", _V0_OVERFLOW), ("classify", _V0_OVERFLOW), ("simulate", _XBAR_OVERFLOW)]),
+    *(pytest.param({"sigmas": sigmas}, command, "error: a Sharpe ratio b_i / sigma_i exceeds the float range: "
+                   f"{[b / sigma for b, sigma in zip([0.4, 0.2], sigmas)]}\n", id=f"sigma{i}-{command}")
+      for i, sigmas in enumerate(([5e-324, 1.0], [1.0, 5e-324]))
+      for command in ("solve", "classify", "simulate")),
+]
+
+
+@pytest.mark.parametrize("market, command, message", _TINY_CASES)
+def test_tiny_magnitudes_exit_1(tmp_path, capsys, market, command, message):
+    # A horizon that cannot be halved, a lam that puts V0 or xbar beyond the
+    # float range, and a volatility that does so to a Sharpe ratio end in one
+    # typed error line and exit 1, with no warning (the suite turns them into errors).
+    payload = json.loads(json.dumps(REFERENCE))
+    payload["market"].update(market)
+    cfg = write_config(tmp_path, payload)
+    flags = ["--paths", "64", "--steps", "2"] if command == "simulate" else []
+    assert main([command, "--config", cfg, *flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == message
+
+
 def test_simulate_huge_step_count_fails_fast(tmp_path):
     # The Euler set-up maps steps to schedule pieces with one array, so
     # 10^11 steps fail on allocating it instead of spinning in a per-step
@@ -283,7 +315,6 @@ def test_simulate_huge_step_count_fails_fast(tmp_path):
         ["classify"],
         ["simulate", "--paths", "10", "--steps", "4", "--probes", "0"],
         ["oracle", "--resolution", "11"],
-        ["gradcheck", "--samples", "1"],
     ],
 )
 def test_config_read_once(tmp_path, capsys, monkeypatch, argv):
@@ -505,14 +536,6 @@ def test_oracle_subcommand(tmp_path, capsys):
     assert abs(report["oracle"]["theta_star"]["rho"][0] - 0.5) < 2e-3
 
 
-def test_gradcheck(tmp_path, capsys):
-    cfg = write_config(tmp_path, REFERENCE)
-    assert main(["gradcheck", "--config", cfg, "--samples", "50"]) == 0
-    report = json.loads(capsys.readouterr().out)
-    assert report["worst_relative_error"] < 1e-5
-    assert main(["gradcheck", "--config", cfg, "--samples", "0"]) == 0
-
-
 def test_sweep_csv(tmp_path, capsys):
     payload = json.loads(json.dumps(REFERENCE))
     payload["sweep"] = [
@@ -642,6 +665,53 @@ def test_section_of_wrong_type_exit_1(tmp_path, capsys, path, value, argv):
 
 
 @pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["solve"], "robustmv solve: the following arguments are required: --config"),
+        (["solve", "--config", "{cfg}", "--resolution", "abc"],
+         "robustmv solve: argument --resolution: invalid int value: 'abc'"),
+        (["nosuch"], "robustmv: argument command: invalid choice: 'nosuch'"),
+        (["gradcheck", "--config", "{cfg}"], "robustmv: argument command: invalid choice: 'gradcheck'"),
+    ],
+    ids=["missing-config", "malformed-resolution", "unknown-command", "gradcheck"],
+)
+def test_usage_error_exit_1(tmp_path, capsys, argv, message):
+    # A usage error is an input error: one line on stderr and exit 1, not argparse's exit 2.
+    cfg = write_config(tmp_path, REFERENCE)
+    assert main([arg.format(cfg=cfg) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"error: {message}") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("flag", ["--help", "--version"])
+def test_help_and_version_exit_0(capsys, flag):
+    with pytest.raises(SystemExit) as exit_info:
+        main([flag])
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: robustmv" if flag == "--help" else "robustmv ")
+
+
+def test_oracle_check_on_sweep_exit_1(tmp_path, capsys):
+    # The grid oracle runs on one instance; a sweep refuses the flag instead of dropping it.
+    payload = dict(REFERENCE, sweep=[{"ambiguity.delta": 0.0}, {"ambiguity.delta": 0.2}])
+    cfg = write_config(tmp_path, payload)
+    assert main(["solve", "--config", cfg, "--oracle-check"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "config error: --oracle-check does not apply to a sweep config\n"
+
+
+def test_readme_synopsis_lists_the_commands():
+    # README's `robustmv <a|b|...>` synopsis names exactly the parser's subcommands.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    synopsis = re.findall(r"^robustmv <([^>]*)>", readme, flags=re.MULTILINE)
+    parser = cli.build_parser()
+    commands = next(a.choices for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    assert synopsis == ["|".join(commands)]
+
+
+@pytest.mark.parametrize(
     "argv", [["oracle", "--resolution", "-5"], ["oracle", "--resolution", "0"], ["simulate", "--probes", "-1"]]
 )
 def test_flag_out_of_range_exit_1(tmp_path, capsys, argv):
@@ -670,7 +740,7 @@ def _fuzz_paths(node, prefix=()):
             yield from _fuzz_paths(value, path)
 
 
-FUZZ_VALUES = [None, [], {}, "x", 1, 1.5, True, math.nan, math.inf, 1e308, 10**400, [[1.0, 2.0]]]
+FUZZ_VALUES = [None, [], {}, "x", 1, 1.5, True, math.nan, math.inf, 1e308, 5e-324, 10**400, [[1.0, 2.0]]]
 FUZZ_COMMANDS = [["solve"], ["classify"], ["simulate", "--paths", "64", "--steps", "2", "--probes", "0"]]
 
 

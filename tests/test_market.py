@@ -201,12 +201,13 @@ def test_gradient_examples():
 
 
 def test_gradients_match_finite_differences():
+    # 20 PD draws at each d = 2..6, pairs in [-0.7, 0.7].
     rng = np.random.default_rng(41)
-    checked = 0
-    while checked < 100:
-        d = int(rng.integers(2, 5))
+    checked = np.zeros(7, dtype=int)
+    while checked.sum() < 100:
+        d = int(np.argmin(checked[2:])) + 2
         p = MarketParams(sigmas=rng.uniform(0.5, 2.0, d), horizon_T=1.0, lam=0.5, x0=1.0)
-        rho = rng.uniform(-0.6, 0.6, d * (d - 1) // 2)
+        rho = rng.uniform(-0.7, 0.7, d * (d - 1) // 2)
         if not is_positive_definite(rho, d):
             continue
         theta = ThetaPoint(b=rng.uniform(-1, 1, d), rho=rho)
@@ -214,7 +215,7 @@ def test_gradients_match_finite_differences():
         analytic = np.concatenate([gb, gr])
         fd = fd_gradient(theta, p)
         assert np.linalg.norm(analytic - fd) < 1e-6 * max(np.linalg.norm(analytic), 1e-12)
-        checked += 1
+        checked[d] += 1
 
 
 def test_saddle_value_reduces_to_premium_at_star():

@@ -267,16 +267,21 @@ def test_weak_principle_reference(params2, reference_spec):
     assert abs(worst.margin) <= worst.allowance
 
 
+_PROBE_SETS = [({"probe_schedules": []}, "optimal"), ({}, "optimal"), ({"probe_strategies": []}, "worst_case")]
+_PROBE_IDS = ["no-scenario-probes", "default-probes", "no-strategy-probes"]
+
+
 @pytest.mark.parametrize(
-    "probes, probe",
-    [({"probe_schedules": []}, "optimal"), ({}, "optimal"), ({"probe_strategies": []}, "worst_case")],
-    ids=["no-scenario-probes", "default-probes", "no-strategy-probes"],
+    "market, probes, probe",
+    [(market, *case) for market in ({"lam": 0.5, "x0": 1e308}, {"lam": 1e-300, "x0": 1.0}) for case in _PROBE_SETS],
+    ids=_PROBE_IDS + [f"tiny-lambda-{name}" for name in _PROBE_IDS],
 )
-def test_weak_principle_beyond_float_range_raises(reference_spec, probes, probe):
-    """At x0 = 1e308 the closed-form allowances |E[X_T]| + |V0| overflow: the check
+def test_weak_principle_beyond_float_range_raises(reference_spec, market, probes, probe):
+    """At x0 = 1e308 the closed-form allowances |E[X_T]| + |V0| overflow, and at
+    lam = 1e-300 (xbar - x0 about 5e299) so does the square in Var X_t: the check
     raises WealthOverflow at the first probe, with no warning (the module turns
     warnings into errors), instead of passing every probe on an infinite allowance."""
-    params = MarketParams(sigmas=[1.0, 1.0], horizon_T=1.0, lam=0.5, x0=1e308)
+    params = MarketParams(sigmas=[1.0, 1.0], horizon_T=1.0, **market)
     sol = solve(reference_spec, params)
     with pytest.raises(WealthOverflow, match=f"under probe '{probe}' leave the float range"):
         verify_weak_principle(sol, reference_spec, params, SimConfig(64, 4, 1), **probes)
