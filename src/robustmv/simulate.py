@@ -34,14 +34,14 @@ among its pieces, drift projections and closed forms.
 Layout: every simulator fills a node-major (n_steps + 1, n_paths) buffer
 in one block loop (_fill_paths) and returns its transpose, so paths have
 shape (n_paths, n_steps + 1) in Fortran order and each grid node is one
-contiguous column.  The loop hands each step's normals to a per-block
-stepper, which writes the block's slice of the next node row.  The exact
-scheme's stepper advances the block's lanes with in-place ufuncs.  The
-Euler stepper works asset-major: it calls the rule on a read-only view of
-the block's previous node row, takes alpha in Fortran order (the rules
-here return the transpose of a (d, lanes) buffer, so no copy is made),
-forms the shocks as the (d, lanes) product L z', and writes the new
-wealths in place into the next node row.
+contiguous column.  The loop hands each step's normals, one per lane, to
+a per-block stepper that writes the block's slice of the next node row:
+the exact one with in-place ufuncs, the Euler one after calling the rule
+on a read-only view of the previous row and taking alpha in Fortran order
+(the rules here return the transpose of a (d, lanes) buffer: no copy).  A
+rule of (t, x) never sees W, so given X_n its Euler noise alpha' sigma dW
+is N(0, alpha' Sigma alpha dt), drawn as sqrt(dt) ||L' alpha|| z
+(Glasserman 2004, §6.1): Euler and exact read the same normals per seed.
 
 Reproducibility: paths are generated in fixed-size blocks, each block from
 its own SFC64 substream keyed by (seed, block index).  Results are
@@ -169,25 +169,26 @@ def _run_blocks(n_paths: int, n_steps: int, worker):
         pool.shutdown(cancel_futures=True)
 
 
-def _normals(rng, lanes: int, d: int, antithetic: bool) -> np.ndarray:
-    """One step of standard normals; antithetic pairs adjacent lanes as +/-z."""
+def _normals(rng, lanes: int, antithetic: bool) -> np.ndarray:
+    """One step's standard normal per lane; antithetic pairs adjacent lanes as +/-z."""
     if not antithetic:
-        return rng.standard_normal((lanes, d))
+        return rng.standard_normal(lanes)
     half = (lanes + 1) // 2
-    z = rng.standard_normal((half, d))
-    out = np.empty((2 * half, d))
+    z = rng.standard_normal(half)
+    out = np.empty(2 * half)
     out[0::2] = z
     out[1::2] = -z
     return out[:lanes]
 
 
-def _fill_paths(cfg: SimConfig, params: MarketParams, width: int, start):
+def _fill_paths(cfg: SimConfig, params: MarketParams, start):
     """Paths from one block loop: (t_grid, paths), paths the transpose of a node-major buffer.
 
     For each block, start(rows) receives the block's (n_steps + 1, lanes)
     slice of the buffer, row 0 already x0, and returns a stepper; step(n, z)
-    gets step n's (lanes, width) normals from the block's stream and writes
-    row n + 1.
+    gets step n's normals from the block's stream, one per lane (given X_n,
+    an exact step adds one Gaussian, and so does an Euler step of any rule
+    of (t, x)), and writes row n + 1.
     """
     t_grid = np.linspace(0.0, params.horizon_T, cfg.n_steps + 1)
     nodes = np.empty((cfg.n_steps + 1, cfg.n_paths))
@@ -198,7 +199,7 @@ def _fill_paths(cfg: SimConfig, params: MarketParams, width: int, start):
         rows[0] = params.x0
         step = start(rows)
         for n in range(cfg.n_steps):
-            step(n, _normals(rng, hi - lo, width, cfg.antithetic))
+            step(n, _normals(rng, hi - lo, cfg.antithetic))
 
     _run_blocks(cfg.n_paths, cfg.n_steps, worker)
     return t_grid, nodes.T
@@ -285,10 +286,11 @@ def simulate_wealth(rule, schedule: ThetaProcessSchedule, params: MarketParams, 
     rule (a FeedbackStrategy, an AffineRule with w and v both nonzero, any
     callable returning an (n, d) array for n wealths) runs on the Euler
     scheme, called at every step on a read-only view of the current
-    wealths; a rule that writes into it raises ValueError.  Returns
-    (t_grid, paths) with paths of shape (n_paths, n_steps + 1), the
-    transpose of a node-major buffer; wealth is unconstrained and may go
-    negative.
+    wealths; a rule that writes into it raises ValueError.  As any rule
+    sees only (t, x), an Euler step's noise given X_n is N(0, alpha' Sigma
+    alpha dt), drawn from one normal per path.  Returns (t_grid, paths)
+    with paths of shape (n_paths, n_steps + 1), the transpose of a
+    node-major buffer; wealth is unconstrained and may go negative.
 
     Runs of THREADED_MIN_STEPS steps or more fill their blocks on one
     worker thread per available CPU, or on ROBUSTMV_THREADS of them, so
@@ -304,7 +306,6 @@ def simulate_wealth(rule, schedule: ThetaProcessSchedule, params: MarketParams, 
     # Step n runs on piece[n] of pieces, the one holding the scenario value at its left node n dt.
     piece = np.searchsorted(schedule.breakpoints, np.arange(cfg.n_steps) * dt, side="right") - 1
     pieces = _pieces(schedule, params)
-    sqrt_dt = math.sqrt(dt)
     t_grid = np.linspace(0.0, params.horizon_T, cfg.n_steps + 1)
 
     def start(rows):
@@ -319,15 +320,14 @@ def simulate_wealth(rule, schedule: ThetaProcessSchedule, params: MarketParams, 
             _, _, b, cov = pieces[piece[n]]
             drift = alpha @ b
             drift *= dt
-            shock = cov.chol @ z.T  # (d, lanes)
-            noise = np.einsum("ij,ji->i", alpha, shock)
-            noise *= sqrt_dt
+            h = cov.chol.T @ alpha.T  # (d, lanes); ||L' alpha||^2 is a sum of squares, never negative
+            z *= np.sqrt(dt * np.einsum("ij,ij->j", h, h))  # this step's own normals become its noise
             np.add(rows[n], drift, out=rows[n + 1])
-            rows[n + 1] += noise
+            rows[n + 1] += z
 
         return step
 
-    return _fill_paths(cfg, params, params.d, start)
+    return _fill_paths(cfg, params, start)
 
 
 def _exact_paths(direction, y0, geometric, schedule, params, cfg):
@@ -345,10 +345,10 @@ def _exact_paths(direction, y0, geometric, schedule, params, cfg):
     def start(rows):
         acc = np.zeros(rows.shape[1])  # log N (geometric) or X - x0 (arithmetic)
         gaussian = np.empty(rows.shape[1])
-        return lambda n, z: _exact_step(acc, gaussian, z[:, 0], drift_int[n], vol_int[n], y0, params.x0, geometric,
+        return lambda n, z: _exact_step(acc, gaussian, z, drift_int[n], vol_int[n], y0, params.x0, geometric,
                                         rows[n + 1])
 
-    return _fill_paths(cfg, params, 1, start)
+    return _fill_paths(cfg, params, start)
 
 
 def _exact_step(acc, gaussian, z, drift, vol, y0, x0, geometric, row):

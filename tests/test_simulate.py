@@ -913,24 +913,24 @@ def test_optimal_exact_reference_values(params2, reference, monkeypatch):
 
 def test_euler_reference_values(params2, reference, monkeypatch):
     # Euler paths of the optimal rule on the README instance, pinned bitwise
-    # on both streams: the rule's arithmetic and the Euler step must not move
-    # them (numpy 2.4, x86-64).
+    # on both streams as the one-normal step draws them: the rule's
+    # arithmetic and the Euler step must not move them (numpy 2.4, x86-64).
     sol, strat, sched = reference
     switch = ThetaProcessSchedule(
         breakpoints=np.array([0.0, 0.5]), values=(sol.theta_star, ThetaPoint(b=[0.44, 0.22], rho=[0.0]))
     )
     expected = {
         "philox": {
-            (False, False): (1.1968770532020023, 1.1697203184298532, 0.9422087084680746, 5473.575316467989),
-            (False, True): (0.6788229649118871, 0.7310741146462844, 1.0032704333331723, 5469.759044578163),
-            (True, False): (1.215722220781384, 1.1697203184298532, 0.9422087084680746, 5577.60083894114),
-            (True, True): (0.7083378712769313, 0.7310741146462844, 1.0032704333331723, 5573.859884858727),
+            (False, False): (0.6788229649118871, 1.0131548642244201, 1.0032704333331723, 5488.493938519752),
+            (False, True): (0.5763783059251908, 1.1145203712132532, 1.0898419833423878, 5475.027983081229),
+            (True, False): (0.7083378712769313, 1.0131548642244201, 1.0032704333331723, 5592.217905443116),
+            (True, True): (0.6079486447017243, 1.1145203712132532, 1.0898419833423878, 5579.030147187643),
         },
         "sfc64": {
-            (False, False): (1.5680121954572739, 0.9929097859420969, 1.0799029213195341, 5484.456550260724),
-            (False, True): (1.3124164801514866, 0.5441837835569054, 0.9788498105195685, 5463.54424683857),
-            (True, False): (1.5791263117563625, 0.9929097859420969, 1.0799029213195341, 5588.266605183052),
-            (True, True): (1.3286616778594766, 0.5441837835569054, 0.9788498105195685, 5567.778877043791),
+            (False, False): (1.3124164801514866, 1.0690168692076671, 0.9788498105195685, 5487.172371672167),
+            (False, True): (1.545261351425287, 0.9742660280139428, 0.9573783690938065, 5472.7448884508085),
+            (True, False): (1.3286616778594766, 1.0690168692076671, 0.9788498105195685, 5590.908037095597),
+            (True, True): (1.5568057289333304, 0.9742660280139428, 0.9573783690938065, 5576.7897552778995),
         },
     }
     for stream, runs in expected.items():
@@ -986,13 +986,12 @@ def three_asset():
 
 
 def _row_major_euler(rule, schedule, params, cfg):
-    """The Euler step as it ran before it went asset-major: C-ordered alpha, z @ L.T, einsum over rows.
+    """The one-normal Euler step as a plain per-block loop, with alpha' Sigma alpha from the dense Sigma.
 
-    Each step looks up its scenario value at its left node and factors it, as
-    the step model did before it went per piece.
+    Each step looks up its scenario value at its left node and forms
+    Sigma(rho) there, independently of the simulator's per-piece factor.
     """
     dt = params.horizon_T / cfg.n_steps
-    sqrt_dt = math.sqrt(dt)
     t_grid = np.linspace(0.0, params.horizon_T, cfg.n_steps + 1)
     paths = np.empty((cfg.n_paths, cfg.n_steps + 1))
     for block, (start, stop) in enumerate(sim._block_ranges(cfg.n_paths)):
@@ -1000,13 +999,35 @@ def _row_major_euler(rule, schedule, params, cfg):
         x = np.full(stop - start, float(params.x0))
         paths[start:stop, 0] = x
         for n in range(cfg.n_steps):
-            z = sim._normals(rng, stop - start, params.d, cfg.antithetic)
+            z = sim._normals(rng, stop - start, cfg.antithetic)
             alpha = np.ascontiguousarray(rule(t_grid[n], x))
             theta = schedule.value_at(n * dt)
-            shock = z @ market.covariance_from(theta.rho, params).chol.T
-            x = x + (alpha @ theta.b) * dt + sqrt_dt * np.einsum("ij,ij->i", alpha, shock)
+            sigma = market.covariance_from(theta.rho, params).matrix
+            var = np.einsum("ij,jk,ik->i", alpha, sigma, alpha)
+            x = x + (alpha @ theta.b) * dt + np.sqrt(var * dt) * z
             paths[start:stop, n + 1] = x
     return paths
+
+
+def test_euler_constant_rule_law_three_assets(three_asset):
+    # A constant alpha = kappa* makes Euler exact: X_T ~ N(x0 + A, C) from
+    # affine_moments.  Under the two-piece schedule the one-normal step must
+    # give that law at d = 3: a z-test on the mean and a Wilson-Hilferty
+    # chi-square test on the variance, each at 4 sigma.  Measured z: -0.22
+    # (mean) and +0.53 (variance).  L' alpha replaced by L alpha scales the
+    # variance by 0.69 on the worst-case piece and 1.10 on the centre piece,
+    # and the variance test then reads z = +14.0.
+    strat, params, schedules = three_asset
+    rule = AffineRule(xbar=strat.xbar, v=np.zeros(3), w=strat.allocation_direction)
+    cfg = SimConfig(n_paths=20000, n_steps=64, seed=5)
+    t_grid, paths = simulate_wealth(lambda t, x: rule(t, x), schedules["two_piece"], params, cfg)
+    mean, var = affine_moments(rule, schedules["two_piece"], params, t_grid)
+    xt, n = paths[:, -1], cfg.n_paths
+    z_mean = (xt.mean() - mean[-1]) / math.sqrt(var[-1] / n)
+    k = n - 1  # (n - 1) s^2 / C is chi-square with k degrees of freedom
+    shift = 2.0 / (9.0 * k)
+    z_var = ((xt.var(ddof=1) / var[-1]) ** (1.0 / 3.0) - (1.0 - shift)) / math.sqrt(shift)
+    assert abs(z_mean) < 4.0 and abs(z_var) < 4.0
 
 
 def test_euler_paths_depend_only_on_rule_values(three_asset):
@@ -1183,23 +1204,23 @@ def test_interrupt_while_waiting_drops_pending_blocks(params2, reference, monkey
 
 
 def test_euler_step_matches_row_major_reference(params2, reference, three_asset):
-    # At d = 2 the asset-major step gives the row-major one's bits; at d = 3
-    # its sums over the assets add up in another order, a rounding-level move
-    # (largest measured: 2.6e-15 absolute, under the two-piece schedule).
+    # The simulator's ||L' alpha|| from the piece's factor against alpha' Sigma
+    # alpha from the dense Sigma, at d = 2 and d = 3: a rounding-level move
+    # (largest measured: none at d = 2, 2.6e-15 absolute at d = 3 under the
+    # constant schedule).
     # The three-piece schedule has one breakpoint off the grid and one on it.
     _, strat2, sched2 = reference
     cfg = SimConfig(n_paths=5000, n_steps=64, seed=7)
     theta_star, other = sched2.values[0], ThetaPoint(b=[0.44, 0.22], rho=[0.0])
     pieces = ThetaProcessSchedule(breakpoints=np.array([0.0, 0.3141, 0.5]), values=(theta_star, other, theta_star))
-    for sched in (sched2, pieces):
-        expected = _row_major_euler(strat2, sched, params2, cfg)
-        assert simulate_wealth(strat2, sched, params2, cfg)[1].tobytes() == expected.tobytes()
-    strat, params, schedules = three_asset
-    for name, sched in schedules.items():
+    strat3, params3, schedules = three_asset
+    runs = [(strat2, params2, "constant", sched2), (strat2, params2, "three_piece", pieces),
+            *((strat3, params3, name, sched) for name, sched in schedules.items())]
+    for strat, params, name, sched in runs:
         expected = _row_major_euler(strat, sched, params, cfg)
         _, paths = simulate_wealth(strat, sched, params, cfg)
         bound = 1e-12 * max(1.0, float(np.abs(expected).max()))
-        assert np.abs(paths - expected).max() <= bound, name
+        assert np.abs(paths - expected).max() <= bound, (params.d, name)
 
 
 def test_summarize_paths_matches_axis_reductions():
