@@ -19,7 +19,9 @@ Exit codes: 0 success (--help and --version too), 1 input error (among them a
 usage error such as a missing or malformed flag or an unknown command,
 --oracle-check on a sweep config, a section or "gamma" that
 is not a JSON object, a "sweep" that is not a non-empty list of objects,
---resolution below 1 and --probes below 0, a number beyond the float range,
+--resolution below 1 and --probes below 0, a simulate count or seed that
+is not a whole number or is a boolean, an "antithetic" that is not a JSON
+boolean, a number beyond the float range,
 a nested list where a vector belongs, a schedule of another dimension, an
 output path that is not a string, e^{r* T}, a Sharpe ratio or the target
 wealth beyond the float range, a horizon too short to halve, a
@@ -164,15 +166,25 @@ def parse_ambiguity(raw: dict, params: MarketParams):
     return spec
 
 
+def _integer(value, key: str) -> int:
+    """A count or seed from the simulate section: a JSON integer, or a float with an integral value (1e5)."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    _require(isinstance(value, int) and not isinstance(value, bool), f"'simulate.{key}' must be an integer")
+    return value
+
+
 def parse_sim_config(raw: dict, overrides) -> SimConfig:
     s = dict(_section(raw, "simulate", {}))
     s.update((key, value) for key, value in overrides.items() if value is not None)
+    antithetic = s.get("antithetic", False)
+    _require(isinstance(antithetic, bool), "'simulate.antithetic' must be true or false")
     with _bad("simulate parameters"):
         return SimConfig(
-            n_paths=int(s.get("n_paths", 20000)),
-            n_steps=int(s.get("n_steps", 256)),
-            seed=int(s.get("seed", 0)),
-            antithetic=bool(s.get("antithetic", False)),
+            n_paths=_integer(s.get("n_paths", 20000), "n_paths"),
+            n_steps=_integer(s.get("n_steps", 256), "n_steps"),
+            seed=_integer(s.get("seed", 0), "seed"),
+            antithetic=antithetic,
         )
 
 
@@ -287,7 +299,7 @@ def cmd_simulate(args, raw: dict) -> int:
     estimate = estimate_objective(paths, params)
     out = raw.get("output", {})
     summary = summarize_paths(t_grid, paths) if out.get("path") and out.get("format") == "csv" else None
-    del paths  # the probes below simulate their own paths; do not hold these through them
+    del paths  # the principle check below draws its own wealth; do not hold these through it
     v0 = value_v0(solution, params)
     # The strategy as an AffineRule, for the closed-form J under the schedule.
     kappa = strategy.allocation_direction

@@ -70,8 +70,9 @@ class PrincipleViolated(RobustMVError):
 
     probe names the probe strategy or scenario, margin is the signed margin
     that crossed its allowance: a rounding tolerance where the probe is
-    decided in closed form, N_SIGMA standard errors (family-wise where
-    several are tested) where it is sampled.
+    decided in closed form, N_SIGMA standard errors where it is sampled
+    (held family-wise over the grid increments of a sampled probe
+    strategy's monotone check).
     """
 
     def __init__(self, message, probe=None, margin=None):

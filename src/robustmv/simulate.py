@@ -12,8 +12,8 @@ sigma(rho) dW) under piecewise-constant parameter scenarios:
   per path and step.  It serves the optimal wealth
   (simulate_optimal_exact, u = Sigma(rho*)^{-1} b*), the wealth-affine
   probe rules (simulate_wealth picks it for an AffineRule with w = 0 or
-  v = 0), and the scenario probes' terminal wealth: one step over [0, T]
-  whose normals are drawn once and mapped through every probe's update.
+  v = 0), among them the optimal rule's terminal wealth under the worst
+  case, one step over [0, T], that the principle check draws.
 
 For the same wealth-affine rules, affine_moments gives E[X_t] and Var X_t
 at every grid node in closed form.  On top of those: the mean-variance
@@ -24,12 +24,12 @@ scenarios), and the closed-form table showing that the one-sided
 monotonicity genuinely fails for distant drift scenarios while the
 terminal inequality survives.  The principle check decides every
 wealth-affine probe from affine_moments, without sampling; Monte-Carlo
-there runs only the probes that are other callables (on Euler), and one
-shared one-step draw of the scenario probes' terminal wealth, which
-cross-checks the exact scheme against the closed forms.  Each schedule
-piece's Sigma(rho) is factored once (_pieces) and serves every step and
-closed form on it; the check shares one factor per probe correlation
-among its pieces, drift projections and closed forms.
+there runs only the probes that are other callables (on Euler), and a
+single one-step draw of the optimal rule's terminal wealth under the
+worst case, which cross-checks the exact scheme against its closed form.
+Each schedule piece's Sigma(rho) is factored once (_pieces) and serves
+every step and closed form on it; the check shares one factor per probe
+correlation among its pieces, drift projections and closed forms.
 
 Layout: every simulator fills a node-major (n_steps + 1, n_paths) buffer
 in one block loop (_fill_paths) and returns its transpose, so paths have
@@ -50,7 +50,7 @@ The blocks of a run of THREADED_MIN_STEPS steps or more are filled on one
 worker thread per CPU the process may run on (its affinity set), never
 more than there are blocks; the ROBUSTMV_THREADS environment variable,
 when set, replaces that count (1 unless it is a positive integer).  Shorter
-runs, such as the principle check's shared one-step draw, stay on the
+runs, such as the principle check's one-step worst-case draw, stay on the
 calling thread, where starting a pool costs more than the threads gain.  A
 callable rule is therefore called concurrently, one block per thread: a
 rule with shared mutable state must lock it, or run with
@@ -345,58 +345,27 @@ def _exact_paths(direction, y0, geometric, schedule, params, cfg):
     def start(rows):
         acc = np.zeros(rows.shape[1])  # log N (geometric) or X - x0 (arithmetic)
         gaussian = np.empty(rows.shape[1])
-        return lambda n, z: _exact_step(acc, gaussian, z, drift_int[n], vol_int[n], y0, params.x0, geometric,
-                                        rows[n + 1])
+
+        def step(n, z):
+            # In-place ufuncs over a row of lanes.  The two updates group their
+            # sums differently, each in the order that fixed its scheme's bits.
+            row = rows[n + 1]
+            np.multiply(z, vol_int[n], out=gaussian)
+            if geometric:
+                np.subtract(acc, drift_int[n], out=acc)
+                np.subtract(acc, gaussian, out=acc)
+                np.exp(acc, out=row)
+                np.subtract(1.0, row, out=row)
+                row *= y0
+                row += params.x0
+            else:
+                np.add(gaussian, drift_int[n], out=gaussian)
+                np.add(acc, gaussian, out=acc)
+                np.add(acc, params.x0, out=row)
+
+        return step
 
     return _fill_paths(cfg, params, start)
-
-
-def _exact_step(acc, gaussian, z, drift, vol, y0, x0, geometric, row):
-    """One exact step: acc (log N, or X - x0) takes its step of drift and vol z, row the wealths.
-
-    In-place ufuncs over a row of lanes; gaussian is scratch, and row may be
-    acc.  The two updates group their sums differently, each in the order
-    that fixed its scheme's bits.
-    """
-    np.multiply(z, vol, out=gaussian)
-    if geometric:
-        np.subtract(acc, drift, out=acc)
-        np.subtract(acc, gaussian, out=acc)
-        np.exp(acc, out=row)
-        np.subtract(1.0, row, out=row)
-        row *= y0
-        row += x0
-    else:
-        np.add(gaussian, drift, out=gaussian)
-        np.add(acc, gaussian, out=acc)
-        np.add(acc, x0, out=row)
-
-
-def _shared_normals(cfg):
-    """Each path's normal z, from the block streams every one-step draw under cfg uses.
-
-    The exact one-step X_T of a unit position in a driftless market of one
-    asset with unit volatility, over a unit horizon from no wealth, is
-    bitwise z (z * 1 + 0 + 0, then + x0 = 0).  Drawing it through
-    simulate_wealth rather than from the streams directly keeps every draw
-    in one block loop, and visible to perfbench's trace.
-    """
-    unit = MarketParams(sigmas=[1.0], horizon_T=1.0, lam=1.0, x0=0.0)
-    scenario = ThetaProcessSchedule.constant(ThetaPoint(b=[0.0], rho=[]))
-    paths = simulate_wealth(AffineRule(xbar=0.0, v=[0.0], w=[1.0]), scenario, unit, replace(cfg, n_steps=1))[1]
-    return paths[:, -1].copy()  # frees the x0 column
-
-
-def _terminal_wealth(direction, y0, pieces, z, params):
-    """X_T of the geometric exact rule along direction under a scenario's _pieces, from _shared_normals' z.
-
-    Bitwise simulate_wealth's one-step X_T for the rule: the same exact step
-    applied to the same normals.
-    """
-    drift_int, var_int = _exact_step_integrals(direction, pieces, params, 1, True)
-    xt = np.zeros(z.size)  # log N's accumulator, then X_T: one step needs no log N afterwards
-    _exact_step(xt, np.empty(z.size), z, drift_int[0], np.sqrt(var_int)[0], y0, params.x0, True, xt)
-    return xt
 
 
 def affine_moments(rule: AffineRule, schedule, params, t_grid):
@@ -535,7 +504,7 @@ def default_probe_schedules(
     params: MarketParams,
     solution: WorstCaseSolution,
 ):
-    """Eight named scenario probes: worst case, center, extreme corners, a switch.
+    """Seven named scenario probes: worst case, center, extreme corners, a switch.
 
     The switch happens at T/2; a horizon too short to halve in floating
     point (T = 5e-324) raises RobustMVError.
@@ -590,11 +559,9 @@ def _probe_schedules(spec, params, solution, factor):
             ),
         )
     )
-    probes.append(("revisit_worst", ThetaProcessSchedule.constant(solution.theta_star)))
     values = {id(th): th for _, sched in probes for th in sched.values}  # tested once each
     member = {key: contains(spec, th, params) for key, th in values.items()}
-    feasible = [(name, sched) for name, sched in probes if all(member[id(th)] for th in sched.values)]
-    return feasible[:8]
+    return [(name, sched) for name, sched in probes if all(member[id(th)] for th in sched.values)]
 
 
 @dataclass(frozen=True)
@@ -617,10 +584,11 @@ class WeakPrincipleReport:
     V0 of the optimal rule (must not fall below minus its allowance), the
     lower side of the saddle property at the objective level.
     objective_upper: for each probe strategy under the worst case, J - V0
-    (must not exceed its allowance), the upper side.  simulator_check: for
-    each probe scenario, the J estimated from the optimal rule's simulated
-    terminal wealth minus its closed form (must stay within its allowance
-    on both sides).
+    (must not exceed its allowance), the upper side.  simulator_check: one
+    row, worst_case, the J estimated from the optimal rule's simulated
+    terminal wealth under the worst case minus its closed form (must stay
+    within N_SIGMA standard errors on both sides); empty when there are no
+    scenario probes.
     """
 
     monotone_under_worst_case: tuple
@@ -720,12 +688,14 @@ def verify_weak_principle(
     turn comes; its monotone check holds a one-sided N_SIGMA level
     family-wise over the grid increments, and its J margin gets N_SIGMA
     standard errors.  The terminal condition is decided in closed form too,
-    for the optimal rule as AffineRule(xbar, kappa*, 0).  The check then
-    draws that rule's X_T under every scenario probe on the exact scheme
-    from one shared one-step draw over [0, T], each probe's X_T bitwise its
-    own simulate_wealth draw, and the estimated J must match the closed
-    form two-sidedly, at N_SIGMA family-wise over the scenario probes
-    (simulator_check): that tests the simulator, not the principle.  A
+    for the optimal rule as AffineRule(xbar, kappa*, 0).  When there are
+    scenario probes, the check then draws that rule's X_T once, under the
+    worst case, through simulate_wealth on the exact scheme in one step
+    over [0, T], and the estimated J must match the worst case's closed
+    form two-sidedly at N_SIGMA standard errors (simulator_check): that
+    tests the simulator, not the principle.  Every scenario probe reads the
+    same map from the integrals of _exact_step_integrals to X_T, so one
+    draw exercises it for all of them.  A
     closed-form margin or allowance beyond the float range, as from an x0
     near 1e308, raises WealthOverflow naming the probe.
     """
@@ -767,23 +737,28 @@ def verify_weak_principle(
 
     kappa = strategy.allocation_direction
     optimal = AffineRule(xbar=strategy.xbar, v=kappa, w=np.zeros_like(kappa))
-    normals = _shared_normals(cfg) if probe_schedules else None
-    z = _familywise_z(max(len(probe_schedules), 1))
-    terminal, simulator = [], []
-    with np.errstate(over="ignore", invalid="ignore"):  # as above
-        for name, sched in probe_schedules:
-            pieces = _pieces(sched, params, factor)
+
+    def optimal_objective(name, pieces):
+        """The optimal rule's closed-form J under a scenario's _pieces, and the tolerance of J - V0."""
+        with np.errstate(over="ignore", invalid="ignore"):  # as above
             j, tolerance = _closed_form_objective(*_affine_moments(optimal, pieces, params, 1), v0, params.lam)
-            margin = j - v0  # E[V_T] - V0 since the terminal value is x - lam (x - xbar)^2
-            _in_float_range(name, margin, tolerance)
-            _record(terminal, name, margin, tolerance, margin >= -tolerance,
-                    f"E[V_T] - V0 = {margin:.3e} < -{tolerance:.3e} under probe scenario {name!r}")
-            xt = _terminal_wealth(kappa, strategy.xbar - params.x0, pieces, normals, params)
-            est = estimate_objective(xt, params)
-            gap, allowance = est.J - j, z * est.std_error_J
-            _record(simulator, name, gap, allowance, abs(gap) <= allowance,
-                    f"simulated J misses its closed form by {gap:.3e} (beyond {allowance:.3e}) "
-                    f"under probe scenario {name!r}")
+        _in_float_range(name, j - v0, tolerance)
+        return j, tolerance
+
+    terminal, simulator = [], []
+    for name, sched in probe_schedules:
+        j, tolerance = optimal_objective(name, _pieces(sched, params, factor))
+        margin = j - v0  # E[V_T] - V0 since the terminal value is x - lam (x - xbar)^2
+        _record(terminal, name, margin, tolerance, margin >= -tolerance,
+                f"E[V_T] - V0 = {margin:.3e} < -{tolerance:.3e} under probe scenario {name!r}")
+    if probe_schedules:
+        # The optimal rule's X_T under the worst case, drawn once over [0, T] on the exact scheme.
+        j, _ = optimal_objective("worst_case", worst_pieces)
+        est = estimate_objective(simulate_wealth(optimal, worst_case, params, replace(cfg, n_steps=1))[1], params)
+        gap, allowance = est.J - j, N_SIGMA * est.std_error_J
+        _record(simulator, "worst_case", gap, allowance, abs(gap) <= allowance,
+                f"simulated J misses its closed form by {gap:.3e} (beyond {allowance:.3e}) "
+                "under probe scenario 'worst_case'")
 
     return WeakPrincipleReport(
         monotone_under_worst_case=tuple(monotone),

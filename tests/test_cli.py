@@ -423,8 +423,9 @@ def test_simulate_small_run(tmp_path, capsys):
     upper = principle["objective_upper"]
     assert [c["name"] for c in upper] == [c["name"] for c in principle["monotone"]]
     assert all(c["ok"] and c["margin"] <= c["allowance"] for c in upper)
+    assert len(principle["terminal"]) == 7
     simulator = principle["simulator"]
-    assert [c["name"] for c in simulator] == [c["name"] for c in principle["terminal"]]
+    assert [c["name"] for c in simulator] == ["worst_case"]
     assert all(c["ok"] and abs(c["margin"]) <= c["allowance"] for c in simulator)
     zero = upper[[c["name"] for c in upper].index("zero")]
     assert zero["margin"] == pytest.approx(REFERENCE["market"]["x0"] - report["V0"], rel=1e-12)
@@ -528,6 +529,34 @@ def test_out_of_range_and_non_vector_values_exit_1(tmp_path, capsys, path, value
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("config error:") and "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "key, value",
+    [("antithetic", "false"), ("antithetic", 1), ("n_paths", 2000.9), ("n_steps", True), ("seed", True),
+     ("seed", "1"), ("seed", math.inf)],
+    ids=["antithetic-string", "antithetic-number", "fractional-paths", "boolean-steps", "boolean-seed",
+         "string-seed", "infinite-seed"],
+)
+def test_simulate_values_of_another_type_exit_1(tmp_path, capsys, key, value):
+    # bool() and int() would run another simulation: "false" switched
+    # antithetic sampling on, 2000.9 paths ran 2,000 and seed true ran seed 1.
+    payload = {**REFERENCE, "simulate": {"n_paths": 64, "n_steps": 2, key: value}, "output": {"format": "json"}}
+    assert main(["simulate", "--config", write_config(tmp_path, payload), "--probes", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"'simulate.{key}' must be" in captured.err and "Traceback" not in captured.err
+
+
+def test_simulate_integral_float_counts(tmp_path, capsys):
+    # A float with an integral value, as JSON writes 1e2, is that integer.
+    reports = []
+    for n_paths, n_steps, seed in ((1e2, 2.0, 7.0), (100, 2, 7)):
+        simulate = {"n_paths": n_paths, "n_steps": n_steps, "seed": seed, "antithetic": True}
+        payload = {**REFERENCE, "simulate": simulate, "output": {"format": "json"}}
+        assert main(["simulate", "--config", write_config(tmp_path, payload), "--probes", "0"]) == 0
+        reports.append(json.loads(capsys.readouterr().out))
+    assert reports[0] == reports[1] and reports[0]["objective"]["n_paths"] == 100
 
 
 def test_oracle_subcommand(tmp_path, capsys):

@@ -50,7 +50,7 @@ pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 
 def _terminal_draws(rule, sched, params, cfg):
-    """X_T of an AffineRule drawn the way verify_weak_principle draws its scenario probes."""
+    """X_T of an AffineRule drawn the way verify_weak_principle draws its worst-case simulator check."""
     return simulate_wealth(rule, sched, params, replace(cfg, n_steps=1))[1][:, -1]
 
 
@@ -147,7 +147,12 @@ def test_block_stream_contract():
     firsts = {sim._block_rng(seed, block).standard_normal() for seed in range(4) for block in range(16)}
     assert len(firsts) == 4 * 16
     cfg = SimConfig(n_paths=16 * sim.BLOCK, n_steps=1, seed=2)
-    z = sim._shared_normals(cfg).reshape(16, sim.BLOCK)
+    # The exact one-step X_T of a unit position in a driftless market of one
+    # asset with unit volatility, over a unit horizon from no wealth, is
+    # bitwise each path's normal (z * 1 + 0 + 0, then + x0 = 0).
+    unit = MarketParams(sigmas=[1.0], horizon_T=1.0, lam=1.0, x0=0.0)
+    driftless = ThetaProcessSchedule.constant(ThetaPoint(b=[0.0], rho=[]))
+    z = _terminal_draws(AffineRule(xbar=0.0, v=[0.0], w=[1.0]), driftless, unit, cfg).reshape(16, sim.BLOCK)
     assert np.array_equal(z[5], sim._block_rng(cfg.seed, 5).standard_normal(sim.BLOCK))
     n = z.size
     assert abs(z.mean()) < 5.0 / math.sqrt(n)
@@ -260,7 +265,7 @@ def test_weak_principle_reference(params2, reference_spec):
     report = verify_weak_principle(sol, reference_spec, params2, cfg)
     assert report.ok
     assert len(report.monotone_under_worst_case) == 8
-    assert len(report.terminal_gain) == 8
+    assert len(report.terminal_gain) == 7
     # J(alpha*, theta*) reproduces V0 within noise in both directions
     names = [c.name for c in report.terminal_gain]
     worst = report.terminal_gain[names.index("worst_case")]
@@ -428,7 +433,7 @@ def test_default_probes_are_feasible(params2, reference_spec):
     strat = robust_strategy(sol, params2)
     assert len(default_probe_strategies(strat)) == 8
     schedules = default_probe_schedules(reference_spec, params2, sol)
-    assert len(schedules) == 8
+    assert len(schedules) == 7
     for _, sched in schedules:
         assert schedule_within(reference_spec, sched, params2)
 
@@ -726,86 +731,70 @@ def _philox_block_rng(seed, block):
 # stream shows that the step arithmetic did not move with it.
 STREAMS = {"philox": _philox_block_rng, "sfc64": sim._block_rng}
 
-# (margin, allowance) of each scenario probe's simulator check on the README
-# instance at 20,000 x 16, seed 5, on Philox streams as the check gave them
-# when it drew every probe's X_T through its own simulate_wealth call, and on
-# the SFC64 streams.
-README_SIMULATOR_CHECK_SEED5 = {
-    "worst_case": (0.0012065882234770786, 0.009089776698734267),
-    "center": (0.0011605736018185375, 0.00877759465873859),
-    "low_corr_outer_drift": (0.001131519023302996, 0.008579760064587456),
-    "low_corr_inner_drift": (0.001190469336684874, 0.00898057409390704),
-    "high_corr_outer_drift": (0.001121082719255595, 0.008508558380056503),
-    "high_corr_inner_drift": (0.0012016347684888906, 0.009056235361437988),
-    "switch_mid_horizon": (0.0011406361254640007, 0.008641900359591432),
-    "revisit_worst": (0.0012065882234770786, 0.009089776698734267),
-}
-README_SIMULATOR_CHECK_SEED5_SFC64 = {
-    "worst_case": (-0.0005443551843404837, 0.009180375178628042),
-    "center": (-0.0005191531382735537, 0.008864498248719483),
-    "low_corr_outer_drift": (-0.0005033497599287173, 0.008664336923276747),
-    "low_corr_inner_drift": (-0.0005355031136824451, 0.009069876889514255),
-    "high_corr_outer_drift": (-0.0004976945149162137, 0.008592300705872127),
-    "high_corr_inner_drift": (-0.0005416321766131826, 0.009146435512805426),
-    "switch_mid_horizon": (-0.0005082994113074779, 0.008727206793257164),
-    "revisit_worst": (-0.0005443551843404837, 0.009180375178628042),
-}
+# Margin of the worst-case simulator check on the README instance at
+# 20,000 x 16, seed 5, on Philox streams as the check gave it when it drew
+# every scenario probe's X_T through its own simulate_wealth call, and on the
+# SFC64 streams.
+README_SIMULATOR_CHECK_SEED5 = {"philox": 0.0012065882234770786, "sfc64": -0.0005443551843404837}
 
 
 def test_weak_principle_simulator_check(params2, reference_spec, monkeypatch):
-    # At the true r* each scenario probe's simulated J matches its closed
-    # form within the family-wise allowance, wider than N_SIGMA standard
-    # errors, with the margins pinned bitwise on both streams; terminal
-    # wealths shifted by 0.05 in the shared draw fail at the first probe.
+    # At the true r* the optimal rule's simulated J under the worst case
+    # matches its closed form within N_SIGMA standard errors, in one row with
+    # the margin pinned bitwise on both streams; terminal wealths shifted by
+    # 0.05 in the draw fail it.
     sol = solve(reference_spec, params2)
     cfg = SimConfig(n_paths=20000, n_steps=16, seed=5)
-    for stream, expected in (("philox", README_SIMULATOR_CHECK_SEED5), ("sfc64", README_SIMULATOR_CHECK_SEED5_SFC64)):
-        monkeypatch.setattr(sim, "_block_rng", STREAMS[stream])
-        report = verify_weak_principle(sol, reference_spec, params2, cfg)
-        names = [c.name for c in report.terminal_gain]
-        assert [c.name for c in report.simulator_check] == names and len(names) == 8
-        for check in report.simulator_check:
-            assert check.ok and abs(check.margin) <= check.allowance
-        assert {c.name: (c.margin, c.allowance) for c in report.simulator_check} == expected
     optimal = dict(default_probe_strategies(robust_strategy(sol, params2)))["optimal"]
     worst = ThetaProcessSchedule.constant(sol.theta_star)
-    est = estimate_objective(_terminal_draws(optimal, worst, params2, cfg), params2)
-    assert report.simulator_check[0].allowance == pytest.approx(sim._familywise_z(8) * est.std_error_J, rel=1e-12)
-    assert sim._familywise_z(8) > N_SIGMA
-    terminal_wealth = sim._terminal_wealth
-    monkeypatch.setattr(sim, "_terminal_wealth", lambda *args: terminal_wealth(*args) + 0.05)
+    for stream, expected in README_SIMULATOR_CHECK_SEED5.items():
+        monkeypatch.setattr(sim, "_block_rng", STREAMS[stream])
+        report = verify_weak_principle(sol, reference_spec, params2, cfg)
+        (check,) = report.simulator_check
+        assert check.name == "worst_case" and check.margin == expected
+        assert check.ok and abs(check.margin) <= check.allowance
+        est = estimate_objective(_terminal_draws(optimal, worst, params2, cfg), params2)
+        assert check.allowance == N_SIGMA * est.std_error_J
+    assert check.allowance == 0.007682979549997986
+    simulate_wealth_ = sim.simulate_wealth
+
+    def shifted(*args):
+        t_grid, paths = simulate_wealth_(*args)
+        return t_grid, paths + 0.05
+
+    monkeypatch.setattr(sim, "simulate_wealth", shifted)
     with pytest.raises(PrincipleViolated, match="simulated J misses its closed form") as exc:
         verify_weak_principle(sol, reference_spec, params2, cfg)
-    assert exc.value.probe == names[0]
-    assert exc.value.margin == pytest.approx(report.simulator_check[0].margin + 0.05, rel=1e-9)
+    assert exc.value.probe == "worst_case"
+    assert exc.value.margin == pytest.approx(check.margin + 0.05, rel=1e-9)
+
+
+def test_weak_principle_simulator_check_without_worst_case_probe(params2, reference_spec, monkeypatch):
+    # Caller-supplied scenario probes that leave out the worst case still get
+    # the one worst-case simulator row; with no scenario probes nothing is drawn.
+    sol = solve(reference_spec, params2)
+    cfg = SimConfig(n_paths=5000, n_steps=16, seed=3)
+    schedules = dict(default_probe_schedules(reference_spec, params2, sol))
+    default = verify_weak_principle(sol, reference_spec, params2, cfg)
+    report = verify_weak_principle(sol, reference_spec, params2, cfg, probe_schedules=[("center", schedules["center"])])
+    assert [c.name for c in report.terminal_gain] == ["center"]
+    assert report.simulator_check == default.simulator_check and len(default.simulator_check) == 1
+    streams, block_rng = [], sim._block_rng
+    monkeypatch.setattr(sim, "_block_rng", lambda seed, block: streams.append(block) or block_rng(seed, block))
+    report = verify_weak_principle(sol, reference_spec, params2, cfg, probe_schedules=[])
+    assert report.ok and report.terminal_gain == () and report.simulator_check == () and streams == []
 
 
 def test_weak_principle_draws_only_terminal_wealth(params2, reference_spec, monkeypatch):
-    # The default strategy probes draw nothing, and the scenario probes share
-    # one terminal draw: the block streams opened are its two blocks.
+    # The default strategy probes draw nothing, and the simulator check draws
+    # the worst-case terminal wealth once: the block streams opened are its two
+    # blocks.
     sol = solve(reference_spec, params2)
     streams, block_rng = [], sim._block_rng
     monkeypatch.setattr(sim, "_block_rng", lambda seed, block: streams.append(block) or block_rng(seed, block))
     cfg = SimConfig(n_paths=sim.BLOCK + 1001, n_steps=16, seed=11)
     report = verify_weak_principle(sol, reference_spec, params2, cfg)
-    assert report.ok and len(report.terminal_gain) == 8 and streams == [0, 1]
-
-
-@pytest.mark.parametrize("antithetic", [False, True])
-@pytest.mark.parametrize("n_paths", [sim.BLOCK + 1001, 2])
-@pytest.mark.parametrize("name, sol, params", _instances())
-def test_shared_terminal_draw_matches_simulate_wealth(name, sol, params, reference_spec, n_paths, antithetic):
-    # One draw mapped through every default scenario probe's exact step is,
-    # row by row, bitwise the probe's own one-step simulate_wealth X_T.
-    spec = reference_spec if name == "readme" else curated_three_asset("ThreeAsset.Case5ii")[0]
-    optimal = dict(default_probe_strategies(robust_strategy(sol, params)))["optimal"]
-    schedules = default_probe_schedules(spec, params, sol)
-    cfg = SimConfig(n_paths=n_paths, n_steps=16, seed=3, antithetic=antithetic)
-    normals = sim._shared_normals(cfg)
-    assert len(schedules) == 8
-    for probe, sched in schedules:
-        xt = sim._terminal_wealth(optimal.v, optimal.xbar - params.x0, sim._pieces(sched, params), normals, params)
-        assert xt.tobytes() == _terminal_draws(optimal, sched, params, cfg).tobytes(), probe
+    assert report.ok and len(report.terminal_gain) == 7 and streams == [0, 1]
 
 
 @pytest.mark.parametrize("name, sol, params", _instances())
@@ -814,7 +803,7 @@ def test_weak_principle_factorization_count(name, sol, params, reference_spec, m
     # projections and closed forms (54 scalar factorizations when each use
     # factored its own).  Of the 16 left, 11 are inside the public calls that
     # build the scenario probes (project_rho 3, risk_premium 2, contains 6)
-    # and one is the unit market of the shared draw.
+    # and one is the worst-case simulator draw's own.
     spec = reference_spec if name == "readme" else curated_three_asset("ThreeAsset.Case5ii")[0]
     calls, factor = [], market._factor
     monkeypatch.setattr(market, "_factor", lambda matrix: calls.append(matrix) or factor(matrix))
